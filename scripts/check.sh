@@ -40,7 +40,9 @@ echo "=== tsan: concurrency tests under ThreadSanitizer ==="
 # MetricsRegistry (service workers updating shared counters/histograms
 # while a sampler thread collects snapshots), and the shared-work layer
 # (PagePool refcounting, SubplanCache acquire/publish/attach, the bounded
-# TuningCache, and the service-wide subplan cache under concurrent workers).
+# TuningCache, and the service-wide subplan cache under concurrent workers),
+# and copy-on-write column buffers (threads copying and reading one shared
+# column while each mutates its own copy).
 cmake -B "$BUILD-tsan" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g" \
@@ -48,24 +50,26 @@ cmake -B "$BUILD-tsan" -S . \
 cmake --build "$BUILD-tsan" -j \
   --target service_test --target thread_pool_test --target host_parallel_test \
   --target fault_test --target shard_test --target obs_test \
-  --target fused_engine_test --target pool_test --target subplan_cache_test
+  --target fused_engine_test --target pool_test --target subplan_cache_test \
+  --target storage_test
 ctest --test-dir "$BUILD-tsan" --output-on-failure \
-  -R "QueryService|ThreadPool|TuningCache|HostParallel|ServiceChaos|ShardedService|MetricsRegistry|FusedBitIdentity|PagePool|SubplanCache"
+  -R "QueryService|ThreadPool|TuningCache|HostParallel|ServiceChaos|ShardedService|MetricsRegistry|FusedBitIdentity|PagePool|SubplanCache|ColumnCow"
 
 echo
 echo "=== asan+ubsan: fault-injection and service suites ==="
 # Fault paths unwind executions mid-flight (partial work, retry loops,
 # degradation re-runs); ASan+UBSan guards those error paths against leaks,
-# use-after-free and UB that the happy path never exercises.
+# use-after-free and UB that the happy path never exercises. The storage
+# suite covers copy-on-write buffer sharing and detaching.
 cmake -B "$BUILD-asan" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$BUILD-asan" -j \
   --target fault_test --target service_test --target sim_channel_test \
-  --target fusion_test --target subplan_cache_test
+  --target fusion_test --target subplan_cache_test --target storage_test
 ctest --test-dir "$BUILD-asan" --output-on-failure \
-  -R "Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|FusedKernel|ComposeFusedStage|SubplanCache"
+  -R "Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|FusedKernel|ComposeFusedStage|SubplanCache|Dictionary|Column|Table"
 
 echo
 echo "=== trace smoke: gplcli --trace on Q5, JSON validated ==="

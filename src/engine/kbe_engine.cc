@@ -5,6 +5,7 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "exec/primitives.h"
+#include "plan/segment.h"
 
 namespace gpl {
 
@@ -107,21 +108,17 @@ Result<Table> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
     case PhysicalOp::Kind::kHashJoin: {
       GPL_ASSIGN_OR_RETURN(Table build_input, Exec(*op.build_child, ctx));
 
-      // Ocelot: reuse a previously built hash table for the same build.
+      // Ocelot: reuse a previously built hash table for the same build. The
+      // key pins the whole build relation (scan columns, aliases, filters,
+      // projections, nested joins) over this engine's database, plus the
+      // build keys.
       std::string signature;
-      if (flavor_.cache_hash_tables) {
-        signature = op.build_child->table;
-        for (const ExprPtr& k : op.build_keys) signature += "|" + k->ToString();
-      }
       std::shared_ptr<HashJoinState> state;
-      bool cached = false;
       if (flavor_.cache_hash_tables) {
+        GPL_ASSIGN_OR_RETURN(signature, PlanSignature(op.build_child));
+        for (const ExprPtr& k : op.build_keys) signature += "|" + k->ToString();
         auto it = hash_table_cache_.find(signature);
-        if (it != hash_table_cache_.end() &&
-            it->second->build_rows.num_rows() == build_input.num_rows()) {
-          state = it->second;
-          cached = true;
-        }
+        if (it != hash_table_cache_.end()) state = it->second;
       }
       if (state == nullptr) {
         state = std::make_shared<HashJoinState>();
@@ -137,11 +134,8 @@ Result<Table> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
         // Record before caching: a build whose launch faults is not cached,
         // so a retry rebuilds (and re-charges) it from scratch.
         GPL_RETURN_NOT_OK(Record(ctx, build_launch, state->table.byte_size()));
-        if (flavor_.cache_hash_tables && !signature.empty()) {
-          hash_table_cache_[signature] = state;
-        }
+        if (flavor_.cache_hash_tables) hash_table_cache_[signature] = state;
       }
-      (void)cached;
 
       GPL_ASSIGN_OR_RETURN(Table probe_input, Exec(*op.child, ctx));
       KernelPtr probe =

@@ -20,7 +20,7 @@ struct KbeFlavor {
   /// prefix-sum kernel is folded into the scatter (Ocelot).
   bool bitmap_selection = false;
   /// Hash tables are cached across queries and reused when the same build
-  /// (table + keys) recurs (Ocelot's memory manager).
+  /// relation and keys recur (Ocelot's memory manager).
   bool cache_hash_tables = false;
   /// Fraction of leaf scans assumed cache-resident (MonetDB pre-fetching).
   double scan_resident_fraction = 0.0;

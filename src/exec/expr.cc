@@ -21,7 +21,7 @@ class ColumnRef : public Expr {
   }
 
   Column Evaluate(const Table& input) const override {
-    return input.GetColumn(name_);  // deep copy; callers treat columns as values
+    return input.GetColumn(name_);  // shares the buffer (copy-on-write)
   }
 
   double CostPerRow() const override { return 0.0; }
@@ -72,26 +72,18 @@ class Literal : public Expr {
   DataType OutputType(const Table&) const override { return type_; }
 
   Column Evaluate(const Table& input) const override {
-    const int64_t n = input.num_rows();
+    const size_t n = static_cast<size_t>(input.num_rows());
+    Column c(type_);
     switch (type_) {
-      case DataType::kInt64: {
-        Column c(DataType::kInt64);
-        c.Reserve(n);
-        for (int64_t i = 0; i < n; ++i) c.AppendInt64(int_);
+      case DataType::kInt64:
+        c.data64().assign(n, int_);
         return c;
-      }
-      case DataType::kFloat64: {
-        Column c(DataType::kFloat64);
-        c.Reserve(n);
-        for (int64_t i = 0; i < n; ++i) c.AppendDouble(float_);
+      case DataType::kFloat64:
+        c.dataf().assign(n, float_);
         return c;
-      }
-      case DataType::kDate: {
-        Column c(DataType::kDate);
-        c.Reserve(n);
-        for (int64_t i = 0; i < n; ++i) c.AppendInt32(static_cast<int32_t>(int_));
+      case DataType::kDate:
+        c.data32().assign(n, static_cast<int32_t>(int_));
         return c;
-      }
       default:
         GPL_LOG(Fatal) << "string literals are only valid inside comparisons";
     }
@@ -175,7 +167,6 @@ class BinaryExpr : public Expr {
   Column Evaluate(const Table& input) const override {
     // String equality against a literal: compare dictionary codes.
     if (IsComparison(op_)) {
-      const Column* str_col = nullptr;
       const Literal* str_lit = nullptr;
       if (auto lit = dynamic_cast<const Literal*>(b_.get());
           lit != nullptr && lit->type_ == DataType::kString) {
@@ -189,41 +180,44 @@ class BinaryExpr : public Expr {
         GPL_CHECK(op_ == BinOp::kEq || op_ == BinOp::kNe)
             << "only =/<> are supported on strings (Ocelot-style workload)";
         const Expr* col_side = (str_lit == b_.get() ? a_.get() : b_.get());
-        Column col = col_side->Evaluate(input);
+        const Column col = col_side->Evaluate(input);
         GPL_CHECK(col.type() == DataType::kString)
             << "string literal compared to non-string expression";
-        str_col = &col;
         const int32_t code = col.dictionary()->Lookup(str_lit->str_);
-        const int64_t n = str_col->size();
+        const int32_t on_equal = op_ == BinOp::kEq ? 1 : 0;
+        const std::vector<int32_t>& codes = col.data32();
         Column out(DataType::kInt32);
-        out.Reserve(n);
-        for (int64_t i = 0; i < n; ++i) {
-          const bool eq = str_col->Int32At(i) == code;
-          out.AppendInt32((op_ == BinOp::kEq) == eq ? 1 : 0);
+        std::vector<int32_t>& dst = out.data32();
+        dst.resize(codes.size());
+        for (size_t i = 0; i < codes.size(); ++i) {
+          dst[i] = codes[i] == code ? on_equal : 1 - on_equal;
         }
         return out;
       }
     }
 
-    Column ca = a_->Evaluate(input);
-    Column cb = b_->Evaluate(input);
+    const Column ca = a_->Evaluate(input);
+    const Column cb = b_->Evaluate(input);
     const int64_t n = ca.size();
     GPL_CHECK(cb.size() == n) << "operand length mismatch in " << ToString();
 
     if (op_ == BinOp::kAnd || op_ == BinOp::kOr) {
       Column out(DataType::kInt32);
-      out.Reserve(n);
+      std::vector<int32_t>& dst = out.data32();
+      dst.resize(static_cast<size_t>(n));
       for (int64_t i = 0; i < n; ++i) {
         const bool va = ca.AsInt64(i) != 0;
         const bool vb = cb.AsInt64(i) != 0;
-        out.AppendInt32((op_ == BinOp::kAnd ? (va && vb) : (va || vb)) ? 1 : 0);
+        dst[static_cast<size_t>(i)] =
+            (op_ == BinOp::kAnd ? (va && vb) : (va || vb)) ? 1 : 0;
       }
       return out;
     }
 
     if (IsComparison(op_)) {
       Column out(DataType::kInt32);
-      out.Reserve(n);
+      std::vector<int32_t>& dst = out.data32();
+      dst.resize(static_cast<size_t>(n));
       const bool flt = IsFloat(ca.type()) || IsFloat(cb.type());
       for (int64_t i = 0; i < n; ++i) {
         bool r = false;
@@ -250,7 +244,7 @@ class BinaryExpr : public Expr {
             default: break;
           }
         }
-        out.AppendInt32(r ? 1 : 0);
+        dst[static_cast<size_t>(i)] = r ? 1 : 0;
       }
       return out;
     }
@@ -259,7 +253,8 @@ class BinaryExpr : public Expr {
     const bool flt = IsFloat(ca.type()) || IsFloat(cb.type());
     if (flt) {
       Column out(DataType::kFloat64);
-      out.Reserve(n);
+      std::vector<double>& dst = out.dataf();
+      dst.resize(static_cast<size_t>(n));
       for (int64_t i = 0; i < n; ++i) {
         const double va = ca.AsDouble(i), vb = cb.AsDouble(i);
         double r = 0.0;
@@ -270,12 +265,13 @@ class BinaryExpr : public Expr {
           case BinOp::kDiv: r = vb == 0.0 ? 0.0 : va / vb; break;
           default: break;
         }
-        out.AppendDouble(r);
+        dst[static_cast<size_t>(i)] = r;
       }
       return out;
     }
     Column out(DataType::kInt64);
-    out.Reserve(n);
+    std::vector<int64_t>& dst = out.data64();
+    dst.resize(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i) {
       const int64_t va = ca.AsInt64(i), vb = cb.AsInt64(i);
       int64_t r = 0;
@@ -286,7 +282,7 @@ class BinaryExpr : public Expr {
         case BinOp::kDiv: r = vb == 0 ? 0 : va / vb; break;
         default: break;
       }
-      out.AppendInt64(r);
+      dst[static_cast<size_t>(i)] = r;
     }
     return out;
   }
@@ -380,11 +376,14 @@ class NotExpr : public Expr {
   DataType OutputType(const Table&) const override { return DataType::kInt32; }
 
   Column Evaluate(const Table& input) const override {
-    Column ca = a_->Evaluate(input);
-    Column out(DataType::kInt32);
+    const Column ca = a_->Evaluate(input);
     const int64_t n = ca.size();
-    out.Reserve(n);
-    for (int64_t i = 0; i < n; ++i) out.AppendInt32(ca.AsInt64(i) == 0 ? 1 : 0);
+    Column out(DataType::kInt32);
+    std::vector<int32_t>& dst = out.data32();
+    dst.resize(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      dst[static_cast<size_t>(i)] = ca.AsInt64(i) == 0 ? 1 : 0;
+    }
     return out;
   }
 
@@ -410,14 +409,13 @@ class YearExpr : public Expr {
   DataType OutputType(const Table&) const override { return DataType::kInt32; }
 
   Column Evaluate(const Table& input) const override {
-    Column ca = a_->Evaluate(input);
+    const Column ca = a_->Evaluate(input);
     GPL_CHECK(ca.type() == DataType::kDate) << "YearOf needs a date expression";
+    const std::vector<int32_t>& days = ca.data32();
     Column out(DataType::kInt32);
-    const int64_t n = ca.size();
-    out.Reserve(n);
-    for (int64_t i = 0; i < n; ++i) {
-      out.AppendInt32(date::Year(ca.Int32At(i)));
-    }
+    std::vector<int32_t>& dst = out.data32();
+    dst.resize(days.size());
+    for (size_t i = 0; i < days.size(); ++i) dst[i] = date::Year(days[i]);
     return out;
   }
 
@@ -449,22 +447,26 @@ class CaseExpr : public Expr {
   }
 
   Column Evaluate(const Table& input) const override {
-    Column cc = cond_->Evaluate(input);
-    Column ct = then_->Evaluate(input);
-    Column ce = else_->Evaluate(input);
+    const Column cc = cond_->Evaluate(input);
+    const Column ct = then_->Evaluate(input);
+    const Column ce = else_->Evaluate(input);
     const int64_t n = cc.size();
     if (OutputType(input) == DataType::kFloat64) {
       Column out(DataType::kFloat64);
-      out.Reserve(n);
+      std::vector<double>& dst = out.dataf();
+      dst.resize(static_cast<size_t>(n));
       for (int64_t i = 0; i < n; ++i) {
-        out.AppendDouble(cc.AsInt64(i) != 0 ? ct.AsDouble(i) : ce.AsDouble(i));
+        dst[static_cast<size_t>(i)] =
+            cc.AsInt64(i) != 0 ? ct.AsDouble(i) : ce.AsDouble(i);
       }
       return out;
     }
     Column out(DataType::kInt64);
-    out.Reserve(n);
+    std::vector<int64_t>& dst = out.data64();
+    dst.resize(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i) {
-      out.AppendInt64(cc.AsInt64(i) != 0 ? ct.AsInt64(i) : ce.AsInt64(i));
+      dst[static_cast<size_t>(i)] =
+          cc.AsInt64(i) != 0 ? ct.AsInt64(i) : ce.AsInt64(i);
     }
     return out;
   }
@@ -498,7 +500,7 @@ class StartsWithExpr : public Expr {
   DataType OutputType(const Table&) const override { return DataType::kInt32; }
 
   Column Evaluate(const Table& input) const override {
-    Column col = str_->Evaluate(input);
+    const Column col = str_->Evaluate(input);
     GPL_CHECK(col.type() == DataType::kString)
         << "StrStartsWith needs a string expression";
     // Precompute the matching dictionary codes once per batch.
@@ -508,11 +510,12 @@ class StartsWithExpr : public Expr {
       matches[static_cast<size_t>(code)] =
           dict.GetString(code).rfind(prefix_, 0) == 0 ? 1 : 0;
     }
+    const std::vector<int32_t>& codes = col.data32();
     Column out(DataType::kInt32);
-    const int64_t n = col.size();
-    out.Reserve(n);
-    for (int64_t i = 0; i < n; ++i) {
-      out.AppendInt32(matches[static_cast<size_t>(col.Int32At(i))]);
+    std::vector<int32_t>& dst = out.data32();
+    dst.resize(codes.size());
+    for (size_t i = 0; i < codes.size(); ++i) {
+      dst[i] = matches[static_cast<size_t>(codes[i])];
     }
     return out;
   }

@@ -25,8 +25,8 @@ int64_t NumMorsels(int64_t rows) {
 
 Column EvaluateMorsels(const Expr& expr, const Table& input) {
   const int64_t n = input.num_rows();
-  // Bare column references are a memcpy, not a computation — slicing and
-  // re-concatenating them would only add copies.
+  // A bare column reference shares the input's buffer and computes nothing —
+  // slicing and re-concatenating it would only add copies.
   std::string column_name;
   if (RunSerial(n) || expr.IsColumnRef(&column_name)) {
     return expr.Evaluate(input);

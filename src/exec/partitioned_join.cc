@@ -4,28 +4,11 @@
 
 #include "common/logging.h"
 #include "common/math_util.h"
+#include "exec/morsel.h"
 
 namespace gpl {
 
 namespace {
-
-std::vector<int64_t> PackedKeys(const Table& input,
-                                const std::vector<ExprPtr>& key_exprs) {
-  GPL_CHECK(!key_exprs.empty() && key_exprs.size() <= 2);
-  Column k0 = key_exprs[0]->Evaluate(input);
-  const int64_t n = k0.size();
-  std::vector<int64_t> keys(static_cast<size_t>(n));
-  if (key_exprs.size() == 1) {
-    for (int64_t i = 0; i < n; ++i) keys[static_cast<size_t>(i)] = k0.AsInt64(i);
-  } else {
-    Column k1 = key_exprs[1]->Evaluate(input);
-    for (int64_t i = 0; i < n; ++i) {
-      keys[static_cast<size_t>(i)] = JoinHashTable::PackKeys(
-          static_cast<int32_t>(k0.AsInt64(i)), static_cast<int32_t>(k1.AsInt64(i)));
-    }
-  }
-  return keys;
-}
 
 class PartitionedBuildKernel : public Kernel {
  public:
@@ -47,7 +30,7 @@ class PartitionedBuildKernel : public Kernel {
   }
 
   Result<Table> Process(const Table& input) override {
-    const std::vector<int64_t> keys = PackedKeys(input, key_exprs_);
+    const std::vector<int64_t> keys = EvaluateJoinKeys(input, key_exprs_);
     const int num_partitions = state_->num_partitions();
     std::vector<std::vector<int64_t>> partition_rows(
         static_cast<size_t>(num_partitions));
@@ -109,7 +92,7 @@ class PartitionedProbeKernel : public Kernel {
 
   Result<Table> Process(const Table& input) override {
     PrepareTiming();
-    const std::vector<int64_t> keys = PackedKeys(input, key_exprs_);
+    const std::vector<int64_t> keys = EvaluateJoinKeys(input, key_exprs_);
     std::vector<int64_t> probe_idx;
     std::vector<int> partition_of;
     std::vector<int64_t> build_idx;
@@ -125,40 +108,51 @@ class PartitionedProbeKernel : public Kernel {
       }
     }
     Table out = input.Gather(probe_idx);
+    const size_t matched = build_idx.size();
     for (const std::string& name : build_payload_) {
-      Column col(DataType::kInt32);  // placeholder, replaced below
-      bool first = true;
-      for (size_t i = 0; i < build_idx.size(); ++i) {
-        const Table& rows = state_->rows(partition_of[i]);
-        const Column& source = rows.GetColumn(name);
-        if (first) {
-          col = Column(source.type(), source.dictionary());
-          col.Reserve(static_cast<int64_t>(build_idx.size()));
-          first = false;
-        }
-        switch (source.type()) {
-          case DataType::kInt32:
-          case DataType::kDate:
-          case DataType::kString:
-            col.AppendInt32(source.Int32At(build_idx[i]));
-            break;
-          case DataType::kInt64:
-            col.AppendInt64(source.Int64At(build_idx[i]));
-            break;
-          case DataType::kFloat64:
-            col.AppendDouble(source.DoubleAt(build_idx[i]));
-            break;
+      // Every built partition has the build side's schema; with no built
+      // partition the column defaults to int32.
+      std::vector<const Column*> sources(
+          static_cast<size_t>(state_->num_partitions()), nullptr);
+      const Column* schema = nullptr;
+      for (int p = 0; p < state_->num_partitions(); ++p) {
+        if (state_->rows_initialized(p) && state_->rows(p).HasColumn(name)) {
+          sources[static_cast<size_t>(p)] = &state_->rows(p).GetColumn(name);
+          if (schema == nullptr) schema = sources[static_cast<size_t>(p)];
         }
       }
-      if (first) {
-        // No matches at all: derive the schema from any initialized
-        // partition (or default to int32 if the build side is empty).
-        for (int p = 0; p < state_->num_partitions(); ++p) {
-          if (state_->rows_initialized(p) && state_->rows(p).HasColumn(name)) {
-            const Column& source = state_->rows(p).GetColumn(name);
-            col = Column(source.type(), source.dictionary());
-            break;
+      Column col = schema == nullptr
+                       ? Column(DataType::kInt32)
+                       : Column(schema->type(), schema->dictionary());
+      const auto source = [&](size_t i) -> const Column& {
+        return *sources[static_cast<size_t>(partition_of[i])];
+      };
+      switch (col.type()) {
+        case DataType::kInt32:
+        case DataType::kDate:
+        case DataType::kString: {
+          std::vector<int32_t>& dst = col.data32();
+          dst.resize(matched);
+          for (size_t i = 0; i < matched; ++i) {
+            dst[i] = source(i).Int32At(build_idx[i]);
           }
+          break;
+        }
+        case DataType::kInt64: {
+          std::vector<int64_t>& dst = col.data64();
+          dst.resize(matched);
+          for (size_t i = 0; i < matched; ++i) {
+            dst[i] = source(i).Int64At(build_idx[i]);
+          }
+          break;
+        }
+        case DataType::kFloat64: {
+          std::vector<double>& dst = col.dataf();
+          dst.resize(matched);
+          for (size_t i = 0; i < matched; ++i) {
+            dst[i] = source(i).DoubleAt(build_idx[i]);
+          }
+          break;
         }
       }
       GPL_RETURN_NOT_OK(out.AddColumn(name, std::move(col)));

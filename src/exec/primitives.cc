@@ -168,7 +168,9 @@ class AggregateKernel : public Kernel {
 
   Result<Table> Process(const Table& input) override {
     const int64_t n = input.num_rows();
-    if (n == 0) return Table();
+    // The first batch fixes the group columns' types and dictionaries even
+    // when it is empty, so an empty result keeps its schema.
+    if (n == 0 && !group_types_.empty()) return Table();
 
     // Evaluate group keys and aggregate arguments once per batch. The
     // evaluation is the expensive part and is morsel-parallel; the
@@ -187,6 +189,7 @@ class AggregateKernel : public Kernel {
         group_dicts_.push_back(c.dictionary());
       }
     }
+    if (n == 0) return Table();
     std::vector<Column> agg_cols;
     agg_cols.reserve(aggregates_.size());
     for (const AggSpec& a : aggregates_) {
@@ -228,7 +231,7 @@ class AggregateKernel : public Kernel {
   /// accumulated state. Used by CombinePartialAggregates().
   Status IngestPartial(const Table& partial) {
     const int64_t n = partial.num_rows();
-    if (n == 0) return Status::OK();  // empty shard: nothing to merge
+    if (partial.num_columns() == 0) return Status::OK();  // no schema to learn
     std::vector<const Column*> group_cols;
     for (const ProjectedColumn& g : group_by_) {
       group_cols.push_back(&partial.GetColumn(g.name));
@@ -239,6 +242,7 @@ class AggregateKernel : public Kernel {
         group_dicts_.push_back(c->dictionary());
       }
     }
+    if (n == 0) return Status::OK();  // empty shard: nothing to merge
     std::vector<int64_t> key(group_by_.size());
     for (int64_t i = 0; i < n; ++i) {
       for (size_t g = 0; g < group_cols.size(); ++g) {
@@ -544,8 +548,15 @@ Result<Table> CombinePartialAggregates(
     const std::vector<AggSpec>& aggregates,
     const std::vector<Table>& partials) {
   AggregateKernel combiner(group_by, aggregates, AggregatePhase::kComplete);
-  for (const Table& partial : partials) {
-    GPL_RETURN_NOT_OK(combiner.IngestPartial(partial));
+  // The first partial ingested fixes the group columns' types. A shard whose
+  // aggregate saw no tiles emits int64 fallback group columns, so partials
+  // with rows go first; empty ones only supply a schema when all are empty.
+  // The merge itself is exact and order-independent.
+  for (const bool with_rows : {true, false}) {
+    for (const Table& partial : partials) {
+      if ((partial.num_rows() > 0) != with_rows) continue;
+      GPL_RETURN_NOT_OK(combiner.IngestPartial(partial));
+    }
   }
   return combiner.Finish();
 }
@@ -563,13 +574,14 @@ Column ComputeFlags(const Table& input, const ExprPtr& predicate) {
 }
 
 Column PrefixSum(const Column& flags, int64_t* total) {
-  Column out(DataType::kInt32);
   const int64_t n = flags.size();
+  Column out(DataType::kInt32);
+  std::vector<int32_t>& data = out.data32();
+  data.resize(static_cast<size_t>(n));
   if (CurrentHostParallelism() <= 1 || n < 2 * kMorselRows) {
-    out.Reserve(n);
     int32_t running = 0;
     for (int64_t i = 0; i < n; ++i) {
-      out.AppendInt32(running);
+      data[static_cast<size_t>(i)] = running;
       running += flags.Int32At(i) != 0 ? 1 : 0;
     }
     *total = running;
@@ -590,10 +602,8 @@ Column PrefixSum(const Column& flags, int64_t* total) {
     bases[static_cast<size_t>(m) + 1] =
         bases[static_cast<size_t>(m)] + counts[static_cast<size_t>(m)];
   }
-  out.data32().resize(static_cast<size_t>(n));
   ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
     int32_t running = bases[static_cast<size_t>(b / kMorselRows)];
-    std::vector<int32_t>& data = out.data32();
     for (int64_t i = b; i < e; ++i) {
       data[static_cast<size_t>(i)] = running;
       running += flags.Int32At(i) != 0 ? 1 : 0;

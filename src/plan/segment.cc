@@ -244,4 +244,9 @@ Result<SegmentedPlan> SegmentPlan(const PhysicalOpPtr& root) {
   return plan;
 }
 
+Result<std::string> PlanSignature(const PhysicalOpPtr& root) {
+  GPL_ASSIGN_OR_RETURN(SegmentedPlan plan, SegmentPlan(root));
+  return std::move(plan.segments.back().chain_signature);
+}
+
 }  // namespace gpl

@@ -118,7 +118,7 @@ Result<ShardedDatabase> PartitionDatabase(const tpch::Database& db,
   out.shards.reserve(static_cast<size_t>(options.num_shards));
   for (int s = 0; s < options.num_shards; ++s) {
     tpch::Database shard;
-    // Broadcast tables: full copies (column data copied, dictionaries
+    // Broadcast tables: full copies (column buffers and dictionaries
     // shared, so codes stay comparable across shards).
     shard.region = db.region;
     shard.nation = db.nation;
@@ -135,8 +135,7 @@ Result<ShardedDatabase> PartitionDatabase(const tpch::Database& db,
     const std::vector<int64_t>& rows = lineitem_split[static_cast<size_t>(s)];
     shard.lineitem = GatherRows(db.lineitem, rows);
     Column rowid(DataType::kInt64);
-    rowid.Reserve(static_cast<int64_t>(rows.size()));
-    for (int64_t r : rows) rowid.AppendInt64(r);
+    rowid.data64().assign(rows.begin(), rows.end());
     GPL_RETURN_NOT_OK(
         shard.lineitem.AddColumn(kRowIdColumn, std::move(rowid)));
 

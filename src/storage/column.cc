@@ -32,11 +32,11 @@ int64_t Column::size() const {
     case DataType::kInt32:
     case DataType::kDate:
     case DataType::kString:
-      return static_cast<int64_t>(data32_.size());
+      return static_cast<int64_t>(data32().size());
     case DataType::kInt64:
-      return static_cast<int64_t>(data64_.size());
+      return static_cast<int64_t>(data64().size());
     case DataType::kFloat64:
-      return static_cast<int64_t>(dataf_.size());
+      return static_cast<int64_t>(dataf().size());
   }
   return 0;
 }
@@ -46,13 +46,13 @@ void Column::Reserve(int64_t n) {
     case DataType::kInt32:
     case DataType::kDate:
     case DataType::kString:
-      data32_.reserve(static_cast<size_t>(n));
+      data32().reserve(static_cast<size_t>(n));
       break;
     case DataType::kInt64:
-      data64_.reserve(static_cast<size_t>(n));
+      data64().reserve(static_cast<size_t>(n));
       break;
     case DataType::kFloat64:
-      dataf_.reserve(static_cast<size_t>(n));
+      dataf().reserve(static_cast<size_t>(n));
       break;
   }
 }
@@ -85,58 +85,49 @@ int64_t Column::AsInt64(int64_t i) const {
   return 0;
 }
 
+namespace {
+
+// out[i] = src[indices[i]]. Output position i depends only on indices[i], so
+// morsel-parallel chunks write disjoint ranges and the values are trivially
+// identical to the serial loop.
+template <typename T>
+void GatherValues(const std::vector<T>& src, const std::vector<int64_t>& indices,
+                  std::vector<T>* dst) {
+  const int64_t n = static_cast<int64_t>(indices.size());
+  dst->resize(static_cast<size_t>(n));
+  T* out = dst->data();
+  const T* in = src.data();
+  const int64_t* idx = indices.data();
+  const auto fill = [&](int64_t b, int64_t e) {
+    for (int64_t i = b; i < e; ++i) out[i] = in[idx[i]];
+  };
+  if (CurrentHostParallelism() <= 1 || n < 2 * kMorselRows) {
+    fill(0, n);
+  } else {
+    ParallelFor(0, n, kMorselRows, fill);
+  }
+}
+
+template <typename T>
+void AppendValues(const std::vector<T>& src, std::vector<T>* dst) {
+  dst->insert(dst->end(), src.begin(), src.end());
+}
+
+}  // namespace
+
 Column Column::Gather(const std::vector<int64_t>& indices) const {
   Column out(type_, dict_);
-  const int64_t n = static_cast<int64_t>(indices.size());
-  if (CurrentHostParallelism() <= 1 || n < 2 * kMorselRows) {
-    out.Reserve(n);
-    switch (type_) {
-      case DataType::kInt32:
-      case DataType::kDate:
-      case DataType::kString:
-        for (int64_t i : indices) out.data32_.push_back(data32_[static_cast<size_t>(i)]);
-        break;
-      case DataType::kInt64:
-        for (int64_t i : indices) out.data64_.push_back(data64_[static_cast<size_t>(i)]);
-        break;
-      case DataType::kFloat64:
-        for (int64_t i : indices) out.dataf_.push_back(dataf_[static_cast<size_t>(i)]);
-        break;
-    }
-    return out;
-  }
-  // Morsel-parallel fill of a pre-sized buffer: output position i takes
-  // row indices[i], so concurrent chunks write disjoint ranges and the
-  // values are trivially identical to the serial loop.
   switch (type_) {
     case DataType::kInt32:
     case DataType::kDate:
     case DataType::kString:
-      out.data32_.resize(static_cast<size_t>(n));
-      ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
-        for (int64_t i = b; i < e; ++i) {
-          out.data32_[static_cast<size_t>(i)] =
-              data32_[static_cast<size_t>(indices[static_cast<size_t>(i)])];
-        }
-      });
+      GatherValues(data32(), indices, &out.data32());
       break;
     case DataType::kInt64:
-      out.data64_.resize(static_cast<size_t>(n));
-      ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
-        for (int64_t i = b; i < e; ++i) {
-          out.data64_[static_cast<size_t>(i)] =
-              data64_[static_cast<size_t>(indices[static_cast<size_t>(i)])];
-        }
-      });
+      GatherValues(data64(), indices, &out.data64());
       break;
     case DataType::kFloat64:
-      out.dataf_.resize(static_cast<size_t>(n));
-      ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
-        for (int64_t i = b; i < e; ++i) {
-          out.dataf_[static_cast<size_t>(i)] =
-              dataf_[static_cast<size_t>(indices[static_cast<size_t>(i)])];
-        }
-      });
+      GatherValues(dataf(), indices, &out.dataf());
       break;
   }
   return out;
@@ -145,19 +136,19 @@ Column Column::Gather(const std::vector<int64_t>& indices) const {
 Column Column::Slice(int64_t begin, int64_t len) const {
   GPL_CHECK(begin >= 0 && len >= 0 && begin + len <= size())
       << "slice out of range: [" << begin << ", " << begin + len << ") of " << size();
+  if (begin == 0 && len == size()) return *this;
   Column out(type_, dict_);
-  out.Reserve(len);
   switch (type_) {
     case DataType::kInt32:
     case DataType::kDate:
     case DataType::kString:
-      out.data32_.assign(data32_.begin() + begin, data32_.begin() + begin + len);
+      out.data32().assign(data32().begin() + begin, data32().begin() + begin + len);
       break;
     case DataType::kInt64:
-      out.data64_.assign(data64_.begin() + begin, data64_.begin() + begin + len);
+      out.data64().assign(data64().begin() + begin, data64().begin() + begin + len);
       break;
     case DataType::kFloat64:
-      out.dataf_.assign(dataf_.begin() + begin, dataf_.begin() + begin + len);
+      out.dataf().assign(dataf().begin() + begin, dataf().begin() + begin + len);
       break;
   }
   return out;
@@ -170,9 +161,26 @@ Status Column::AppendColumn(const Column& other) {
   if (type_ == DataType::kString && other.dict_ != dict_) {
     return Status::InvalidArgument("AppendColumn: mismatched dictionaries");
   }
-  data32_.insert(data32_.end(), other.data32_.begin(), other.data32_.end());
-  data64_.insert(data64_.end(), other.data64_.begin(), other.data64_.end());
-  dataf_.insert(dataf_.end(), other.dataf_.begin(), other.dataf_.end());
+  if (size() == 0) {
+    data32_ = other.data32_;
+    data64_ = other.data64_;
+    dataf_ = other.dataf_;
+    return Status::OK();
+  }
+  if (other.size() == 0) return Status::OK();
+  switch (type_) {
+    case DataType::kInt32:
+    case DataType::kDate:
+    case DataType::kString:
+      AppendValues(other.data32(), &data32());
+      break;
+    case DataType::kInt64:
+      AppendValues(other.data64(), &data64());
+      break;
+    case DataType::kFloat64:
+      AppendValues(other.dataf(), &dataf());
+      break;
+  }
   return Status::OK();
 }
 

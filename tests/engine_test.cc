@@ -148,6 +148,58 @@ TEST(EngineComparisonTest, OcelotBetweenKbeAndGplOnSimpleQueries) {
   EXPECT_LT(ocelot.metrics.elapsed_ms, kbe.metrics.elapsed_ms);
 }
 
+TEST(OcelotHashTableCacheTest, ReusedEngineMatchesReferenceAcrossQueries) {
+  // Ocelot keeps built hash tables across queries on one engine. A build is
+  // reused only for the same build relation: Q8 builds over the same tables
+  // and keys as Q7 with different filters and columns, and Q14/Q19 build
+  // part with different projections.
+  EngineOptions options;
+  options.mode = EngineMode::kOcelot;
+  Engine engine(&SmallDb(), options);
+  Engine planner(&SmallDb(), EngineOptions{});
+  for (const LogicalQuery& query :
+       {queries::Q7(), queries::Q8(), queries::Q14(), queries::Q19()}) {
+    Result<PhysicalOpPtr> plan = planner.Plan(query);
+    ASSERT_TRUE(plan.ok()) << query.name;
+    Result<Table> expected = ref::ExecutePlan(SmallDb(), *plan);
+    ASSERT_TRUE(expected.ok()) << query.name;
+    Result<QueryResult> result = engine.Execute(query);
+    ASSERT_TRUE(result.ok()) << query.name << ": " << result.status().ToString();
+    std::string diff;
+    EXPECT_TRUE(ref::TablesEqual(result->table, *expected, &diff))
+        << query.name << ": " << diff;
+  }
+}
+
+TEST(EmptyAggregateTest, EmptyQ8KeepsGroupColumnTypes) {
+  // With this dbgen seed Q8 selects no rows at SF 0.005. The empty result
+  // must still type o_year as the reference does (int32), at every shard
+  // count.
+  tpch::DbgenConfig config;
+  config.scale_factor = 0.005;
+  config.seed = 20160626 + 207;
+  const tpch::Database db = tpch::Generate(config);
+  Engine planner(&db, EngineOptions{});
+  Result<PhysicalOpPtr> plan = planner.Plan(queries::Q8());
+  ASSERT_TRUE(plan.ok());
+  Result<Table> expected = ref::ExecutePlan(db, *plan);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(expected->num_rows(), 0);
+  for (EngineMode mode : {EngineMode::kKbe, EngineMode::kGpl, EngineMode::kFused}) {
+    for (int shards : {1, 4}) {
+      EngineOptions options;
+      options.mode = mode;
+      options.exec.shards = shards;
+      Engine engine(&db, options);
+      Result<QueryResult> result = engine.Execute(queries::Q8());
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      std::string diff;
+      EXPECT_TRUE(ref::TablesEqual(result->table, *expected, &diff))
+          << EngineModeName(mode) << " shards=" << shards << ": " << diff;
+    }
+  }
+}
+
 TEST(EngineComparisonTest, GplBeatsOcelotOnComplexQueries) {
   // Figure 22: GPL significantly outperforms Ocelot on Q8 and Q9.
   for (const LogicalQuery& query : {queries::Q8(), queries::Q9()}) {

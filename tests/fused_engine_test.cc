@@ -1,3 +1,4 @@
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,11 @@ struct QueryCase {
   const char* label;
   LogicalQuery (*make)();
 };
+
+// Without this gtest prints the raw bytes of the struct, function pointers
+// included, into the listed test name, so the name changed with address-space
+// randomisation and binary layout.
+void PrintTo(const QueryCase& qc, std::ostream* os) { *os << qc.label; }
 
 LogicalQuery MakeQ14() { return queries::Q14(); }
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <string>
@@ -23,6 +24,7 @@
 #include "shard/sharded_executor.h"
 #include "sim/link.h"
 #include "storage/column.h"
+#include "storage/dictionary.h"
 #include "storage/table.h"
 #include "storage/types.h"
 #include "test_util.h"
@@ -889,6 +891,78 @@ TEST(CompoundKeyShardingTest, FewerDistinctKeysThanShards) {
   // Two distinct orderkeys spread across up to 8 shards: most shards are
   // empty and the group count is below the device count.
   ExpectCompoundKeyCombine({5, 6});
+}
+
+/// Database whose lineitem rows all hash to shard 3 of 4, with an int32 and
+/// a string column to group by: shards 0-2 hold zero rows, so their
+/// aggregate segments see no tiles at all. The partitioner splits orders
+/// alongside lineitem, so it carries the same keys.
+tpch::Database NarrowKeyDb() {
+  auto flags = std::make_shared<Dictionary>();
+  Column l_orderkey(DataType::kInt64);
+  Column l_qty(DataType::kInt32);
+  Column l_flag(DataType::kString, flags);
+  Column l_price(DataType::kFloat64);
+  Column o_orderkey(DataType::kInt64);
+  for (const int64_t k : KeysOnShard(3, 4, 8)) {
+    o_orderkey.AppendInt64(k);
+    l_orderkey.AppendInt64(k);
+    l_qty.AppendInt32(static_cast<int32_t>(k % 3));
+    l_flag.AppendString(k % 2 == 0 ? "A" : "R");
+    l_price.AppendDouble(static_cast<double>(k) * 1.5);
+  }
+  tpch::Database db;
+  db.lineitem = Table("lineitem");
+  GPL_CHECK_OK(db.lineitem.AddColumn("l_orderkey", std::move(l_orderkey)));
+  GPL_CHECK_OK(db.lineitem.AddColumn("l_qty", std::move(l_qty)));
+  GPL_CHECK_OK(db.lineitem.AddColumn("l_flag", std::move(l_flag)));
+  GPL_CHECK_OK(db.lineitem.AddColumn("l_price", std::move(l_price)));
+  db.orders = Table("orders");
+  GPL_CHECK_OK(db.orders.AddColumn("o_orderkey", std::move(o_orderkey)));
+  return db;
+}
+
+TEST(CompoundKeyShardingTest, EmptyShardsKeepNarrowGroupKeyTypes) {
+  // The empty shards' partials come first in shard order. Their group
+  // columns must not type the combined int32 and string keys as int64.
+  const tpch::Database db = NarrowKeyDb();
+  PartitionOptions poptions;
+  poptions.num_shards = 4;
+  Result<ShardedDatabase> sharded = PartitionDatabase(db, poptions);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_EQ(sharded->shards[0].lineitem.num_rows(), 0);
+  LogicalQuery q;
+  q.name = "narrow_keys";
+  BaseRelation lineitem;
+  lineitem.table = "lineitem";
+  lineitem.columns = {"l_orderkey", "l_qty", "l_flag", "l_price"};
+  q.relations = {lineitem};
+  q.group_by = {{"l_qty", Col("l_qty")}, {"l_flag", Col("l_flag")}};
+  q.aggregates = {{AggSpec::kSum, Col("l_price"), "total"}};
+  q.order_by = {{"l_qty", false}, {"l_flag", false}};
+  for (EngineMode mode : {EngineMode::kGpl, EngineMode::kFused}) {
+    SCOPED_TRACE(EngineModeName(mode));
+    EngineOptions options;
+    options.mode = mode;
+    options.calibration =
+        &SharedCalibrations().at(sim::DeviceSpec::AmdA10().name);
+    Result<QueryResult> truth = Engine(&db, options).Execute(q);
+    ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+    ASSERT_GT(truth->table.num_rows(), 0);
+    ASSERT_EQ(truth->table.GetColumn("l_qty").type(), DataType::kInt32);
+    ASSERT_EQ(truth->table.GetColumn("l_flag").type(), DataType::kString);
+    options.calibration = nullptr;
+    ShardedExecutor executor(
+        &db, &*sharded,
+        DeviceGroup::Homogeneous(sim::DeviceSpec::AmdA10(), 4), options,
+        &SharedCalibrations());
+    Result<QueryResult> got = executor.Execute(q);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->metrics.partial_combine);
+    ExpectTablesBitIdentical(truth->table, got->table);
+    EXPECT_EQ(got->table.GetColumn("l_flag").dictionary(),
+              truth->table.GetColumn("l_flag").dictionary());
+  }
 }
 
 TEST(ShardedExecutorTest, ExpressionJoinKeyFallsBackToStitch) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "storage/column.h"
 #include "storage/dictionary.h"
 #include "storage/table.h"
@@ -126,6 +130,187 @@ TEST(ColumnTest, AppendColumnRejectsForeignDictionary) {
   a.AppendString("X");
   b.AppendString("X");
   EXPECT_FALSE(a.AppendColumn(b).ok());  // distinct dictionaries
+}
+
+// ---- Copy-on-write buffers ----
+
+Column Int32Column(std::initializer_list<int32_t> values) {
+  Column c(DataType::kInt32);
+  for (int32_t v : values) c.AppendInt32(v);
+  return c;
+}
+
+TEST(ColumnCowTest, CopySharesBuffer) {
+  const Column a = Int32Column({1, 2, 3});
+  const Column b = a;
+  EXPECT_EQ(b.data32().data(), a.data32().data());
+  Table t("t");
+  GPL_CHECK_OK(t.AddColumn("x", a));
+  const Table copy = t;
+  EXPECT_EQ(copy.GetColumn("x").data32().data(), a.data32().data());
+}
+
+TEST(ColumnCowTest, AppendDetachesAndLeavesOtherCopyUnchanged) {
+  const Column a = Int32Column({1, 2, 3});
+  Column b = a;
+  b.AppendInt32(4);
+  EXPECT_NE(b.data32().data(), a.data32().data());
+  EXPECT_EQ(a.data32(), (std::vector<int32_t>{1, 2, 3}));
+  EXPECT_EQ(b.data32(), (std::vector<int32_t>{1, 2, 3, 4}));
+
+  Column s(DataType::kString);
+  s.AppendString("AIR");
+  const Column s_copy = s;
+  s.AppendString("RAIL");
+  EXPECT_EQ(s_copy.size(), 1);
+  EXPECT_EQ(s.size(), 2);
+  EXPECT_EQ(s.StringAt(1), "RAIL");
+
+  Column l(DataType::kInt64);
+  l.AppendInt64(7);
+  const Column l_copy = l;
+  l.AppendInt64(8);
+  EXPECT_EQ(l_copy.data64(), (std::vector<int64_t>{7}));
+
+  Column f(DataType::kFloat64);
+  f.AppendDouble(0.5);
+  const Column f_copy = f;
+  f.AppendDouble(1.5);
+  EXPECT_EQ(f_copy.dataf(), (std::vector<double>{0.5}));
+}
+
+TEST(ColumnCowTest, ReserveDetaches) {
+  const Column a = Int32Column({1, 2, 3});
+  Column b = a;
+  b.Reserve(1000);
+  EXPECT_NE(b.data32().data(), a.data32().data());
+  EXPECT_GE(b.data32().capacity(), 1000u);
+  EXPECT_EQ(b.data32(), a.data32());
+}
+
+TEST(ColumnCowTest, MutableAccessorDetaches) {
+  const Column a = Int32Column({1, 2, 3});
+  Column b = a;
+  b.data32()[0] = 9;
+  EXPECT_EQ(a.data32(), (std::vector<int32_t>{1, 2, 3}));
+  EXPECT_EQ(b.data32(), (std::vector<int32_t>{9, 2, 3}));
+
+  Column f(DataType::kFloat64);
+  f.AppendDouble(1.0);
+  Column g = f;
+  g.dataf()[0] = 2.0;
+  EXPECT_DOUBLE_EQ(f.DoubleAt(0), 1.0);
+  EXPECT_DOUBLE_EQ(g.DoubleAt(0), 2.0);
+
+  Column l(DataType::kInt64);
+  l.AppendInt64(1);
+  Column m = l;
+  m.data64()[0] = 2;
+  EXPECT_EQ(l.Int64At(0), 1);
+  EXPECT_EQ(m.Int64At(0), 2);
+}
+
+TEST(ColumnCowTest, MutableAccessorOnSoleOwnerWritesInPlace) {
+  Column a = Int32Column({1, 2, 3});
+  const int32_t* before = a.data32().data();
+  a.data32()[1] = 5;
+  EXPECT_EQ(a.data32().data(), before);
+  EXPECT_EQ(a.Int32At(1), 5);
+}
+
+TEST(ColumnCowTest, AppendColumnDetachesAndLeavesOtherCopyUnchanged) {
+  const Column a = Int32Column({1, 2});
+  Column b = a;
+  ASSERT_TRUE(b.AppendColumn(Int32Column({3})).ok());
+  EXPECT_EQ(a.data32(), (std::vector<int32_t>{1, 2}));
+  EXPECT_EQ(b.data32(), (std::vector<int32_t>{1, 2, 3}));
+
+  // Appending a shared column to itself's copy must not disturb the source.
+  Column c = a;
+  ASSERT_TRUE(c.AppendColumn(a).ok());
+  EXPECT_EQ(a.data32(), (std::vector<int32_t>{1, 2}));
+  EXPECT_EQ(c.data32(), (std::vector<int32_t>{1, 2, 1, 2}));
+}
+
+TEST(ColumnCowTest, AppendColumnOntoEmptyShares) {
+  const Column a = Int32Column({1, 2, 3});
+  Column empty(DataType::kInt32);
+  ASSERT_TRUE(empty.AppendColumn(a).ok());
+  EXPECT_EQ(std::as_const(empty).data32().data(), a.data32().data());
+  empty.AppendInt32(4);  // then detaches like any copy
+  EXPECT_EQ(a.size(), 3);
+  EXPECT_EQ(empty.size(), 4);
+
+  Table t("t");
+  GPL_CHECK_OK(t.AddColumn("x", Column(DataType::kInt32)));
+  Table src("t");
+  GPL_CHECK_OK(src.AddColumn("x", a));
+  ASSERT_TRUE(t.AppendTable(src).ok());
+  EXPECT_EQ(t.GetColumn("x").data32().data(), a.data32().data());
+}
+
+TEST(ColumnCowTest, FullSliceSharesPartialSliceOwns) {
+  const Column a = Int32Column({1, 2, 3, 4});
+  const Column full = a.Slice(0, a.size());
+  EXPECT_EQ(full.data32().data(), a.data32().data());
+
+  Column part = a.Slice(1, 2);
+  EXPECT_NE(part.data32().data(), a.data32().data());
+  EXPECT_EQ(part.data32(), (std::vector<int32_t>{2, 3}));
+  // Owned: writing in place neither copies nor reaches the source.
+  const int32_t* before = part.data32().data();
+  part.data32()[0] = 7;
+  EXPECT_EQ(part.data32().data(), before);
+  EXPECT_EQ(a.Int32At(1), 2);
+
+  Table t("t");
+  GPL_CHECK_OK(t.AddColumn("key", a));
+  const Table whole = t.Slice(0, t.num_rows());
+  EXPECT_EQ(whole.GetColumn("key").data32().data(),
+            t.GetColumn("key").data32().data());
+}
+
+TEST(ColumnCowTest, EmptyColumnReadsEmptyForEveryBuffer) {
+  const Column a(DataType::kInt64);
+  EXPECT_EQ(a.size(), 0);
+  EXPECT_TRUE(a.data32().empty());
+  EXPECT_TRUE(a.data64().empty());
+  EXPECT_TRUE(a.dataf().empty());
+  const Column full = a.Slice(0, 0);
+  EXPECT_EQ(full.size(), 0);
+}
+
+TEST(ColumnCowTest, ConcurrentCopiesReadSharedAndMutateOwn) {
+  Column shared(DataType::kInt64);
+  constexpr int kRows = 4096;
+  for (int i = 0; i < kRows; ++i) shared.AppendInt64(i);
+  const Column& source = shared;
+  constexpr int kThreads = 8;
+  std::vector<int64_t> sums(kThreads, 0);
+  std::vector<int64_t> own_last(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 50; ++round) {
+        Column mine = source;  // shares the buffer
+        int64_t sum = 0;
+        for (int64_t v : source.data64()) sum += v;
+        for (int64_t v : mine.data64()) sum += v;
+        sums[static_cast<size_t>(t)] = sum;
+        mine.AppendInt64(t);  // detaches
+        mine.data64()[0] = -t;
+        own_last[static_cast<size_t>(t)] = mine.Int64At(kRows) + mine.Int64At(0);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const int64_t expected_sum = 2 * (int64_t{kRows} * (kRows - 1) / 2);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(sums[static_cast<size_t>(t)], expected_sum);
+    EXPECT_EQ(own_last[static_cast<size_t>(t)], 0);  // t + (-t)
+  }
+  ASSERT_EQ(shared.size(), kRows);
+  for (int i = 0; i < kRows; ++i) EXPECT_EQ(shared.Int64At(i), i);
 }
 
 Table MakeTestTable() {
