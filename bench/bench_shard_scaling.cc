@@ -12,10 +12,11 @@
 ///
 /// --quick runs shard counts {1, 2, 4} only and turns the bench into a
 /// smoke gate for scripts/check.sh: exit 1 if any sharded result is not
-/// bit-identical to single-device, if any query's speedup degrades going
-/// 1 -> 2 -> 4 shards (small tolerance for exchange jitter), if no query
-/// reaches 1.5x at 4 shards, if Q9 fails to beat the single device at 4
-/// shards, or if the 1-shard run is not within noise of the unsharded
+/// bit-identical to single-device, if any query falls back to one device
+/// instead of combining partial aggregates, if any query's speedup degrades
+/// going 1 -> 2 -> 4 shards (small tolerance for exchange jitter), if no
+/// query reaches 1.5x at 4 shards, if Q9 fails to beat the single device at
+/// 4 shards, or if the 1-shard run is not within noise of the unsharded
 /// engine (ExecOptions::shards == 1 must route to the plain path).
 ///
 /// JSONL rows carry a unique "case" key ("Q9x4") so scripts/bench_diff.py
@@ -25,8 +26,7 @@
 ///
 /// Flags: --device=<list> uses a mixed group when given several names
 /// (shard counts then sweep only sizes equal to the list length);
-/// --link-gbps=<G> overrides the link bandwidth; --partition=hash|range
-/// picks the partitioning scheme.
+/// --link-gbps=<G> overrides the link bandwidth.
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -38,7 +38,6 @@
 
 #include "bench_util.h"
 #include "shard/device_group.h"
-#include "shard/partition_scheme.h"
 
 namespace {
 
@@ -69,7 +68,6 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::vector<sim::DeviceSpec> devices = {sim::DeviceSpec::AmdA10()};
   double link_gbps = 0.0;
-  shard::PartitionScheme scheme = shard::PartitionScheme::kHash;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--out=", 6) == 0) {
@@ -85,18 +83,10 @@ int main(int argc, char** argv) {
       devices = parsed.take();
     } else if (std::strncmp(arg, "--link-gbps=", 12) == 0) {
       link_gbps = std::atof(arg + 12);
-    } else if (std::strncmp(arg, "--partition=", 12) == 0) {
-      Result<shard::PartitionScheme> parsed =
-          shard::ParsePartitionScheme(arg + 12);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-        return 2;
-      }
-      scheme = parsed.take();
     } else {
       std::fprintf(stderr,
                    "usage: %s [--out=results.jsonl] [--device=amd,nvidia,...] "
-                   "[--link-gbps=G] [--partition=hash|range] [--quick]\n",
+                   "[--link-gbps=G] [--quick]\n",
                    argv[0]);
       return 2;
     }
@@ -111,8 +101,7 @@ int main(int argc, char** argv) {
   benchutil::Banner(
       "Shard scaling",
       ("simulated elapsed vs shard count, bit-identical results (" +
-       devices.front().name + (devices.size() > 1 ? " + mixed" : "") + ", " +
-       std::string(shard::PartitionSchemeName(scheme)) + " partitioning)")
+       devices.front().name + (devices.size() > 1 ? " + mixed" : "") + ")")
           .c_str(),
       sf);
 
@@ -169,9 +158,9 @@ int main(int argc, char** argv) {
   // speedups[query][shard count] for the monotonicity gate.
   std::map<std::string, std::map<int, double>> speedups;
   bool all_bit_identical = true;
-  // Q5's compound-key join must stay provably co-partitioned: combine merge
-  // with zero stitched rows at every sharded point.
-  bool q5_combines = true;
+  // Every query must combine partial aggregates at every sharded point: a
+  // fallback to one device means the classifier lost a partitioning proof.
+  std::vector<std::string> fallbacks;
   // Q9 at 4 shards: chosen relation-exchange bytes vs the all-broadcast
   // counterfactual (the repartition of partsupp must undercut it).
   int64_t q9_exchange_at_4 = -1;
@@ -180,7 +169,6 @@ int main(int argc, char** argv) {
   for (int n : shard_counts) {
     ExecOptions exec = options.exec;
     exec.shards = n;
-    exec.partition = scheme;
     exec.link_gbps = link_gbps;
     if (devices.size() > 1) exec.device_list = devices;
     const std::string group_label =
@@ -203,9 +191,8 @@ int main(int argc, char** argv) {
           m.elapsed_ms > 0.0 ? truth[q].metrics.elapsed_ms / m.elapsed_ms
                              : 0.0;
       speedups[name][n] = speedup;
-      if (name == "Q5" && n > 1 &&
-          (!m.partial_combine || m.stitched_rows != 0)) {
-        q5_combines = false;
+      if (n > 1 && !m.partial_combine) {
+        fallbacks.push_back(name + "x" + std::to_string(n));
       }
       if (name == "Q9" && n == 4) {
         q9_exchange_at_4 = m.broadcast_bytes;
@@ -226,7 +213,6 @@ int main(int argc, char** argv) {
       row.precision(6);
       row << "{\"bench\":\"shard_scaling\",\"case\":\"" << name << "x" << n
           << "\",\"group\":\"" << group_label
-          << "\",\"partition\":\"" << shard::PartitionSchemeName(scheme)
           << "\",\"query\":\"" << name << "\",\"shards\":" << n
           << ",\"elapsed_ms\":" << m.elapsed_ms
           << ",\"single_device_ms\":" << truth[q].metrics.elapsed_ms
@@ -238,7 +224,6 @@ int main(int argc, char** argv) {
           << ",\"exchange_ms\":" << m.exchange_ms
           << ",\"merge_ms\":" << m.merge_ms
           << ",\"partial_combine\":" << (m.partial_combine ? "true" : "false")
-          << ",\"stitched_rows\":" << m.stitched_rows
           << ",\"mean_utilization\":" << mean_util
           << ",\"bit_identical\":" << (bit_identical ? "true" : "false")
           << "}";
@@ -293,13 +278,15 @@ int main(int argc, char** argv) {
                    q9_at_4);
       failures++;
     }
-    // Q5's compound join ({l_orderkey,l_suppkey} = {o_orderkey,s_suppkey})
-    // is provably co-partitioned on the aligned orderkey pair; falling back
-    // to the row-id stitch would regress the classifier.
-    if (!q5_combines) {
+    // Every query's aggregate input is provably partitioned, Q5's compound
+    // join ({l_orderkey,l_suppkey} = {o_orderkey,s_suppkey}) included via
+    // the aligned orderkey pair; a single-device fallback would regress the
+    // classifier.
+    for (const std::string& fallback : fallbacks) {
       std::fprintf(stderr,
-                   "FAIL: Q5 did not take the partial-aggregate combine "
-                   "merge (zero stitched rows) at every shard count\n");
+                   "FAIL: %s ran on one device instead of combining "
+                   "partial aggregates\n",
+                   fallback.c_str());
       failures++;
     }
     // Q9 must repartition partsupp onto the attach-join spine instead of

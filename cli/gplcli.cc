@@ -55,19 +55,21 @@
 ///                                     shared-scan batching entirely
 ///
 /// Sharded execution (routed through Engine::Execute via ExecOptions):
-///   --shards=<N>                      partition the fact table N ways and run
-///                                     each shard on its own simulated device;
-///                                     results stay bit-identical to N=1. With
-///                                     a multi-device --device list, N must
-///                                     match the list length (or be omitted)
-///   --partition=<hash|range>          fact-table partitioning scheme
-///                                     (default hash: lineitem+orders
-///                                     co-partitioned by orderkey)
+///   --shards=<N>                      hash-partition lineitem and orders N
+///                                     ways by orderkey and run each shard on
+///                                     its own simulated device; results stay
+///                                     bit-identical to N=1. A query whose
+///                                     per-shard partial aggregates cannot be
+///                                     proven to combine exactly runs on
+///                                     device 0 instead. With a multi-device
+///                                     --device list, N must match the list
+///                                     length (or be omitted)
 ///   --link-gbps=<G>                   inter-device link bandwidth override in
 ///                                     GB/s (default 16, PCIe 3.0-class)
 ///   With --explain, sharded runs print the per-shard plan with Exchange
 ///   operators inline (broadcast vs repartition vs co-partitioned per table,
-///   modeled bytes and link time) and the merge strategy.
+///   modeled bytes and link time) and the merge: "combine", or
+///   "single-device (<reason>)" when the query runs on device 0.
 ///
 /// Serve mode (concurrent multi-query execution via service::QueryService):
 ///   --serve-workers=<N>               run N worker engines concurrently; the
@@ -170,7 +172,6 @@ struct CliOptions {
 
   // Sharded execution.
   int shards = 1;                 ///< 1 = single-device mode
-  std::string partition = "hash";
   double link_gbps = 0.0;         ///< 0 = LinkSpec default
 
   // Serve mode.
@@ -220,8 +221,7 @@ int Usage(const char* argv0) {
                "[--breakdown]\n"
                "          [--host-threads=N] [--no-tuning-cache]\n"
                "          [--subplan-cache-mb=N] [--no-subplan-cache]\n"
-               "          [--shards=N] [--partition=hash|range] "
-               "[--link-gbps=G]\n"
+               "          [--shards=N] [--link-gbps=G]\n"
                "          [--serve-workers=N [--serve-queries=M] "
                "[--serve-queue=C] [--timeout-ms=T]\n"
                "           [--fault-rate=P] [--fault-seed=N] "
@@ -252,6 +252,16 @@ Result<std::vector<std::pair<std::string, LogicalQuery>>> SelectWorkload(
   std::vector<std::pair<std::string, LogicalQuery>> workload;
   workload.emplace_back(name, std::move(q));
   return workload;
+}
+
+/// Why a sharded run of `query` fell back to one device. QueryMetrics only
+/// carries the partial_combine flag, so the reason is re-derived by planning.
+std::string FallbackReason(Engine& engine, const LogicalQuery& query) {
+  Result<shard::ShardedExecutor*> sharded =
+      engine.ShardedFor(engine.options().exec);
+  if (!sharded.ok()) return sharded.status().ToString();
+  Result<shard::DistributedExplain> dist = (*sharded)->Explain(query);
+  return dist.ok() ? dist->fallback_reason : dist.status().ToString();
 }
 
 int RunQuery(Engine& engine, const tpch::Database& db, const CliOptions& cli,
@@ -292,9 +302,9 @@ int RunQuery(Engine& engine, const tpch::Database& db, const CliOptions& cli,
                      dist.status().ToString().c_str());
         return 1;
       }
-      std::printf("=== %s (%d shards, %s merge) ===\n%s", name.c_str(),
+      std::printf("=== %s (%d shards, merge=%s) ===\n%s", name.c_str(),
                   dist->num_shards,
-                  dist->partial_aggregate ? "combine" : "stitch",
+                  shard::MergeLabel(dist->fallback_reason).c_str(),
                   dist->plan_text.c_str());
       std::printf("exchanges over %s:\n",
                   (*sharded)->link().spec().name.c_str());
@@ -351,7 +361,9 @@ int RunQuery(Engine& engine, const tpch::Database& db, const CliOptions& cli,
                 "(%s), device utilization [",
                 static_cast<long long>(m.num_shards), m.exchange_ms,
                 static_cast<long long>(m.exchange_bytes), m.merge_ms,
-                m.partial_combine ? "combine" : "stitch");
+                shard::MergeLabel(
+                    m.partial_combine ? "" : FallbackReason(engine, query))
+                    .c_str());
     for (size_t i = 0; i < m.device_utilization.size(); ++i) {
       std::printf("%s%.0f%%", i > 0 ? " " : "",
                   100.0 * m.device_utilization[i]);
@@ -409,7 +421,7 @@ bool EmitSnapshot(const obs::MetricsRegistry& registry, int seq,
 int RunServe(const tpch::Database& db, const CliOptions& cli,
              const EngineOptions& engine_options,
              const std::vector<sim::DeviceSpec>& devices,
-             const sim::LinkSpec& link, shard::PartitionScheme scheme) {
+             const sim::LinkSpec& link) {
   Result<std::vector<std::pair<std::string, LogicalQuery>>> workload_or =
       SelectWorkload(cli.query);
   if (!workload_or.ok()) {
@@ -440,7 +452,6 @@ int RunServe(const tpch::Database& db, const CliOptions& cli,
   sopts.retry.max_attempts = cli.max_retries + 1;
   if (cli.shards > 1) {
     sopts.num_shards = cli.shards;
-    sopts.partition_scheme = scheme;
     if (devices.size() > 1) sopts.devices = devices;
     sopts.link = link;
   }
@@ -626,8 +637,6 @@ int main(int argc, char** argv) {
       cli.metrics_json_path = value;
     } else if (ParseFlag(argv[i], "shards", &value)) {
       cli.shards = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "partition", &value)) {
-      cli.partition = value;
     } else if (ParseFlag(argv[i], "link-gbps", &value)) {
       cli.link_gbps = std::atof(value.c_str());
     } else if (ParseFlag(argv[i], "serve-workers", &value)) {
@@ -792,12 +801,6 @@ int main(int argc, char** argv) {
     }
     cli.shards = static_cast<int>(devices.size());
   }
-  Result<shard::PartitionScheme> scheme_or =
-      shard::ParsePartitionScheme(cli.partition);
-  if (!scheme_or.ok()) {
-    std::fprintf(stderr, "%s\n", scheme_or.status().ToString().c_str());
-    return Usage(argv[0]);
-  }
   if (cli.link_gbps < 0.0) {
     std::fprintf(stderr, "--link-gbps must be positive\n");
     return 2;
@@ -817,15 +820,14 @@ int main(int argc, char** argv) {
   options.exec.use_tuning_cache = !cli.no_tuning_cache;
   options.exec.use_subplan_cache = !cli.no_subplan_cache;
   // Sharded execution is routed through Engine::Execute: ExecOptions carries
-  // the shard count, partition scheme, device group and link bandwidth.
+  // the shard count, device group and link bandwidth.
   options.exec.shards = cli.shards;
-  options.exec.partition = *scheme_or;
   if (devices.size() > 1) options.exec.device_list = devices;
   options.exec.link_gbps = cli.link_gbps;
 
   // ---- Serve mode ----
   if (cli.serve_workers > 0) {
-    return RunServe(db, cli, options, devices, link, *scheme_or);
+    return RunServe(db, cli, options, devices, link);
   }
 
   // ---- Tracing / profiling ----
@@ -860,8 +862,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     device_label = (*sharded)->group().ToString();
-    std::printf("sharded execution: %d shards (%s partitioning) on %s\n",
-                cli.shards, shard::PartitionSchemeName(*scheme_or),
+    std::printf("sharded execution: %d shards on %s\n", cli.shards,
                 device_label.c_str());
   }
 

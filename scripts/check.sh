@@ -19,7 +19,7 @@ BUILD="${1:-build}"
 
 echo "=== tier-1: configure + build + ctest ==="
 cmake -B "$BUILD" -S .
-cmake --build "$BUILD" -j
+cmake --build "$BUILD" -j "$(nproc)"
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 
 echo
@@ -28,7 +28,7 @@ echo "=== strict: -Wall -Wextra -Werror configuration ==="
 # Result<T>) at -O2; see GCC PR 80635.
 cmake -B "$BUILD-werror" -S . \
   -DCMAKE_CXX_FLAGS="-Wall -Wextra -Werror -Wno-maybe-uninitialized"
-cmake --build "$BUILD-werror" -j
+cmake --build "$BUILD-werror" -j "$(nproc)"
 
 echo
 echo "=== tsan: concurrency tests under ThreadSanitizer ==="
@@ -47,7 +47,7 @@ cmake -B "$BUILD-tsan" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build "$BUILD-tsan" -j \
+cmake --build "$BUILD-tsan" -j "$(nproc)" \
   --target service_test --target thread_pool_test --target host_parallel_test \
   --target fault_test --target shard_test --target obs_test \
   --target fused_engine_test --target pool_test --target subplan_cache_test \
@@ -65,7 +65,7 @@ cmake -B "$BUILD-asan" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-cmake --build "$BUILD-asan" -j \
+cmake --build "$BUILD-asan" -j "$(nproc)" \
   --target fault_test --target service_test --target sim_channel_test \
   --target fusion_test --target subplan_cache_test --target storage_test
 ctest --test-dir "$BUILD-asan" --output-on-failure \
@@ -212,8 +212,9 @@ echo "=== shard smoke: shard-scaling bench, bit-identity + speedup gates ==="
 # --quick exits non-zero if any sharded result differs by a single bit from
 # the single-device run, if a query's speedup degrades going 1 -> 2 -> 4
 # shards, if no query reaches 1.5x at 4 shards, if Q9 fails to beat the
-# single device at 4 shards, if Q5 falls off the combine merge (a stitched
-# row means the compound-key co-partitioning proof regressed), if Q9 at 4
+# single device at 4 shards, if any query at any sharded point runs on one
+# device instead of combining partial aggregates (a fallback means the
+# classifier lost a partitioning proof, e.g. Q5's compound key), if Q9 at 4
 # shards fails to undercut the all-broadcast exchange baseline, or if the
 # 1-shard point deviates from the unsharded engine. The JSONL is then
 # diffed per (query, shard count) against the committed baseline: simulated

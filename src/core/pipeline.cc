@@ -53,6 +53,15 @@ Result<FunctionalRun> RunSegmentFunctional(const Segment& segment,
     GPL_RETURN_NOT_OK(FlowBatch(segment, 0, input.Slice(tile.begin, tile.rows),
                                 &run.stages, &run.output, &output_initialized));
   }
+  if (tiles.empty() && input.num_columns() > 0) {
+    // No rows, so no tiles: flow one zero-row slice through the chain
+    // anyway, functionally only, so every kernel still sees the input
+    // schema (an aggregate types its group columns from it). Zero rows add
+    // nothing to the observations and num_tiles stays 0, so the timing
+    // simulation is unchanged.
+    GPL_RETURN_NOT_OK(FlowBatch(segment, 0, input.Slice(0, 0), &run.stages,
+                                &run.output, &output_initialized));
+  }
 
   // Finish cascade: emit withheld state in stage order, flowing each
   // emission through the remaining stages.

@@ -29,8 +29,10 @@ struct FunctionalRun {
 
 /// Streams `input` through the segment's kernel chain in tiles of at most
 /// `tile_bytes`, computing real results and recording per-stage
-/// cardinalities. After the last tile, kernels' Finish() outputs cascade
-/// through the remaining stages (aggregates emit here).
+/// cardinalities. An empty input makes no tiles but still flows one
+/// zero-row batch, so kernels learn its schema. After the last tile,
+/// kernels' Finish() outputs cascade through the remaining stages
+/// (aggregates emit here).
 Result<FunctionalRun> RunSegmentFunctional(const Segment& segment,
                                            const Table& input,
                                            int64_t tile_bytes);

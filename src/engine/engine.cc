@@ -15,7 +15,7 @@ namespace gpl {
 /// Sharded-execution state built lazily by ShardedFor(): the partitioned
 /// database (owned, unless EngineOptions::sharded_db matches the request)
 /// and the executor over it. Rebuilt whenever the sharding shape — shard
-/// count, scheme, devices, link — changes between calls.
+/// count, devices, link — changes between calls.
 struct Engine::ShardedState {
   std::string signature;
   std::optional<shard::ShardedDatabase> owned_sharded;
@@ -124,7 +124,7 @@ Result<shard::ShardedExecutor*> Engine::ShardedFor(const ExecOptions& exec) {
         "multi-entry device_list)");
   }
   // The sharding shape: devices (explicit list, or N copies of the engine's
-  // own device), partition scheme and link bandwidth.
+  // own device) and link bandwidth.
   std::vector<sim::DeviceSpec> devices = exec.device_list;
   if (devices.empty()) {
     devices.assign(static_cast<size_t>(exec.shards), options_.device);
@@ -133,9 +133,7 @@ Result<shard::ShardedExecutor*> Engine::ShardedFor(const ExecOptions& exec) {
   sim::LinkSpec link;
   if (exec.link_gbps > 0.0) link.gbytes_per_sec = exec.link_gbps;
 
-  std::string signature = shard::PartitionSchemeName(exec.partition);
-  signature += '|';
-  signature += std::to_string(num_shards);
+  std::string signature = std::to_string(num_shards);
   signature += '|';
   signature += std::to_string(link.gbytes_per_sec);
   for (const sim::DeviceSpec& device : devices) {
@@ -149,13 +147,11 @@ Result<shard::ShardedExecutor*> Engine::ShardedFor(const ExecOptions& exec) {
   auto state = std::make_unique<ShardedState>();
   state->signature = std::move(signature);
   if (options_.sharded_db != nullptr &&
-      options_.sharded_db->num_shards() == num_shards &&
-      options_.sharded_db->options.scheme == exec.partition) {
+      options_.sharded_db->num_shards() == num_shards) {
     state->sharded = options_.sharded_db;
   } else {
     shard::PartitionOptions partition_options;
     partition_options.num_shards = num_shards;
-    partition_options.scheme = exec.partition;
     GPL_ASSIGN_OR_RETURN(shard::ShardedDatabase sharded,
                          shard::PartitionDatabase(*db_, partition_options));
     state->owned_sharded = std::move(sharded);

@@ -100,9 +100,9 @@ struct EngineOptions {
 
   /// Optional pre-partitioned copy of the engine's database for sharded
   /// execution (ExecOptions::shards / device_list). When it matches the
-  /// requested shard count and partition scheme the engine shares it instead
-  /// of partitioning lazily — the QueryService partitions once and passes
-  /// the same instance to every worker. Must outlive the engine.
+  /// requested shard count the engine shares it instead of partitioning
+  /// lazily — the QueryService partitions once and passes the same instance
+  /// to every worker. Must outlive the engine.
   const shard::ShardedDatabase* sharded_db = nullptr;
 
   /// Optional shared per-device-name calibration tables for shard groups

@@ -5,7 +5,6 @@
 
 #include "common/cancel.h"
 #include "model/plan_tuner.h"
-#include "shard/partition_scheme.h"
 #include "sim/device.h"
 
 namespace gpl {
@@ -89,7 +88,7 @@ struct ExecOptions {
   /// the same sites as isolated execution). Disable via --no-subplan-cache.
   bool use_subplan_cache = true;
 
-  /// Sharded-execution routing (--shards / --partition / --link-gbps).
+  /// Sharded-execution routing (--shards / --link-gbps).
   /// `Engine::Execute(query, exec)` IS the sharded entry point: shards > 1
   /// (or more than one entry in `device_list`) makes it partition its
   /// database lazily and fan the query out over a shard::ShardedExecutor —
@@ -97,9 +96,6 @@ struct ExecOptions {
   /// constructing executors by hand. shards == 1 runs the plain
   /// single-device path with zero sharding overhead.
   int shards = 1;
-  /// How the fact table splits across shards (kHash co-partitions orders so
-  /// that join stays shard-local; kRange broadcasts everything but lineitem).
-  shard::PartitionScheme partition = shard::PartitionScheme::kHash;
   /// Devices of the shard group, one per shard. Empty = `shards` copies of
   /// the engine's own device. When non-empty its size wins over `shards`.
   std::vector<sim::DeviceSpec> device_list;

@@ -71,8 +71,8 @@ std::string ExplainAnalyzeReport::ToString() const {
       << " device=" << device << "\n";
   out << "plan:\n" << plan_text;
   if (num_shards > 1) {
-    out << "exchanges: shards=" << num_shards << " merge="
-        << (partial_combine ? "combine" : "stitch") << "\n";
+    out << "exchanges: shards=" << num_shards
+        << " merge=" << shard::MergeLabel(fallback_reason) << "\n";
     for (const ExplainAnalyzeExchange& ex : exchanges) {
       out << "  " << ex.kind << " " << ex.table
           << ": predicted_bytes=" << ex.predicted_bytes
@@ -163,6 +163,7 @@ std::string ExplainAnalyzeReport::ToJson() const {
     // byte-stable across this change.
     AppendJsonInt(&out, "num_shards", num_shards);
     AppendJsonBool(&out, "partial_combine", partial_combine);
+    AppendJsonField(&out, "fallback_reason", fallback_reason, /*quote=*/true);
     out += ",\"exchanges\":[";
     for (size_t i = 0; i < exchanges.size(); ++i) {
       const ExplainAnalyzeExchange& ex = exchanges[i];
@@ -259,6 +260,7 @@ Result<ExplainAnalyzeReport> ExplainAnalyze(Engine& engine,
     report.output_rows = result.table.num_rows();
     report.num_shards = dist.num_shards;
     report.partial_combine = result.metrics.partial_combine;
+    report.fallback_reason = dist.fallback_reason;
     for (const shard::ExchangeOpReport& ex : dist.exchanges) {
       ExplainAnalyzeExchange entry;
       entry.table = ex.table;

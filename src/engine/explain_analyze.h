@@ -98,6 +98,8 @@ struct ExplainAnalyzeReport {
 
   int num_shards = 1;           ///< > 1 for sharded runs
   bool partial_combine = false; ///< sharded merge combined pushed-down partials
+  /// Why a sharded run fell back to one device; empty when it combined.
+  std::string fallback_reason;
   std::vector<ExplainAnalyzeExchange> exchanges;  ///< sharded runs only
 
   /// Human-readable rendering: the plan tree followed by the annotated

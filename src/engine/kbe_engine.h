@@ -47,8 +47,8 @@ class KbeEngine {
   /// `plan`) resolved to the pre-materialized `substitute` table instead of
   /// being executed. The table is treated like a base relation already
   /// resident in global memory — no launch is charged for producing it.
-  /// Used by shard::ShardedExecutor to replay the merge portion of a plan
-  /// over stitched partial results.
+  /// Used by shard::ShardedExecutor to replay the part of a plan above the
+  /// root aggregate over the combined per-shard partial aggregates.
   Result<QueryResult> ExecuteWithInput(const PhysicalOpPtr& plan,
                                        const PhysicalOp* substitute_at,
                                        Table substitute,

@@ -87,10 +87,10 @@ struct QueryMetrics {
   double exchange_ms = 0.0;        ///< serialized link time
   double merge_ms = 0.0;           ///< serial merge on device 0
   /// True when the sharded merge combined pushed-down partial aggregates
-  /// (cheap per-group fold); false for the row-id stitch-and-replay path.
+  /// (cheap per-group fold); false when the query ran on one device.
   bool partial_combine = false;
-  /// Rows concatenated by the stitch-and-replay merge; 0 when the combine
-  /// path ran (gates assert combine plans stitch nothing).
+  /// Always 0: the row-stitching merge it counted was removed. Kept because
+  /// the repository benchmark driver still reads it.
   int64_t stitched_rows = 0;
   std::vector<double> device_elapsed_ms;   ///< per-device simulated time
   std::vector<double> device_utilization;  ///< device time / makespan

@@ -92,7 +92,6 @@ std::string QueryMetricsToJson(const MetricsJsonEntry& entry) {
     AppendNumber(&out, "merge_ms", m.merge_ms);
     AppendField(&out, "partial_combine", m.partial_combine ? "true" : "false",
                 /*quote=*/false);
-    AppendNumber(&out, "stitched_rows", static_cast<double>(m.stitched_rows));
     std::string devices = "[";
     for (size_t i = 0; i < m.device_elapsed_ms.size(); ++i) {
       if (i > 0) devices += ",";

@@ -14,7 +14,7 @@ namespace gpl {
 /// primitives. Each helper is bit-identical to the corresponding serial
 /// loop at any CurrentHostParallelism(): work is split at fixed kMorselRows
 /// boundaries (common/thread_pool.h), per-morsel intermediates are written
-/// to position-derived slots, and results are stitched back together in
+/// to position-derived slots, and results are concatenated back together in
 /// morsel order. Expression evaluation is pure and per-row (exec/expr.cc
 /// never mutates a Dictionary during Evaluate), so slicing it is safe.
 ///

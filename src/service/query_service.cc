@@ -260,7 +260,6 @@ QueryService::QueryService(const tpch::Database* db, ServiceOptions options)
     }
     shard::PartitionOptions partition;
     partition.num_shards = options_.num_shards;
-    partition.scheme = options_.partition_scheme;
     Result<shard::ShardedDatabase> sharded =
         shard::PartitionDatabase(*db_, partition);
     GPL_CHECK(sharded.ok()) << sharded.status().ToString();
@@ -286,7 +285,6 @@ QueryService::QueryService(const tpch::Database* db, ServiceOptions options)
     options_.engine.sharded_db = &*sharded_;
     options_.engine.device_calibrations = &shard_calibrations_;
     options_.engine.exec.shards = options_.num_shards;
-    options_.engine.exec.partition = options_.partition_scheme;
     options_.engine.exec.device_list = group_.devices;
     options_.engine.exec.link_gbps = options_.link.gbytes_per_sec;
   }

@@ -100,7 +100,6 @@ struct ServiceOptions {
   /// its worker's group for its duration, and retries re-run the entire
   /// sharded execution. 1 (the default) keeps the single-device path.
   int num_shards = 1;
-  shard::PartitionScheme partition_scheme = shard::PartitionScheme::kHash;
   /// Device group template. Empty = num_shards copies of engine.device;
   /// non-empty (a mixed group) must have exactly num_shards entries.
   std::vector<sim::DeviceSpec> devices;

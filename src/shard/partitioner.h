@@ -3,11 +3,9 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
-#include "shard/partition_scheme.h"
 #include "tpch/dbgen.h"
 
 namespace gpl {
@@ -15,27 +13,22 @@ namespace shard {
 
 struct PartitionOptions {
   int num_shards = 2;
-  PartitionScheme scheme = PartitionScheme::kHash;
 };
 
-/// Name of the injected global-row-index column on each shard's lineitem.
-/// The sharded executor threads it through per-shard plans so partial
-/// results can be stitched back into exact fact-table row order (the key to
-/// bit-identical float aggregation; see shard/sharded_executor.h).
-inline constexpr char kRowIdColumn[] = "l_rowid";
-
-/// A database split into N per-shard databases. Partitioned tables hold
-/// disjoint row subsets whose relative order matches the source table;
-/// broadcast tables are full copies. All shards share the source database's
-/// string dictionaries (columns copy data but share the Dictionary
-/// instance), so dictionary codes stay comparable across shards and with
-/// the unpartitioned truth.
+/// A database split into N per-shard databases. lineitem is hashed by
+/// l_orderkey and orders co-partitioned by o_orderkey, so the
+/// lineitem-orders join is shard-local; every other table is broadcast.
+/// Partitioned tables hold disjoint row subsets whose relative order
+/// matches the source table; broadcast tables are full copies. All shards
+/// share the source database's string dictionaries (columns copy data but
+/// share the Dictionary instance), so dictionary codes stay comparable
+/// across shards and with the unpartitioned truth.
 struct ShardedDatabase {
   PartitionOptions options;
   std::vector<tpch::Database> shards;
 
-  /// The partitioned fact table ("lineitem") first, then any co-partitioned
-  /// companions ("orders" under kHash).
+  /// The partitioned fact table ("lineitem") first, then its co-partitioned
+  /// companion ("orders").
   std::vector<std::string> partitioned_tables;
 
   /// Bytes of partitioned tables summed across shards (== one source copy).
@@ -48,8 +41,13 @@ struct ShardedDatabase {
   bool IsPartitioned(const std::string& table) const;
 };
 
-/// Shard index of a join key under the hash scheme (exposed for tests and
-/// for co-partitioning additional tables). Deterministic splitmix-style
+/// Partition-key column of `table`, or "" when the table is broadcast. The
+/// distribution classifier uses this to prove co-partitioned joins
+/// shard-local.
+std::string HashPartitionKeyColumn(const std::string& table);
+
+/// Shard index of a partition key (exposed for tests and for
+/// co-partitioning additional tables). Deterministic splitmix-style
 /// finalizer so skewed key ranges still spread evenly.
 int ShardOfKey(int64_t key, int num_shards);
 

@@ -10,9 +10,8 @@
 #include "engine/kbe_engine.h"
 #include "exec/exact_sum.h"
 #include "exec/primitives.h"
-#include "plan/selinger.h"
-#include "shard/partition_scheme.h"
 #include "sim/engine.h"
+#include "trace/json.h"
 #include "trace/trace.h"
 
 namespace gpl {
@@ -60,23 +59,6 @@ bool FindFactPath(const PhysicalOp& op, const std::string& fact,
   return false;
 }
 
-int CountFactScans(const PhysicalOp& op, const std::string& fact) {
-  int n = (op.kind == PhysicalOp::Kind::kScan && op.table == fact) ? 1 : 0;
-  if (op.child != nullptr) n += CountFactScans(*op.child, fact);
-  if (op.build_child != nullptr) n += CountFactScans(*op.build_child, fact);
-  return n;
-}
-
-/// New table without the named column (all other columns copied).
-Table DropColumn(const Table& table, const std::string& column) {
-  Table out(table.name());
-  for (int64_t i = 0; i < table.num_columns(); ++i) {
-    if (table.ColumnNameAt(i) == column) continue;
-    GPL_CHECK_OK(out.AddColumn(table.ColumnNameAt(i), table.ColumnAt(i)));
-  }
-  return out;
-}
-
 ExchangeKind KindForStrategy(model::ExchangeStrategy strategy) {
   switch (strategy) {
     case model::ExchangeStrategy::kCoPartitioned:
@@ -99,8 +81,7 @@ struct DistInfo {
   /// row to its shard. The set starts as the scan's partition column and
   /// grows through equi-join chains — a join key pair (p = b) with p in the
   /// set makes b partition-equivalent on every output row, and vice versa.
-  /// Empty for replicated subtrees and for kRange partitioning (row-range
-  /// partitions carry no key proof).
+  /// Empty for replicated subtrees.
   std::set<std::string> partition_cols;
 };
 
@@ -127,8 +108,9 @@ std::vector<std::pair<std::string, std::string>> ColumnKeyPairs(
 
 /// Proves (conservatively) how the subtree's output distributes across
 /// shards. Returns false when no proof exists (an aggregate, sort or
-/// exchange inside the subtree) — the caller then falls back to the row-id
-/// stitch. The invariants: "partitioned" outputs are disjoint across shards
+/// exchange inside the subtree, or an unaligned partitioned join) — the
+/// caller then runs the query on one device. The invariants:
+/// "partitioned" outputs are disjoint across shards
 /// with union equal to the single-device output; "replicated" outputs are
 /// identical on every shard. Joins preserve them: probe-partitioned x
 /// build-replicated (and the converse) emit each global row on exactly one
@@ -146,14 +128,10 @@ bool ClassifySubtree(const PhysicalOp& op, const ShardedDatabase& sharded,
     case PhysicalOp::Kind::kScan: {
       out->partitioned = sharded.IsPartitioned(op.table);
       out->partition_cols.clear();
-      if (out->partitioned &&
-          sharded.options.scheme == PartitionScheme::kHash) {
+      if (out->partitioned) {
         const std::string key = HashPartitionKeyColumn(op.table);
-        if (!key.empty()) {
-          out->partition_cols.insert(op.alias.empty()
-                                         ? key
-                                         : op.alias + "_" + key);
-        }
+        out->partition_cols.insert(op.alias.empty() ? key
+                                                    : op.alias + "_" + key);
       }
       return true;
     }
@@ -352,6 +330,11 @@ int64_t EstimatePartialGatherBytes(const PhysicalOp& agg, int num_shards) {
   return per_row * groups * static_cast<int64_t>(num_shards - 1);
 }
 
+std::string MergeLabel(const std::string& fallback_reason) {
+  return fallback_reason.empty() ? "combine"
+                                 : "single-device (" + fallback_reason + ")";
+}
+
 ShardedExecutor::ShardedExecutor(
     const tpch::Database* db, const ShardedDatabase* sharded, DeviceGroup group,
     EngineOptions options,
@@ -360,7 +343,6 @@ ShardedExecutor::ShardedExecutor(
       sharded_(sharded),
       group_(std::move(group)),
       options_(std::move(options)),
-      catalog_(Catalog::FromDatabase(*db)),
       owned_tuning_cache_(options_.tuning_cache != nullptr
                               ? nullptr
                               : std::make_unique<model::TuningCache>()),
@@ -403,6 +385,7 @@ ShardedExecutor::ShardedExecutor(
     shard_options.exec.device_list.clear();
     engines_.push_back(std::make_unique<Engine>(
         &sharded_->shards[static_cast<size_t>(i)], shard_options));
+    if (i == 0) coordinator_ = std::make_unique<Engine>(db_, shard_options);
   }
 
   if (obs::MetricsRegistry* metrics = options_.metrics; metrics != nullptr) {
@@ -414,6 +397,10 @@ ShardedExecutor::ShardedExecutor(
         "gpl_shard_exchange_bytes_total",
         "Bytes shipped between devices by exchange kind",
         {{"kind", "shuffle"}});
+    fallbacks_counter_ = metrics->GetCounter(
+        "gpl_shard_fallbacks_total",
+        "Sharded queries run unmodified on device 0 instead of combining "
+        "per-shard partial aggregates");
     slot_busy_gauges_.reserve(static_cast<size_t>(group_.size()));
     for (int i = 0; i < group_.size(); ++i) {
       slot_busy_gauges_.push_back(metrics->GetGauge(
@@ -423,82 +410,6 @@ ShardedExecutor::ShardedExecutor(
            {"device", group_.devices[static_cast<size_t>(i)].name}}));
     }
   }
-}
-
-Result<PhysicalOpPtr> ShardedExecutor::PlanQuery(
-    const LogicalQuery& query) const {
-  PlanOptions plan_options;
-  if (options_.partitioned_joins) {
-    plan_options.partition_build_threshold_bytes =
-        options_.partition_threshold_bytes > 0
-            ? options_.partition_threshold_bytes
-            : group_.devices.front().cache_bytes / 2;
-    plan_options.num_partitions = options_.num_partitions;
-  }
-  return BuildPhysicalPlan(query, catalog_, plan_options);
-}
-
-Result<ShardedExecutor::SplitPlan> ShardedExecutor::SplitAndInject(
-    const PhysicalOpPtr& plan) const {
-  const std::string& fact = sharded_->fact_table();
-  const int fact_scans = CountFactScans(*plan, fact);
-  if (fact_scans != 1) {
-    return Status::Unimplemented(
-        "sharded execution requires exactly one scan of the partitioned fact "
-        "table '" + fact + "'; plan has " + std::to_string(fact_scans));
-  }
-  std::vector<PathStep> path;
-  GPL_CHECK(FindFactPath(*plan, fact, false, &path));
-
-  // The shard subtree is the maximal subtree whose probe spine bottoms out
-  // at the fact scan. Walking the root-to-fact path, it starts just past
-  // the last blocker: an aggregate or sort node (only correct over the full
-  // input, so it belongs to the merge), or a build edge (the subtree feeds
-  // the build side of the join above, which the merge device re-builds from
-  // the stitched rows — bucket chains depend only on insertion order, which
-  // the rowid sort restores). Build subtrees hanging off the spine run on
-  // every shard; co-partitioning makes their joins with the spine exact.
-  size_t start = 0;
-  for (size_t i = 0; i < path.size(); ++i) {
-    if (path[i].via_build) start = i;
-    if (path[i].node->kind == PhysicalOp::Kind::kAggregate ||
-        path[i].node->kind == PhysicalOp::Kind::kSort) {
-      start = i + 1;
-    }
-  }
-  GPL_CHECK(start < path.size());  // the fact scan is never a blocker
-
-  SplitPlan split;
-  split.boundary = path[start].node;
-  const PhysicalOp* fact_scan = path.back().node;
-  split.rowid_column = fact_scan->alias.empty()
-                           ? std::string(kRowIdColumn)
-                           : fact_scan->alias + "_" + kRowIdColumn;
-
-  // Clone the spine (build sides are shared, they are not modified) and
-  // thread l_rowid from the fact scan to the shard-plan root: scans list it,
-  // projects pass it through, filters/joins forward probe columns as-is.
-  // Every edge below `start` is a probe edge, so the path slice is exactly
-  // the subtree's child chain.
-  PhysicalOpPtr cloned;
-  PhysicalOp* parent = nullptr;
-  for (size_t i = start; i < path.size(); ++i) {
-    auto copy = std::make_shared<PhysicalOp>(*path[i].node);
-    if (copy->kind == PhysicalOp::Kind::kProject) {
-      copy->projections.push_back(
-          {split.rowid_column, Col(split.rowid_column)});
-    } else if (copy->kind == PhysicalOp::Kind::kScan) {
-      copy->columns.push_back(kRowIdColumn);
-    }
-    if (parent == nullptr) {
-      cloned = copy;
-    } else {
-      parent->child = copy;
-    }
-    parent = copy.get();
-  }
-  split.shard_plan = std::move(cloned);
-  return split;
 }
 
 Result<model::ExchangePlan> ShardedExecutor::ExchangeForPlan(
@@ -515,7 +426,6 @@ Result<model::ExchangePlan> ShardedExecutor::ExchangeForPlan(
     if (base == nullptr) return Status::NotFound("unknown table: " + table);
     int64_t bytes = 0;
     for (const std::string& column : columns) {
-      if (column == kRowIdColumn) continue;  // synthesized, never shipped
       if (!base->HasColumn(column)) {
         return Status::NotFound("unknown column " + table + "." + column);
       }
@@ -545,13 +455,19 @@ Result<model::ExchangePlan> ShardedExecutor::ExchangeForPlan(
 }
 
 Result<ShardedExecutor::DistributedPlan> ShardedExecutor::PlanDistributed(
-    const PhysicalOpPtr& plan) const {
+    const LogicalQuery& query) const {
   DistributedPlan dist;
+  GPL_ASSIGN_OR_RETURN(dist.plan, coordinator_->Plan(query));
+  if (group_.size() == 1) {
+    dist.fallback_reason = "1-device group";
+    return dist;
+  }
 
   // Partial-aggregate pushdown: the root spine must be [sort|project|filter]*
   // above one aggregate whose input subtree provably partitions.
   const PhysicalOp* agg = nullptr;
-  for (const PhysicalOp* n = plan.get(); n != nullptr; n = n->child.get()) {
+  for (const PhysicalOp* n = dist.plan.get(); n != nullptr;
+       n = n->child.get()) {
     if (n->kind == PhysicalOp::Kind::kAggregate) {
       agg = n;
       break;
@@ -562,68 +478,45 @@ Result<ShardedExecutor::DistributedPlan> ShardedExecutor::PlanDistributed(
       break;
     }
   }
+  if (agg == nullptr || agg->child == nullptr) {
+    dist.fallback_reason = "no aggregate at the plan root";
+    return dist;
+  }
   DistInfo info;
-  if (agg != nullptr && agg->child != nullptr &&
-      ClassifySubtree(*agg->child, *sharded_, &info) && info.partitioned) {
-    GPL_ASSIGN_OR_RETURN(dist.exchange, ExchangeForPlan(*agg->child));
-    std::map<std::string, const model::ExchangeDecision*> decisions;
-    for (const model::ExchangeDecision& d : dist.exchange.decisions) {
-      decisions.emplace(d.table, &d);
-    }
-    // The paying repartition's spine relocation renders as a repartition
-    // Exchange wrapping the fact-side child of its attach join.
-    const PhysicalOp* spine_node = nullptr;
-    if (dist.exchange.has_spine) {
-      const std::map<std::string, AttachPoint> attach_points =
-          FindAttachPoints(*agg->child, sharded_->fact_table());
-      auto it = attach_points.find(dist.exchange.spine_table);
-      if (it != attach_points.end()) spine_node = it->second.spine_node;
-    }
-    auto partial = std::make_shared<PhysicalOp>(*agg);
-    partial->child =
-        AnnotateExchanges(*agg->child, sharded_->fact_table(), decisions,
-                          spine_node, dist.exchange.spine_table,
-                          dist.exchange.spine_bytes);
-    partial->partial_aggregate = true;
-    dist.gather_bytes = EstimatePartialGatherBytes(*agg, group_.size());
-    dist.shard_plan = MakeExchange(std::move(partial), ExchangeKind::kGather,
-                                   "partial-aggregates", dist.gather_bytes);
-    dist.boundary = agg;
-    dist.partial_aggregate = true;
+  if (!ClassifySubtree(*agg->child, *sharded_, &info)) {
+    dist.fallback_reason = "aggregate input not provably partitioned";
+    return dist;
+  }
+  if (!info.partitioned) {
+    dist.fallback_reason = "aggregate input does not scan " +
+                           sharded_->fact_table();
     return dist;
   }
 
-  // Fallback: thread l_rowid through the shard subtree and stitch rows.
-  GPL_ASSIGN_OR_RETURN(SplitPlan split, SplitAndInject(plan));
-  GPL_ASSIGN_OR_RETURN(dist.exchange, ExchangeForPlan(*split.boundary));
+  GPL_ASSIGN_OR_RETURN(dist.exchange, ExchangeForPlan(*agg->child));
   std::map<std::string, const model::ExchangeDecision*> decisions;
   for (const model::ExchangeDecision& d : dist.exchange.decisions) {
     decisions.emplace(d.table, &d);
   }
-  // The spine node must come from the tree AnnotateExchanges walks: the
-  // rowid-threaded clone, not the original boundary subtree.
+  // The paying repartition's spine relocation renders as a repartition
+  // Exchange wrapping the fact-side child of its attach join.
   const PhysicalOp* spine_node = nullptr;
   if (dist.exchange.has_spine) {
     const std::map<std::string, AttachPoint> attach_points =
-        FindAttachPoints(*split.shard_plan, sharded_->fact_table());
+        FindAttachPoints(*agg->child, sharded_->fact_table());
     auto it = attach_points.find(dist.exchange.spine_table);
     if (it != attach_points.end()) spine_node = it->second.spine_node;
   }
-  PhysicalOpPtr annotated = AnnotateExchanges(
-      *split.shard_plan, sharded_->fact_table(), decisions, spine_node,
-      dist.exchange.spine_table, dist.exchange.spine_bytes);
-  // Rough gather estimate: the subtree's output rows (plus l_rowid) ship
-  // from every non-resident shard; (N-1)/N of them live off-device.
-  const int64_t cols =
-      static_cast<int64_t>(OutputColumns(*split.shard_plan).size()) + 1;
-  dist.gather_bytes = static_cast<int64_t>(
-      split.boundary->est_rows * 8.0 * static_cast<double>(cols) *
-      static_cast<double>(group_.size() - 1) /
-      static_cast<double>(group_.size()));
-  dist.shard_plan = MakeExchange(std::move(annotated), ExchangeKind::kGather,
-                                 "shard-partials", dist.gather_bytes);
-  dist.boundary = split.boundary;
-  dist.rowid_column = split.rowid_column;
+  auto partial = std::make_shared<PhysicalOp>(*agg);
+  partial->child =
+      AnnotateExchanges(*agg->child, sharded_->fact_table(), decisions,
+                        spine_node, dist.exchange.spine_table,
+                        dist.exchange.spine_bytes);
+  partial->partial_aggregate = true;
+  dist.gather_bytes = EstimatePartialGatherBytes(*agg, group_.size());
+  dist.shard_plan = MakeExchange(std::move(partial), ExchangeKind::kGather,
+                                 "partial-aggregates", dist.gather_bytes);
+  dist.agg = agg;
   return dist;
 }
 
@@ -631,14 +524,13 @@ Result<DistributedExplain> ShardedExecutor::Explain(
     const LogicalQuery& query) const {
   DistributedExplain out;
   out.num_shards = group_.size();
-  GPL_ASSIGN_OR_RETURN(PhysicalOpPtr plan, PlanQuery(query));
-  if (group_.size() == 1) {
-    // Single-device group: the plain plan runs as-is, nothing is exchanged.
-    out.plan_text = PlanToString(*plan);
+  GPL_ASSIGN_OR_RETURN(DistributedPlan dist, PlanDistributed(query));
+  out.fallback_reason = dist.fallback_reason;
+  if (!dist.fallback_reason.empty()) {
+    // The unmodified plan runs on device 0; nothing is exchanged.
+    out.plan_text = PlanToString(*dist.plan);
     return out;
   }
-  GPL_ASSIGN_OR_RETURN(DistributedPlan dist, PlanDistributed(plan));
-  out.partial_aggregate = dist.partial_aggregate;
   out.plan_text = PlanToString(*dist.shard_plan);
   out.exchanges.reserve(dist.exchange.decisions.size() + 2);
   for (const model::ExchangeDecision& d : dist.exchange.decisions) {
@@ -654,8 +546,7 @@ Result<DistributedExplain> ShardedExecutor::Explain(
                              dist.exchange.spine_bytes, 0.0});
   }
   ExchangeOpReport gather;
-  gather.table =
-      dist.partial_aggregate ? "partial-aggregates" : "shard-partials";
+  gather.table = "partial-aggregates";
   gather.kind = ExchangeKind::kGather;
   gather.predicted_bytes = dist.gather_bytes;
   const int senders = group_.size() - 1;
@@ -672,40 +563,63 @@ Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query) {
   return Execute(query, options_.exec);
 }
 
-Result<QueryResult> ShardedExecutor::ExecuteSingle(const LogicalQuery& query,
-                                                   const ExecOptions& exec) {
-  // A 1-device group's shard holds the full database, so the plain
-  // single-device path is exact: no partitioning, no rowid stitch, no
-  // exchange — the sharding tax is structurally zero.
+Result<QueryResult> ShardedExecutor::ExecuteOnCoordinator(
+    const LogicalQuery& query, const DistributedPlan& dist,
+    const ExecOptions& exec, double plan_wall_ms) {
+  const std::string merge = MergeLabel(dist.fallback_reason);
+  if (exec.trace != nullptr) {
+    // Nothing crosses the link: a zero-length exchange span carries the
+    // merge label where a combine's exchange span would.
+    const int link_track =
+        exec.trace->TrackId("exchange (" + link_.spec().name + ")");
+    exec.trace->AddSpan(link_track, query.name + " exchange", "shard.exchange",
+                        0.0, 0.0,
+                        {{"broadcast_bytes", "0"},
+                         {"shuffle_bytes", "0"},
+                         {"merge", "\"" + trace::JsonEscape(merge) + "\""}});
+  }
   ExecOptions single = exec;
   single.shards = 1;
   single.device_list.clear();
   GPL_ASSIGN_OR_RETURN(QueryResult result,
-                       engines_.front()->Execute(query, single));
+                       coordinator_->ExecutePlan(dist.plan, single));
+  // Device 0 did all the work; the other devices idled, nothing was
+  // exchanged and nothing merged.
   QueryMetrics& m = result.metrics;
-  m.num_shards = 1;
-  m.device_elapsed_ms = {m.elapsed_ms};
-  m.device_utilization = {1.0};
+  m.plan_wall_ms += plan_wall_ms;
+  m.num_shards = group_.size();
+  m.device_elapsed_ms.assign(static_cast<size_t>(group_.size()), 0.0);
+  m.device_elapsed_ms.front() = m.elapsed_ms;
+  m.device_utilization.assign(static_cast<size_t>(group_.size()), 0.0);
+  m.device_utilization.front() = 1.0;
+  obs::Inc(fallbacks_counter_);
   if (!slot_busy_gauges_.empty()) {
     obs::Add(slot_busy_gauges_.front(), m.elapsed_ms);
   }
+  GPL_SLOG(Info, "shard")
+      .Field("query", query.name)
+      .Field("group", group_.ToString())
+      .Field("merge", merge)
+      .Field("sim_ms", m.elapsed_ms)
+      << "sharded query ran on one device";
   return result;
 }
 
 Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query,
                                              const ExecOptions& exec) {
   if (exec.cancel != nullptr) GPL_RETURN_NOT_OK(exec.cancel->Check());
-  if (group_.size() == 1) return ExecuteSingle(query, exec);
   const sim::DeviceSpec& device0 = group_.devices.front();
 
   // Plan once, on the unpartitioned database's statistics: every shard runs
   // the same exchange-annotated plan, exactly as a coordinator would ship it.
   const auto plan_start = std::chrono::steady_clock::now();
-  GPL_ASSIGN_OR_RETURN(PhysicalOpPtr plan, PlanQuery(query));
-  GPL_ASSIGN_OR_RETURN(DistributedPlan dist, PlanDistributed(plan));
+  GPL_ASSIGN_OR_RETURN(DistributedPlan dist, PlanDistributed(query));
   const double plan_wall_ms = std::chrono::duration<double, std::milli>(
                                   std::chrono::steady_clock::now() - plan_start)
                                   .count();
+  if (!dist.fallback_reason.empty()) {
+    return ExecuteOnCoordinator(query, dist, exec, plan_wall_ms);
+  }
 
   // Per-shard execution. Serial on the host (results are simulated, wall
   // clock is not the metric); the shared fault injector and cancellation
@@ -766,104 +680,57 @@ Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query,
         MsToCycles(device0, max_device_ms + exchange_ms),
         {{"broadcast_bytes", std::to_string(dist.exchange.total_bytes)},
          {"shuffle_bytes", std::to_string(shuffle_bytes)},
-         {"merge", dist.partial_aggregate ? "combine" : "stitch"}});
+         {"merge", "\"combine\""}});
     exec.trace->AdvanceOrigin(MsToCycles(device0, max_device_ms + exchange_ms));
   }
 
-  // Merge on device 0, then replay the rest of the original plan with the
-  // merged table substituted at the boundary (KbeEngine::ExecuteWithInput —
-  // the same kernel code a single device runs, charged on device 0's
-  // simulator). Tables above the boundary are read from the unpartitioned
-  // source, which is what device 0 would hold as the coordinator.
+  // Combine on device 0: fold the per-shard partial-aggregate states per
+  // group. Exact and order-independent (superaccumulator digits for sums),
+  // so the result is bit-identical to a single device's aggregate output.
+  // Then replay the rest of the original plan with the combined table
+  // substituted at the aggregate (KbeEngine::ExecuteWithInput — the same
+  // kernel code a single device runs, charged on device 0's simulator).
+  // Tables above the aggregate are read from the unpartitioned source,
+  // which is what device 0 would hold as the coordinator.
   const sim::Simulator& sim0 = engines_.front()->simulator();
   sim::HwCounters merge_counters;
-  int64_t stitched_rows = 0;
-  Table substitute;
-  if (dist.partial_aggregate) {
-    // Combine-merge: fold the per-shard partial-aggregate states per group.
-    // Exact and order-independent (superaccumulator digits for sums), so
-    // the result is bit-identical to a single device's aggregate output.
-    std::vector<Table> partial_tables;
-    partial_tables.reserve(partials.size());
-    int64_t rows_in = 0;
-    int64_t bytes_in = 0;
-    for (QueryResult& partial : partials) {
-      rows_in += partial.table.num_rows();
-      bytes_in += partial.table.byte_size();
-      partial_tables.push_back(std::move(partial.table));
-    }
-    GPL_ASSIGN_OR_RETURN(
-        Table combined,
-        CombinePartialAggregates(dist.boundary->group_by,
-                                 dist.boundary->aggregates, partial_tables));
-    sim::KernelLaunch combine;
-    combine.desc = AggregateTiming(
-        1.0, static_cast<int>(dist.boundary->aggregates.size()));
-    combine.desc.name = "k_shard_combine";
-    combine.rows_in = rows_in;
-    combine.bytes_in = bytes_in;
-    combine.rows_out = combined.num_rows();
-    combine.bytes_out = combined.byte_size();
-    GPL_ASSIGN_OR_RETURN(
-        const sim::SimResult r,
-        sim0.RunKernelBatch(combine, 0, exec.trace, exec.fault));
-    merge_counters.Accumulate(r.counters);
-    substitute = std::move(combined);
-  } else {
-    // Stitch-merge: concatenate the partials (schemas and dictionaries are
-    // shared across shards), stable-sort by the injected row id, drop it.
-    // The merged table equals — row for row — what a single device would
-    // feed the boundary's parent.
-    Table merged = std::move(partials[0].table);
-    for (size_t i = 1; i < partials.size(); ++i) {
-      GPL_RETURN_NOT_OK(merged.AppendTable(partials[i].table));
-    }
-    stitched_rows = merged.num_rows();
-    const int64_t rowid_index = merged.ColumnIndex(dist.rowid_column);
-    if (rowid_index < 0) {
-      return Status::Internal("sharded partial result lost the '" +
-                              dist.rowid_column + "' column");
-    }
-    const int64_t merged_bytes_with_rowid = merged.byte_size();
-    const Column& rowid = merged.ColumnAt(rowid_index);
-    std::vector<int64_t> order(static_cast<size_t>(merged.num_rows()));
-    for (size_t i = 0; i < order.size(); ++i) {
-      order[i] = static_cast<int64_t>(i);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&rowid](int64_t a, int64_t b) {
-                       return rowid.Int64At(a) < rowid.Int64At(b);
-                     });
-    merged = merged.Gather(order);
-    merged = DropColumn(merged, dist.rowid_column);
-
-    sim::KernelLaunch gather;
-    gather.desc = ScatterTiming(static_cast<int>(merged.num_columns() + 1));
-    gather.desc.name = "k_shard_gather";
-    gather.rows_in = merged.num_rows();
-    gather.bytes_in = merged_bytes_with_rowid;
-    gather.rows_out = merged.num_rows();
-    gather.bytes_out = merged.byte_size();
-    GPL_ASSIGN_OR_RETURN(
-        const sim::SimResult r,
-        sim0.RunKernelBatch(gather, 0, exec.trace, exec.fault));
-    merge_counters.Accumulate(r.counters);
-    substitute = std::move(merged);
+  std::vector<Table> partial_tables;
+  partial_tables.reserve(partials.size());
+  int64_t rows_in = 0;
+  int64_t bytes_in = 0;
+  for (QueryResult& partial : partials) {
+    rows_in += partial.table.num_rows();
+    bytes_in += partial.table.byte_size();
+    partial_tables.push_back(std::move(partial.table));
   }
+  GPL_ASSIGN_OR_RETURN(
+      Table combined,
+      CombinePartialAggregates(dist.agg->group_by, dist.agg->aggregates,
+                               partial_tables));
+  sim::KernelLaunch combine;
+  combine.desc =
+      AggregateTiming(1.0, static_cast<int>(dist.agg->aggregates.size()));
+  combine.desc.name = "k_shard_combine";
+  combine.rows_in = rows_in;
+  combine.bytes_in = bytes_in;
+  combine.rows_out = combined.num_rows();
+  combine.bytes_out = combined.byte_size();
+  GPL_ASSIGN_OR_RETURN(const sim::SimResult r,
+                       sim0.RunKernelBatch(combine, 0, exec.trace, exec.fault));
+  merge_counters.Accumulate(r.counters);
   KbeEngine merge_engine(db_, &sim0);
   GPL_ASSIGN_OR_RETURN(
       QueryResult merge_result,
-      merge_engine.ExecuteWithInput(plan, dist.boundary, std::move(substitute),
+      merge_engine.ExecuteWithInput(dist.plan, dist.agg, std::move(combined),
                                     exec));
   merge_counters.Accumulate(merge_result.metrics.counters);
   const double merge_ms = device0.CyclesToMs(merge_counters.elapsed_cycles);
-  Table current = std::move(merge_result.table);
 
   // Metrics: counters sum every device's work plus the merge; elapsed is
   // the parallel makespan. The breakdown is rescaled so its parts still sum
   // to the makespan.
   QueryResult result;
-  result.table = std::move(current);
+  result.table = std::move(merge_result.table);
   QueryMetrics& m = result.metrics;
   for (const QueryResult& partial : partials) {
     m.counters.Accumulate(partial.metrics.counters);
@@ -892,8 +759,7 @@ Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query,
   if (m.predicted_ms > 0.0) m.predicted_ms += exchange_ms + merge_ms;
   m.plan_wall_ms = plan_wall_ms;
   m.num_shards = group_.size();
-  m.partial_combine = dist.partial_aggregate;
-  m.stitched_rows = stitched_rows;
+  m.partial_combine = true;
   m.broadcast_bytes = dist.exchange.total_bytes;
   m.exchange_all_broadcast_bytes = dist.exchange.all_broadcast_bytes;
   m.shuffle_bytes = shuffle_bytes;
@@ -914,7 +780,7 @@ Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query,
   GPL_SLOG(Info, "shard")
       .Field("query", query.name)
       .Field("group", group_.ToString())
-      .Field("merge", dist.partial_aggregate ? "combine" : "stitch")
+      .Field("merge", "combine")
       .Field("sim_ms", m.elapsed_ms)
       .Field("max_device_ms", max_device_ms)
       .Field("exchange_ms", exchange_ms)

@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "engine/engine.h"
 #include "model/exchange_model.h"
-#include "plan/cardinality.h"
 #include "plan/physical_plan.h"
 #include "shard/device_group.h"
 #include "shard/partitioner.h"
@@ -41,19 +40,26 @@ struct ExchangeOpReport {
 /// broadcast/shuffle byte counts in QueryMetrics.
 struct DistributedExplain {
   int num_shards = 1;
-  /// True when the aggregate was pushed down (combine-merge); false when the
-  /// query falls back to the row-id stitch-and-replay merge.
-  bool partial_aggregate = false;
-  std::string plan_text;  ///< per-shard plan, Exchange operators inline
+  /// Why the query runs unmodified on device 0 instead of combining
+  /// per-shard partial aggregates; empty when it combines.
+  std::string fallback_reason;
+  /// The per-shard plan with Exchange operators inline, or the unmodified
+  /// plan when the query falls back to one device.
+  std::string plan_text;
   /// Per-relation exchanges (broadcast/repartition/co-partitioned), then the
-  /// final gather of per-shard results to the coordinator.
+  /// final gather of per-shard partials to the coordinator. Empty on a
+  /// fallback: nothing is exchanged.
   std::vector<ExchangeOpReport> exchanges;
 };
 
+/// The merge label EXPLAIN, EXPLAIN ANALYZE, the CLI summary, the trace and
+/// the log print: "combine", or "single-device (<reason>)" on a fallback.
+std::string MergeLabel(const std::string& fallback_reason);
+
 /// Data-parallel execution of one query across a DeviceGroup: every device
 /// runs the same exchange-annotated plan over its shard of the fact table,
-/// per-shard results are gathered to device 0 over the group's link, and a
-/// deterministic merge produces the final table.
+/// per-shard partial aggregates are gathered to device 0 over the group's
+/// link, and a deterministic combine produces the final table.
 ///
 /// Exchange operators are first-class plan nodes (PhysicalOp::kExchange):
 /// planning wraps every non-fact scan of the shard subtree in an Exchange
@@ -64,12 +70,12 @@ struct DistributedExplain {
 ///
 /// Bit-identity. Double summation is non-associative, so merging per-shard
 /// *rounded* aggregates could never be bit-identical to a single-device run.
-/// Two merge strategies preserve exactness:
+/// One rule keeps every result exact:
 ///
-///  - Partial-aggregate pushdown (the fast path): when the subtree below the
-///    plan's root aggregate provably partitions — every row of its output
-///    lands on exactly one shard, which holds for spines bottoming out at
-///    the partitioned fact scan joined against replicated or co-partitioned
+///  - Combine, when provable: if the subtree below the plan's root
+///    aggregate provably partitions — every row of its output lands on
+///    exactly one shard, which holds for spines bottoming out at the
+///    partitioned fact scan joined against replicated or co-partitioned
 ///    relations — each shard runs the aggregate in partial mode
 ///    (AggregatePhase::kPartial), emitting exact superaccumulator digits for
 ///    sums and counts/min/max state. The merge combines partials per group
@@ -77,17 +83,14 @@ struct DistributedExplain {
 ///    the cheap remainder above the aggregate. The gather ships tiny
 ///    per-group state instead of fact-table rows.
 ///
-///  - Row-id stitch (the fallback): the shard subtree carries the
-///    partitioner's l_rowid column to its root; the merge concatenates the
-///    partials, stable-sorts on l_rowid to restore exact fact-table row
-///    order, and replays the rest of the plan from the boundary up
-///    (KbeEngine::ExecuteWithInput) — same kernels, same rows, same order as
-///    one device.
-///
-/// Both paths produce bit-identical tables to the single-device engine at
-/// any shard count. Plans that never scan the fact table (or scan it twice)
-/// are rejected with kUnimplemented. A 1-device group short-circuits to the
-/// plain single-device path: no partitioning, no stitch, zero sharding tax.
+///  - Otherwise, one device: the unmodified plan runs on a coordinator
+///    Engine over the unpartitioned database with device 0's options. The
+///    single device is the oracle, so the result is exact by construction.
+///    The fallback is visible: DistributedExplain::fallback_reason, a
+///    "merge=single-device (<reason>)" label, and the
+///    gpl_shard_fallbacks_total counter. Its metrics report device 0's
+///    time, 0 for the other devices, no exchange and no merge. A 1-device
+///    group always runs this way.
 ///
 /// Timing. Simulated elapsed = max over per-device times + serialized
 /// exchange (broadcasts + the gather, priced by sim::Link) + the merge
@@ -118,7 +121,8 @@ class ShardedExecutor {
   model::TuningCache& tuning_cache() const { return *tuning_cache_; }
 
   /// How Execute() would run `query`: the exchange-annotated per-shard plan
-  /// plus per-exchange predictions. Pure planning — nothing executes and no
+  /// plus per-exchange predictions, or the unmodified plan and the reason it
+  /// falls back to one device. Pure planning — nothing executes and no
   /// link traffic is recorded (exchange decisions do land in the
   /// TuningCache, so a following Execute() prices them by lookup).
   Result<DistributedExplain> Explain(const LogicalQuery& query) const;
@@ -128,59 +132,55 @@ class ShardedExecutor {
                               const ExecOptions& exec);
 
  private:
-  /// The fallback split: the shard subtree with l_rowid threaded to its
-  /// root, plus the node of the *original* plan it replaces.
-  struct SplitPlan {
-    PhysicalOpPtr shard_plan;
-    const PhysicalOp* boundary = nullptr;
-    std::string rowid_column;  ///< l_rowid's (possibly alias-renamed) name
-  };
-
-  /// A fully planned distributed execution (either merge strategy): the
-  /// exchange-annotated per-shard plan, the substitution point in the
-  /// original plan, and the priced exchanges.
+  /// A planned execution: the unmodified plan, and either the reason it
+  /// falls back to one device or the combine's exchange-annotated per-shard
+  /// plan, the root aggregate it pushes down and the priced exchanges.
   struct DistributedPlan {
-    bool partial_aggregate = false;
+    PhysicalOpPtr plan;
+    std::string fallback_reason;  ///< non-empty: run `plan` on device 0
     PhysicalOpPtr shard_plan;
-    const PhysicalOp* boundary = nullptr;
-    std::string rowid_column;       ///< fallback path only
-    model::ExchangePlan exchange;   ///< per-relation decisions (non-fact)
-    int64_t gather_bytes = 0;       ///< estimated gather traffic (EXPLAIN)
+    const PhysicalOp* agg = nullptr;  ///< the pushed-down aggregate of `plan`
+    model::ExchangePlan exchange;     ///< per-relation decisions (non-fact)
+    int64_t gather_bytes = 0;         ///< estimated gather traffic (EXPLAIN)
   };
 
-  /// Physical plan over the unpartitioned catalog (shared by Execute and
-  /// Explain so both see identical plans).
-  Result<PhysicalOpPtr> PlanQuery(const LogicalQuery& query) const;
-  /// Picks the merge strategy and annotates the per-shard plan with
-  /// Exchange operators (cost-model priced, TuningCache-memoized).
-  Result<DistributedPlan> PlanDistributed(const PhysicalOpPtr& plan) const;
-  Result<SplitPlan> SplitAndInject(const PhysicalOpPtr& plan) const;
+  /// Plans `query` on the unpartitioned catalog (shared by Execute and
+  /// Explain so both see identical plans), picks combine or fallback, and
+  /// for a combine annotates the per-shard plan with Exchange operators
+  /// (cost-model priced, TuningCache-memoized).
+  Result<DistributedPlan> PlanDistributed(const LogicalQuery& query) const;
   /// Exchange plan for the tables scanned inside the shard subtree (tables
-  /// above the boundary run on the merge device and are never shipped).
+  /// above the aggregate run on the merge device and are never shipped).
   Result<model::ExchangePlan> ExchangeForPlan(
       const PhysicalOp& shard_subtree) const;
-  /// 1-device group: run the plain single-device path on the (full) shard.
-  Result<QueryResult> ExecuteSingle(const LogicalQuery& query,
-                                    const ExecOptions& exec);
+  /// Runs the unmodified plan on the coordinator (the fallback).
+  Result<QueryResult> ExecuteOnCoordinator(const LogicalQuery& query,
+                                           const DistributedPlan& dist,
+                                           const ExecOptions& exec,
+                                           double plan_wall_ms);
 
   const tpch::Database* db_;
   const ShardedDatabase* sharded_;
   DeviceGroup group_;
   EngineOptions options_;
-  Catalog catalog_;  ///< global statistics of the unpartitioned source
   /// Calibrations computed here (one per distinct device name not covered
   /// by the shared map passed to the constructor).
   std::map<std::string, model::CalibrationTable> owned_calibrations_;
   std::unique_ptr<model::TuningCache> owned_tuning_cache_;
   model::TuningCache* tuning_cache_;  ///< owned or shared
   std::vector<std::unique_ptr<Engine>> engines_;  ///< one per shard/device
+  /// Device 0's engine over the unpartitioned source: plans every query
+  /// (global statistics) and runs the fallback.
+  std::unique_ptr<Engine> coordinator_;
   sim::Link link_;  ///< accumulates exchange traffic across executions
 
   // Metrics handles (null without EngineOptions::metrics): exchange traffic
-  // by kind, and accumulated simulated busy ms per device slot (the
-  // per-shard makespan contribution of every completed query).
+  // by kind, single-device fallbacks, and accumulated simulated busy ms per
+  // device slot (the per-shard makespan contribution of every completed
+  // query).
   obs::Counter* broadcast_bytes_counter_ = nullptr;
   obs::Counter* shuffle_bytes_counter_ = nullptr;
+  obs::Counter* fallbacks_counter_ = nullptr;
   std::vector<obs::Gauge*> slot_busy_gauges_;
 };
 

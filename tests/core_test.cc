@@ -4,6 +4,8 @@
 #include "core/gpl_executor.h"
 #include "core/pipeline.h"
 #include "core/tiling.h"
+#include "exec/expr.h"
+#include "exec/primitives.h"
 #include "plan/segment.h"
 #include "plan/selinger.h"
 #include "queries/tpch_queries.h"
@@ -91,6 +93,43 @@ TEST_F(GplFixture, FunctionalRunObservationsAreConsistent) {
   }
   // The example query ends in a single-row sum.
   EXPECT_EQ(run->output.num_rows(), 1);
+}
+
+TEST(PipelineTest, EmptyInputMakesNoTilesButKernelsSeeItsSchema) {
+  Table input("t");
+  GPL_CHECK_OK(input.AddColumn("k", Column(DataType::kInt32)));
+  const auto expect_nothing_observed = [](const FunctionalRun& run) {
+    EXPECT_EQ(run.num_tiles, 0);
+    for (const StageObservation& s : run.stages) {
+      EXPECT_EQ(s.rows_in, 0);
+      EXPECT_EQ(s.bytes_in, 0);
+      EXPECT_EQ(s.rows_out, 0);
+      EXPECT_EQ(s.bytes_out, 0);
+    }
+  };
+
+  // Filter + aggregate: nothing is observed, but the group column keeps the
+  // input's int32 type instead of the int64 fallback.
+  Segment aggregate;
+  aggregate.stages.push_back({MakeFilterKernel(Gt(Col("k"), LitInt(0)))});
+  aggregate.stages.push_back({MakeAggregateKernel(
+      {{"k", Col("k")}}, {{AggSpec::kCount, nullptr, "n"}})});
+  Result<FunctionalRun> run = RunSegmentFunctional(aggregate, input, KiB(256));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  expect_nothing_observed(*run);
+  EXPECT_EQ(run->output.num_rows(), 0);
+  ASSERT_TRUE(run->output.HasColumn("k"));
+  EXPECT_EQ(run->output.GetColumn("k").type(), DataType::kInt32);
+
+  // Hash build: the empty batch materializes no hash-table bytes.
+  Segment build;
+  build.output_is_hash_build = true;
+  build.stages.push_back(
+      {MakeHashBuildKernel({Col("k")}, std::make_shared<HashJoinState>())});
+  run = RunSegmentFunctional(build, input, KiB(256));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  expect_nothing_observed(*run);
+  EXPECT_EQ(build.stages[0].kernel->MaterializedStateBytes(), 0);
 }
 
 TEST_F(GplFixture, TileSizeDoesNotChangeResults) {

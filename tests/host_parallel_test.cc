@@ -17,6 +17,7 @@
 namespace gpl {
 namespace {
 
+using testing_util::ExpectCountersBitIdentical;
 using testing_util::SmallDb;
 
 void ExpectTablesBitIdentical(const Table& expected, const Table& actual) {
@@ -32,21 +33,6 @@ void ExpectTablesBitIdentical(const Table& expected, const Table& actual) {
     EXPECT_TRUE(e.data64() == a.data64());
     EXPECT_TRUE(e.dataf() == a.dataf());
   }
-}
-
-void ExpectCountersBitIdentical(const sim::HwCounters& expected,
-                                const sim::HwCounters& actual) {
-  EXPECT_EQ(expected.elapsed_cycles, actual.elapsed_cycles);
-  EXPECT_EQ(expected.compute_cycles, actual.compute_cycles);
-  EXPECT_EQ(expected.mem_cycles, actual.mem_cycles);
-  EXPECT_EQ(expected.channel_cycles, actual.channel_cycles);
-  EXPECT_EQ(expected.stall_cycles, actual.stall_cycles);
-  EXPECT_EQ(expected.launch_cycles, actual.launch_cycles);
-  EXPECT_EQ(expected.cache_hits, actual.cache_hits);
-  EXPECT_EQ(expected.cache_accesses, actual.cache_accesses);
-  EXPECT_EQ(expected.resident_wg_time, actual.resident_wg_time);
-  EXPECT_EQ(expected.bytes_materialized, actual.bytes_materialized);
-  EXPECT_EQ(expected.bytes_via_channel, actual.bytes_via_channel);
 }
 
 void ExpectChoicesIdentical(const model::TuningChoice& expected,

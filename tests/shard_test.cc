@@ -11,10 +11,12 @@
 
 #include "common/logging.h"
 #include "engine/engine.h"
+#include "engine/explain_analyze.h"
 #include "engine/metrics_json.h"
 #include "exec/exact_sum.h"
 #include "exec/expr.h"
 #include "model/exchange_model.h"
+#include "obs/registry.h"
 #include "plan/logical_plan.h"
 #include "plan/physical_plan.h"
 #include "queries/tpch_queries.h"
@@ -28,6 +30,8 @@
 #include "storage/table.h"
 #include "storage/types.h"
 #include "test_util.h"
+#include "trace/json.h"
+#include "trace/trace.h"
 #include "tpch/dbgen.h"
 
 namespace gpl {
@@ -36,10 +40,10 @@ namespace {
 using shard::DeviceGroup;
 using shard::PartitionDatabase;
 using shard::PartitionOptions;
-using shard::PartitionScheme;
 using shard::ShardedDatabase;
 using shard::ShardedExecutor;
 using shard::ShardOfKey;
+using testing_util::ExpectCountersBitIdentical;
 using testing_util::SmallDb;
 
 /// Bit-level table equality: raw physical buffers, not a tolerance compare.
@@ -96,7 +100,6 @@ TEST(PartitionerTest, RejectsNonPositiveShardCount) {
 TEST(PartitionerTest, HashShardsPreserveRowsOrderAndCoPartitionOrders) {
   PartitionOptions options;
   options.num_shards = 4;
-  options.scheme = PartitionScheme::kHash;
   Result<ShardedDatabase> sharded = PartitionDatabase(SmallDb(), options);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   EXPECT_EQ(sharded->num_shards(), 4);
@@ -104,21 +107,31 @@ TEST(PartitionerTest, HashShardsPreserveRowsOrderAndCoPartitionOrders) {
   EXPECT_TRUE(sharded->IsPartitioned("orders"));
   EXPECT_FALSE(sharded->IsPartitioned("customer"));
 
+  // (l_orderkey, l_linenumber) is lineitem's key: it names each source row.
   const Table& source = *SmallDb().ByName("lineitem");
+  const auto row_key = [](const Table& t, int64_t r) {
+    return std::make_pair(t.GetColumn("l_orderkey").AsInt64(r),
+                          t.GetColumn("l_linenumber").AsInt64(r));
+  };
+  std::map<std::pair<int64_t, int64_t>, int64_t> source_index;
+  for (int64_t r = 0; r < source.num_rows(); ++r) {
+    ASSERT_TRUE(source_index.emplace(row_key(source, r), r).second);
+  }
+
   int64_t total_rows = 0;
-  std::set<int64_t> seen_rowids;
+  std::set<int64_t> seen_rows;
   for (const tpch::Database& shard : sharded->shards) {
     const Table* lineitem = shard.ByName("lineitem");
     ASSERT_NE(lineitem, nullptr);
-    ASSERT_TRUE(lineitem->HasColumn(shard::kRowIdColumn));
-    const Column& rowid = lineitem->GetColumn(shard::kRowIdColumn);
     const Column& orderkey = lineitem->GetColumn("l_orderkey");
     int64_t previous = -1;
     for (int64_t r = 0; r < lineitem->num_rows(); ++r) {
-      const int64_t id = rowid.Int64At(r);
-      EXPECT_GT(id, previous) << "shard rows must keep source order";
-      previous = id;
-      seen_rowids.insert(id);
+      auto it = source_index.find(row_key(*lineitem, r));
+      ASSERT_NE(it, source_index.end()) << "shard row missing from source";
+      EXPECT_GT(it->second, previous) << "shard rows must keep source order";
+      previous = it->second;
+      EXPECT_TRUE(seen_rows.insert(it->second).second)
+          << "source row " << it->second << " on two shards";
       // Rows landed on the shard their join key hashes to, and the
       // co-partitioned orders rows are the only ones with that property.
       EXPECT_EQ(ShardOfKey(orderkey.AsInt64(r), 4),
@@ -134,28 +147,7 @@ TEST(PartitionerTest, HashShardsPreserveRowsOrderAndCoPartitionOrders) {
               SmallDb().ByName("nation")->GetColumn("n_name").dictionary());
   }
   EXPECT_EQ(total_rows, source.num_rows());
-  EXPECT_EQ(static_cast<int64_t>(seen_rowids.size()), source.num_rows());
-  EXPECT_EQ(*seen_rowids.begin(), 0);
-  EXPECT_EQ(*seen_rowids.rbegin(), source.num_rows() - 1);
-}
-
-TEST(PartitionerTest, RangeShardsAreContiguousAndNonPowerOfTwoWorks) {
-  PartitionOptions options;
-  options.num_shards = 3;  // deliberately not a power of two
-  options.scheme = PartitionScheme::kRange;
-  Result<ShardedDatabase> sharded = PartitionDatabase(SmallDb(), options);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  EXPECT_FALSE(sharded->IsPartitioned("orders"));  // broadcast under range
-
-  int64_t next = 0;
-  for (const tpch::Database& shard : sharded->shards) {
-    const Column& rowid =
-        shard.ByName("lineitem")->GetColumn(shard::kRowIdColumn);
-    for (int64_t r = 0; r < rowid.size(); ++r) {
-      EXPECT_EQ(rowid.Int64At(r), next++) << "ranges must be contiguous";
-    }
-  }
-  EXPECT_EQ(next, SmallDb().ByName("lineitem")->num_rows());
+  EXPECT_EQ(static_cast<int64_t>(seen_rows.size()), source.num_rows());
 }
 
 TEST(PartitionerTest, SkewedShardCountsStillCoverEveryRow) {
@@ -361,11 +353,9 @@ const std::vector<ShardedTruth>& SingleDeviceTruth(EngineMode mode) {
   return cache->emplace(mode, std::move(truth)).first->second;
 }
 
-void ExpectShardedBitIdentical(const DeviceGroup& group,
-                               PartitionScheme scheme, EngineMode mode) {
+void ExpectShardedBitIdentical(const DeviceGroup& group, EngineMode mode) {
   PartitionOptions poptions;
   poptions.num_shards = group.size();
-  poptions.scheme = scheme;
   Result<ShardedDatabase> sharded = PartitionDatabase(SmallDb(), poptions);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
 
@@ -379,8 +369,7 @@ void ExpectShardedBitIdentical(const DeviceGroup& group,
   ASSERT_EQ(suite.size(), truth.size());
   for (size_t qi = 0; qi < suite.size(); ++qi) {
     const ShardedTruth& t = truth[qi];
-    SCOPED_TRACE(t.name + " on " + group.ToString() + " (" +
-                 shard::PartitionSchemeName(scheme) + ")");
+    SCOPED_TRACE(t.name + " on " + group.ToString());
     Result<QueryResult> got = executor.Execute(suite[qi].second);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ExpectTablesBitIdentical(t.single.table, got->table);
@@ -400,22 +389,16 @@ void ExpectShardedBitIdentical(const DeviceGroup& group,
       EXPECT_GT(m.exchange_bytes, 0);
       EXPECT_GT(m.exchange_ms, 0.0);
       EXPECT_GT(m.merge_ms, 0.0);
-      // The merge strategies are mutually exclusive: the combine path
-      // stitches nothing, the row-id stitch always concatenates the
-      // per-shard boundary rows.
-      if (m.partial_combine) {
-        EXPECT_EQ(m.stitched_rows, 0);
-      } else {
-        EXPECT_GT(m.stitched_rows, 0);
-      }
+      // Every suite query's aggregate input is provably partitioned.
+      EXPECT_TRUE(m.partial_combine);
     } else {
-      // A 1-device group short-circuits to the plain path: no partitioning,
-      // no exchange, no merge — zero sharding tax.
+      // A 1-device group runs the plain plan on its one device: no
+      // exchange, no merge — zero sharding tax.
       EXPECT_EQ(m.exchange_bytes, 0);
       EXPECT_DOUBLE_EQ(m.exchange_ms, 0.0);
       EXPECT_DOUBLE_EQ(m.merge_ms, 0.0);
       EXPECT_FALSE(m.partial_combine);
-      EXPECT_EQ(m.stitched_rows, 0);
+      EXPECT_EQ(m.elapsed_ms, t.single.metrics.elapsed_ms);
     }
   }
 }
@@ -424,15 +407,7 @@ TEST(ShardedBitIdentityTest, HomogeneousHashAllShardCounts) {
   for (int n : {1, 2, 4, 8}) {
     ExpectShardedBitIdentical(
         DeviceGroup::Homogeneous(sim::DeviceSpec::AmdA10(), n),
-        PartitionScheme::kHash, EngineMode::kGpl);
-  }
-}
-
-TEST(ShardedBitIdentityTest, HomogeneousRangePartitioning) {
-  for (int n : {2, 4}) {
-    ExpectShardedBitIdentical(
-        DeviceGroup::Homogeneous(sim::DeviceSpec::AmdA10(), n),
-        PartitionScheme::kRange, EngineMode::kGpl);
+        EngineMode::kGpl);
   }
 }
 
@@ -440,7 +415,7 @@ TEST(ShardedBitIdentityTest, NonPowerOfTwoShardCounts) {
   for (int n : {3, 5}) {
     ExpectShardedBitIdentical(
         DeviceGroup::Homogeneous(sim::DeviceSpec::AmdA10(), n),
-        PartitionScheme::kHash, EngineMode::kGpl);
+        EngineMode::kGpl);
   }
 }
 
@@ -448,13 +423,13 @@ TEST(ShardedBitIdentityTest, MixedDeviceGroup) {
   DeviceGroup mixed;
   mixed.devices = {sim::DeviceSpec::AmdA10(), sim::DeviceSpec::NvidiaK40(),
                    sim::DeviceSpec::AmdA10(), sim::DeviceSpec::NvidiaK40()};
-  ExpectShardedBitIdentical(mixed, PartitionScheme::kHash, EngineMode::kGpl);
+  ExpectShardedBitIdentical(mixed, EngineMode::kGpl);
 }
 
 TEST(ShardedBitIdentityTest, KbeModeShards) {
   ExpectShardedBitIdentical(
       DeviceGroup::Homogeneous(sim::DeviceSpec::AmdA10(), 2),
-      PartitionScheme::kHash, EngineMode::kKbe);
+      EngineMode::kKbe);
 }
 
 TEST(ShardedExecutorTest, RepeatRunsAreDeterministic) {
@@ -492,7 +467,7 @@ TEST(ShardedExecutorTest, ExplainRendersExchangeOperatorsInline) {
   Result<shard::DistributedExplain> q9 = executor.Explain(queries::Q9());
   ASSERT_TRUE(q9.ok()) << q9.status().ToString();
   EXPECT_EQ(q9->num_shards, 4);
-  EXPECT_TRUE(q9->partial_aggregate);
+  EXPECT_EQ(q9->fallback_reason, "");
   EXPECT_NE(q9->plan_text.find("Exchange["), std::string::npos)
       << q9->plan_text;
   EXPECT_NE(q9->plan_text.find("PartialAggregate"), std::string::npos)
@@ -518,10 +493,10 @@ TEST(ShardedExecutorTest, ExplainRendersExchangeOperatorsInline) {
   // ({l_orderkey, l_suppkey} = {o_orderkey, s_suppkey}). The classifier
   // proves it partition-preserving off the aligned orderkey pair — the
   // compound key only tightens the match — so the aggregate still pushes
-  // down instead of falling back to the row-id stitch.
+  // down instead of falling back to one device.
   Result<shard::DistributedExplain> q5 = executor.Explain(queries::Q5());
   ASSERT_TRUE(q5.ok()) << q5.status().ToString();
-  EXPECT_TRUE(q5->partial_aggregate);
+  EXPECT_EQ(q5->fallback_reason, "");
   EXPECT_NE(q5->plan_text.find("PartialAggregate"), std::string::npos)
       << q5->plan_text;
   ASSERT_FALSE(q5->exchanges.empty());
@@ -529,7 +504,7 @@ TEST(ShardedExecutorTest, ExplainRendersExchangeOperatorsInline) {
   EXPECT_GT(q5->exchanges.back().predicted_bytes, 0);
 
   // Explain is pure planning: a 1-device group reports the plain plan with
-  // no exchanges.
+  // no exchanges, and says why it does not combine.
   DeviceGroup one = DeviceGroup::Homogeneous(sim::DeviceSpec::AmdA10(), 1);
   PartitionOptions pone;
   pone.num_shards = 1;
@@ -540,6 +515,7 @@ TEST(ShardedExecutorTest, ExplainRendersExchangeOperatorsInline) {
   Result<shard::DistributedExplain> plain = single.Explain(queries::Q5());
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   EXPECT_EQ(plain->num_shards, 1);
+  EXPECT_FALSE(plain->fallback_reason.empty());
   EXPECT_TRUE(plain->exchanges.empty());
   EXPECT_EQ(plain->plan_text.find("Exchange["), std::string::npos);
 }
@@ -626,7 +602,7 @@ TEST(ShardedExecutorTest, MetricsJsonCarriesShardFields) {
   EXPECT_NE(json.find("\"exchange_bytes\""), std::string::npos);
   EXPECT_NE(json.find("\"exchange_all_broadcast_bytes\""), std::string::npos);
   EXPECT_NE(json.find("\"merge_ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"stitched_rows\""), std::string::npos);
+  EXPECT_NE(json.find("\"partial_combine\":true"), std::string::npos);
   EXPECT_NE(json.find("\"device_utilization\""), std::string::npos);
 
   // Single-device metrics stay free of shard fields (byte-stable JSON).
@@ -717,9 +693,9 @@ TEST(EngineRoutingTest, ShardedForSharesAProvidedShardedDatabase) {
 }
 
 TEST(ShardedExecutorTest, PartialCombineFlagMatchesExplain) {
-  // Execute must take exactly the merge strategy Explain predicts, for every
-  // query of the suite (all five push their aggregate down today, but the
-  // invariant is flag == plan, not flag == true).
+  // Execute must take exactly the merge Explain predicts, for every query of
+  // the suite (all five push their aggregate down today, but the invariant
+  // is flag == plan, not flag == true).
   PartitionOptions poptions;
   poptions.num_shards = 2;
   Result<ShardedDatabase> sharded = PartitionDatabase(SmallDb(), poptions);
@@ -734,7 +710,7 @@ TEST(ShardedExecutorTest, PartialCombineFlagMatchesExplain) {
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     Result<QueryResult> got = executor.Execute(query);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(got->metrics.partial_combine, plan->partial_aggregate);
+    EXPECT_EQ(got->metrics.partial_combine, plan->fallback_reason.empty());
     any_combine = any_combine || got->metrics.partial_combine;
   }
   EXPECT_TRUE(any_combine)
@@ -827,8 +803,8 @@ std::vector<int64_t> KeysOnShard(int shard, int num_shards, int count) {
 }
 
 /// Runs TwoKeyQuery over `orderkeys` at shard counts {1, 2, 4, 8}, in both
-/// key orders, asserting the combine merge ran (zero stitched rows) and the
-/// result is bit-identical to the single-device oracle.
+/// key orders, asserting the combine merge ran and the result is
+/// bit-identical to the single-device oracle.
 void ExpectCompoundKeyCombine(const std::vector<int64_t>& orderkeys) {
   const tpch::Database db = TwoKeyDb(orderkeys);
   EngineOptions options;
@@ -856,7 +832,6 @@ void ExpectCompoundKeyCombine(const std::vector<int64_t>& orderkeys) {
       if (n > 1) {
         EXPECT_TRUE(got->metrics.partial_combine)
             << "compound-key join must prove co-partitioning";
-        EXPECT_EQ(got->metrics.stitched_rows, 0);
       }
     }
   }
@@ -922,9 +897,11 @@ tpch::Database NarrowKeyDb() {
   return db;
 }
 
-TEST(CompoundKeyShardingTest, EmptyShardsKeepNarrowGroupKeyTypes) {
-  // The empty shards' partials come first in shard order. Their group
-  // columns must not type the combined int32 and string keys as int64.
+/// Groups NarrowKeyDb's lineitem by its int32 and string columns (after
+/// `filter`, when set) on 4 shards under GPL and fused, and checks the
+/// combined result against the single-device engine: same column types,
+/// same dictionary, same bits.
+void ExpectNarrowGroupKeysBitIdentical(const ExprPtr& filter) {
   const tpch::Database db = NarrowKeyDb();
   PartitionOptions poptions;
   poptions.num_shards = 4;
@@ -936,6 +913,7 @@ TEST(CompoundKeyShardingTest, EmptyShardsKeepNarrowGroupKeyTypes) {
   BaseRelation lineitem;
   lineitem.table = "lineitem";
   lineitem.columns = {"l_orderkey", "l_qty", "l_flag", "l_price"};
+  lineitem.filter = filter;
   q.relations = {lineitem};
   q.group_by = {{"l_qty", Col("l_qty")}, {"l_flag", Col("l_flag")}};
   q.aggregates = {{AggSpec::kSum, Col("l_price"), "total"}};
@@ -948,7 +926,6 @@ TEST(CompoundKeyShardingTest, EmptyShardsKeepNarrowGroupKeyTypes) {
         &SharedCalibrations().at(sim::DeviceSpec::AmdA10().name);
     Result<QueryResult> truth = Engine(&db, options).Execute(q);
     ASSERT_TRUE(truth.ok()) << truth.status().ToString();
-    ASSERT_GT(truth->table.num_rows(), 0);
     ASSERT_EQ(truth->table.GetColumn("l_qty").type(), DataType::kInt32);
     ASSERT_EQ(truth->table.GetColumn("l_flag").type(), DataType::kString);
     options.calibration = nullptr;
@@ -965,12 +942,76 @@ TEST(CompoundKeyShardingTest, EmptyShardsKeepNarrowGroupKeyTypes) {
   }
 }
 
-TEST(ShardedExecutorTest, ExpressionJoinKeyFallsBackToStitch) {
-  // Add(l_orderkey, 0) equals o_orderkey row for row, so rows stay
-  // co-located and per-shard joins see every match — but the classifier
-  // only proves alignment for bare column pairs, so the plan must take the
-  // row-id stitch merge, not the combine. This keeps the stitch path
-  // covered now that every suite query pushes its aggregate down.
+TEST(CompoundKeyShardingTest, EmptyShardsKeepNarrowGroupKeyTypes) {
+  // The empty shards' partials come first in shard order. Their group
+  // columns must not type the combined int32 and string keys as int64.
+  ExpectNarrowGroupKeysBitIdentical(nullptr);
+}
+
+TEST(CompoundKeyShardingTest, AllEmptyPartialsKeepNarrowGroupKeyTypes) {
+  // A filter that keeps no row leaves every partial empty: shards 0-2 make
+  // no tiles at all, and shard 3's aggregate sees only filtered-out rows.
+  // Each shard's aggregate must still type its group columns from the
+  // input schema, or the combined keys come out int64.
+  ExpectNarrowGroupKeysBitIdentical(Lt(Col("l_price"), LitFloat(0.0)));
+}
+
+/// Runs `q` on 2 and 4 shards and asserts it falls back to one device: a
+/// non-empty Explain reason, partial_combine false, one fallback counted per
+/// run, no exchange or merge, and table, counters and elapsed_ms equal to
+/// the single-device engine's.
+void ExpectSingleDeviceFallback(const LogicalQuery& q) {
+  EngineOptions options;
+  options.calibration =
+      &SharedCalibrations().at(sim::DeviceSpec::AmdA10().name);
+  Result<QueryResult> truth = Engine(&SmallDb(), options).Execute(q);
+  ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+  ASSERT_GT(truth->table.num_rows(), 0);
+
+  for (const int n : {2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(n));
+    PartitionOptions poptions;
+    poptions.num_shards = n;
+    Result<ShardedDatabase> sharded = PartitionDatabase(SmallDb(), poptions);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    obs::MetricsRegistry registry;
+    EngineOptions sharded_options;
+    sharded_options.metrics = &registry;
+    ShardedExecutor executor(
+        &SmallDb(), &*sharded,
+        DeviceGroup::Homogeneous(sim::DeviceSpec::AmdA10(), n),
+        sharded_options, &SharedCalibrations());
+    Result<shard::DistributedExplain> plan = executor.Explain(q);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_FALSE(plan->fallback_reason.empty());
+    EXPECT_TRUE(plan->exchanges.empty());
+    const obs::Counter* fallbacks =
+        registry.GetCounter("gpl_shard_fallbacks_total", "");
+
+    for (uint64_t run = 1; run <= 2; ++run) {
+      Result<QueryResult> got = executor.Execute(q);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const QueryMetrics& m = got->metrics;
+      ExpectTablesBitIdentical(truth->table, got->table);
+      ExpectCountersBitIdentical(truth->metrics.counters, m.counters);
+      EXPECT_EQ(m.elapsed_ms, truth->metrics.elapsed_ms);
+      EXPECT_FALSE(m.partial_combine);
+      EXPECT_EQ(m.num_shards, n);
+      EXPECT_EQ(m.exchange_bytes, 0);
+      EXPECT_EQ(m.merge_ms, 0.0);
+      std::vector<double> device_ms(static_cast<size_t>(n), 0.0);
+      device_ms.front() = m.elapsed_ms;
+      EXPECT_EQ(m.device_elapsed_ms, device_ms);
+      EXPECT_EQ(fallbacks->Value(), run);
+    }
+  }
+}
+
+/// Add(l_orderkey, 0) equals o_orderkey row for row, so rows stay
+/// co-located — but the classifier only proves alignment for bare column
+/// pairs, so the combine cannot be proven exact and the query runs on one
+/// device.
+LogicalQuery ExpressionKeyQuery() {
   LogicalQuery q;
   q.name = "expr_key";
   BaseRelation lineitem;
@@ -989,30 +1030,75 @@ TEST(ShardedExecutorTest, ExpressionJoinKeyFallsBackToStitch) {
   q.group_by = {{"o_year", YearOf(Col("o_orderdate"))}};
   q.aggregates = {{AggSpec::kSum, Col("l_extendedprice"), "revenue"}};
   q.order_by = {{"o_year", false}};
+  return q;
+}
 
+TEST(ShardedExecutorTest, ExpressionJoinKeyFallsBackToSingleDevice) {
+  ExpectSingleDeviceFallback(ExpressionKeyQuery());
+}
+
+TEST(ShardedExecutorTest, MergeLabelReachesExplainAnalyzeAndTrace) {
   EngineOptions options;
   options.calibration =
       &SharedCalibrations().at(sim::DeviceSpec::AmdA10().name);
-  Engine oracle(&SmallDb(), options);
-  Result<QueryResult> truth = oracle.Execute(q);
-  ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+  options.device_calibrations = &SharedCalibrations();
+  Engine engine(&SmallDb(), options);
+  ExecOptions exec = options.exec;
+  exec.shards = 2;
+  const std::string label =
+      "single-device (aggregate input not provably partitioned)";
 
-  for (const int n : {2, 4}) {
-    SCOPED_TRACE("shards=" + std::to_string(n));
-    PartitionOptions poptions;
-    poptions.num_shards = n;
-    Result<ShardedDatabase> sharded = PartitionDatabase(SmallDb(), poptions);
-    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-    ShardedExecutor executor(
-        &SmallDb(), &*sharded,
-        DeviceGroup::Homogeneous(sim::DeviceSpec::AmdA10(), n),
-        EngineOptions{}, &SharedCalibrations());
-    Result<QueryResult> got = executor.Execute(q);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_FALSE(got->metrics.partial_combine);
-    EXPECT_GT(got->metrics.stitched_rows, 0);
-    ExpectTablesBitIdentical(truth->table, got->table);
+  Result<ExplainAnalyzeReport> report =
+      ExplainAnalyze(engine, ExpressionKeyQuery(), exec);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->partial_combine);
+  EXPECT_NE(report->ToString().find("merge=" + label), std::string::npos)
+      << report->ToString();
+  EXPECT_NE(report->ToJson().find("\"fallback_reason\":\"aggregate input "
+                                  "not provably partitioned\""),
+            std::string::npos)
+      << report->ToJson();
+
+  // Both merges label the exchange span with a JSON string, so the
+  // exported trace parses.
+  trace::TraceCollector collector;
+  exec.trace = &collector;
+  ASSERT_TRUE(engine.Execute(ExpressionKeyQuery(), exec).ok());
+  ASSERT_TRUE(engine.Execute(queries::Q14(), exec).ok());
+  std::set<std::string> merges;
+  for (const trace::SpanEvent& span : collector.spans()) {
+    for (const trace::Arg& arg : span.args) {
+      if (arg.first == "merge") merges.insert(arg.second);
+    }
   }
+  EXPECT_EQ(merges, (std::set<std::string>{"\"" + label + "\"",
+                                           "\"combine\""}));
+  std::string error;
+  EXPECT_TRUE(trace::ValidateJson(collector.ToChromeJson(), &error)) << error;
+}
+
+TEST(ShardedExecutorTest, PlanWithoutFactScanFallsBackToSingleDevice) {
+  // nation JOIN region never touches the partitioned fact table: every
+  // shard holds both relations in full, so there is nothing to combine.
+  LogicalQuery q;
+  q.name = "nations_per_region";
+  BaseRelation nation;
+  nation.table = "nation";
+  nation.columns = {"n_nationkey", "n_regionkey"};
+  BaseRelation region;
+  region.table = "region";
+  region.columns = {"r_regionkey", "r_name"};
+  q.relations = {nation, region};
+  JoinEdge edge;
+  edge.left = 0;
+  edge.right = 1;
+  edge.left_keys = {Col("n_regionkey")};
+  edge.right_keys = {Col("r_regionkey")};
+  q.joins = {edge};
+  q.group_by = {{"r_name", Col("r_name")}};
+  q.aggregates = {{AggSpec::kCount, nullptr, "nations"}};
+  q.order_by = {{"r_name", false}};
+  ExpectSingleDeviceFallback(q);
 }
 
 // ---- Partial-gather estimate ----
@@ -1074,7 +1160,7 @@ TEST(ShardedExecutorTest, GatherEstimateTracksMeasuredPartialBytes) {
       &SharedCalibrations());
   Result<shard::DistributedExplain> plan = executor.Explain(q);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  ASSERT_TRUE(plan->partial_aggregate);
+  ASSERT_EQ(plan->fallback_reason, "");
   ASSERT_FALSE(plan->exchanges.empty());
   const shard::ExchangeOpReport& gather = plan->exchanges.back();
   ASSERT_EQ(gather.kind, ExchangeKind::kGather);

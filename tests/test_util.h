@@ -1,6 +1,9 @@
 #ifndef GPL_TESTS_TEST_UTIL_H_
 #define GPL_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include "sim/counters.h"
 #include "storage/table.h"
 #include "tpch/dbgen.h"
 
@@ -28,6 +31,22 @@ inline const tpch::Database& MediumDb() {
     return new tpch::Database(tpch::Generate(config));
   }();
   return *db;
+}
+
+/// Exact equality of every simulated hardware counter (all deterministic).
+inline void ExpectCountersBitIdentical(const sim::HwCounters& expected,
+                                const sim::HwCounters& actual) {
+  EXPECT_EQ(expected.elapsed_cycles, actual.elapsed_cycles);
+  EXPECT_EQ(expected.compute_cycles, actual.compute_cycles);
+  EXPECT_EQ(expected.mem_cycles, actual.mem_cycles);
+  EXPECT_EQ(expected.channel_cycles, actual.channel_cycles);
+  EXPECT_EQ(expected.stall_cycles, actual.stall_cycles);
+  EXPECT_EQ(expected.launch_cycles, actual.launch_cycles);
+  EXPECT_EQ(expected.cache_hits, actual.cache_hits);
+  EXPECT_EQ(expected.cache_accesses, actual.cache_accesses);
+  EXPECT_EQ(expected.resident_wg_time, actual.resident_wg_time);
+  EXPECT_EQ(expected.bytes_materialized, actual.bytes_materialized);
+  EXPECT_EQ(expected.bytes_via_channel, actual.bytes_via_channel);
 }
 
 /// Builds a single-column int32 table for kernel-level tests.

@@ -97,16 +97,13 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   std::atomic<int64_t> total{0};
   ParallelFor(0, 8, 1, [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) {
-      int64_t local = 0;
       // Nested loop on the same shared pool; caller participation keeps it
       // deadlock-free even with every worker busy in the outer loop.
       ParallelFor(0, 1000, 50, [&](int64_t ib, int64_t ie) {
         int64_t s = 0;
         for (int64_t j = ib; j < ie; ++j) s += j;
         total += s;
-        local += s;
       });
-      (void)local;
     }
   });
   EXPECT_EQ(total.load(), 8 * (999 * 1000 / 2));
