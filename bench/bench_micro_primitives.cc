@@ -5,6 +5,9 @@
 /// simulated GPU time).
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <vector>
+
 #include "common/math_util.h"
 #include "common/random.h"
 #include "exec/hash_table.h"
@@ -115,6 +118,60 @@ void BM_JoinHashTableProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JoinHashTableProbe);
+
+/// A join hash table over build keys 0..2^log2_keys-1, built once per size.
+/// At 2^22 keys (8 M bucket heads plus three 4 M-entry arrays, 160 MB) it
+/// is larger than the last-level cache, so each probe misses in it; at
+/// 2^16 (2.5 MB) it stays cache-resident.
+const JoinHashTable& JoinTableOfSize(int log2_keys) {
+  static std::map<int, JoinHashTable> tables;
+  auto [it, inserted] = tables.try_emplace(log2_keys);
+  if (inserted) {
+    std::vector<int64_t> keys(size_t{1} << log2_keys);
+    for (size_t i = 0; i < keys.size(); ++i) keys[i] = static_cast<int64_t>(i);
+    it->second.Build(keys);
+  }
+  return it->second;
+}
+
+/// 64 K random probe keys, each matching once, against
+/// JoinTableOfSize(range(1)). range(0) = 0 probes key by key with Probe,
+/// the loop ProbeAll ran before ProbeBatch; 1 probes the whole span with
+/// one ProbeBatch call.
+void BM_JoinHashTableProbeBatch(benchmark::State& state) {
+  const int log2_keys = static_cast<int>(state.range(1));
+  const JoinHashTable& ht = JoinTableOfSize(log2_keys);
+  Random rng(9);
+  std::vector<int64_t> keys(1 << 16);
+  for (auto& k : keys) k = rng.Uniform(0, (int64_t{1} << log2_keys) - 1);
+  const int64_t n = static_cast<int64_t>(keys.size());
+  std::vector<int64_t> probe_idx, build_idx, rows;
+  for (auto _ : state) {
+    probe_idx.clear();
+    build_idx.clear();
+    if (state.range(0) == 0) {
+      for (int64_t i = 0; i < n; ++i) {
+        rows.clear();
+        ht.Probe(keys[static_cast<size_t>(i)], &rows);
+        for (int64_t r : rows) {
+          probe_idx.push_back(i);
+          build_idx.push_back(r);
+        }
+      }
+    } else {
+      ht.ProbeBatch(keys.data(), n, 0, &probe_idx, &build_idx);
+    }
+    benchmark::DoNotOptimize(probe_idx.data());
+    benchmark::DoNotOptimize(build_idx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_JoinHashTableProbeBatch)
+    ->Args({0, 22})
+    ->Args({1, 22})
+    ->Args({0, 16})
+    ->Args({1, 16});
 
 void BM_EventSimulatorPipeline(benchmark::State& state) {
   sim::Simulator simulator(sim::DeviceSpec::AmdA10());

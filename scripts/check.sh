@@ -60,16 +60,20 @@ echo "=== asan+ubsan: fault-injection and service suites ==="
 # Fault paths unwind executions mid-flight (partial work, retry loops,
 # degradation re-runs); ASan+UBSan guards those error paths against leaks,
 # use-after-free and UB that the happy path never exercises. The storage
-# suite covers copy-on-write buffer sharing and detaching.
+# suite covers copy-on-write buffer sharing and detaching. The expression,
+# hash-table, primitives and partitioned-join suites cover the typed
+# raw-pointer loops over column buffers and ProbeBatch's prefetch addresses.
 cmake -B "$BUILD-asan" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$BUILD-asan" -j "$(nproc)" \
   --target fault_test --target service_test --target sim_channel_test \
-  --target fusion_test --target subplan_cache_test --target storage_test
+  --target fusion_test --target subplan_cache_test --target storage_test \
+  --target expr_test --target expr_fuzz_test --target hash_table_test \
+  --target primitives_test --target partitioned_join_test
 ctest --test-dir "$BUILD-asan" --output-on-failure \
-  -R "Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|FusedKernel|ComposeFusedStage|SubplanCache|Dictionary|Column|Table"
+  -R "Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|FusedKernel|ComposeFusedStage|SubplanCache|Dictionary|Column|Table|Expr|Selectivity|FilterKernel|ProjectKernel|HashBuild|AggregateKernel|SortKernel|KbePrimitives|TimingDesc|PartitionedJoin"
 
 echo
 echo "=== trace smoke: gplcli --trace on Q5, JSON validated ==="

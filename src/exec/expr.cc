@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "tpch/date.h"
@@ -124,6 +126,98 @@ class Literal : public Expr {
   std::string str_;
 };
 
+// ---- Typed column-at-a-time evaluation ----
+// Operands are read through their physical buffers (VisitValues in
+// storage/column.h) with one type dispatch per column; a numeric literal is
+// read as a scalar and never broadcast into a column. The conversions are
+// Column::AsInt64/AsDouble's.
+
+template <typename T>
+struct ColumnValues {
+  const T* values;
+  T operator[](size_t i) const { return values[i]; }
+};
+
+template <typename T>
+struct ScalarValue {
+  T value;
+  T operator[](size_t) const { return value; }
+};
+
+/// A value read as a truth value by AND/OR/NOT/CASE: a float truncates
+/// toward zero first, as Column::AsInt64 does.
+template <typename T>
+bool Truth(T v) {
+  return static_cast<int64_t>(v) != 0;
+}
+
+/// An evaluated operand: a column, or a numeric literal read as a scalar.
+struct Operand {
+  const Literal* literal = nullptr;
+  Column column{DataType::kInt32};
+};
+
+Operand EvaluateOperand(const Expr& expr, const Table& input) {
+  const auto* literal = dynamic_cast<const Literal*>(&expr);
+  if (literal != nullptr && literal->type_ != DataType::kString) {
+    return {literal, Column(DataType::kInt32)};
+  }
+  return {nullptr, expr.Evaluate(input)};
+}
+
+/// Calls `fn(values)`, where values[i] reads row i of the operand as its
+/// physical type (int32_t, int64_t or double); a literal reads as an int64_t
+/// (kInt64, kDate) or double scalar.
+template <typename Fn>
+decltype(auto) VisitOperand(const Operand& operand, Fn&& fn) {
+  if (operand.literal != nullptr) {
+    if (operand.literal->type_ == DataType::kFloat64) {
+      return fn(ScalarValue<double>{operand.literal->float_});
+    }
+    return fn(ScalarValue<int64_t>{operand.literal->int_});
+  }
+  return VisitValues(operand.column, [&](const auto* values) {
+    return fn(ColumnValues<std::remove_cvref_t<decltype(*values)>>{values});
+  });
+}
+
+/// Row count of a result over `operands`: the length of its column operands,
+/// which must agree, or the input's row count when all are literals.
+int64_t ResultRows(const Table& input,
+                   std::initializer_list<const Operand*> operands,
+                   const Expr& expr) {
+  int64_t n = -1;
+  for (const Operand* operand : operands) {
+    if (operand->literal != nullptr) continue;
+    if (n < 0) n = operand->column.size();
+    GPL_CHECK(operand->column.size() == n)
+        << "operand length mismatch in " << expr.ToString();
+  }
+  return n < 0 ? input.num_rows() : n;
+}
+
+/// A new n-row column with row i = f(i), typed kInt32, kInt64 or kFloat64
+/// for T = int32_t, int64_t or double.
+template <typename T, typename F>
+Column Fill(int64_t n, F f) {
+  constexpr DataType kType = std::is_same_v<T, int32_t>   ? DataType::kInt32
+                             : std::is_same_v<T, int64_t> ? DataType::kInt64
+                                                          : DataType::kFloat64;
+  Column out(kType);
+  std::vector<T>* dst = nullptr;
+  if constexpr (kType == DataType::kInt32) {
+    dst = &out.data32();
+  } else if constexpr (kType == DataType::kInt64) {
+    dst = &out.data64();
+  } else {
+    dst = &out.dataf();
+  }
+  dst->resize(static_cast<size_t>(n));
+  T* values = dst->data();
+  for (size_t i = 0; i < dst->size(); ++i) values[i] = f(i);
+  return out;
+}
+
 enum class BinOp { kAdd, kSub, kMul, kDiv, kEq, kNe, kLt, kLe, kGt, kGe, kAnd, kOr };
 
 const char* BinOpName(BinOp op) {
@@ -185,106 +279,61 @@ class BinaryExpr : public Expr {
             << "string literal compared to non-string expression";
         const int32_t code = col.dictionary()->Lookup(str_lit->str_);
         const int32_t on_equal = op_ == BinOp::kEq ? 1 : 0;
-        const std::vector<int32_t>& codes = col.data32();
-        Column out(DataType::kInt32);
-        std::vector<int32_t>& dst = out.data32();
-        dst.resize(codes.size());
-        for (size_t i = 0; i < codes.size(); ++i) {
-          dst[i] = codes[i] == code ? on_equal : 1 - on_equal;
-        }
-        return out;
+        const int32_t* codes = col.data32().data();
+        return Fill<int32_t>(col.size(), [&](size_t i) {
+          return codes[i] == code ? on_equal : 1 - on_equal;
+        });
       }
     }
 
-    const Column ca = a_->Evaluate(input);
-    const Column cb = b_->Evaluate(input);
-    const int64_t n = ca.size();
-    GPL_CHECK(cb.size() == n) << "operand length mismatch in " << ToString();
-
-    if (op_ == BinOp::kAnd || op_ == BinOp::kOr) {
-      Column out(DataType::kInt32);
-      std::vector<int32_t>& dst = out.data32();
-      dst.resize(static_cast<size_t>(n));
-      for (int64_t i = 0; i < n; ++i) {
-        const bool va = ca.AsInt64(i) != 0;
-        const bool vb = cb.AsInt64(i) != 0;
-        dst[static_cast<size_t>(i)] =
-            (op_ == BinOp::kAnd ? (va && vb) : (va || vb)) ? 1 : 0;
-      }
-      return out;
-    }
-
-    if (IsComparison(op_)) {
-      Column out(DataType::kInt32);
-      std::vector<int32_t>& dst = out.data32();
-      dst.resize(static_cast<size_t>(n));
-      const bool flt = IsFloat(ca.type()) || IsFloat(cb.type());
-      for (int64_t i = 0; i < n; ++i) {
-        bool r = false;
-        if (flt) {
-          const double va = ca.AsDouble(i), vb = cb.AsDouble(i);
-          switch (op_) {
-            case BinOp::kEq: r = va == vb; break;
-            case BinOp::kNe: r = va != vb; break;
-            case BinOp::kLt: r = va < vb; break;
-            case BinOp::kLe: r = va <= vb; break;
-            case BinOp::kGt: r = va > vb; break;
-            case BinOp::kGe: r = va >= vb; break;
-            default: break;
-          }
-        } else {
-          const int64_t va = ca.AsInt64(i), vb = cb.AsInt64(i);
-          switch (op_) {
-            case BinOp::kEq: r = va == vb; break;
-            case BinOp::kNe: r = va != vb; break;
-            case BinOp::kLt: r = va < vb; break;
-            case BinOp::kLe: r = va <= vb; break;
-            case BinOp::kGt: r = va > vb; break;
-            case BinOp::kGe: r = va >= vb; break;
-            default: break;
-          }
-        }
-        dst[static_cast<size_t>(i)] = r ? 1 : 0;
-      }
-      return out;
-    }
-
-    // Arithmetic.
-    const bool flt = IsFloat(ca.type()) || IsFloat(cb.type());
-    if (flt) {
-      Column out(DataType::kFloat64);
-      std::vector<double>& dst = out.dataf();
-      dst.resize(static_cast<size_t>(n));
-      for (int64_t i = 0; i < n; ++i) {
-        const double va = ca.AsDouble(i), vb = cb.AsDouble(i);
-        double r = 0.0;
+    const Operand ca = EvaluateOperand(*a_, input);
+    const Operand cb = EvaluateOperand(*b_, input);
+    const int64_t n = ResultRows(input, {&ca, &cb}, *this);
+    return VisitOperand(ca, [&](auto va) {
+      return VisitOperand(cb, [&](auto vb) {
+        // Comparisons and arithmetic widen both sides to double when either
+        // is float64 and work in int64 otherwise (Column::AsDouble/AsInt64).
+        using C =
+            std::conditional_t<std::is_same_v<decltype(va[0]), double> ||
+                                   std::is_same_v<decltype(vb[0]), double>,
+                               double, int64_t>;
+        const auto a = [va](size_t i) { return static_cast<C>(va[i]); };
+        const auto b = [vb](size_t i) { return static_cast<C>(vb[i]); };
+        const auto flags = [n](auto pred) {
+          return Fill<int32_t>(n, [&](size_t i) -> int32_t { return pred(i); });
+        };
         switch (op_) {
-          case BinOp::kAdd: r = va + vb; break;
-          case BinOp::kSub: r = va - vb; break;
-          case BinOp::kMul: r = va * vb; break;
-          case BinOp::kDiv: r = vb == 0.0 ? 0.0 : va / vb; break;
-          default: break;
+          case BinOp::kAnd:
+            return flags([&](size_t i) { return Truth(va[i]) & Truth(vb[i]); });
+          case BinOp::kOr:
+            return flags([&](size_t i) { return Truth(va[i]) | Truth(vb[i]); });
+          case BinOp::kEq:
+            return flags([&](size_t i) { return a(i) == b(i); });
+          case BinOp::kNe:
+            return flags([&](size_t i) { return a(i) != b(i); });
+          case BinOp::kLt:
+            return flags([&](size_t i) { return a(i) < b(i); });
+          case BinOp::kLe:
+            return flags([&](size_t i) { return a(i) <= b(i); });
+          case BinOp::kGt:
+            return flags([&](size_t i) { return a(i) > b(i); });
+          case BinOp::kGe:
+            return flags([&](size_t i) { return a(i) >= b(i); });
+          case BinOp::kAdd:
+            return Fill<C>(n, [&](size_t i) { return a(i) + b(i); });
+          case BinOp::kSub:
+            return Fill<C>(n, [&](size_t i) { return a(i) - b(i); });
+          case BinOp::kMul:
+            return Fill<C>(n, [&](size_t i) { return a(i) * b(i); });
+          case BinOp::kDiv:
+            break;
         }
-        dst[static_cast<size_t>(i)] = r;
-      }
-      return out;
-    }
-    Column out(DataType::kInt64);
-    std::vector<int64_t>& dst = out.data64();
-    dst.resize(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      const int64_t va = ca.AsInt64(i), vb = cb.AsInt64(i);
-      int64_t r = 0;
-      switch (op_) {
-        case BinOp::kAdd: r = va + vb; break;
-        case BinOp::kSub: r = va - vb; break;
-        case BinOp::kMul: r = va * vb; break;
-        case BinOp::kDiv: r = vb == 0 ? 0 : va / vb; break;
-        default: break;
-      }
-      dst[static_cast<size_t>(i)] = r;
-    }
-    return out;
+        return Fill<C>(n, [&](size_t i) {
+          const C divisor = b(i);
+          return divisor == C{0} ? C{0} : a(i) / divisor;
+        });
+      });
+    });
   }
 
   double CostPerRow() const override {
@@ -376,15 +425,12 @@ class NotExpr : public Expr {
   DataType OutputType(const Table&) const override { return DataType::kInt32; }
 
   Column Evaluate(const Table& input) const override {
-    const Column ca = a_->Evaluate(input);
-    const int64_t n = ca.size();
-    Column out(DataType::kInt32);
-    std::vector<int32_t>& dst = out.data32();
-    dst.resize(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      dst[static_cast<size_t>(i)] = ca.AsInt64(i) == 0 ? 1 : 0;
-    }
-    return out;
+    const Operand ca = EvaluateOperand(*a_, input);
+    const int64_t n = ResultRows(input, {&ca}, *this);
+    return VisitOperand(ca, [&](auto va) {
+      return Fill<int32_t>(n,
+                           [&](size_t i) -> int32_t { return !Truth(va[i]); });
+    });
   }
 
   double CostPerRow() const override { return 1.0 + a_->CostPerRow(); }
@@ -447,28 +493,24 @@ class CaseExpr : public Expr {
   }
 
   Column Evaluate(const Table& input) const override {
-    const Column cc = cond_->Evaluate(input);
-    const Column ct = then_->Evaluate(input);
-    const Column ce = else_->Evaluate(input);
-    const int64_t n = cc.size();
-    if (OutputType(input) == DataType::kFloat64) {
-      Column out(DataType::kFloat64);
-      std::vector<double>& dst = out.dataf();
-      dst.resize(static_cast<size_t>(n));
-      for (int64_t i = 0; i < n; ++i) {
-        dst[static_cast<size_t>(i)] =
-            cc.AsInt64(i) != 0 ? ct.AsDouble(i) : ce.AsDouble(i);
-      }
-      return out;
-    }
-    Column out(DataType::kInt64);
-    std::vector<int64_t>& dst = out.data64();
-    dst.resize(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      dst[static_cast<size_t>(i)] =
-          cc.AsInt64(i) != 0 ? ct.AsInt64(i) : ce.AsInt64(i);
-    }
-    return out;
+    const Operand cc = EvaluateOperand(*cond_, input);
+    const Operand ct = EvaluateOperand(*then_, input);
+    const Operand ce = EvaluateOperand(*else_, input);
+    const int64_t n = ResultRows(input, {&cc, &ct, &ce}, *this);
+    return VisitOperand(cc, [&](auto vc) {
+      return VisitOperand(ct, [&](auto vt) {
+        return VisitOperand(ce, [&](auto ve) {
+          // Float64 when either branch is, int64 otherwise (OutputType).
+          using C =
+              std::conditional_t<std::is_same_v<decltype(vt[0]), double> ||
+                                     std::is_same_v<decltype(ve[0]), double>,
+                                 double, int64_t>;
+          return Fill<C>(n, [&](size_t i) {
+            return Truth(vc[i]) ? static_cast<C>(vt[i]) : static_cast<C>(ve[i]);
+          });
+        });
+      });
+    });
   }
 
   double CostPerRow() const override {

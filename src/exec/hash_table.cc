@@ -61,6 +61,44 @@ void JoinHashTable::Probe(int64_t key, std::vector<int64_t>* rows) const {
   }
 }
 
+void JoinHashTable::ProbeBatch(const int64_t* keys, int64_t n,
+                               int64_t row_base,
+                               std::vector<int64_t>* probe_idx,
+                               std::vector<int64_t>* build_idx) const {
+  if (buckets_.empty()) return;
+  const uint64_t mask = buckets_.size() - 1;
+  const int64_t* buckets = buckets_.data();
+  const int64_t* entry_keys = entry_keys_.data();
+  const int64_t* entry_rows = entry_rows_.data();
+  const int64_t* entry_next = entry_next_.data();
+  uint64_t bucket[kProbeGroup];
+  int64_t head[kProbeGroup];
+  for (int64_t g = 0; g < n; g += kProbeGroup) {
+    const int64_t m = std::min(kProbeGroup, n - g);
+    for (int64_t j = 0; j < m; ++j) {
+      bucket[j] = HashKey(keys[g + j]) & mask;
+      __builtin_prefetch(buckets + bucket[j]);
+    }
+    for (int64_t j = 0; j < m; ++j) {
+      head[j] = buckets[bucket[j]];
+      if (head[j] >= 0) {
+        __builtin_prefetch(entry_keys + head[j]);
+        __builtin_prefetch(entry_next + head[j]);
+        __builtin_prefetch(entry_rows + head[j]);
+      }
+    }
+    for (int64_t j = 0; j < m; ++j) {
+      const int64_t key = keys[g + j];
+      for (int64_t entry = head[j]; entry >= 0; entry = entry_next[entry]) {
+        if (entry_keys[entry] == key) {
+          probe_idx->push_back(row_base + g + j);
+          build_idx->push_back(entry_rows[entry]);
+        }
+      }
+    }
+  }
+}
+
 bool JoinHashTable::Contains(int64_t key) const {
   if (buckets_.empty()) return false;
   const uint64_t mask = buckets_.size() - 1;

@@ -36,6 +36,19 @@ class JoinHashTable {
   /// Appends all build-side matches of `key` to `rows`.
   void Probe(int64_t key, std::vector<int64_t>* rows) const;
 
+  /// Probes keys[0..n) and appends one (row_base + i, build row) pair to
+  /// (probe_idx, build_idx) per match: ascending i, and chain order within
+  /// one key — exactly the pairs of calling Probe(keys[i]) for each i in
+  /// turn. Keys go in groups of kProbeGroup: all of a group's bucket heads
+  /// are prefetched, then their first chain entries, then the chains are
+  /// walked, so the group's cache misses overlap instead of queueing.
+  void ProbeBatch(const int64_t* keys, int64_t n, int64_t row_base,
+                  std::vector<int64_t>* probe_idx,
+                  std::vector<int64_t>* build_idx) const;
+
+  /// Keys per ProbeBatch prefetch group.
+  static constexpr int64_t kProbeGroup = 16;
+
   /// True if `key` has at least one match.
   bool Contains(int64_t key) const;
 

@@ -21,6 +21,24 @@ int64_t NumMorsels(int64_t rows) {
   return (rows + kMorselRows - 1) / kMorselRows;
 }
 
+/// The columns of `input` that `exprs` read, sharing their buffers (O(1) per
+/// column), so that a morsel slice copies only those. Keeps the first column
+/// when none is read, so the row count survives.
+Table NarrowTo(const Table& input, const std::vector<const Expr*>& exprs) {
+  std::vector<std::string> refs;
+  for (const Expr* expr : exprs) expr->CollectColumnRefs(&refs);
+  Table narrow(input.name());
+  for (const std::string& name : refs) {
+    if (!narrow.HasColumn(name)) {
+      GPL_CHECK_OK(narrow.AddColumn(name, input.GetColumn(name)));
+    }
+  }
+  if (narrow.num_columns() == 0 && input.num_columns() > 0) {
+    GPL_CHECK_OK(narrow.AddColumn(input.ColumnNameAt(0), input.ColumnAt(0)));
+  }
+  return narrow;
+}
+
 }  // namespace
 
 Column EvaluateMorsels(const Expr& expr, const Table& input) {
@@ -32,10 +50,11 @@ Column EvaluateMorsels(const Expr& expr, const Table& input) {
     return expr.Evaluate(input);
   }
   const int64_t num_morsels = NumMorsels(n);
+  const Table narrow = NarrowTo(input, {&expr});
   std::vector<std::optional<Column>> parts(static_cast<size_t>(num_morsels));
   ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
     parts[static_cast<size_t>(b / kMorselRows)] =
-        expr.Evaluate(input.Slice(b, e - b));
+        expr.Evaluate(narrow.Slice(b, e - b));
   });
   Column out = std::move(*parts[0]);
   out.Reserve(n);
@@ -56,9 +75,10 @@ std::vector<int64_t> SelectIndices(const Expr& predicate, const Table& input) {
     return indices;
   }
   const int64_t num_morsels = NumMorsels(n);
+  const Table narrow = NarrowTo(input, {&predicate});
   std::vector<std::vector<int64_t>> parts(static_cast<size_t>(num_morsels));
   ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
-    const Column flags = predicate.Evaluate(input.Slice(b, e - b));
+    const Column flags = predicate.Evaluate(narrow.Slice(b, e - b));
     std::vector<int64_t>& out = parts[static_cast<size_t>(b / kMorselRows)];
     const int64_t len = e - b;
     for (int64_t i = 0; i < len; ++i) {
@@ -81,28 +101,39 @@ std::vector<int64_t> EvaluateJoinKeys(const Table& input,
       << "joins support one or two key expressions";
   const int64_t n = input.num_rows();
   std::vector<int64_t> keys(static_cast<size_t>(n));
+  // Keys read as AsInt64 does (int32 widens, float64 truncates); two keys
+  // pack their low 32 bits each.
   const auto fill = [&](const Table& slice, int64_t base) {
-    Column k0 = key_exprs[0]->Evaluate(slice);
-    const int64_t len = k0.size();
+    const Column k0 = key_exprs[0]->Evaluate(slice);
+    const size_t len = static_cast<size_t>(k0.size());
+    int64_t* out = keys.data() + base;
     if (key_exprs.size() == 1) {
-      for (int64_t i = 0; i < len; ++i) {
-        keys[static_cast<size_t>(base + i)] = k0.AsInt64(i);
-      }
-    } else {
-      Column k1 = key_exprs[1]->Evaluate(slice);
-      for (int64_t i = 0; i < len; ++i) {
-        keys[static_cast<size_t>(base + i)] = JoinHashTable::PackKeys(
-            static_cast<int32_t>(k0.AsInt64(i)),
-            static_cast<int32_t>(k1.AsInt64(i)));
-      }
+      VisitValues(k0, [&](const auto* v0) {
+        for (size_t i = 0; i < len; ++i) out[i] = static_cast<int64_t>(v0[i]);
+      });
+      return;
     }
+    const Column k1 = key_exprs[1]->Evaluate(slice);
+    GPL_CHECK(static_cast<size_t>(k1.size()) == len);
+    VisitValues(k0, [&](const auto* v0) {
+      VisitValues(k1, [&](const auto* v1) {
+        for (size_t i = 0; i < len; ++i) {
+          out[i] = JoinHashTable::PackKeys(
+              static_cast<int32_t>(static_cast<int64_t>(v0[i])),
+              static_cast<int32_t>(static_cast<int64_t>(v1[i])));
+        }
+      });
+    });
   };
   if (RunSerial(n)) {
     fill(input, 0);
     return keys;
   }
+  std::vector<const Expr*> exprs;
+  for (const ExprPtr& expr : key_exprs) exprs.push_back(expr.get());
+  const Table narrow = NarrowTo(input, exprs);
   ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
-    fill(input.Slice(b, e - b), b);
+    fill(narrow.Slice(b, e - b), b);
   });
   return keys;
 }
@@ -112,15 +143,7 @@ void ProbeAll(const JoinHashTable& table, const std::vector<int64_t>& keys,
               std::vector<int64_t>* build_idx) {
   const int64_t n = static_cast<int64_t>(keys.size());
   if (RunSerial(n)) {
-    std::vector<int64_t> matches;
-    for (int64_t i = 0; i < n; ++i) {
-      matches.clear();
-      table.Probe(keys[static_cast<size_t>(i)], &matches);
-      for (int64_t b : matches) {
-        probe_idx->push_back(i);
-        build_idx->push_back(b);
-      }
-    }
+    table.ProbeBatch(keys.data(), n, 0, probe_idx, build_idx);
     return;
   }
   const int64_t num_morsels = NumMorsels(n);
@@ -131,15 +154,7 @@ void ProbeAll(const JoinHashTable& table, const std::vector<int64_t>& keys,
   std::vector<MatchPart> parts(static_cast<size_t>(num_morsels));
   ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
     MatchPart& part = parts[static_cast<size_t>(b / kMorselRows)];
-    std::vector<int64_t> matches;
-    for (int64_t i = b; i < e; ++i) {
-      matches.clear();
-      table.Probe(keys[static_cast<size_t>(i)], &matches);
-      for (int64_t m : matches) {
-        part.probe.push_back(i);
-        part.build.push_back(m);
-      }
-    }
+    table.ProbeBatch(keys.data() + b, e - b, b, &part.probe, &part.build);
   });
   size_t total = 0;
   for (const MatchPart& part : parts) total += part.probe.size();

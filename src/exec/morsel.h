@@ -16,7 +16,9 @@ namespace gpl {
 /// boundaries (common/thread_pool.h), per-morsel intermediates are written
 /// to position-derived slots, and results are concatenated back together in
 /// morsel order. Expression evaluation is pure and per-row (exec/expr.cc
-/// never mutates a Dictionary during Evaluate), so slicing it is safe.
+/// never mutates a Dictionary during Evaluate), so slicing it is safe. A
+/// morsel slice holds only the columns the expressions name in
+/// CollectColumnRefs (DESIGN.md decision 12).
 ///
 /// These affect *host* wall-clock only; the simulated kernel timing is
 /// derived from the KernelTimingDescs and cardinalities, never from how the

@@ -93,18 +93,52 @@ class PartitionedProbeKernel : public Kernel {
   Result<Table> Process(const Table& input) override {
     PrepareTiming();
     const std::vector<int64_t> keys = EvaluateJoinKeys(input, key_exprs_);
-    std::vector<int64_t> probe_idx;
-    std::vector<int> partition_of;
-    std::vector<int64_t> build_idx;
-    std::vector<int64_t> matches;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      const int p = state_->PartitionOf(keys[i]);
-      matches.clear();
-      state_->table(p).Probe(keys[i], &matches);
-      for (int64_t b : matches) {
-        probe_idx.push_back(static_cast<int64_t>(i));
-        partition_of.push_back(p);
-        build_idx.push_back(b);
+    const size_t n = keys.size();
+    // Batch-probe each partition with its keys, then scatter the matches
+    // back to ascending probe row (chain order within a row): the pairs of
+    // probing every key in turn.
+    const int num_partitions = state_->num_partitions();
+    std::vector<std::vector<int64_t>> partition_rows(
+        static_cast<size_t>(num_partitions));
+    for (size_t i = 0; i < n; ++i) {
+      partition_rows[static_cast<size_t>(state_->PartitionOf(keys[i]))]
+          .push_back(static_cast<int64_t>(i));
+    }
+    struct Matches {
+      std::vector<int64_t> probe;  // probe row
+      std::vector<int64_t> build;
+    };
+    std::vector<Matches> matches(static_cast<size_t>(num_partitions));
+    std::vector<int64_t> offsets(n + 1, 0);  // match counts, then slots
+    std::vector<int64_t> partition_keys;
+    for (int p = 0; p < num_partitions; ++p) {
+      const std::vector<int64_t>& rows = partition_rows[static_cast<size_t>(p)];
+      Matches& m = matches[static_cast<size_t>(p)];
+      partition_keys.resize(rows.size());
+      for (size_t i = 0; i < rows.size(); ++i) {
+        partition_keys[i] = keys[static_cast<size_t>(rows[i])];
+      }
+      state_->table(p).ProbeBatch(partition_keys.data(),
+                                  static_cast<int64_t>(rows.size()), 0,
+                                  &m.probe, &m.build);
+      for (int64_t& row : m.probe) {
+        row = rows[static_cast<size_t>(row)];
+        ++offsets[static_cast<size_t>(row) + 1];
+      }
+    }
+    for (size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
+    const size_t total = static_cast<size_t>(offsets[n]);
+    std::vector<int64_t> probe_idx(total);
+    std::vector<int> partition_of(total);
+    std::vector<int64_t> build_idx(total);
+    for (int p = 0; p < num_partitions; ++p) {
+      const Matches& m = matches[static_cast<size_t>(p)];
+      for (size_t k = 0; k < m.probe.size(); ++k) {
+        const size_t slot =
+            static_cast<size_t>(offsets[static_cast<size_t>(m.probe[k])]++);
+        probe_idx[slot] = m.probe[k];
+        partition_of[slot] = p;
+        build_idx[slot] = m.build[k];
       }
     }
     Table out = input.Gather(probe_idx);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -151,6 +152,36 @@ ExactFloat64Sum::Canonical DecodeSumMeta(int64_t meta) {
   return c;
 }
 
+// Every row's group key (Float64GroupKey for a float64 column), read with
+// one type dispatch per column.
+std::vector<int64_t> GroupKeys(const Column& column) {
+  std::vector<int64_t> keys(static_cast<size_t>(column.size()));
+  VisitValues(column, [&](const auto* values) {
+    using T = std::remove_cvref_t<decltype(*values)>;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if constexpr (std::is_same_v<T, double>) {
+        keys[i] = Float64GroupKey(values[i]);
+      } else {
+        keys[i] = values[i];
+      }
+    }
+  });
+  return keys;
+}
+
+// The column's values widened to double: its own buffer for a float64
+// column, otherwise converted into `scratch`.
+const double* DoubleValues(const Column& column, std::vector<double>* scratch) {
+  if (column.type() == DataType::kFloat64) return column.dataf().data();
+  scratch->resize(static_cast<size_t>(column.size()));
+  VisitValues(column, [&](const auto* values) {
+    for (size_t i = 0; i < scratch->size(); ++i) {
+      (*scratch)[i] = static_cast<double>(values[i]);
+    }
+  });
+  return scratch->data();
+}
+
 class AggregateKernel : public Kernel {
  public:
   AggregateKernel(std::vector<ProjectedColumn> group_by,
@@ -190,35 +221,39 @@ class AggregateKernel : public Kernel {
       }
     }
     if (n == 0) return Table();
+    std::vector<std::vector<int64_t>> keys;
+    keys.reserve(group_cols.size());
+    for (const Column& c : group_cols) keys.push_back(GroupKeys(c));
+    // Argument values as doubles; agg_cols keeps their buffers alive.
     std::vector<Column> agg_cols;
-    agg_cols.reserve(aggregates_.size());
-    for (const AggSpec& a : aggregates_) {
-      if (a.func == AggSpec::kCount || a.arg == nullptr) {
-        agg_cols.emplace_back(DataType::kInt64);  // placeholder, unused
-      } else {
-        agg_cols.push_back(EvaluateMorsels(*a.arg, input));
+    std::vector<std::vector<double>> scratch(aggregates_.size());
+    std::vector<const double*> args(aggregates_.size(), nullptr);
+    for (size_t a = 0; a < aggregates_.size(); ++a) {
+      const AggSpec& spec = aggregates_[a];
+      if (spec.func != AggSpec::kCount && spec.arg != nullptr) {
+        agg_cols.push_back(EvaluateMorsels(*spec.arg, input));
+        args[a] = DoubleValues(agg_cols.back(), &scratch[a]);
       }
     }
 
     std::vector<int64_t> key(group_by_.size());
     for (int64_t i = 0; i < n; ++i) {
-      for (size_t g = 0; g < group_cols.size(); ++g) {
-        key[g] = group_cols[g].AsInt64(i);
-      }
+      const size_t row = static_cast<size_t>(i);
+      for (size_t g = 0; g < keys.size(); ++g) key[g] = keys[g][row];
       Accumulators& acc = GroupAt(key);
       for (size_t a = 0; a < aggregates_.size(); ++a) {
         switch (aggregates_[a].func) {
           case AggSpec::kSum:
           case AggSpec::kAvg:
-            acc.sums[a].Add(agg_cols[a].AsDouble(i));
+            acc.sums[a].Add(args[a][row]);
             break;
           case AggSpec::kCount:
             break;  // counts only
           case AggSpec::kMin:
-            acc.values[a] = std::min(acc.values[a], agg_cols[a].AsDouble(i));
+            acc.values[a] = std::min(acc.values[a], args[a][row]);
             break;
           case AggSpec::kMax:
-            acc.values[a] = std::max(acc.values[a], agg_cols[a].AsDouble(i));
+            acc.values[a] = std::max(acc.values[a], args[a][row]);
             break;
         }
         acc.counts[a] += 1;
@@ -243,10 +278,12 @@ class AggregateKernel : public Kernel {
       }
     }
     if (n == 0) return Status::OK();  // empty shard: nothing to merge
+    std::vector<std::vector<int64_t>> keys;
+    for (const Column* c : group_cols) keys.push_back(GroupKeys(*c));
     std::vector<int64_t> key(group_by_.size());
     for (int64_t i = 0; i < n; ++i) {
-      for (size_t g = 0; g < group_cols.size(); ++g) {
-        key[g] = group_cols[g]->AsInt64(i);
+      for (size_t g = 0; g < keys.size(); ++g) {
+        key[g] = keys[g][static_cast<size_t>(i)];
       }
       Accumulators& acc = GroupAt(key);
       for (size_t a = 0; a < aggregates_.size(); ++a) {
@@ -293,7 +330,7 @@ class AggregateKernel : public Kernel {
   Result<Table> Finish() override {
     Table out("aggregate");
     // Group columns (final form in both phases, so partials round-trip
-    // through the same AsInt64 key extraction).
+    // through the same GroupKeys extraction).
     for (size_t g = 0; g < group_by_.size(); ++g) {
       const DataType type =
           group_types_.empty() ? DataType::kInt64 : group_types_[g];
@@ -309,7 +346,7 @@ class AggregateKernel : public Kernel {
             col.AppendInt64(key[g]);
             break;
           case DataType::kFloat64:
-            col.AppendDouble(static_cast<double>(key[g]));
+            col.AppendDouble(Float64FromGroupKey(key[g]));
             break;
         }
       }

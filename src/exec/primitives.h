@@ -1,6 +1,9 @@
 #ifndef GPL_EXEC_PRIMITIVES_H_
 #define GPL_EXEC_PRIMITIVES_H_
 
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -24,6 +27,22 @@ struct AggSpec {
   ExprPtr arg;  ///< ignored for kCount
   std::string output_name;
 };
+
+/// Group-by key of a float64 value: its bits with the magnitude bits of a
+/// negative value flipped, so signed key order is numeric order. -0.0 keys
+/// as 0.0 and every NaN as one quiet NaN (after +inf). Integer group values
+/// key as themselves, widened to int64. Float64FromGroupKey inverts it.
+inline int64_t Float64GroupKey(double v) {
+  if (v == 0.0) v = 0.0;
+  if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
+  const int64_t bits = std::bit_cast<int64_t>(v);
+  return bits < 0 ? bits ^ std::numeric_limits<int64_t>::max() : bits;
+}
+
+inline double Float64FromGroupKey(int64_t key) {
+  return std::bit_cast<double>(
+      key < 0 ? key ^ std::numeric_limits<int64_t>::max() : key);
+}
 
 /// One output column of a projection: name plus defining expression.
 struct ProjectedColumn {

@@ -121,7 +121,10 @@ Result<Table> Exec(const tpch::Database& db, const PhysicalOp& op) {
       std::vector<int64_t> key(op.group_by.size());
       for (int64_t i = 0; i < n; ++i) {
         for (size_t g = 0; g < group_cols.size(); ++g) {
-          key[g] = group_cols[g].AsInt64(i);
+          const Column& c = group_cols[g];
+          key[g] = c.type() == DataType::kFloat64
+                       ? Float64GroupKey(c.DoubleAt(i))
+                       : c.AsInt64(i);
         }
         Acc& acc = groups[key];
         if (acc.sums.empty()) {
@@ -162,7 +165,7 @@ Result<Table> Exec(const tpch::Database& db, const PhysicalOp& op) {
               col.AppendInt64(k[g]);
               break;
             case DataType::kFloat64:
-              col.AppendDouble(static_cast<double>(k[g]));
+              col.AppendDouble(Float64FromGroupKey(k[g]));
               break;
           }
         }

@@ -79,7 +79,8 @@ class Column {
   }
 
   /// Value at row `i` widened to double (dictionary code for strings).
-  /// Convenient for expression evaluation.
+  /// For cold, row-at-a-time paths; hot loops read the buffer through
+  /// VisitValues below with the same conversions.
   double AsDouble(int64_t i) const;
   /// Value at row `i` widened to int64 (dictionary code for strings;
   /// truncation for float columns).
@@ -152,6 +153,27 @@ class Column {
   Buffer<int64_t> data64_;
   Buffer<double> dataf_;
 };
+
+/// Calls `fn(const T* values)` with the column's physical buffer: T is
+/// int32_t for kInt32/kDate/kString (dictionary codes), int64_t for kInt64
+/// and double for kFloat64. Hot loops dispatch on the type once per column
+/// through this and read the buffer directly; AsInt64/AsDouble stay for
+/// cold, row-at-a-time paths (DESIGN.md decision 12). Every instantiation of
+/// `fn` must return the same type.
+template <typename Fn>
+decltype(auto) VisitValues(const Column& column, Fn&& fn) {
+  switch (column.type()) {
+    case DataType::kInt64:
+      return fn(column.data64().data());
+    case DataType::kFloat64:
+      return fn(column.dataf().data());
+    case DataType::kInt32:
+    case DataType::kDate:
+    case DataType::kString:
+      break;
+  }
+  return fn(column.data32().data());
+}
 
 }  // namespace gpl
 

@@ -72,6 +72,11 @@ TEST(ExprTest, DivisionByZeroYieldsZero) {
   EXPECT_DOUBLE_EQ(q.DoubleAt(1), 0.0);
   Column qi = Div(Col("i"), LitInt(0))->Evaluate(t);
   EXPECT_EQ(qi.Int64At(1), 0);
+  // Row by row, where only some divisors are zero (i = 0..4, f = 0..6).
+  Column ri = Div(LitInt(12), Col("i"))->Evaluate(t);
+  EXPECT_EQ(ri.data64(), (std::vector<int64_t>{0, 12, 6, 4, 3}));
+  Column rf = Div(LitFloat(3.0), Col("f"))->Evaluate(t);
+  EXPECT_EQ(rf.dataf(), (std::vector<double>{0.0, 2.0, 1.0, 3.0 / 4.5, 0.5}));
 }
 
 TEST(ExprTest, Comparisons) {
@@ -160,6 +165,60 @@ TEST(ExprTest, CaseWhen) {
   EXPECT_DOUBLE_EQ(c.DoubleAt(0), 0.0);
   EXPECT_DOUBLE_EQ(c.DoubleAt(2), 3.0);
   EXPECT_DOUBLE_EQ(c.DoubleAt(1), 0.0);
+}
+
+TEST(ExprTest, LiteralOperandsNeedNoColumn) {
+  // Literal-only operands are read as scalars; the result still has one row
+  // per input row, typed as if the literals were broadcast.
+  Table t = MixedTable();
+  Column sum = Add(LitInt(2), LitFloat(0.5))->Evaluate(t);
+  ASSERT_EQ(sum.size(), t.num_rows());
+  EXPECT_EQ(sum.type(), DataType::kFloat64);
+  EXPECT_DOUBLE_EQ(sum.DoubleAt(4), 2.5);
+  Column lt = Lt(LitInt(3), Col("i"))->Evaluate(t);  // literal on the left
+  EXPECT_EQ(lt.Int32At(3), 0);
+  EXPECT_EQ(lt.Int32At(4), 1);
+  Column before = Gt(LitDate("1995-06-01"), Col("d"))->Evaluate(t);
+  EXPECT_EQ(before.Int32At(1), 1);
+  EXPECT_EQ(before.Int32At(2), 0);
+  Column no = Not(LitInt(0))->Evaluate(t);
+  ASSERT_EQ(no.size(), t.num_rows());
+  EXPECT_EQ(no.Int32At(0), 1);
+}
+
+TEST(ExprTest, MixedInt32AndInt64OperandsComputeInInt64) {
+  Table t = MixedTable();
+  Column big(DataType::kInt64);
+  for (int r = 0; r < 5; ++r) big.AppendInt64(int64_t{3000000000} + r);
+  GPL_CHECK_OK(t.AddColumn("big", std::move(big)));
+  Column sum = Add(Col("i"), Col("big"))->Evaluate(t);
+  EXPECT_EQ(sum.type(), DataType::kInt64);
+  EXPECT_EQ(sum.Int64At(2), int64_t{3000000004});
+  Column prod = Mul(Col("big"), Col("i"))->Evaluate(t);
+  EXPECT_EQ(prod.Int64At(3), int64_t{9000000009});
+  Column lt = Lt(Col("i"), Col("big"))->Evaluate(t);
+  EXPECT_EQ(lt.Int32At(0), 1);
+  Column q = Div(Col("big"), Sub(Col("i"), LitInt(2)))->Evaluate(t);
+  EXPECT_EQ(q.Int64At(2), 0);  // divisor 0
+  EXPECT_EQ(q.Int64At(3), int64_t{3000000003});
+}
+
+TEST(ExprTest, FloatConditionsTruncateTowardZero) {
+  // AND/OR/NOT/CASE read a float condition as static_cast<int64_t>: 0.5 and
+  // -0.9 are false, 1.0 and -1.5 are true.
+  Table t = testing_util::FloatTable("c", {0.5, -0.9, 1.0, -1.5, 0.0});
+  Column n = Not(Col("c"))->Evaluate(t);
+  EXPECT_EQ(n.data32(), (std::vector<int32_t>{1, 1, 0, 0, 1}));
+  Column a = And(Col("c"), LitInt(1))->Evaluate(t);
+  EXPECT_EQ(a.data32(), (std::vector<int32_t>{0, 0, 1, 1, 0}));
+  Column o = Or(LitFloat(0.75), Col("c"))->Evaluate(t);
+  EXPECT_EQ(o.data32(), (std::vector<int32_t>{0, 0, 1, 1, 0}));
+  Column c = CaseWhen(Col("c"), LitInt(7), LitInt(-7))->Evaluate(t);
+  EXPECT_EQ(c.type(), DataType::kInt64);
+  EXPECT_EQ(c.data64(), (std::vector<int64_t>{-7, -7, 7, 7, -7}));
+  Column cf = CaseWhen(Col("c"), Col("c"), LitInt(2))->Evaluate(t);
+  EXPECT_EQ(cf.type(), DataType::kFloat64);
+  EXPECT_EQ(cf.dataf(), (std::vector<double>{2.0, 2.0, 1.0, -1.5, 2.0}));
 }
 
 TEST(ExprTest, InRangeIsHalfOpen) {

@@ -100,6 +100,50 @@ TEST(PartitionedJoinTest, MatchesSimpleHashJoin) {
       << diff;
 }
 
+TEST(PartitionedJoinTest, ProbeOrderMatchesSimpleHashJoinExactly) {
+  // A key's build rows all land in one partition, inserted in build order,
+  // so its chain order there equals the simple table's. The partitioned
+  // probe batch-probes partition by partition and scatters the matches back
+  // to probe-row order: its output must equal the simple probe's row for
+  // row, unsorted, with duplicate build keys across several build tiles.
+  Random rng(7);
+  auto simple_state = std::make_shared<HashJoinState>();
+  auto part_state = std::make_shared<PartitionedJoinState>(8);
+  KernelPtr simple_build = MakeHashBuildKernel({Col("bk")}, simple_state);
+  KernelPtr part_build = MakePartitionedBuildKernel({Col("bk")}, part_state);
+  for (int tile = 0; tile < 3; ++tile) {
+    Table build_side("b");
+    Column bk(DataType::kInt32), payload(DataType::kFloat64);
+    for (int i = 0; i < 700; ++i) {
+      bk.AppendInt32(static_cast<int32_t>(rng.Uniform(0, 299)));
+      payload.AppendDouble(static_cast<double>(tile * 1000 + i));
+    }
+    GPL_CHECK_OK(build_side.AddColumn("bk", std::move(bk)));
+    GPL_CHECK_OK(build_side.AddColumn("payload", std::move(payload)));
+    ASSERT_TRUE(simple_build->Process(build_side).ok());
+    ASSERT_TRUE(part_build->Process(build_side).ok());
+  }
+  Table probe_side("p");
+  Column pk(DataType::kInt32);
+  for (int i = 0; i < 1000; ++i) {
+    pk.AppendInt32(static_cast<int32_t>(rng.Uniform(-20, 350)));
+  }
+  GPL_CHECK_OK(probe_side.AddColumn("pk", std::move(pk)));
+  Result<Table> simple =
+      MakeHashProbeKernel({Col("pk")}, simple_state, {"payload"})
+          ->Process(probe_side);
+  Result<Table> partitioned =
+      MakePartitionedProbeKernel({Col("pk")}, part_state, {"payload"})
+          ->Process(probe_side);
+  ASSERT_TRUE(simple.ok());
+  ASSERT_TRUE(partitioned.ok());
+  ASSERT_GT(simple->num_rows(), probe_side.num_rows());  // duplicates fan out
+  EXPECT_EQ(simple->GetColumn("pk").data32(),
+            partitioned->GetColumn("pk").data32());
+  EXPECT_EQ(simple->GetColumn("payload").dataf(),
+            partitioned->GetColumn("payload").dataf());
+}
+
 TEST(PartitionedJoinTest, TileWiseBuildAccumulates) {
   auto state = std::make_shared<PartitionedJoinState>(4);
   KernelPtr build = MakePartitionedBuildKernel({Col("bk")}, state);

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/random.h"
+#include "common/thread_pool.h"
+#include "exec/morsel.h"
 #include "exec/primitives.h"
 #include "test_util.h"
 
@@ -277,6 +283,133 @@ TEST(TimingDescTest, ProbeDeclaresRandomAccess) {
   EXPECT_GT(d.random_access_fraction, 0.0);
   EXPECT_EQ(d.random_working_set_bytes, 1 << 20);
 }
+
+// ---- Morsel helpers on a wide table ----
+
+/// 2 * kMorselRows + 1 rows (three morsels, the last of one row) over six
+/// columns of every physical type, so that a morsel slice of only the
+/// columns an expression reads is observable.
+Table WideTable() {
+  Random rng(5);
+  const int64_t n = 2 * kMorselRows + 1;
+  Column a(DataType::kInt32), b(DataType::kInt64), c(DataType::kFloat64);
+  Column d(DataType::kDate), s(DataType::kString), pad(DataType::kInt64);
+  for (int64_t i = 0; i < n; ++i) {
+    a.AppendInt32(static_cast<int32_t>(rng.Uniform(-100, 100)));
+    b.AppendInt64(rng.Uniform(0, 3000));
+    c.AppendDouble(static_cast<double>(rng.Uniform(-800, 800)) / 16.0);
+    d.AppendInt32(static_cast<int32_t>(rng.Uniform(9000, 9400)));
+    s.AppendString(rng.Bernoulli(0.3) ? "PROMO" : "OTHER");
+    pad.AppendInt64(i);
+  }
+  Table t("wide");
+  GPL_CHECK_OK(t.AddColumn("a", std::move(a)));
+  GPL_CHECK_OK(t.AddColumn("b", std::move(b)));
+  GPL_CHECK_OK(t.AddColumn("c", std::move(c)));
+  GPL_CHECK_OK(t.AddColumn("d", std::move(d)));
+  GPL_CHECK_OK(t.AddColumn("s", std::move(s)));
+  GPL_CHECK_OK(t.AddColumn("pad", std::move(pad)));
+  return t;
+}
+
+void ExpectColumnsBitIdentical(const Column& expected, const Column& actual) {
+  ASSERT_EQ(expected.type(), actual.type());
+  EXPECT_TRUE(expected.data32() == actual.data32());
+  EXPECT_TRUE(expected.data64() == actual.data64());
+  EXPECT_TRUE(expected.dataf() == actual.dataf());
+}
+
+class MorselWideTableTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MorselWideTableTest, EvaluateMorselsMatchesEvaluate) {
+  const Table t = WideTable();
+  ScopedHostParallelism scope(GetParam());
+  const std::vector<ExprPtr> exprs = {
+      Add(Col("b"), LitInt(3)),                     // one column
+      Mul(LitFloat(2.5), Col("c")),                 // literal on the left
+      CaseWhen(Lt(Col("a"), LitInt(0)), Col("c"), LitInt(1)),
+      YearOf(Col("d")),
+      Eq(Col("s"), LitString("PROMO")),
+      Add(LitInt(1), LitInt(2)),                    // no column
+      LitFloat(0.25),
+  };
+  for (const ExprPtr& e : exprs) {
+    SCOPED_TRACE(e->ToString());
+    const Column got = EvaluateMorsels(*e, t);
+    ASSERT_EQ(got.size(), t.num_rows());
+    ExpectColumnsBitIdentical(e->Evaluate(t), got);
+  }
+}
+
+TEST_P(MorselWideTableTest, SelectIndicesMatchesEvaluate) {
+  const Table t = WideTable();
+  ScopedHostParallelism scope(GetParam());
+  const std::vector<ExprPtr> predicates = {
+      Ge(Col("a"), LitInt(10)),                     // one column
+      And(Lt(LitFloat(-3.0), Col("c")), Col("c")),  // float under AND
+      Lt(LitInt(1), LitInt(2)),                     // no column: every row
+      Gt(LitInt(1), LitInt(2)),                     // no column: no row
+  };
+  for (const ExprPtr& p : predicates) {
+    SCOPED_TRACE(p->ToString());
+    const Column flags = p->Evaluate(t);
+    std::vector<int64_t> expected;
+    for (int64_t i = 0; i < flags.size(); ++i) {
+      if (flags.Int32At(i) != 0) expected.push_back(i);
+    }
+    EXPECT_EQ(SelectIndices(*p, t), expected);
+  }
+}
+
+TEST_P(MorselWideTableTest, EvaluateJoinKeysMatchesEvaluate) {
+  const Table t = WideTable();
+  ScopedHostParallelism scope(GetParam());
+  const std::vector<std::vector<ExprPtr>> key_sets = {
+      {Col("b")}, {Col("a")}, {Col("c")}, {LitInt(9)},
+      {Col("a"), Col("d")}, {Sub(Col("b"), LitInt(7)), Col("c")}};
+  for (const std::vector<ExprPtr>& key_exprs : key_sets) {
+    SCOPED_TRACE(key_exprs[0]->ToString());
+    const Column k0 = key_exprs[0]->Evaluate(t);
+    std::vector<int64_t> expected(static_cast<size_t>(t.num_rows()));
+    for (int64_t i = 0; i < t.num_rows(); ++i) {
+      expected[static_cast<size_t>(i)] =
+          key_exprs.size() == 1
+              ? k0.AsInt64(i)
+              : JoinHashTable::PackKeys(
+                    static_cast<int32_t>(k0.AsInt64(i)),
+                    static_cast<int32_t>(key_exprs[1]->Evaluate(t).AsInt64(i)));
+    }
+    EXPECT_EQ(EvaluateJoinKeys(t, key_exprs), expected);
+  }
+}
+
+TEST_P(MorselWideTableTest, ProbeAllMatchesPerKeyProbe) {
+  const Table t = WideTable();
+  const std::vector<int64_t> keys = EvaluateJoinKeys(t, {Col("b")});
+  JoinHashTable table;
+  // Duplicated build keys, and probe keys with no match.
+  std::vector<int64_t> build;
+  for (int64_t k = 0; k < 2000; k += 3) build.push_back(k);
+  for (int64_t k = 0; k < 2000; k += 7) build.push_back(k);
+  table.Build(build);
+  std::vector<int64_t> want_probe, want_build, rows;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    rows.clear();
+    table.Probe(keys[i], &rows);
+    for (int64_t r : rows) {
+      want_probe.push_back(static_cast<int64_t>(i));
+      want_build.push_back(r);
+    }
+  }
+  ScopedHostParallelism scope(GetParam());
+  std::vector<int64_t> got_probe, got_build;
+  ProbeAll(table, keys, &got_probe, &got_build);
+  EXPECT_EQ(got_probe, want_probe);
+  EXPECT_EQ(got_build, want_build);
+}
+
+INSTANTIATE_TEST_SUITE_P(HostThreads, MorselWideTableTest,
+                         ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace gpl

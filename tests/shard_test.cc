@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -20,6 +21,7 @@
 #include "plan/logical_plan.h"
 #include "plan/physical_plan.h"
 #include "queries/tpch_queries.h"
+#include "ref/reference_executor.h"
 #include "service/query_service.h"
 #include "shard/device_group.h"
 #include "shard/partitioner.h"
@@ -954,6 +956,92 @@ TEST(CompoundKeyShardingTest, AllEmptyPartialsKeepNarrowGroupKeyTypes) {
   // Each shard's aggregate must still type its group columns from the
   // input schema, or the combined keys come out int64.
   ExpectNarrowGroupKeysBitIdentical(Lt(Col("l_price"), LitFloat(0.0)));
+}
+
+/// Database whose lineitem carries a float64 column to group by: the six
+/// values {1.2, 1.7, -0.5, -1.5, 0.0, -0.0} four times each, over orderkeys
+/// that hash-partition across 4 shards.
+tpch::Database FloatKeyDb() {
+  const double keys[] = {1.2, 1.7, -0.5, -1.5, 0.0, -0.0};
+  Column l_orderkey(DataType::kInt64);
+  Column l_key(DataType::kFloat64);
+  Column l_price(DataType::kFloat64);
+  Column o_orderkey(DataType::kInt64);
+  for (int64_t k = 1; k <= 24; ++k) {
+    o_orderkey.AppendInt64(k);
+    l_orderkey.AppendInt64(k);
+    l_key.AppendDouble(keys[k % 6]);
+    l_price.AppendDouble(static_cast<double>(k));
+  }
+  tpch::Database db;
+  db.lineitem = Table("lineitem");
+  GPL_CHECK_OK(db.lineitem.AddColumn("l_orderkey", std::move(l_orderkey)));
+  GPL_CHECK_OK(db.lineitem.AddColumn("l_key", std::move(l_key)));
+  GPL_CHECK_OK(db.lineitem.AddColumn("l_price", std::move(l_price)));
+  db.orders = Table("orders");
+  GPL_CHECK_OK(db.orders.AddColumn("o_orderkey", std::move(o_orderkey)));
+  return db;
+}
+
+TEST(FloatGroupKeyTest, FloatKeysAreNotTruncatedInAnyModeOrShardCount) {
+  // Grouping by a float64 column keeps 1.2 and 1.7 apart (a truncated key
+  // merges them into 1.0) and folds -0.0 into 0.0: five groups, ascending.
+  const tpch::Database db = FloatKeyDb();
+  PartitionOptions poptions;
+  poptions.num_shards = 4;
+  Result<ShardedDatabase> sharded = PartitionDatabase(db, poptions);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  int nonempty_shards = 0;
+  for (const tpch::Database& shard : sharded->shards) {
+    nonempty_shards += shard.lineitem.num_rows() > 0 ? 1 : 0;
+  }
+  ASSERT_GE(nonempty_shards, 2);  // the combine really merges partials
+  LogicalQuery q;
+  q.name = "float_keys";
+  BaseRelation lineitem;
+  lineitem.table = "lineitem";
+  lineitem.columns = {"l_orderkey", "l_key", "l_price"};
+  q.relations = {lineitem};
+  q.group_by = {{"l_key", Col("l_key")}};
+  q.aggregates = {{AggSpec::kCount, nullptr, "n"},
+                  {AggSpec::kSum, Col("l_price"), "total"}};
+  q.order_by = {{"l_key", false}};
+  const std::vector<double> want_keys = {-1.5, -0.5, 0.0, 1.2, 1.7};
+  const std::vector<int64_t> want_counts = {4, 4, 8, 4, 4};
+  const auto expect_groups = [&](const Table& t) {
+    ASSERT_EQ(t.GetColumn("l_key").type(), DataType::kFloat64);
+    EXPECT_EQ(t.GetColumn("l_key").dataf(), want_keys);
+    EXPECT_FALSE(std::signbit(t.GetColumn("l_key").DoubleAt(2)));
+    EXPECT_EQ(t.GetColumn("n").data64(), want_counts);
+  };
+  for (EngineMode mode :
+       {EngineMode::kKbe, EngineMode::kGpl, EngineMode::kFused}) {
+    SCOPED_TRACE(EngineModeName(mode));
+    EngineOptions options;
+    options.mode = mode;
+    options.calibration =
+        &SharedCalibrations().at(sim::DeviceSpec::AmdA10().name);
+    Engine engine(&db, options);
+    Result<QueryResult> single = engine.Execute(q);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    expect_groups(single->table);
+    if (mode == EngineMode::kGpl) {
+      Result<PhysicalOpPtr> plan = engine.Plan(q);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      Result<Table> reference = ref::ExecutePlan(db, *plan);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      expect_groups(*reference);
+    }
+    options.calibration = nullptr;
+    ShardedExecutor executor(
+        &db, &*sharded,
+        DeviceGroup::Homogeneous(sim::DeviceSpec::AmdA10(), 4), options,
+        &SharedCalibrations());
+    Result<QueryResult> got = executor.Execute(q);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->metrics.partial_combine);
+    ExpectTablesBitIdentical(single->table, got->table);
+  }
 }
 
 /// Runs `q` on 2 and 4 shards and asserts it falls back to one device: a
