@@ -65,7 +65,7 @@ int main() {
 
   // 4. Tuned execution vs hand-picked configurations.
   const double tuned_ms =
-      sim::DeviceSpec::AmdA10().CyclesToMs(tuned->total_cycles);
+      sim::DeviceSpec::AmdA10().CyclesToMs(tuned->counters.elapsed_cycles);
   std::printf("\n%-34s %10.3f ms\n", "cost-model tuned:", tuned_ms);
   struct Manual {
     const char* label;

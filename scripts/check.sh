@@ -4,9 +4,10 @@
 # ASan+UBSan build/run of the fault-injection and service suites, a
 # tracing smoke run of the CLI whose output is validated by the in-tree
 # JSON parser (via the trace_smoke binary's file-validation mode), an
-# EXPLAIN ANALYZE vs --metrics-json consistency diff (plain and under
-# --mode=fused), a serve-mode telemetry smoke (JSONL snapshots + Prometheus
-# textfile validated by scripts/validate_prom.py), a metrics-overhead
+# EXPLAIN ANALYZE vs --metrics-json consistency diff (every query under
+# each GPL-family mode, plus the fusion checks under --mode=fused), a
+# serve-mode telemetry smoke (JSONL snapshots + Prometheus textfile
+# validated by scripts/validate_prom.py), a metrics-overhead
 # wall-clock gate (scripts/bench_diff.py, 3% + 50 ms slack), and the
 # host-scaling / shard-scaling / shared-work / fault / fusion-ablation
 # bench gates.
@@ -63,6 +64,9 @@ echo "=== asan+ubsan: fault-injection and service suites ==="
 # suite covers copy-on-write buffer sharing and detaching. The expression,
 # hash-table, primitives and partitioned-join suites cover the typed
 # raw-pointer loops over column buffers and ProbeBatch's prefetch addresses.
+# The core and engine suites cover GplExecutor's per-segment steps, which
+# hand the subplan-cache compute ticket and the hash-state snapshot between
+# functions.
 cmake -B "$BUILD-asan" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \
@@ -71,9 +75,10 @@ cmake --build "$BUILD-asan" -j "$(nproc)" \
   --target fault_test --target service_test --target sim_channel_test \
   --target fusion_test --target subplan_cache_test --target storage_test \
   --target expr_test --target expr_fuzz_test --target hash_table_test \
-  --target primitives_test --target partitioned_join_test
+  --target primitives_test --target partitioned_join_test \
+  --target core_test --target engine_test
 ctest --test-dir "$BUILD-asan" --output-on-failure \
-  -R "Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|FusedKernel|ComposeFusedStage|SubplanCache|Dictionary|Column|Table|Expr|Selectivity|FilterKernel|ProjectKernel|HashBuild|AggregateKernel|SortKernel|KbePrimitives|TimingDesc|PartitionedJoin"
+  -R "Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|FusedKernel|ComposeFusedStage|SubplanCache|Dictionary|Column|Table|Expr|Selectivity|FilterKernel|ProjectKernel|HashBuild|AggregateKernel|SortKernel|KbePrimitives|TimingDesc|PartitionedJoin|Tiling|GplFixture|PipelineTest|EngineTest|EngineComparison|EngineMetrics|ExplainAnalyze|EmptyAggregate|OcelotFlavor|OcelotHashTableCache|TunerQuality|AllModes"
 
 echo
 echo "=== trace smoke: gplcli --trace on Q5, JSON validated ==="
@@ -87,18 +92,20 @@ trap 'rm -f "$TRACE_OUT" "$METRICS_OUT"' EXIT
 
 echo
 echo "=== explain smoke: EXPLAIN ANALYZE actuals vs --metrics-json ==="
-# One invocation emits both files from the same run; the per-segment actuals
-# in the explain report must agree exactly with the QueryMetrics the engine
-# reported for that run (segment cycles sum to elapsed_cycles, totals match
-# field-for-field).
+# One invocation per GPL-family mode emits both files from the same run over
+# every query; the per-segment actuals in the explain report must agree
+# exactly with the QueryMetrics the engine reported for that run (segment
+# cycles sum to elapsed_cycles, totals match field-for-field).
 EXPLAIN_OUT="$(mktemp /tmp/gpl_check_explain.XXXXXX.json)"
 EXPLAIN_METRICS_OUT="$(mktemp /tmp/gpl_check_explain_metrics.XXXXXX.json)"
 trap 'rm -f "$TRACE_OUT" "$METRICS_OUT" "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT"' EXIT
-"$BUILD/cli/gplcli" --query=Q8 --mode=gpl --sf=0.02 --explain-analyze \
-  --explain-json="$EXPLAIN_OUT" --metrics-json="$EXPLAIN_METRICS_OUT" > /dev/null
-"$BUILD/tests/trace_smoke" "$EXPLAIN_OUT"
-"$BUILD/tests/trace_smoke" "$EXPLAIN_METRICS_OUT"
-python3 - "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT" <<'PYEOF'
+for mode in gpl noce fused; do
+  "$BUILD/cli/gplcli" --query=all --mode="$mode" --sf=0.02 --explain-analyze \
+    --explain-json="$EXPLAIN_OUT" --metrics-json="$EXPLAIN_METRICS_OUT" \
+    > /dev/null
+  "$BUILD/tests/trace_smoke" "$EXPLAIN_OUT"
+  "$BUILD/tests/trace_smoke" "$EXPLAIN_METRICS_OUT"
+  python3 - "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT" "$mode" <<'PYEOF'
 import json, sys
 reports = {r["query"]: r for r in json.load(open(sys.argv[1]))}
 entries = {e["query"]: e for e in json.load(open(sys.argv[2]))}
@@ -120,8 +127,10 @@ for query, report in reports.items():
     # %.9g serialization rounds each segment independently.
     if abs(seg_sum - total) > 1e-6 * max(total, 1.0):
         sys.exit(f"{query}: segment cycles {seg_sum} != total {total}")
-print(f"explain smoke: OK ({len(reports)} queries, {checked} fields match)")
+print(f"explain smoke ({sys.argv[3]}): OK ({len(reports)} queries, "
+      f"{checked} fields match)")
 PYEOF
+done
 
 echo
 echo "=== fused explain smoke: EXPLAIN ANALYZE under --mode=fused ==="

@@ -21,21 +21,18 @@ namespace {
 constexpr double kHashEntryBytes = 32.0;
 
 /// The type-erased payload of a cached segment: everything a warm run needs
-/// to replay the segment without executing it. `stages`/`stage_timings`/
-/// `num_tiles` feed the timing simulation (which re-runs on every hit, so
+/// to replay the segment without executing it. `observations` and
+/// `stage_timings` feed the timing simulation (which re-runs on every hit, so
 /// simulated observables stay bit-identical to the cold run); `output`/`hash`
 /// carry the functional result.
 struct CachedSegment {
   std::shared_ptr<const Table> output;
   std::shared_ptr<const HashJoinState> hash;  ///< build segments only
-  std::vector<StageObservation> stages;       ///< per-original-stage actuals
+  FunctionalRun observations;  ///< per-original-stage actuals (no output)
   /// Post-execution timing descriptors, one per original stage. Most kernels'
   /// descriptors are state-free, but the hash build's reflects the built
   /// table — a hit must simulate with the cold run's exact descriptors.
   std::vector<sim::KernelTimingDesc> stage_timings;
-  int64_t input_rows = 0;
-  int64_t input_bytes = 0;
-  int64_t num_tiles = 0;
   int64_t bytes = 0;  ///< retention charge (hash state or output table)
 };
 
@@ -204,15 +201,49 @@ model::SegmentDesc GplExecutor::DescribeSegment(const Segment& segment,
   return desc;
 }
 
+/// One segment's state across the steps of GplExecutor::Run. `report` is the
+/// segment's outcome; each step fills in its part.
+struct GplExecutor::SegmentRun {
+  explicit SegmentRun(const Segment& s)
+      : segment(s), start(std::chrono::steady_clock::now()) {}
+
+  const Segment& segment;
+  const std::chrono::steady_clock::time_point start;
+  std::shared_ptr<const Table> input;
+  model::SegmentDesc desc;
+  /// PlanFusion's group sizes (fused mode only; empty otherwise).
+  std::vector<int> fusion_groups;
+  std::string tuning_signature;
+  std::string subplan_key;
+  std::shared_ptr<const CachedSegment> cached;  ///< set on a subplan hit
+  ComputeTicket ticket;                         ///< armed on a subplan miss
+  double tune_ms = 0.0;
+  /// The kernel groups the segment runs as, in stage order: the chosen
+  /// fusion grouping for a fused segment, all of size 1 otherwise.
+  std::vector<int> groups;
+  Table output;  ///< the functional result (cold runs)
+  SegmentReport report;
+};
+
+bool GplExecutor::TuningCacheEnabled(const ExecOptions& exec) const {
+  return tuning_cache_ != nullptr && exec.use_tuning_cache;
+}
+
 Result<GplRunResult> GplExecutor::Run(const SegmentedPlan& plan,
-                                      const GplOptions& options) const {
+                                      EngineMode mode,
+                                      const ExecOptions& exec) const {
+  if (mode != EngineMode::kGpl && mode != EngineMode::kGplNoCe &&
+      mode != EngineMode::kFused) {
+    return Status::InvalidArgument(
+        "GplExecutor runs the GPL modes (gpl, noce, fused) only");
+  }
   GplRunResult result;
 
   // Host parallelism for the functional kernel bodies and the tuner grid,
-  // scoped to this run. Purely host-side: the simulated timing below is
-  // computed from descriptors and observed cardinalities, never from how
-  // fast (or how parallel) the host produced them.
-  ScopedHostParallelism host_parallelism(options.exec.host_threads);
+  // scoped to this run. Purely host-side: the simulated timing is computed
+  // from descriptors and observed cardinalities, never from how fast (or how
+  // parallel) the host produced them.
+  ScopedHostParallelism host_parallelism(exec.host_threads);
 
   // Fresh functional state for every run.
   for (const Segment& segment : plan.segments) {
@@ -223,367 +254,338 @@ Result<GplRunResult> GplExecutor::Run(const SegmentedPlan& plan,
   // fault must hit the same launch/reservation sites as isolated execution,
   // and a cache hit would skip some of them.
   pool::SubplanCache* cache =
-      (subplan_cache_ != nullptr && options.exec.use_subplan_cache &&
-       options.exec.fault == nullptr)
+      (subplan_cache_ != nullptr && exec.use_subplan_cache &&
+       exec.fault == nullptr)
           ? subplan_cache_
           : nullptr;
+  // A segment counts as a tuning-cache hit or miss only when the cost model
+  // consults the cache.
+  const bool tuning_cached = exec.use_cost_model && TuningCacheEnabled(exec);
 
   std::vector<std::shared_ptr<const Table>> outputs(plan.segments.size());
   for (size_t i = 0; i < plan.segments.size(); ++i) {
     // Cancellation/deadline check at the segment boundary: a cancelled run
     // unwinds here instead of simulating the remaining segments.
-    if (options.exec.cancel != nullptr) {
-      GPL_RETURN_NOT_OK(options.exec.cancel->Check());
+    if (exec.cancel != nullptr) GPL_RETURN_NOT_OK(exec.cancel->Check());
+    SegmentRun run(plan.segments[i]);
+    GPL_ASSIGN_OR_RETURN(run.input, ResolveInput(run.segment, outputs, cache));
+    DescribeAndScope(run, mode, exec, cache);
+    LookupSubplan(run, exec, cache);
+    ChooseParameters(run, mode, exec);
+    // On failure the ticket aborts the subplan compute as `run` unwinds.
+    GPL_RETURN_NOT_OK(RunFunctional(run));
+    GPL_RETURN_NOT_OK(Simulate(run, i, exec));
+    outputs[i] = PublishOutput(run, cache);
+
+    SegmentReport& report = run.report;
+    report.host_wall_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - run.start)
+                              .count();
+    // Run-level tallies, added once from the finished segment.
+    result.counters.Accumulate(report.sim.counters);
+    result.predicted_total_cycles += report.predicted_cycles;
+    result.tuner_wall_ms += run.tune_ms;
+    if (tuning_cached) {
+      ++(report.tuning_cache_hit ? result.tuning_cache_hits
+                                 : result.tuning_cache_misses);
     }
-    const Segment& segment = plan.segments[i];
-    const auto segment_start = std::chrono::steady_clock::now();
-    GPL_ASSIGN_OR_RETURN(std::shared_ptr<const Table> input,
-                         ResolveInput(segment, outputs, cache));
+    if (report.degraded) ++result.degraded_segments;
+    if (report.engine == model::SegmentEngine::kFused) {
+      ++result.fused_segments;
+      result.fused_launches_saved += report.launches_saved;
+      result.fused_bytes_avoided += report.fused_bytes_avoided;
+    }
+    if (report.subplan_cache == SubplanOutcome::kHit) {
+      ++result.subplan_cache_hits;
+    } else if (report.subplan_cache == SubplanOutcome::kMiss) {
+      ++result.subplan_cache_misses;
+    }
+    result.segments.push_back(std::move(report));
+  }
 
-    const model::SegmentDesc desc =
-        DescribeSegment(segment, input->num_rows(), input->byte_size());
+  if (!outputs.empty() && outputs.back() != nullptr) {
+    result.output = *outputs.back();
+  }
+  return result;
+}
 
-    // Fusion pass (fused mode only). The grouping is deterministic from the
-    // segment's stages, so it is part of the tuning-cache scope below.
-    std::vector<int> group_sizes;
-    if (options.fused) {
-      const FusionPlan fusion = PlanFusion(segment);
-      group_sizes.reserve(fusion.groups.size());
-      for (const FusedGroup& group : fusion.groups) {
-        group_sizes.push_back(static_cast<int>(group.count));
+void GplExecutor::DescribeAndScope(SegmentRun& run, EngineMode mode,
+                                   const ExecOptions& exec,
+                                   const pool::SubplanCache* cache) const {
+  run.desc = DescribeSegment(run.segment, run.input->num_rows(),
+                             run.input->byte_size());
+
+  // The engine scope keys cached choices to the mode (and, for the fused
+  // mode, the fusion grouping, which is deterministic from the segment's
+  // stages) they were tuned for: modes search different spaces, so a hit
+  // must never cross modes.
+  std::string engine_scope = mode == EngineMode::kGplNoCe ? "noce" : "gpl";
+  if (mode == EngineMode::kFused) {
+    engine_scope = "fused:";
+    for (const FusedGroup& group : PlanFusion(run.segment).groups) {
+      if (!run.fusion_groups.empty()) engine_scope += ',';
+      run.fusion_groups.push_back(static_cast<int>(group.count));
+      engine_scope += std::to_string(group.count);
+    }
+  }
+
+  // The tuning signature pins device, per-stage descriptors/estimates,
+  // overrides, and engine scope. The subplan key embeds it (plus the
+  // functional chain signature and database tag), so a subplan hit provably
+  // replays under the same tuned parameters as its cold run.
+  if ((exec.use_cost_model && TuningCacheEnabled(exec)) || cache != nullptr) {
+    run.tuning_signature = model::TuningCache::SegmentSignature(
+        simulator_->device(), run.desc, exec.overrides, engine_scope);
+  }
+}
+
+void GplExecutor::LookupSubplan(SegmentRun& run, const ExecOptions& exec,
+                                pool::SubplanCache* cache) const {
+  if (cache == nullptr || run.segment.uncacheable ||
+      run.segment.chain_signature.empty()) {
+    return;  // report.subplan_cache stays kBypass
+  }
+  run.subplan_key = "seg|" + db_tag_ + "|" +
+                    (exec.use_cost_model ? "cm|" : "def|") +
+                    run.segment.chain_signature + "|" + run.tuning_signature;
+  pool::SubplanCache::Acquisition acq = cache->Acquire(run.subplan_key);
+  if (acq.hit) {
+    run.cached = std::static_pointer_cast<const CachedSegment>(acq.payload);
+    run.report.subplan_cache = SubplanOutcome::kHit;
+  } else {
+    run.ticket.Arm(cache, run.subplan_key);
+    run.report.subplan_cache = SubplanOutcome::kMiss;
+  }
+}
+
+void GplExecutor::ChooseParameters(SegmentRun& run, EngineMode mode,
+                                   const ExecOptions& exec) const {
+  // The <5 ms query-optimization step.
+  const auto tune_start = std::chrono::steady_clock::now();
+  const model::TuningOverrides& overrides = exec.overrides;
+  model::TuningChoice& choice = run.report.tuning;
+  if (exec.use_cost_model) {
+    if (TuningCacheEnabled(exec)) {
+      if (auto tuned = tuning_cache_->Lookup(run.tuning_signature)) {
+        choice = std::move(*tuned);
+        run.report.tuning_cache_hit = true;
       }
     }
-    // The engine scope keys cached choices to the mode (and, for the fused
-    // mode, the fusion grouping) they were tuned for: modes search different
-    // spaces, so a hit must never cross modes.
-    std::string engine_scope;
-    if (options.fused) {
-      engine_scope = "fused:";
-      for (size_t g = 0; g < group_sizes.size(); ++g) {
-        if (g > 0) engine_scope += ',';
-        engine_scope += std::to_string(group_sizes[g]);
+    if (!run.report.tuning_cache_hit) {
+      choice = mode == EngineMode::kFused
+                   ? model::TuneSegmentEngines(cost_model_, run.desc,
+                                               *calibration_,
+                                               run.fusion_groups, overrides)
+                   : model::TuneSegment(cost_model_, run.desc, *calibration_,
+                                        overrides);
+      if (TuningCacheEnabled(exec)) {
+        tuning_cache_->Insert(run.tuning_signature, choice);
       }
+    }
+  } else {
+    choice.params.tile_bytes =
+        overrides.tile_bytes > 0 ? overrides.tile_bytes
+                                 : MiB(1);  // the paper's default Δ
+    const int wg = overrides.workgroups_per_kernel > 0
+                       ? overrides.workgroups_per_kernel
+                       : 2 * simulator_->device().num_cus;
+    bool default_fused = false;
+    for (int size : run.fusion_groups) default_fused |= size > 1;
+    if (default_fused) {
+      // Without the cost model the fused mode fuses every legal chain.
+      choice.engine = model::SegmentEngine::kFused;
+      choice.fused_group_sizes = run.fusion_groups;
+      choice.params.workgroups.assign(run.fusion_groups.size(), wg);
+      choice.estimate = cost_model_.EstimateSegmentSequential(
+          model::ComposeFusedSegment(run.desc, run.fusion_groups),
+          choice.params);
     } else {
-      engine_scope = options.concurrent ? "gpl" : "noce";
-    }
-
-    // The tuning signature pins device, per-stage descriptors/estimates,
-    // overrides, and engine scope. The subplan key embeds it (plus the
-    // functional chain signature and database tag), so a subplan hit
-    // provably replays under the same tuned parameters as its cold run.
-    const bool tuning_cache_enabled =
-        tuning_cache_ != nullptr && options.exec.use_tuning_cache;
-    std::string tuning_signature;
-    if ((options.exec.use_cost_model && tuning_cache_enabled) ||
-        cache != nullptr) {
-      tuning_signature = model::TuningCache::SegmentSignature(
-          simulator_->device(), desc, options.exec.overrides, engine_scope);
-    }
-
-    // ---- Subplan-cache lookup (data memoization) ----
-    std::shared_ptr<const CachedSegment> cached;
-    ComputeTicket ticket;
-    std::string seg_key;
-    SubplanOutcome subplan = SubplanOutcome::kBypass;
-    if (cache != nullptr && !segment.uncacheable &&
-        !segment.chain_signature.empty()) {
-      seg_key = "seg|" + db_tag_ + "|" +
-                (options.exec.use_cost_model ? "cm|" : "def|") +
-                segment.chain_signature + "|" + tuning_signature;
-      pool::SubplanCache::Acquisition acq = cache->Acquire(seg_key);
-      if (acq.hit) {
-        cached = std::static_pointer_cast<const CachedSegment>(acq.payload);
-        subplan = SubplanOutcome::kHit;
-        ++result.subplan_cache_hits;
-      } else {
-        ticket.Arm(cache, seg_key);
-        subplan = SubplanOutcome::kMiss;
-        ++result.subplan_cache_misses;
+      choice.params.workgroups.assign(run.segment.stages.size(), wg);
+      for (size_t g = 0; g + 1 < run.segment.stages.size(); ++g) {
+        choice.params.channels.push_back(
+            overrides.has_channel ? overrides.channel : sim::ChannelConfig{});
       }
+      choice.estimate = cost_model_.EstimateSegment(run.desc, choice.params);
     }
+  }
+  run.tune_ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - tune_start)
+                    .count();
+  run.report.predicted_cycles = choice.estimate.total_cycles;
 
-    // ---- Parameter tuning (the <5 ms query-optimization step) ----
-    const auto tune_start = std::chrono::steady_clock::now();
-    const model::TuningOverrides& overrides = options.exec.overrides;
-    model::TuningChoice choice;
-    bool tuning_cache_hit = false;
-    if (options.exec.use_cost_model) {
-      bool& hit = tuning_cache_hit;
-      if (tuning_cache_enabled) {
-        if (auto tuned = tuning_cache_->Lookup(tuning_signature)) {
-          choice = std::move(*tuned);
-          hit = true;
+  // The w/o-CE ablation runs every segment kernel-at-a-time; the other modes
+  // run the tuner's engine.
+  run.report.engine = mode == EngineMode::kGplNoCe
+                          ? model::SegmentEngine::kKernelAtATime
+                          : choice.engine;
+  if (run.report.engine == model::SegmentEngine::kFused) {
+    run.groups = choice.fused_group_sizes;
+  } else {
+    run.groups.assign(run.segment.stages.size(), 1);
+  }
+}
+
+Status GplExecutor::RunFunctional(SegmentRun& run) const {
+  FunctionalRun& observations = run.report.observations;
+  if (run.cached != nullptr) {
+    // A subplan hit skips the functional pass: the cached entry carries the
+    // cold run's per-stage observations, which the simulation replays.
+    observations = run.cached->observations;
+    return Status::OK();
+  }
+
+  // Each group larger than 1 collapses into a FusedKernel; results are
+  // bit-identical because the composed body replays the exact per-stage flow
+  // (see FusedKernel). Without such a group the segment runs as it is.
+  const Segment& segment = run.segment;
+  Segment exec_segment;
+  std::vector<std::shared_ptr<FusedKernel>> group_kernels;  ///< null: size 1
+  if (run.groups.size() < segment.stages.size()) {
+    exec_segment.output_is_hash_build = segment.output_is_hash_build;
+    size_t next = 0;
+    for (int size_i : run.groups) {
+      const size_t size = static_cast<size_t>(size_i);
+      Stage stage = segment.stages[next + size - 1];  // tail's estimates
+      std::shared_ptr<FusedKernel> fused_kernel;
+      if (size > 1) {
+        std::vector<KernelPtr> children;
+        children.reserve(size);
+        for (size_t s = next; s < next + size; ++s) {
+          children.push_back(segment.stages[s].kernel);
         }
+        fused_kernel = std::make_shared<FusedKernel>(std::move(children));
+        stage.kernel = fused_kernel;
       }
-      if (hit) {
-        ++result.tuning_cache_hits;
-      } else {
-        choice = options.fused
-                     ? model::TuneSegmentEngines(cost_model_, desc,
-                                                 *calibration_, group_sizes,
-                                                 overrides)
-                     : model::TuneSegment(cost_model_, desc, *calibration_,
-                                          overrides);
-        if (tuning_cache_enabled) {
-          tuning_cache_->Insert(tuning_signature, choice);
-          ++result.tuning_cache_misses;
-        }
-      }
+      group_kernels.push_back(std::move(fused_kernel));
+      exec_segment.stages.push_back(std::move(stage));
+      next += size;
+    }
+  }
+  GPL_ASSIGN_OR_RETURN(
+      FunctionalRun func,
+      RunSegmentFunctional(group_kernels.empty() ? segment : exec_segment,
+                           *run.input, run.report.tuning.params.tile_bytes));
+
+  // Per-original-stage observations: a FusedKernel's recorded child
+  // cardinalities stand in for its group, so EXPLAIN ANALYZE and the composed
+  // timing see the same per-stage actuals as an unfused run.
+  observations.input_rows = func.input_rows;
+  observations.input_bytes = func.input_bytes;
+  observations.num_tiles = func.num_tiles;
+  for (size_t g = 0; g < func.stages.size(); ++g) {
+    if (group_kernels.empty() || group_kernels[g] == nullptr) {
+      observations.stages.push_back(func.stages[g]);
+      continue;
+    }
+    for (const FusedStageObservation& child :
+         group_kernels[g]->observations()) {
+      StageObservation so;
+      so.rows_in = child.rows_in;
+      so.bytes_in = child.bytes_in;
+      so.rows_out = child.rows_out;
+      so.bytes_out = child.bytes_out;
+      observations.stages.push_back(so);
+    }
+  }
+  run.output = std::move(func.output);
+  return Status::OK();
+}
+
+sim::PipelineSpec GplExecutor::BuildLaunches(
+    SegmentRun& run, sim::Simulator::FusedAccounting* fusion) const {
+  SegmentReport& report = run.report;
+  const model::TuningChoice& choice = report.tuning;
+  const std::vector<StageObservation>& observed = report.observations.stages;
+  // Post-execution per-stage timing descriptors: live kernels on a cold run,
+  // the cold run's recorded descriptors on a hit (the hash build's
+  // descriptor reflects the built table, which a hit never rebuilds).
+  const auto stage_timing = [&](size_t s) -> sim::KernelTimingDesc {
+    return run.cached != nullptr ? run.cached->stage_timings[s]
+                                 : run.segment.stages[s].kernel->timing();
+  };
+
+  // One launch per kernel group. A group of size 1 keeps its stage's
+  // descriptor. A larger group gets the composed descriptor built from the
+  // *observed* per-stage cardinalities; its interior hand-offs stay in
+  // registers, neither materialized nor channeled.
+  sim::PipelineSpec spec;
+  spec.tile_bytes = choice.params.tile_bytes;
+  spec.extra_resident_bytes = run.desc.extra_resident_bytes;
+  size_t next = 0;
+  for (size_t g = 0; g < run.groups.size(); ++g) {
+    const size_t size = static_cast<size_t>(run.groups[g]);
+    const size_t last = next + size - 1;
+    sim::KernelLaunch launch;
+    if (size == 1) {
+      launch.desc = stage_timing(next);
     } else {
-      choice.params.tile_bytes =
-          overrides.tile_bytes > 0 ? overrides.tile_bytes
-                                   : MiB(1);  // the paper's default Δ
-      const int wg = overrides.workgroups_per_kernel > 0
-                         ? overrides.workgroups_per_kernel
-                         : 2 * simulator_->device().num_cus;
-      bool default_fused = false;
-      if (options.fused) {
-        for (int size : group_sizes) default_fused |= size > 1;
+      std::vector<model::StageDesc> stages;
+      stages.reserve(size);
+      for (size_t s = next; s <= last; ++s) {
+        model::StageDesc sd;
+        sd.timing = run.desc.stages[s].timing;
+        sd.rows_in = static_cast<double>(observed[s].rows_in);
+        sd.bytes_in = static_cast<double>(observed[s].bytes_in);
+        sd.rows_out = static_cast<double>(observed[s].rows_out);
+        sd.bytes_out = static_cast<double>(observed[s].bytes_out);
+        stages.push_back(std::move(sd));
       }
-      if (default_fused) {
-        // Without the cost model the fused mode fuses every legal chain.
-        choice.engine = model::SegmentEngine::kFused;
-        choice.fused_group_sizes = group_sizes;
-        choice.params.workgroups.assign(group_sizes.size(), wg);
-        choice.estimate = cost_model_.EstimateSegmentSequential(
-            model::ComposeFusedSegment(desc, group_sizes), choice.params);
-      } else {
-        choice.params.workgroups.assign(segment.stages.size(), wg);
-        for (size_t g = 0; g + 1 < segment.stages.size(); ++g) {
-          choice.params.channels.push_back(
-              overrides.has_channel ? overrides.channel : sim::ChannelConfig{});
-        }
-        choice.estimate = cost_model_.EstimateSegment(desc, choice.params);
+      launch.desc = model::ComposeFusedStage(stages, 0, size).timing;
+      ++fusion->fused_kernels;
+      fusion->launches_saved += static_cast<int>(size) - 1;
+      for (size_t s = next; s < last; ++s) {
+        fusion->bytes_avoided += observed[s].bytes_out;
       }
     }
-    result.tuner_wall_ms +=
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - tune_start)
-            .count();
+    launch.rows_in = observed[next].rows_in;
+    launch.bytes_in = observed[next].bytes_in;
+    launch.rows_out = observed[last].rows_out;
+    launch.bytes_out = observed[last].bytes_out;
+    launch.workgroups_per_tile =
+        g < choice.params.workgroups.size() ? choice.params.workgroups[g] : 0;
+    // Channels between groups matter to the pipeline only: the sequential
+    // paths materialize every boundary and ignore the channel configs.
+    launch.input = g == 0 ? sim::Endpoint::kGlobal : sim::Endpoint::kChannel;
+    launch.output = g + 1 == run.groups.size() ? sim::Endpoint::kGlobal
+                                                : sim::Endpoint::kChannel;
+    if (!report.description.empty()) report.description += " -> ";
+    report.description += launch.desc.name;
+    spec.kernels.push_back(std::move(launch));
+    next += size;
+  }
+  spec.channel_configs = choice.params.channels;
+  while (spec.channel_configs.size() + 1 < spec.kernels.size()) {
+    spec.channel_configs.push_back(sim::ChannelConfig{});
+  }
+  return spec;
+}
 
-    const bool run_fused = options.fused &&
-                           choice.engine == model::SegmentEngine::kFused &&
-                           !choice.fused_group_sizes.empty();
+Status GplExecutor::Simulate(SegmentRun& run, size_t index,
+                             const ExecOptions& exec) const {
+  SegmentReport& report = run.report;
+  sim::Simulator::FusedAccounting fusion;
+  sim::PipelineSpec spec = BuildLaunches(run, &fusion);
+  for (const Stage& stage : run.segment.stages) {
+    report.stage_names.push_back(stage.kernel->name());
+  }
+  spec.trace = exec.trace;
+  spec.fault = exec.fault;
+  spec.label = "segment " + std::to_string(index) + ": " + report.description;
+  GPL_SLOG(Debug, "core")
+      .Field("segment", spec.label)
+      .Field("tile_bytes", spec.tile_bytes)
+      .Field("kernels", spec.kernels.size())
+      .Field("engine", model::SegmentEngineName(report.engine))
+      << "running segment";
 
-    // ---- Functional execution (real results + observed cardinalities) ----
-    // The fused path streams tiles through a segment whose fusible chains
-    // are collapsed into FusedKernels; results are bit-identical because the
-    // composed body replays the exact per-stage flow (see FusedKernel).
-    // On a subplan-cache hit the functional pass is skipped entirely: the
-    // cached entry carries the cold run's per-stage observations, and the
-    // timing simulation below replays them unchanged.
-    Segment exec_segment;
-    std::vector<std::shared_ptr<FusedKernel>> group_kernels;
-    FunctionalRun func;
-    if (cached == nullptr) {
-      if (run_fused) {
-        exec_segment.output_is_hash_build = segment.output_is_hash_build;
-        size_t next = 0;
-        for (int size_i : choice.fused_group_sizes) {
-          const size_t size = static_cast<size_t>(size_i);
-          Stage stage = segment.stages[next + size - 1];  // tail's estimates
-          if (size > 1) {
-            std::vector<KernelPtr> children;
-            children.reserve(size);
-            for (size_t s = next; s < next + size; ++s) {
-              children.push_back(segment.stages[s].kernel);
-            }
-            auto fused_kernel =
-                std::make_shared<FusedKernel>(std::move(children));
-            stage.kernel = fused_kernel;
-            group_kernels.push_back(std::move(fused_kernel));
-          } else {
-            group_kernels.push_back(nullptr);
-          }
-          exec_segment.stages.push_back(std::move(stage));
-          next += size;
-        }
-      }
-      Result<FunctionalRun> func_result =
-          RunSegmentFunctional(run_fused ? exec_segment : segment, *input,
-                               choice.params.tile_bytes);
-      GPL_RETURN_NOT_OK(func_result.status());  // ticket aborts on unwind
-      func = func_result.take();
-    }
-
-    // Per-original-stage observations: replayed from the cache on a hit;
-    // expanded from the FusedKernels' recorded child cardinalities on a cold
-    // fused run (so EXPLAIN ANALYZE and the composed timing below see the
-    // same per-stage actuals as an unfused run); taken as-is otherwise.
-    FunctionalRun observations;
-    if (cached != nullptr) {
-      observations.input_rows = cached->input_rows;
-      observations.input_bytes = cached->input_bytes;
-      observations.num_tiles = cached->num_tiles;
-      observations.stages = cached->stages;
-    } else if (run_fused) {
-      observations.input_rows = func.input_rows;
-      observations.input_bytes = func.input_bytes;
-      observations.num_tiles = func.num_tiles;
-      for (size_t g = 0; g < group_kernels.size(); ++g) {
-        if (group_kernels[g] == nullptr) {
-          observations.stages.push_back(func.stages[g]);
-          continue;
-        }
-        const auto& child_obs = group_kernels[g]->observations();
-        for (size_t c = 0; c < child_obs.size(); ++c) {
-          StageObservation so;
-          so.rows_in = child_obs[c].rows_in;
-          so.bytes_in = child_obs[c].bytes_in;
-          so.rows_out = child_obs[c].rows_out;
-          so.bytes_out = child_obs[c].bytes_out;
-          observations.stages.push_back(so);
-        }
-      }
-    } else {
-      observations.input_rows = func.input_rows;
-      observations.input_bytes = func.input_bytes;
-      observations.num_tiles = func.num_tiles;
-      observations.stages = std::move(func.stages);
-    }
-
-    // Fusion accounting, derived from the chosen grouping and the
-    // per-original-stage observations — identical on cold runs and cache
-    // hits (interior hand-offs stay in registers: neither materialized nor
-    // channeled).
-    int fused_groups = 0;
-    int launches_saved = 0;
-    int64_t fused_bytes_avoided = 0;
-    if (run_fused) {
-      size_t next = 0;
-      for (int size_i : choice.fused_group_sizes) {
-        const size_t size = static_cast<size_t>(size_i);
-        if (size > 1) {
-          ++fused_groups;
-          launches_saved += static_cast<int>(size) - 1;
-          for (size_t c = next; c + 1 < next + size; ++c) {
-            fused_bytes_avoided += observations.stages[c].bytes_out;
-          }
-        }
-        next += size;
-      }
-    }
-
-    // Post-execution per-stage timing descriptors: live kernels on a cold
-    // run, the cold run's recorded descriptors on a hit (the hash build's
-    // descriptor reflects the built table, which a hit never rebuilds).
-    const auto stage_timing = [&](size_t s) -> sim::KernelTimingDesc {
-      return cached != nullptr ? cached->stage_timings[s]
-                               : segment.stages[s].kernel->timing();
-    };
-
-    // ---- Timing simulation with observed cardinalities ----
-    SegmentReport report;
-    sim::PipelineSpec spec;
-    spec.tile_bytes = choice.params.tile_bytes;
-    spec.extra_resident_bytes = desc.extra_resident_bytes;
-    if (run_fused) {
-      // One launch per group; fused groups get the composed timing
-      // descriptor built from the *observed* per-stage cardinalities.
-      size_t next = 0;
-      for (size_t g = 0; g < choice.fused_group_sizes.size(); ++g) {
-        const size_t size =
-            static_cast<size_t>(choice.fused_group_sizes[g]);
-        sim::KernelLaunch launch;
-        if (size == 1) {
-          launch.desc = stage_timing(next);
-        } else {
-          std::vector<model::StageDesc> observed;
-          observed.reserve(size);
-          for (size_t s = next; s < next + size; ++s) {
-            model::StageDesc sd;
-            sd.timing = desc.stages[s].timing;
-            const StageObservation& obs = observations.stages[s];
-            sd.rows_in = static_cast<double>(obs.rows_in);
-            sd.bytes_in = static_cast<double>(obs.bytes_in);
-            sd.rows_out = static_cast<double>(obs.rows_out);
-            sd.bytes_out = static_cast<double>(obs.bytes_out);
-            observed.push_back(std::move(sd));
-          }
-          launch.desc = model::ComposeFusedStage(observed, 0, size).timing;
-        }
-        const StageObservation& first = observations.stages[next];
-        const StageObservation& last = observations.stages[next + size - 1];
-        launch.rows_in = first.rows_in;
-        launch.bytes_in = first.bytes_in;
-        launch.rows_out = last.rows_out;
-        launch.bytes_out = last.bytes_out;
-        launch.workgroups_per_tile =
-            g < choice.params.workgroups.size() ? choice.params.workgroups[g]
-                                                : 0;
-        launch.input = sim::Endpoint::kGlobal;
-        launch.output = sim::Endpoint::kGlobal;
-        if (!report.description.empty()) report.description += " -> ";
-        report.description += launch.desc.name;
-        spec.kernels.push_back(std::move(launch));
-        next += size;
-      }
-    } else {
-      const size_t num_stages = segment.stages.size();
-      for (size_t s = 0; s < num_stages; ++s) {
-        sim::KernelLaunch launch;
-        launch.desc = stage_timing(s);
-        const StageObservation& obs = observations.stages[s];
-        launch.rows_in = obs.rows_in;
-        launch.bytes_in = obs.bytes_in;
-        launch.rows_out = obs.rows_out;
-        launch.bytes_out = obs.bytes_out;
-        launch.workgroups_per_tile =
-            s < choice.params.workgroups.size() ? choice.params.workgroups[s]
-                                                : 0;
-        launch.input =
-            s == 0 ? sim::Endpoint::kGlobal : sim::Endpoint::kChannel;
-        launch.output = s + 1 == num_stages ? sim::Endpoint::kGlobal
-                                            : sim::Endpoint::kChannel;
-        spec.kernels.push_back(std::move(launch));
-      }
-      spec.channel_configs = choice.params.channels;
-      while (spec.channel_configs.size() + 1 < num_stages) {
-        spec.channel_configs.push_back(sim::ChannelConfig{});
-      }
-      for (size_t s = 0; s < num_stages; ++s) {
-        if (!report.description.empty()) report.description += " -> ";
-        report.description += segment.stages[s].kernel->name();
-      }
-    }
-    for (const Stage& stage : segment.stages) {
-      report.stage_names.push_back(stage.kernel->name());
-    }
-
-    spec.trace = options.exec.trace;
-    spec.fault = options.exec.fault;
-    spec.label = "segment " + std::to_string(i) + ": " + report.description;
-    GPL_SLOG(Debug, "core")
-        .Field("segment", spec.label)
-        .Field("tile_bytes", spec.tile_bytes)
-        .Field("kernels", spec.kernels.size())
-        .Field("concurrent", options.concurrent)
-        .Field("engine", model::SegmentEngineName(
-                             run_fused ? model::SegmentEngine::kFused
-                                       : choice.engine))
-        << "running segment";
-
-    Result<sim::SimResult> sim_result = Status::OK();
-    if (run_fused) {
-      sim::Simulator::FusedAccounting accounting;
-      accounting.fused_kernels = fused_groups;
-      accounting.launches_saved = launches_saved;
-      accounting.bytes_avoided = fused_bytes_avoided;
-      sim_result = simulator_->RunFusedSegment(spec, accounting);
-      report.engine = model::SegmentEngine::kFused;
-    } else if (options.fused &&
-               choice.engine == model::SegmentEngine::kKernelAtATime) {
-      sim_result = simulator_->RunSequentialTiles(spec);
-      report.engine = model::SegmentEngine::kKernelAtATime;
-    } else {
-      report.engine = options.concurrent
-                          ? model::SegmentEngine::kGplChannel
-                          : model::SegmentEngine::kKernelAtATime;
-      sim_result = options.concurrent ? simulator_->RunPipeline(spec)
-                                      : simulator_->RunSequentialTiles(spec);
+  // The one dispatch rule: the segment's engine picks the simulator path.
+  Result<sim::SimResult> sim_result = Status::OK();
+  switch (report.engine) {
+    case model::SegmentEngine::kGplChannel:
+      sim_result = simulator_->RunPipeline(spec);
       if (!sim_result.ok() &&
           sim_result.status().code() == StatusCode::kChannelAllocFailed &&
-          options.exec.degrade_on_channel_failure) {
+          exec.degrade_on_channel_failure) {
         // Graceful degradation: the pipelined segment could not get its
         // channels, so re-execute it kernel-at-a-time (the w/o-CE path needs
         // none). The functional output is already computed and unaffected;
@@ -595,91 +597,68 @@ Result<GplRunResult> GplExecutor::Run(const SegmentedPlan& plan,
         if (sim_result.ok()) {
           report.degraded = true;
           report.engine = model::SegmentEngine::kKernelAtATime;
-          ++result.degraded_segments;
         }
       }
-    }
-    GPL_RETURN_NOT_OK(sim_result.status());  // ticket aborts on unwind
-    report.sim = sim_result.take();
-
-    result.counters.Accumulate(report.sim.counters);
-    result.total_cycles += report.sim.counters.elapsed_cycles;
-    result.predicted_total_cycles += choice.estimate.total_cycles;
-    if (run_fused) {
-      ++result.fused_segments;
-      result.fused_launches_saved += launches_saved;
-      result.fused_bytes_avoided += fused_bytes_avoided;
-      report.fused_groups = fused_groups;
-      report.launches_saved = launches_saved;
-      report.fused_bytes_avoided = fused_bytes_avoided;
-    }
-
-    // ---- Segment output: replay, publish, or pass through ----
-    std::shared_ptr<const Table> out_ptr;
-    if (cached != nullptr) {
-      out_ptr = cached->output;
-      if (segment.output_is_hash_build && segment.hash_state != nullptr) {
-        // Downstream probe kernels read the cached snapshot through
-        // HashJoinState::probe_table()/probe_rows().
-        segment.hash_state->shared = cached->hash;
-      }
-    } else if (subplan == SubplanOutcome::kMiss) {
-      auto entry = std::make_shared<CachedSegment>();
-      entry->stages = observations.stages;
-      entry->input_rows = observations.input_rows;
-      entry->input_bytes = observations.input_bytes;
-      entry->num_tiles = observations.num_tiles;
-      entry->stage_timings.reserve(segment.stages.size());
-      for (const Stage& stage : segment.stages) {
-        entry->stage_timings.push_back(stage.kernel->timing());
-      }
-      out_ptr = std::make_shared<const Table>(std::move(func.output));
-      entry->output = out_ptr;
-      if (segment.output_is_hash_build && segment.hash_state != nullptr) {
-        // Move the built state into an immutable snapshot and leave the
-        // live state reading through it, exactly as a future hit would.
-        auto snap = std::make_shared<HashJoinState>();
-        snap->table = std::move(segment.hash_state->table);
-        snap->build_rows = std::move(segment.hash_state->build_rows);
-        snap->build_rows_initialized =
-            segment.hash_state->build_rows_initialized;
-        segment.hash_state->table = JoinHashTable();
-        segment.hash_state->build_rows = Table();
-        segment.hash_state->build_rows_initialized = false;
-        segment.hash_state->shared = snap;
-        entry->hash = snap;
-        entry->bytes =
-            snap->table.byte_size() + snap->build_rows.byte_size();
-      } else {
-        entry->bytes = out_ptr->byte_size();
-      }
-      const double cost_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - segment_start)
-              .count();
-      cache->Publish(seg_key, entry, entry->bytes, cost_ms);
-      ticket.Disarm();
-    } else {
-      out_ptr = std::make_shared<const Table>(std::move(func.output));
-    }
-    outputs[i] = out_ptr;
-
-    report.subplan_cache = subplan;
-    report.tuning = choice;
-    report.predicted_cycles = choice.estimate.total_cycles;
-    report.measured_cycles = report.sim.counters.elapsed_cycles;
-    report.tuning_cache_hit = tuning_cache_hit;
-    report.host_wall_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - segment_start)
-                              .count();
-    report.observations = std::move(observations);
-    result.segments.push_back(std::move(report));
+      break;
+    case model::SegmentEngine::kKernelAtATime:
+      sim_result = simulator_->RunSequentialTiles(spec);
+      break;
+    case model::SegmentEngine::kFused:
+      sim_result = simulator_->RunFusedSegment(spec, fusion);
+      break;
   }
+  GPL_RETURN_NOT_OK(sim_result.status());
+  report.sim = sim_result.take();
+  report.measured_cycles = report.sim.counters.elapsed_cycles;
+  report.fused_groups = fusion.fused_kernels;
+  report.launches_saved = fusion.launches_saved;
+  report.fused_bytes_avoided = fusion.bytes_avoided;
+  return Status::OK();
+}
 
-  if (!outputs.empty() && outputs.back() != nullptr) {
-    result.output = *outputs.back();
+std::shared_ptr<const Table> GplExecutor::PublishOutput(
+    SegmentRun& run, pool::SubplanCache* cache) const {
+  const Segment& segment = run.segment;
+  const bool hash_build =
+      segment.output_is_hash_build && segment.hash_state != nullptr;
+  if (run.cached != nullptr) {
+    // Downstream probe kernels read the cached snapshot through
+    // HashJoinState::probe_table()/probe_rows().
+    if (hash_build) segment.hash_state->shared = run.cached->hash;
+    return run.cached->output;
   }
-  return result;
+  auto output = std::make_shared<const Table>(std::move(run.output));
+  if (run.report.subplan_cache != SubplanOutcome::kMiss) return output;
+
+  auto entry = std::make_shared<CachedSegment>();
+  entry->observations = run.report.observations;
+  entry->stage_timings.reserve(segment.stages.size());
+  for (const Stage& stage : segment.stages) {
+    entry->stage_timings.push_back(stage.kernel->timing());
+  }
+  entry->output = output;
+  if (hash_build) {
+    // Move the built state into an immutable snapshot and leave the live
+    // state reading through it, exactly as a future hit would.
+    auto snap = std::make_shared<HashJoinState>();
+    snap->table = std::move(segment.hash_state->table);
+    snap->build_rows = std::move(segment.hash_state->build_rows);
+    snap->build_rows_initialized = segment.hash_state->build_rows_initialized;
+    segment.hash_state->table = JoinHashTable();
+    segment.hash_state->build_rows = Table();
+    segment.hash_state->build_rows_initialized = false;
+    segment.hash_state->shared = snap;
+    entry->hash = snap;
+    entry->bytes = snap->table.byte_size() + snap->build_rows.byte_size();
+  } else {
+    entry->bytes = output->byte_size();
+  }
+  const double cost_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - run.start)
+                             .count();
+  cache->Publish(run.subplan_key, entry, entry->bytes, cost_ms);
+  run.ticket.Disarm();
+  return output;
 }
 
 }  // namespace gpl

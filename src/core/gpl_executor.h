@@ -19,22 +19,6 @@
 
 namespace gpl {
 
-/// Options of a GPL run.
-struct GplOptions {
-  /// False selects the GPL (w/o CE) ablation: tiling without concurrent
-  /// kernel execution or channels (Section 5.3.1).
-  bool concurrent = true;
-
-  /// True enables the fused engine mode: the fusion pass groups each
-  /// segment's fusible chains, and the tuner picks per segment among
-  /// pipelined / kernel-at-a-time / fused execution (EngineMode::kFused).
-  bool fused = false;
-
-  /// Cost-model toggle, knob overrides, trace sink, and cancellation token
-  /// (shared with the engine front-end — see engine/exec_options.h).
-  ExecOptions exec;
-};
-
 /// How a segment met the subplan cache (EXPLAIN ANALYZE `cache:` line).
 enum class SubplanOutcome {
   kBypass,  ///< no cache configured / disabled / fault-injected / uncacheable
@@ -62,8 +46,9 @@ struct SegmentReport {
   /// True when this segment's channel allocation failed and it re-executed
   /// under kernel-at-a-time tiling (the w/o-CE path) instead.
   bool degraded = false;
-  /// How this segment's kernels executed. kGplChannel for the plain GPL
-  /// modes; the fused mode picks per segment.
+  /// How this segment's kernels executed, which picks its simulator path:
+  /// kGplChannel in the gpl mode, kKernelAtATime in the noce mode (and after
+  /// degradation), the tuner's pick in the fused mode.
   model::SegmentEngine engine = model::SegmentEngine::kGplChannel;
   /// Fusion accounting (engine == kFused only; 0 otherwise).
   int fused_groups = 0;            ///< composed kernels in this segment
@@ -81,8 +66,8 @@ struct SegmentReport {
 
 /// Outcome of executing a segmented plan with GPL.
 ///
-/// `total_cycles` / `predicted_total_cycles` / `counters` are *simulated*
-/// quantities and are bit-deterministic for a given plan and database.
+/// `predicted_total_cycles` / `counters` are *simulated* quantities and are
+/// bit-deterministic for a given plan and database.
 /// `tuner_wall_ms` is host wall-clock spent in the tuner: it varies from run
 /// to run (and especially under concurrent execution), so it is reported
 /// separately and must never be folded into simulated-time totals.
@@ -90,7 +75,6 @@ struct GplRunResult {
   Table output;
   std::vector<SegmentReport> segments;
   sim::HwCounters counters;  ///< accumulated across segments (simulated)
-  double total_cycles = 0.0;
   double predicted_total_cycles = 0.0;
   double tuner_wall_ms = 0.0;  ///< host wall-clock spent in the tuner
   int tuning_cache_hits = 0;   ///< segments whose choice came from the cache
@@ -111,8 +95,13 @@ struct GplRunResult {
 /// The pipelined query executor — the paper's core contribution. Executes a
 /// SegmentedPlan segment by segment: resolves the segment input, tunes the
 /// pipeline parameters with the analytical model, streams tiles through the
-/// kernels functionally, and accounts time with the event simulator
-/// (concurrent kernels + channels, or the sequential w/o-CE ablation).
+/// kernels functionally, and accounts time with the event simulator.
+///
+/// Every segment of every GPL-family mode takes the same steps. A segment
+/// runs as a list of kernel groups: all of size 1 unless the fused mode's
+/// tuner chose to fuse it. Its engine decides the simulation: kGplChannel
+/// runs the concurrent pipeline with channels, kKernelAtATime the sequential
+/// w/o-CE tiling, kFused the sequential tiling over the composed kernels.
 class GplExecutor {
  public:
   /// `tuning_cache` (optional) memoizes TuneSegment results across runs —
@@ -126,8 +115,10 @@ class GplExecutor {
               model::TuningCache* tuning_cache = nullptr,
               pool::SubplanCache* subplan_cache = nullptr);
 
-  Result<GplRunResult> Run(const SegmentedPlan& plan,
-                           const GplOptions& options) const;
+  /// Executes `plan` under `mode`, which must be kGpl, kGplNoCe or kFused
+  /// (InvalidArgument otherwise).
+  Result<GplRunResult> Run(const SegmentedPlan& plan, EngineMode mode,
+                           const ExecOptions& exec) const;
 
   /// Builds the model-side description of a segment (optimizer λ estimates;
   /// exposed for the model-evaluation benches).
@@ -136,6 +127,10 @@ class GplExecutor {
                                      int64_t input_bytes) const;
 
  private:
+  /// One segment's state, threaded through the steps below (defined in the
+  /// .cc: it holds the subplan-cache compute ticket).
+  struct SegmentRun;
+
   /// Resolves the segment's input as a shared view: a prior segment's output
   /// (no copy), or a base-table scan view — through the subplan cache's
   /// shared-scan path when `cache` is non-null (concurrent queries scanning
@@ -145,6 +140,39 @@ class GplExecutor {
       const Segment& segment,
       const std::vector<std::shared_ptr<const Table>>& prior_outputs,
       pool::SubplanCache* cache) const;
+
+  bool TuningCacheEnabled(const ExecOptions& exec) const;
+
+  // The per-segment steps Run() takes, in order.
+  /// Describes the segment to the model, plans its fusion groups (fused mode)
+  /// and computes the tuning signature that scopes both caches.
+  void DescribeAndScope(SegmentRun& run, EngineMode mode,
+                        const ExecOptions& exec,
+                        const pool::SubplanCache* cache) const;
+  /// Looks the segment up in the subplan cache; a miss arms the compute
+  /// ticket so an error before PublishOutput wakes the waiters.
+  void LookupSubplan(SegmentRun& run, const ExecOptions& exec,
+                     pool::SubplanCache* cache) const;
+  /// Picks Δ, wg_Ki, channels and the segment engine (cost model and tuning
+  /// cache, or the paper's defaults).
+  void ChooseParameters(SegmentRun& run, EngineMode mode,
+                        const ExecOptions& exec) const;
+  /// Streams the tiles through the segment's kernel groups (skipped on a
+  /// subplan hit) and records per-original-stage observations.
+  Status RunFunctional(SegmentRun& run) const;
+  /// Builds one launch per kernel group from the observed cardinalities and
+  /// names the segment (the launch names joined by " -> "); counts the fused
+  /// groups into `fusion`.
+  sim::PipelineSpec BuildLaunches(
+      SegmentRun& run, sim::Simulator::FusedAccounting* fusion) const;
+  /// Simulates the segment's timing from the observed cardinalities on the
+  /// engine's simulator path.
+  Status Simulate(SegmentRun& run, size_t index,
+                  const ExecOptions& exec) const;
+  /// Returns the segment output: replayed from the cache, published to it,
+  /// or passed through.
+  std::shared_ptr<const Table> PublishOutput(SegmentRun& run,
+                                             pool::SubplanCache* cache) const;
 
   const tpch::Database* db_;
   const sim::Simulator* simulator_;

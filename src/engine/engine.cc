@@ -247,11 +247,7 @@ Result<GplRunResult> Engine::ExecuteGplDetailed(const PhysicalOpPtr& plan) {
 Result<GplRunResult> Engine::ExecuteGplDetailed(const PhysicalOpPtr& plan,
                                                 const ExecOptions& exec) {
   GPL_ASSIGN_OR_RETURN(SegmentedPlan segmented, SegmentPlan(plan));
-  GplOptions gpl_options;
-  gpl_options.concurrent = options_.mode != EngineMode::kGplNoCe;
-  gpl_options.fused = options_.mode == EngineMode::kFused;
-  gpl_options.exec = exec;
-  return gpl_executor_.Run(segmented, gpl_options);
+  return gpl_executor_.Run(segmented, options_.mode, exec);
 }
 
 }  // namespace gpl

@@ -27,16 +27,6 @@ struct ShardedDatabase;
 class ShardedExecutor;
 }  // namespace shard
 
-/// Execution strategies evaluated in the paper.
-enum class EngineMode {
-  kKbe,      ///< kernel-based execution baseline [15, 16]
-  kGplNoCe,  ///< GPL with tiling but without concurrent execution/channels
-  kGpl,      ///< the full pipelined engine
-  kOcelot,   ///< Ocelot-style KBE baseline (Section 5.5)
-  kFused,    ///< GPL + kernel fusion: the tuner picks per segment among
-             ///< pipelined / kernel-at-a-time / fused chains
-};
-
 const char* EngineModeName(EngineMode mode);
 
 /// Parses an execution-mode name as used by the CLI/benches
@@ -170,9 +160,10 @@ class Engine {
   Result<QueryResult> ExecutePlan(const PhysicalOpPtr& plan,
                                   const ExecOptions& exec);
 
-  /// Executes a plan with GPL and returns the detailed per-segment run
-  /// (tuning choices, predictions, simulated stats) — used by the model-
-  /// evaluation benches.
+  /// Executes a plan under the engine's GPL-family mode (gpl, noce, fused)
+  /// and returns the detailed per-segment run (tuning choices, predictions,
+  /// simulated stats) — used by the model-evaluation benches and EXPLAIN
+  /// ANALYZE. KBE and Ocelot engines get InvalidArgument.
   Result<GplRunResult> ExecuteGplDetailed(const PhysicalOpPtr& plan);
   Result<GplRunResult> ExecuteGplDetailed(const PhysicalOpPtr& plan,
                                           const ExecOptions& exec);

@@ -17,6 +17,16 @@ namespace sim {
 class FaultInjector;
 }  // namespace sim
 
+/// Execution strategies evaluated in the paper.
+enum class EngineMode {
+  kKbe,      ///< kernel-based execution baseline [15, 16]
+  kGplNoCe,  ///< GPL with tiling but without concurrent execution/channels
+  kGpl,      ///< the full pipelined engine
+  kOcelot,   ///< Ocelot-style KBE baseline (Section 5.5)
+  kFused,    ///< GPL + kernel fusion: the tuner picks per segment among
+             ///< pipelined / kernel-at-a-time / fused chains
+};
+
 /// Per-execution options shared by every execution entry point (`Engine`,
 /// `GplExecutor::Run`, `KbeEngine::Execute`). Factoring them into one struct
 /// keeps the engine front-end and the executors from drifting apart (they
@@ -24,9 +34,9 @@ class FaultInjector;
 /// shape to override per call.
 ///
 /// Header note: this lives under engine/ (the public API layer) but is
-/// deliberately dependency-light — only the tuner knobs, a trace forward
-/// declaration and the cancellation token — so the lower core/ layer can
-/// embed it without a cycle.
+/// deliberately dependency-light — only the engine modes, the tuner knobs,
+/// a trace forward declaration and the cancellation token — so the lower
+/// core/ layer can embed it without a cycle.
 struct ExecOptions {
   /// GPL: use the analytical model to pick Δ, wg_Ki and channel configs
   /// (Section 4). When false, the defaults / overrides below apply.

@@ -15,68 +15,46 @@ namespace gpl {
 
 namespace {
 
-std::string FormatMs(double ms) {
+std::string Format(const char* format, double value) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", ms);
+  std::snprintf(buf, sizeof(buf), format, value);
   return buf;
 }
 
-std::string FormatCycles(double cycles) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.0f", cycles);
-  return buf;
+std::string FormatMs(double ms) { return Format("%.3f", ms); }
+std::string FormatCycles(double cycles) { return Format("%.0f", cycles); }
+std::string FormatPct(double pct) { return Format("%+.1f%%", pct); }
+
+/// Bytes an exchange actually moved: broadcast/repartition traffic is charged
+/// exactly as priced; the final gather ships whatever the shards really
+/// produced, which Execute() recorded as shuffle_bytes.
+int64_t ActualBytes(const shard::ExchangeOpReport& ex,
+                    const QueryMetrics& metrics) {
+  return ex.kind == ExchangeKind::kGather ? metrics.shuffle_bytes
+                                          : ex.predicted_bytes;
 }
 
-std::string FormatPct(double pct) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%+.1f%%", pct);
-  return buf;
-}
-
-void AppendJsonField(std::string* out, const char* key,
-                     const std::string& value, bool quote) {
-  if (out->back() != '{') *out += ",";
-  *out += "\"";
-  *out += key;
-  *out += "\":";
-  if (quote) {
-    *out += "\"" + trace::JsonEscape(value) + "\"";
-  } else {
-    *out += value;
-  }
-}
-
-void AppendJsonNumber(std::string* out, const char* key, double value) {
-  AppendJsonField(out, key, trace::JsonNumber(value), /*quote=*/false);
-}
-
-void AppendJsonInt(std::string* out, const char* key, int64_t value) {
-  AppendJsonField(out, key, std::to_string(value), /*quote=*/false);
-}
-
-void AppendJsonBool(std::string* out, const char* key, bool value) {
-  AppendJsonField(out, key, value ? "true" : "false", /*quote=*/false);
+/// Signed prediction error, (predicted - actual) / actual * 100; 0 when the
+/// actual is not positive.
+double CycleErrorPct(double predicted, double actual) {
+  if (actual <= 0.0) return 0.0;
+  return (predicted - actual) / actual * 100.0;
 }
 
 }  // namespace
-
-double ExplainAnalyzeSegment::CycleErrorPct() const {
-  if (actual_cycles <= 0.0) return 0.0;
-  return (predicted_cycles - actual_cycles) / actual_cycles * 100.0;
-}
 
 std::string ExplainAnalyzeReport::ToString() const {
   std::ostringstream out;
   out << "EXPLAIN ANALYZE query=" << query << " mode=" << mode
       << " device=" << device << "\n";
   out << "plan:\n" << plan_text;
-  if (num_shards > 1) {
-    out << "exchanges: shards=" << num_shards
-        << " merge=" << shard::MergeLabel(fallback_reason) << "\n";
-    for (const ExplainAnalyzeExchange& ex : exchanges) {
-      out << "  " << ex.kind << " " << ex.table
+  if (distributed.num_shards > 1) {
+    out << "exchanges: shards=" << distributed.num_shards
+        << " merge=" << shard::MergeLabel(distributed.fallback_reason) << "\n";
+    for (const shard::ExchangeOpReport& ex : distributed.exchanges) {
+      out << "  " << ExchangeKindName(ex.kind) << " " << ex.table
           << ": predicted_bytes=" << ex.predicted_bytes
-          << " actual_bytes=" << ex.actual_bytes << " ("
+          << " actual_bytes=" << ActualBytes(ex, metrics) << " ("
           << FormatMs(ex.predicted_ms) << " ms predicted)\n";
     }
     out << "totals: elapsed=" << FormatMs(metrics.elapsed_ms)
@@ -86,55 +64,53 @@ std::string ExplainAnalyzeReport::ToString() const {
     return out.str();
   }
   out << "segments:\n";
-  for (const ExplainAnalyzeSegment& seg : segments) {
-    out << "  segment " << seg.index << ": " << seg.description << "  ["
-        << (seg.degraded ? "degraded"
-                         : (seg.engine.empty() ? "pipelined" : seg.engine))
+  double actual_total = 0.0;
+  double predicted_total = 0.0;
+  double host_total = 0.0;
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const SegmentReport& seg = segments[i];
+    const model::SegmentParams& params = seg.tuning.params;
+    out << "  segment " << i << ": " << seg.description << "  ["
+        << (seg.degraded ? "degraded" : model::SegmentEngineName(seg.engine))
         << "] [cache " << (seg.tuning_cache_hit ? "hit" : "miss") << "]\n";
-    out << "    tile_bytes=" << seg.tile_bytes << " tiles=" << seg.num_tiles
-        << " workgroups=";
-    for (size_t i = 0; i < seg.workgroups.size(); ++i) {
-      if (i > 0) out << ",";
-      out << seg.workgroups[i];
+    out << "    tile_bytes=" << params.tile_bytes
+        << " tiles=" << seg.observations.num_tiles << " workgroups=";
+    for (size_t w = 0; w < params.workgroups.size(); ++w) {
+      if (w > 0) out << ",";
+      out << params.workgroups[w];
     }
     out << "\n";
-    out << "    cycles: actual=" << FormatCycles(seg.actual_cycles)
-        << " predicted=" << FormatCycles(seg.predicted_cycles)
-        << " error=" << FormatPct(seg.CycleErrorPct()) << "  ("
-        << FormatMs(seg.actual_ms) << " ms simulated)\n";
+    out << "    cycles: actual=" << FormatCycles(seg.measured_cycles)
+        << " predicted=" << FormatCycles(seg.predicted_cycles) << " error="
+        << FormatPct(CycleErrorPct(seg.predicted_cycles, seg.measured_cycles))
+        << "  (" << FormatMs(device_spec.CyclesToMs(seg.measured_cycles))
+        << " ms simulated)\n";
     out << "    host_wall_ms=" << FormatMs(seg.host_wall_ms)
-        << " channel_bytes=" << seg.channel_bytes
-        << " materialized_bytes=" << seg.materialized_bytes << "\n";
-    out << "    cache: " << seg.subplan_cache << "\n";
+        << " channel_bytes=" << seg.sim.counters.bytes_via_channel
+        << " materialized_bytes=" << seg.sim.counters.bytes_materialized
+        << "\n";
+    out << "    cache: " << SubplanOutcomeName(seg.subplan_cache) << "\n";
     if (seg.fused_groups > 0) {
       out << "    fusion: groups=" << seg.fused_groups
           << " launches_saved=" << seg.launches_saved
           << " bytes_avoided=" << seg.fused_bytes_avoided << "\n";
     }
-    for (const ExplainAnalyzeStage& stage : seg.stages) {
-      out << "      " << stage.kernel << ": rows " << stage.rows_in << " -> "
-          << stage.rows_out << "  bytes " << stage.bytes_in << " -> "
-          << stage.bytes_out << "\n";
+    for (size_t s = 0; s < seg.observations.stages.size(); ++s) {
+      const StageObservation& stage = seg.observations.stages[s];
+      out << "      " << seg.stage_names[s] << ": rows " << stage.rows_in
+          << " -> " << stage.rows_out << "  bytes " << stage.bytes_in
+          << " -> " << stage.bytes_out << "\n";
     }
-  }
-  double actual_total = 0.0;
-  double predicted_total = 0.0;
-  double host_total = 0.0;
-  for (const ExplainAnalyzeSegment& seg : segments) {
-    actual_total += seg.actual_cycles;
+    actual_total += seg.measured_cycles;
     predicted_total += seg.predicted_cycles;
     host_total += seg.host_wall_ms;
   }
-  const double total_error =
-      actual_total > 0.0
-          ? (predicted_total - actual_total) / actual_total * 100.0
-          : 0.0;
   out << "totals: segments=" << segments.size()
       << " actual_cycles=" << FormatCycles(actual_total) << " ("
       << FormatMs(metrics.elapsed_ms)
       << " ms) predicted_cycles=" << FormatCycles(predicted_total) << " ("
-      << FormatMs(metrics.predicted_ms)
-      << " ms) error=" << FormatPct(total_error) << "\n";
+      << FormatMs(metrics.predicted_ms) << " ms) error="
+      << FormatPct(CycleErrorPct(predicted_total, actual_total)) << "\n";
   out << "  tuning_cache: hits=" << metrics.tuning_cache_hits
       << " misses=" << metrics.tuning_cache_misses
       << "  degraded_segments=" << metrics.degraded_segments
@@ -153,76 +129,81 @@ std::string ExplainAnalyzeReport::ToString() const {
 }
 
 std::string ExplainAnalyzeReport::ToJson() const {
-  std::string out = "{";
-  AppendJsonField(&out, "query", query, /*quote=*/true);
-  AppendJsonField(&out, "mode", mode, /*quote=*/true);
-  AppendJsonField(&out, "device", device, /*quote=*/true);
-  AppendJsonInt(&out, "output_rows", output_rows);
-  if (num_shards > 1) {
+  std::string out;
+  trace::JsonObjectWriter json(&out);
+  json.Field("query", query)
+      .Field("mode", mode)
+      .Field("device", device)
+      .Field("output_rows", output_rows);
+  if (distributed.num_shards > 1) {
     // Sharded-run block, omitted for single-device runs so their JSON stays
     // byte-stable across this change.
-    AppendJsonInt(&out, "num_shards", num_shards);
-    AppendJsonBool(&out, "partial_combine", partial_combine);
-    AppendJsonField(&out, "fallback_reason", fallback_reason, /*quote=*/true);
-    out += ",\"exchanges\":[";
-    for (size_t i = 0; i < exchanges.size(); ++i) {
-      const ExplainAnalyzeExchange& ex = exchanges[i];
+    json.Field("num_shards", distributed.num_shards)
+        .Field("partial_combine", metrics.partial_combine)
+        .Field("fallback_reason", distributed.fallback_reason);
+    json.Key("exchanges");
+    out += "[";
+    for (size_t i = 0; i < distributed.exchanges.size(); ++i) {
+      const shard::ExchangeOpReport& ex = distributed.exchanges[i];
       if (i > 0) out += ",";
-      out += "{";
-      AppendJsonField(&out, "table", ex.table, /*quote=*/true);
-      AppendJsonField(&out, "kind", ex.kind, /*quote=*/true);
-      AppendJsonInt(&out, "predicted_bytes", ex.predicted_bytes);
-      AppendJsonInt(&out, "actual_bytes", ex.actual_bytes);
-      AppendJsonNumber(&out, "predicted_ms", ex.predicted_ms);
-      out += "}";
+      trace::JsonObjectWriter(&out)
+          .Field("table", ex.table)
+          .Field("kind", ExchangeKindName(ex.kind))
+          .Field("predicted_bytes", ex.predicted_bytes)
+          .Field("actual_bytes", ActualBytes(ex, metrics))
+          .Field("predicted_ms", ex.predicted_ms)
+          .Close();
     }
     out += "]";
   }
-  out += ",\"segments\":[";
+  json.Key("segments");
+  out += "[";
   for (size_t i = 0; i < segments.size(); ++i) {
-    const ExplainAnalyzeSegment& seg = segments[i];
+    const SegmentReport& seg = segments[i];
     if (i > 0) out += ",";
-    out += "{";
-    AppendJsonInt(&out, "index", seg.index);
-    AppendJsonField(&out, "description", seg.description, /*quote=*/true);
-    AppendJsonInt(&out, "num_tiles", seg.num_tiles);
-    AppendJsonInt(&out, "tile_bytes", seg.tile_bytes);
-    out += ",\"workgroups\":[";
-    for (size_t w = 0; w < seg.workgroups.size(); ++w) {
+    trace::JsonObjectWriter segment(&out);
+    segment.Field("index", i)
+        .Field("description", seg.description)
+        .Field("num_tiles", seg.observations.num_tiles)
+        .Field("tile_bytes", seg.tuning.params.tile_bytes);
+    segment.Key("workgroups");
+    out += "[";
+    for (size_t w = 0; w < seg.tuning.params.workgroups.size(); ++w) {
       if (w > 0) out += ",";
-      out += std::to_string(seg.workgroups[w]);
+      out += std::to_string(seg.tuning.params.workgroups[w]);
     }
     out += "]";
-    AppendJsonNumber(&out, "actual_cycles", seg.actual_cycles);
-    AppendJsonNumber(&out, "predicted_cycles", seg.predicted_cycles);
-    AppendJsonNumber(&out, "actual_ms", seg.actual_ms);
-    AppendJsonNumber(&out, "predicted_ms", seg.predicted_ms);
-    AppendJsonNumber(&out, "cycle_error_pct", seg.CycleErrorPct());
-    AppendJsonNumber(&out, "host_wall_ms", seg.host_wall_ms);
-    AppendJsonInt(&out, "channel_bytes", seg.channel_bytes);
-    AppendJsonInt(&out, "materialized_bytes", seg.materialized_bytes);
-    AppendJsonBool(&out, "tuning_cache_hit", seg.tuning_cache_hit);
-    AppendJsonBool(&out, "degraded", seg.degraded);
-    AppendJsonField(&out, "subplan_cache", seg.subplan_cache, /*quote=*/true);
-    AppendJsonField(&out, "engine",
-                    seg.engine.empty() ? "pipelined" : seg.engine,
-                    /*quote=*/true);
-    AppendJsonInt(&out, "fused_groups", seg.fused_groups);
-    AppendJsonInt(&out, "launches_saved", seg.launches_saved);
-    AppendJsonInt(&out, "fused_bytes_avoided", seg.fused_bytes_avoided);
-    out += ",\"stages\":[";
-    for (size_t s = 0; s < seg.stages.size(); ++s) {
-      const ExplainAnalyzeStage& stage = seg.stages[s];
+    segment.Field("actual_cycles", seg.measured_cycles)
+        .Field("predicted_cycles", seg.predicted_cycles)
+        .Field("actual_ms", device_spec.CyclesToMs(seg.measured_cycles))
+        .Field("predicted_ms", device_spec.CyclesToMs(seg.predicted_cycles))
+        .Field("cycle_error_pct",
+               CycleErrorPct(seg.predicted_cycles, seg.measured_cycles))
+        .Field("host_wall_ms", seg.host_wall_ms)
+        .Field("channel_bytes", seg.sim.counters.bytes_via_channel)
+        .Field("materialized_bytes", seg.sim.counters.bytes_materialized)
+        .Field("tuning_cache_hit", seg.tuning_cache_hit)
+        .Field("degraded", seg.degraded)
+        .Field("subplan_cache", SubplanOutcomeName(seg.subplan_cache))
+        .Field("engine", model::SegmentEngineName(seg.engine))
+        .Field("fused_groups", seg.fused_groups)
+        .Field("launches_saved", seg.launches_saved)
+        .Field("fused_bytes_avoided", seg.fused_bytes_avoided);
+    segment.Key("stages");
+    out += "[";
+    for (size_t s = 0; s < seg.observations.stages.size(); ++s) {
+      const StageObservation& stage = seg.observations.stages[s];
       if (s > 0) out += ",";
-      out += "{";
-      AppendJsonField(&out, "kernel", stage.kernel, /*quote=*/true);
-      AppendJsonInt(&out, "rows_in", stage.rows_in);
-      AppendJsonInt(&out, "bytes_in", stage.bytes_in);
-      AppendJsonInt(&out, "rows_out", stage.rows_out);
-      AppendJsonInt(&out, "bytes_out", stage.bytes_out);
-      out += "}";
+      trace::JsonObjectWriter(&out)
+          .Field("kernel", seg.stage_names[s])
+          .Field("rows_in", stage.rows_in)
+          .Field("bytes_in", stage.bytes_in)
+          .Field("rows_out", stage.rows_out)
+          .Field("bytes_out", stage.bytes_out)
+          .Close();
     }
-    out += "]}";
+    out += "]";
+    segment.Close();
   }
   out += "]";
   MetricsJsonEntry entry;
@@ -230,8 +211,9 @@ std::string ExplainAnalyzeReport::ToJson() const {
   entry.mode = mode;
   entry.device = device;
   entry.metrics = metrics;
-  out += ",\"metrics\":" + QueryMetricsToJson(entry);
-  out += "}";
+  json.Key("metrics");
+  out += QueryMetricsToJson(entry);
+  json.Close();
   return out;
 }
 
@@ -255,26 +237,10 @@ Result<ExplainAnalyzeReport> ExplainAnalyze(Engine& engine,
     report.query = query.name;
     report.mode = EngineModeName(mode);
     report.device = sharded->group().ToString();
-    report.plan_text = dist.plan_text;
+    report.plan_text = std::move(dist.plan_text);
     report.metrics = result.metrics;
     report.output_rows = result.table.num_rows();
-    report.num_shards = dist.num_shards;
-    report.partial_combine = result.metrics.partial_combine;
-    report.fallback_reason = dist.fallback_reason;
-    for (const shard::ExchangeOpReport& ex : dist.exchanges) {
-      ExplainAnalyzeExchange entry;
-      entry.table = ex.table;
-      entry.kind = std::string(ExchangeKindName(ex.kind));
-      entry.predicted_bytes = ex.predicted_bytes;
-      // Broadcast/repartition traffic is charged exactly as priced; the
-      // final gather ships whatever the shards really produced, which
-      // Execute() recorded as shuffle_bytes.
-      entry.actual_bytes = ex.kind == ExchangeKind::kGather
-                               ? result.metrics.shuffle_bytes
-                               : ex.predicted_bytes;
-      entry.predicted_ms = ex.predicted_ms;
-      report.exchanges.push_back(std::move(entry));
-    }
+    report.distributed = std::move(dist);
     return report;
   }
   if (mode != EngineMode::kGpl && mode != EngineMode::kGplNoCe &&
@@ -300,44 +266,8 @@ Result<ExplainAnalyzeReport> ExplainAnalyze(Engine& engine,
   report.metrics = engine.FinalizeGplMetrics(run);
   report.metrics.plan_wall_ms = plan_wall_ms;
   report.output_rows = run.output.num_rows();
-
-  const sim::DeviceSpec& device = engine.options().device;
-  for (size_t i = 0; i < run.segments.size(); ++i) {
-    const SegmentReport& sr = run.segments[i];
-    ExplainAnalyzeSegment seg;
-    seg.index = static_cast<int>(i);
-    seg.description = sr.description;
-    seg.num_tiles = sr.observations.num_tiles;
-    seg.tile_bytes = sr.tuning.params.tile_bytes;
-    seg.workgroups = sr.tuning.params.workgroups;
-    seg.predicted_cycles = sr.predicted_cycles;
-    seg.actual_cycles = sr.measured_cycles;
-    seg.predicted_ms = device.CyclesToMs(sr.predicted_cycles);
-    seg.actual_ms = device.CyclesToMs(sr.measured_cycles);
-    seg.host_wall_ms = sr.host_wall_ms;
-    seg.channel_bytes = sr.sim.counters.bytes_via_channel;
-    seg.materialized_bytes = sr.sim.counters.bytes_materialized;
-    seg.tuning_cache_hit = sr.tuning_cache_hit;
-    seg.degraded = sr.degraded;
-    seg.subplan_cache = SubplanOutcomeName(sr.subplan_cache);
-    seg.engine = model::SegmentEngineName(sr.engine);
-    seg.fused_groups = sr.fused_groups;
-    seg.launches_saved = sr.launches_saved;
-    seg.fused_bytes_avoided = sr.fused_bytes_avoided;
-    for (size_t s = 0; s < sr.observations.stages.size(); ++s) {
-      ExplainAnalyzeStage stage;
-      // Stage names come from the original per-stage kernels: for a fused
-      // segment sr.sim.kernels are the composed launches, not the stages.
-      stage.kernel = s < sr.stage_names.size() ? sr.stage_names[s]
-                                               : "k_" + std::to_string(s);
-      stage.rows_in = sr.observations.stages[s].rows_in;
-      stage.bytes_in = sr.observations.stages[s].bytes_in;
-      stage.rows_out = sr.observations.stages[s].rows_out;
-      stage.bytes_out = sr.observations.stages[s].bytes_out;
-      seg.stages.push_back(std::move(stage));
-    }
-    report.segments.push_back(std::move(seg));
-  }
+  report.segments = std::move(run.segments);
+  report.device_spec = engine.options().device;
   return report;
 }
 

@@ -40,7 +40,6 @@ struct QueryMetrics {
   double delay_ms = 0.0;  ///< pipeline delay (GPL only)
   double other_ms = 0.0;  ///< launch/scheduling overheads
 
-  int64_t input_bytes = 0;
   int64_t materialized_bytes = 0;  ///< intermediates written to global memory
   int64_t channel_bytes = 0;       ///< intermediates passed through channels
 

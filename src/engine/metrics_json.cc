@@ -4,110 +4,67 @@
 
 namespace gpl {
 
-namespace {
-
-void AppendField(std::string* out, const char* key, const std::string& value,
-                 bool quote) {
-  if (out->back() != '{') *out += ",";
-  *out += "\"";
-  *out += key;
-  *out += "\":";
-  if (quote) {
-    *out += "\"" + trace::JsonEscape(value) + "\"";
-  } else {
-    *out += value;
-  }
-}
-
-void AppendNumber(std::string* out, const char* key, double value) {
-  AppendField(out, key, trace::JsonNumber(value), /*quote=*/false);
-}
-
-}  // namespace
-
 std::string QueryMetricsToJson(const MetricsJsonEntry& entry) {
   const QueryMetrics& m = entry.metrics;
   const sim::HwCounters& c = m.counters;
-  std::string out = "{";
-  AppendField(&out, "query", entry.query, /*quote=*/true);
-  AppendField(&out, "mode", entry.mode, /*quote=*/true);
-  AppendField(&out, "device", entry.device, /*quote=*/true);
-  AppendNumber(&out, "elapsed_ms", m.elapsed_ms);
-  AppendNumber(&out, "predicted_ms", m.predicted_ms);
+  std::string out;
+  trace::JsonObjectWriter json(&out);
+  json.Field("query", entry.query)
+      .Field("mode", entry.mode)
+      .Field("device", entry.device)
+      .Field("elapsed_ms", m.elapsed_ms)
+      .Field("predicted_ms", m.predicted_ms);
   // Host wall-clock fields, kept apart from the simulated-time fields above:
   // they are nondeterministic (thread scheduling, machine load) and must not
   // be summed with simulated times.
-  AppendNumber(&out, "plan_wall_ms", m.plan_wall_ms);
-  AppendNumber(&out, "tune_wall_ms", m.tune_wall_ms);
-  AppendNumber(&out, "optimize_wall_ms", m.OptimizeWallMs());
-  AppendNumber(&out, "tuning_cache_hits",
-               static_cast<double>(m.tuning_cache_hits));
-  AppendNumber(&out, "tuning_cache_misses",
-               static_cast<double>(m.tuning_cache_misses));
-  AppendNumber(&out, "subplan_cache_hits",
-               static_cast<double>(m.subplan_cache_hits));
-  AppendNumber(&out, "subplan_cache_misses",
-               static_cast<double>(m.subplan_cache_misses));
-  AppendNumber(&out, "degraded_segments",
-               static_cast<double>(m.degraded_segments));
-  AppendNumber(&out, "fused_segments", static_cast<double>(m.fused_segments));
-  AppendNumber(&out, "fused_launches_saved",
-               static_cast<double>(m.fused_launches_saved));
-  AppendNumber(&out, "fused_bytes_avoided",
-               static_cast<double>(m.fused_bytes_avoided));
-  AppendNumber(&out, "valu_busy", m.valu_busy);
-  AppendNumber(&out, "mem_unit_busy", m.mem_unit_busy);
-  AppendNumber(&out, "occupancy", m.occupancy);
-  AppendNumber(&out, "cache_hit_ratio", m.cache_hit_ratio);
-  AppendNumber(&out, "compute_ms", m.compute_ms);
-  AppendNumber(&out, "mem_ms", m.mem_ms);
-  AppendNumber(&out, "dc_ms", m.dc_ms);
-  AppendNumber(&out, "delay_ms", m.delay_ms);
-  AppendNumber(&out, "other_ms", m.other_ms);
-  AppendNumber(&out, "input_bytes", static_cast<double>(m.input_bytes));
-  AppendNumber(&out, "materialized_bytes",
-               static_cast<double>(m.materialized_bytes));
-  AppendNumber(&out, "channel_bytes", static_cast<double>(m.channel_bytes));
-  AppendNumber(&out, "elapsed_cycles", c.elapsed_cycles);
-  AppendNumber(&out, "compute_cycles", c.compute_cycles);
-  AppendNumber(&out, "mem_cycles", c.mem_cycles);
-  AppendNumber(&out, "channel_cycles", c.channel_cycles);
-  AppendNumber(&out, "stall_cycles", c.stall_cycles);
-  AppendNumber(&out, "launch_cycles", c.launch_cycles);
-  AppendNumber(&out, "cache_hits", c.cache_hits);
-  AppendNumber(&out, "cache_accesses", c.cache_accesses);
-  AppendNumber(&out, "resident_wg_time", c.resident_wg_time);
+  json.Field("plan_wall_ms", m.plan_wall_ms)
+      .Field("tune_wall_ms", m.tune_wall_ms)
+      .Field("optimize_wall_ms", m.OptimizeWallMs())
+      .Field("tuning_cache_hits", m.tuning_cache_hits)
+      .Field("tuning_cache_misses", m.tuning_cache_misses)
+      .Field("subplan_cache_hits", m.subplan_cache_hits)
+      .Field("subplan_cache_misses", m.subplan_cache_misses)
+      .Field("degraded_segments", m.degraded_segments)
+      .Field("fused_segments", m.fused_segments)
+      .Field("fused_launches_saved", m.fused_launches_saved)
+      .Field("fused_bytes_avoided", m.fused_bytes_avoided)
+      .Field("valu_busy", m.valu_busy)
+      .Field("mem_unit_busy", m.mem_unit_busy)
+      .Field("occupancy", m.occupancy)
+      .Field("cache_hit_ratio", m.cache_hit_ratio)
+      .Field("compute_ms", m.compute_ms)
+      .Field("mem_ms", m.mem_ms)
+      .Field("dc_ms", m.dc_ms)
+      .Field("delay_ms", m.delay_ms)
+      .Field("other_ms", m.other_ms)
+      .Field("materialized_bytes", m.materialized_bytes)
+      .Field("channel_bytes", m.channel_bytes)
+      .Field("elapsed_cycles", c.elapsed_cycles)
+      .Field("compute_cycles", c.compute_cycles)
+      .Field("mem_cycles", c.mem_cycles)
+      .Field("channel_cycles", c.channel_cycles)
+      .Field("stall_cycles", c.stall_cycles)
+      .Field("launch_cycles", c.launch_cycles)
+      .Field("cache_hits", c.cache_hits)
+      .Field("cache_accesses", c.cache_accesses)
+      .Field("resident_wg_time", c.resident_wg_time);
   if (m.num_shards > 0) {
     // Sharded-execution block, only emitted for ShardedExecutor runs so
     // single-device JSON stays byte-stable across this change.
-    AppendNumber(&out, "num_shards", static_cast<double>(m.num_shards));
-    AppendNumber(&out, "broadcast_bytes",
-                 static_cast<double>(m.broadcast_bytes));
-    AppendNumber(&out, "shuffle_bytes", static_cast<double>(m.shuffle_bytes));
-    AppendNumber(&out, "exchange_bytes",
-                 static_cast<double>(m.exchange_bytes));
-    AppendNumber(&out, "exchange_all_broadcast_bytes",
-                 static_cast<double>(m.exchange_all_broadcast_bytes));
-    AppendNumber(&out, "exchange_ms", m.exchange_ms);
-    AppendNumber(&out, "merge_ms", m.merge_ms);
-    AppendField(&out, "partial_combine", m.partial_combine ? "true" : "false",
-                /*quote=*/false);
-    std::string devices = "[";
-    for (size_t i = 0; i < m.device_elapsed_ms.size(); ++i) {
-      if (i > 0) devices += ",";
-      devices += trace::JsonNumber(m.device_elapsed_ms[i]);
-    }
-    devices += "]";
-    AppendField(&out, "device_elapsed_ms", devices, /*quote=*/false);
-    std::string utilization = "[";
-    for (size_t i = 0; i < m.device_utilization.size(); ++i) {
-      if (i > 0) utilization += ",";
-      utilization += trace::JsonNumber(m.device_utilization[i]);
-    }
-    utilization += "]";
-    AppendField(&out, "device_utilization", utilization, /*quote=*/false);
+    json.Field("num_shards", m.num_shards)
+        .Field("broadcast_bytes", m.broadcast_bytes)
+        .Field("shuffle_bytes", m.shuffle_bytes)
+        .Field("exchange_bytes", m.exchange_bytes)
+        .Field("exchange_all_broadcast_bytes", m.exchange_all_broadcast_bytes)
+        .Field("exchange_ms", m.exchange_ms)
+        .Field("merge_ms", m.merge_ms)
+        .Field("partial_combine", m.partial_combine);
+    json.Key("device_elapsed_ms");
+    out += trace::JsonNumberArray(m.device_elapsed_ms);
+    json.Key("device_utilization");
+    out += trace::JsonNumberArray(m.device_utilization);
   }
-  out += "}";
+  json.Close();
   return out;
 }
 

@@ -1,8 +1,7 @@
 #include "obs/export.h"
 
 #include <cctype>
-#include <cinttypes>
-#include <cstdio>
+#include <string>
 
 #include "trace/json.h"
 
@@ -76,19 +75,6 @@ std::string PromLabels(const Labels& labels, const std::string& extra_key = "",
   return out;
 }
 
-std::string FormatUint(uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  return buf;
-}
-
-void AppendJsonKey(std::string* out, const char* key) {
-  if (out->back() != '{' && out->back() != '[') *out += ",";
-  *out += "\"";
-  *out += key;
-  *out += "\":";
-}
-
 }  // namespace
 
 std::string SanitizeMetricName(const std::string& name) {
@@ -114,18 +100,18 @@ std::string PrometheusText(const std::vector<FamilySnapshot>& families) {
           out += name + "_bucket" +
                  PromLabels(series.labels, "le",
                             trace::JsonNumber(h.bounds[i])) +
-                 " " + FormatUint(cumulative) + "\n";
+                 " " + std::to_string(cumulative) + "\n";
         }
         cumulative += h.counts.empty() ? 0 : h.counts.back();
         out += name + "_bucket" + PromLabels(series.labels, "le", "+Inf") +
-               " " + FormatUint(cumulative) + "\n";
+               " " + std::to_string(cumulative) + "\n";
         out += name + "_sum" + PromLabels(series.labels) + " " +
                trace::JsonNumber(h.sum) + "\n";
         out += name + "_count" + PromLabels(series.labels) + " " +
-               FormatUint(h.count) + "\n";
+               std::to_string(h.count) + "\n";
       } else if (family.type == MetricType::kCounter) {
         out += name + PromLabels(series.labels) + " " +
-               FormatUint(series.counter_value) + "\n";
+               std::to_string(series.counter_value) + "\n";
       } else {
         out += name + PromLabels(series.labels) + " " +
                trace::JsonNumber(series.value) + "\n";
@@ -140,77 +126,59 @@ std::string PrometheusText(const MetricsRegistry& registry) {
 }
 
 std::string JsonSnapshot(const std::vector<FamilySnapshot>& families) {
-  std::string out = "{\"metrics\":[";
+  std::string out;
+  trace::JsonObjectWriter root(&out);
+  root.Key("metrics");
+  out += "[";
   bool first_family = true;
   for (const FamilySnapshot& family : families) {
     if (!first_family) out += ",";
     first_family = false;
-    out += "{";
-    AppendJsonKey(&out, "name");
-    out += "\"" + trace::JsonEscape(family.name) + "\"";
-    AppendJsonKey(&out, "type");
-    out += std::string("\"") + MetricTypeName(family.type) + "\"";
-    AppendJsonKey(&out, "help");
-    out += "\"" + trace::JsonEscape(family.help) + "\"";
-    AppendJsonKey(&out, "series");
+    trace::JsonObjectWriter object(&out);
+    object.Field("name", family.name)
+        .Field("type", MetricTypeName(family.type))
+        .Field("help", family.help);
+    object.Key("series");
     out += "[";
     bool first_series = true;
     for (const SeriesSnapshot& series : family.series) {
       if (!first_series) out += ",";
       first_series = false;
-      out += "{";
-      AppendJsonKey(&out, "labels");
-      out += "{";
-      bool first_label = true;
-      for (const auto& [key, value] : series.labels) {
-        if (!first_label) out += ",";
-        first_label = false;
-        out += "\"" + trace::JsonEscape(key) + "\":\"" +
-               trace::JsonEscape(value) + "\"";
-      }
-      out += "}";
+      trace::JsonObjectWriter entry(&out);
+      entry.Key("labels");
+      trace::JsonObjectWriter labels(&out);
+      for (const auto& [key, value] : series.labels) labels.Field(key, value);
+      labels.Close();
       if (series.histogram.has_value()) {
         const HistogramSnapshot& h = *series.histogram;
-        AppendJsonKey(&out, "count");
-        out += FormatUint(h.count);
-        AppendJsonKey(&out, "sum");
-        out += trace::JsonNumber(h.sum);
-        AppendJsonKey(&out, "min");
-        out += trace::JsonNumber(h.min_seen);
-        AppendJsonKey(&out, "max");
-        out += trace::JsonNumber(h.max_seen);
-        AppendJsonKey(&out, "p50");
-        out += trace::JsonNumber(h.Quantile(0.50));
-        AppendJsonKey(&out, "p95");
-        out += trace::JsonNumber(h.Quantile(0.95));
-        AppendJsonKey(&out, "p99");
-        out += trace::JsonNumber(h.Quantile(0.99));
-        AppendJsonKey(&out, "bounds");
-        out += "[";
-        for (size_t i = 0; i < h.bounds.size(); ++i) {
-          if (i > 0) out += ",";
-          out += trace::JsonNumber(h.bounds[i]);
-        }
-        out += "]";
-        AppendJsonKey(&out, "counts");
+        entry.Field("count", h.count)
+            .Field("sum", h.sum)
+            .Field("min", h.min_seen)
+            .Field("max", h.max_seen)
+            .Field("p50", h.Quantile(0.50))
+            .Field("p95", h.Quantile(0.95))
+            .Field("p99", h.Quantile(0.99));
+        entry.Key("bounds");
+        out += trace::JsonNumberArray(h.bounds);
+        entry.Key("counts");
         out += "[";
         for (size_t i = 0; i < h.counts.size(); ++i) {
           if (i > 0) out += ",";
-          out += FormatUint(h.counts[i]);
+          out += std::to_string(h.counts[i]);
         }
         out += "]";
       } else if (family.type == MetricType::kCounter) {
-        AppendJsonKey(&out, "value");
-        out += FormatUint(series.counter_value);
+        entry.Field("value", series.counter_value);
       } else {
-        AppendJsonKey(&out, "value");
-        out += trace::JsonNumber(series.value);
+        entry.Field("value", series.value);
       }
-      out += "}";
+      entry.Close();
     }
-    out += "]}";
+    out += "]";
+    object.Close();
   }
-  out += "]}";
+  out += "]";
+  root.Close();
   return out;
 }
 

@@ -53,6 +53,45 @@ std::string JsonNumber(double value) {
   return buf;
 }
 
+std::string JsonNumberArray(const std::vector<double>& values) {
+  std::string out = "[";
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ',';
+    out += JsonNumber(values[i]);
+  }
+  out += ']';
+  return out;
+}
+
+void JsonObjectWriter::Key(std::string_view key) {
+  if (!first_) *out_ += ',';
+  first_ = false;
+  *out_ += '"';
+  *out_ += JsonEscape(key);
+  *out_ += "\":";
+}
+
+JsonObjectWriter& JsonObjectWriter::Field(std::string_view key,
+                                          std::string_view value) {
+  Key(key);
+  *out_ += '"';
+  *out_ += JsonEscape(value);
+  *out_ += '"';
+  return *this;
+}
+
+JsonObjectWriter& JsonObjectWriter::Field(std::string_view key, double value) {
+  Key(key);
+  *out_ += JsonNumber(value);
+  return *this;
+}
+
+JsonObjectWriter& JsonObjectWriter::Field(std::string_view key, bool value) {
+  Key(key);
+  *out_ += value ? "true" : "false";
+  return *this;
+}
+
 namespace {
 
 /// Recursive-descent structural validator over the raw bytes.

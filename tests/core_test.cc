@@ -6,6 +6,7 @@
 #include "core/tiling.h"
 #include "exec/expr.h"
 #include "exec/primitives.h"
+#include "plan/fusion.h"
 #include "plan/segment.h"
 #include "plan/selinger.h"
 #include "queries/tpch_queries.h"
@@ -134,13 +135,13 @@ TEST(PipelineTest, EmptyInputMakesNoTilesButKernelsSeeItsSchema) {
 
 TEST_F(GplFixture, TileSizeDoesNotChangeResults) {
   const SegmentedPlan plan = Segments(queries::Q14());
-  GplOptions options;
-  options.exec.use_cost_model = false;
-  options.exec.overrides.tile_bytes = KiB(256);
-  Result<GplRunResult> small = executor_.Run(plan, options);
+  ExecOptions exec;
+  exec.use_cost_model = false;
+  exec.overrides.tile_bytes = KiB(256);
+  Result<GplRunResult> small = executor_.Run(plan, EngineMode::kGpl, exec);
   ASSERT_TRUE(small.ok());
-  options.exec.overrides.tile_bytes = MiB(16);
-  Result<GplRunResult> large = executor_.Run(plan, options);
+  exec.overrides.tile_bytes = MiB(16);
+  Result<GplRunResult> large = executor_.Run(plan, EngineMode::kGpl, exec);
   ASSERT_TRUE(large.ok());
   std::string diff;
   EXPECT_TRUE(ref::TablesEqual(small->output, large->output, &diff)) << diff;
@@ -151,7 +152,7 @@ TEST_F(GplFixture, MatchesReferenceOnEveryQuery) {
     const SegmentedPlan plan = Segments(q);
     Result<Table> expected = ref::ExecutePlan(SmallDb(), plan_);
     ASSERT_TRUE(expected.ok()) << name;
-    Result<GplRunResult> run = executor_.Run(plan, GplOptions{});
+    Result<GplRunResult> run = executor_.Run(plan, EngineMode::kGpl, {});
     ASSERT_TRUE(run.ok()) << name << ": " << run.status().ToString();
     std::string diff;
     EXPECT_TRUE(ref::TablesEqual(run->output, *expected, &diff))
@@ -161,18 +162,19 @@ TEST_F(GplFixture, MatchesReferenceOnEveryQuery) {
 
 TEST_F(GplFixture, RunningTwiceIsIdempotent) {
   const SegmentedPlan plan = Segments(queries::Q5());
-  Result<GplRunResult> first = executor_.Run(plan, GplOptions{});
-  Result<GplRunResult> second = executor_.Run(plan, GplOptions{});
+  Result<GplRunResult> first = executor_.Run(plan, EngineMode::kGpl, {});
+  Result<GplRunResult> second = executor_.Run(plan, EngineMode::kGpl, {});
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   std::string diff;
   EXPECT_TRUE(ref::TablesEqual(first->output, second->output, &diff)) << diff;
-  EXPECT_DOUBLE_EQ(first->total_cycles, second->total_cycles);
+  EXPECT_DOUBLE_EQ(first->counters.elapsed_cycles,
+                   second->counters.elapsed_cycles);
 }
 
 TEST_F(GplFixture, ReportsOneEntryPerSegment) {
   const SegmentedPlan plan = Segments(queries::Q8());
-  Result<GplRunResult> run = executor_.Run(plan, GplOptions{});
+  Result<GplRunResult> run = executor_.Run(plan, EngineMode::kGpl, {});
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->segments.size(), plan.segments.size());
   for (const SegmentReport& report : run->segments) {
@@ -184,29 +186,80 @@ TEST_F(GplFixture, ReportsOneEntryPerSegment) {
 
 TEST_F(GplFixture, ConcurrentBeatsSequential) {
   const SegmentedPlan plan = Segments(queries::Q14());
-  GplOptions concurrent;
-  GplOptions sequential;
-  sequential.concurrent = false;
-  Result<GplRunResult> with_ce = executor_.Run(plan, concurrent);
-  Result<GplRunResult> without_ce = executor_.Run(plan, sequential);
+  Result<GplRunResult> with_ce = executor_.Run(plan, EngineMode::kGpl, {});
+  Result<GplRunResult> without_ce =
+      executor_.Run(plan, EngineMode::kGplNoCe, {});
   ASSERT_TRUE(with_ce.ok());
   ASSERT_TRUE(without_ce.ok());
-  EXPECT_LT(with_ce->total_cycles, without_ce->total_cycles);
+  EXPECT_LT(with_ce->counters.elapsed_cycles,
+            without_ce->counters.elapsed_cycles);
   std::string diff;
   EXPECT_TRUE(ref::TablesEqual(with_ce->output, without_ce->output, &diff))
       << diff;
 }
 
+// Every GPL-family mode takes the same per-segment steps; the segment's
+// engine alone picks the simulator path.
+TEST_F(GplFixture, SegmentEngineFollowsTheMode) {
+  for (EngineMode kbe : {EngineMode::kKbe, EngineMode::kOcelot}) {
+    EXPECT_EQ(executor_.Run(Segments(queries::Q6()), kbe, {}).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  ExecOptions defaults;
+  defaults.use_cost_model = false;  // the fused mode fuses every legal chain
+  for (auto& [name, q] : queries::EvaluationSuite()) {
+    SCOPED_TRACE(name);
+    const SegmentedPlan plan = Segments(q);
+    Result<GplRunResult> noce = executor_.Run(plan, EngineMode::kGplNoCe, {});
+    Result<GplRunResult> gpl = executor_.Run(plan, EngineMode::kGpl, {});
+    Result<GplRunResult> fused =
+        executor_.Run(plan, EngineMode::kFused, defaults);
+    ASSERT_TRUE(noce.ok() && gpl.ok() && fused.ok());
+    ASSERT_EQ(noce->segments.size(), plan.segments.size());
+    ASSERT_EQ(gpl->segments.size(), plan.segments.size());
+    ASSERT_EQ(fused->segments.size(), plan.segments.size());
+
+    int fusible_segments = 0;
+    for (size_t i = 0; i < plan.segments.size(); ++i) {
+      SCOPED_TRACE("segment " + std::to_string(i));
+      std::string stages;
+      for (const Stage& stage : plan.segments[i].stages) {
+        if (!stages.empty()) stages += " -> ";
+        stages += stage.kernel->name();
+      }
+      bool fusible = false;
+      for (const FusedGroup& group : PlanFusion(plan.segments[i]).groups) {
+        fusible |= group.fused();
+      }
+      fusible_segments += fusible ? 1 : 0;
+
+      EXPECT_EQ(noce->segments[i].engine, model::SegmentEngine::kKernelAtATime);
+      EXPECT_EQ(gpl->segments[i].engine, model::SegmentEngine::kGplChannel);
+      EXPECT_EQ(fused->segments[i].engine,
+                fusible ? model::SegmentEngine::kFused
+                        : model::SegmentEngine::kGplChannel);
+      EXPECT_EQ(noce->segments[i].description, stages);
+      EXPECT_EQ(gpl->segments[i].description, stages);
+      if (!fusible) {
+        EXPECT_EQ(fused->segments[i].description, stages);
+      }
+    }
+    EXPECT_EQ(fused->fused_segments, fusible_segments);
+    EXPECT_EQ(noce->fused_segments, 0);
+    EXPECT_EQ(gpl->fused_segments, 0);
+  }
+}
+
 TEST_F(GplFixture, ChannelsCarryMostIntermediates) {
   const SegmentedPlan plan = Segments(queries::Q14());
-  Result<GplRunResult> run = executor_.Run(plan, GplOptions{});
+  Result<GplRunResult> run = executor_.Run(plan, EngineMode::kGpl, {});
   ASSERT_TRUE(run.ok());
   EXPECT_GT(run->counters.bytes_via_channel, 0);
 }
 
 TEST_F(GplFixture, TunerChoiceRecorded) {
   const SegmentedPlan plan = Segments(queries::Q14());
-  Result<GplRunResult> run = executor_.Run(plan, GplOptions{});
+  Result<GplRunResult> run = executor_.Run(plan, EngineMode::kGpl, {});
   ASSERT_TRUE(run.ok());
   EXPECT_GT(run->tuner_wall_ms, 0.0);
   for (const SegmentReport& report : run->segments) {

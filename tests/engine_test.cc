@@ -351,16 +351,16 @@ TEST(ExplainAnalyzeTest, TotalsMatchExecutePlanMetricsExactly) {
   EXPECT_EQ(report->output_rows, executed->table.num_rows());
 
   double segment_cycles = 0.0;
-  for (const ExplainAnalyzeSegment& seg : report->segments) {
-    segment_cycles += seg.actual_cycles;
-    EXPECT_FALSE(seg.stages.empty()) << seg.description;
+  for (const SegmentReport& seg : report->segments) {
+    segment_cycles += seg.measured_cycles;
+    EXPECT_FALSE(seg.observations.stages.empty()) << seg.description;
     // The last stage's observed output feeds the next segment or the final
     // table; every stage carries real (not estimated) cardinalities.
-    for (const ExplainAnalyzeStage& stage : seg.stages) {
+    for (const StageObservation& stage : seg.observations.stages) {
       EXPECT_GE(stage.rows_in, 0);
       EXPECT_GE(stage.bytes_in, 0);
     }
-    EXPECT_GT(seg.actual_cycles, 0.0) << seg.description;
+    EXPECT_GT(seg.measured_cycles, 0.0) << seg.description;
     EXPECT_GT(seg.predicted_cycles, 0.0) << seg.description;
     EXPECT_GE(seg.host_wall_ms, 0.0);
   }
@@ -407,7 +407,7 @@ TEST(ExplainAnalyzeTest, ReportsTuningCacheHitsOnRepeatedSegments) {
       ExplainAnalyze(engine, queries::Q5());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->metrics.tuning_cache_misses, 0);
-  for (const ExplainAnalyzeSegment& seg : second->segments) {
+  for (const SegmentReport& seg : second->segments) {
     EXPECT_TRUE(seg.tuning_cache_hit) << seg.description;
   }
   // Simulated timing is unaffected by where the tuning choice came from.

@@ -155,10 +155,8 @@ TEST(FusedExplainAnalyzeTest, ReportsEngineAndFusionPerSegment) {
   int launches_saved = 0;
   int64_t bytes_avoided = 0;
   bool saw_fused_engine = false;
-  for (const ExplainAnalyzeSegment& seg : report->segments) {
-    EXPECT_FALSE(seg.engine.empty())
-        << "every segment must name its engine in fused mode";
-    if (seg.engine == "fused") {
+  for (const SegmentReport& seg : report->segments) {
+    if (seg.engine == model::SegmentEngine::kFused) {
       saw_fused_engine = true;
       EXPECT_GT(seg.fused_groups, 0);
       EXPECT_GT(seg.launches_saved, 0);
@@ -190,10 +188,10 @@ TEST(FusedExplainAnalyzeTest, PredictedCyclesPresentForFusedSegments) {
   Engine engine(&MediumDb(), options);
   Result<ExplainAnalyzeReport> report = ExplainAnalyze(engine, queries::Q5());
   ASSERT_TRUE(report.ok());
-  for (const ExplainAnalyzeSegment& seg : report->segments) {
-    if (seg.engine != "fused") continue;
+  for (const SegmentReport& seg : report->segments) {
+    if (seg.engine != model::SegmentEngine::kFused) continue;
     EXPECT_GT(seg.predicted_cycles, 0.0);
-    EXPECT_GT(seg.actual_cycles, 0.0);
+    EXPECT_GT(seg.measured_cycles, 0.0);
   }
 }
 

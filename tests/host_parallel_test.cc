@@ -119,7 +119,8 @@ TEST(HostParallelTest, TunerChoicesIdenticalAcrossThreadCounts) {
       ExpectChoicesIdentical(serial->segments[s].tuning,
                              parallel->segments[s].tuning);
     }
-    EXPECT_EQ(serial->total_cycles, parallel->total_cycles);
+    EXPECT_EQ(serial->counters.elapsed_cycles,
+              parallel->counters.elapsed_cycles);
   }
 }
 
@@ -154,7 +155,7 @@ TEST(HostParallelTest, TuningCacheHitReturnsIdenticalChoice) {
                            warm->segments[s].tuning);
   }
   ExpectTablesBitIdentical(cold->output, warm->output);
-  EXPECT_EQ(cold->total_cycles, warm->total_cycles);
+  EXPECT_EQ(cold->counters.elapsed_cycles, warm->counters.elapsed_cycles);
   EXPECT_EQ(engine.tuning_cache().stats().hits,
             static_cast<uint64_t>(warm->tuning_cache_hits));
 }

@@ -1139,7 +1139,7 @@ TEST(ShardedExecutorTest, MergeLabelReachesExplainAnalyzeAndTrace) {
   Result<ExplainAnalyzeReport> report =
       ExplainAnalyze(engine, ExpressionKeyQuery(), exec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_FALSE(report->partial_combine);
+  EXPECT_FALSE(report->metrics.partial_combine);
   EXPECT_NE(report->ToString().find("merge=" + label), std::string::npos)
       << report->ToString();
   EXPECT_NE(report->ToJson().find("\"fallback_reason\":\"aggregate input "

@@ -73,32 +73,38 @@ QueryResult IsolatedTruth(const tpch::Database& db, const LogicalQuery& query,
   return result.take();
 }
 
+/// Runs over every GPL-family mode: a warm fused run replays the composed
+/// timing of its fused groups from the cached per-stage observations.
 TEST(SubplanCacheEngineTest, WarmHitsAreBitIdenticalToColdAndIsolated) {
   const tpch::Database& db = SmallDb();
 
-  for (auto& [name, query] : queries::EvaluationSuite()) {
-    SCOPED_TRACE(name);
-    // Fresh cache per query so the cold run is genuinely cold (suite queries
-    // share scans and build sides, which would otherwise pre-warm it).
-    SubplanCache cache(SubplanCacheOptions{});
-    EngineOptions options;
-    options.subplan_cache = &cache;
-    Engine engine(&db, options);
-    const QueryResult truth = IsolatedTruth(db, query);
+  for (EngineMode mode :
+       {EngineMode::kGpl, EngineMode::kGplNoCe, EngineMode::kFused}) {
+    for (auto& [name, query] : queries::EvaluationSuite()) {
+      SCOPED_TRACE(name + " mode=" + EngineModeName(mode));
+      // Fresh cache per query so the cold run is genuinely cold (suite queries
+      // share scans and build sides, which would otherwise pre-warm it).
+      SubplanCache cache(SubplanCacheOptions{});
+      EngineOptions options;
+      options.mode = mode;
+      options.subplan_cache = &cache;
+      Engine engine(&db, options);
+      const QueryResult truth = IsolatedTruth(db, query, options);
 
-    Result<QueryResult> cold = engine.Execute(query);
-    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-    EXPECT_EQ(cold->metrics.subplan_cache_hits, 0);
-    EXPECT_GT(cold->metrics.subplan_cache_misses, 0);
-    ExpectResultsBitIdentical(truth, *cold);
+      Result<QueryResult> cold = engine.Execute(query);
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      EXPECT_EQ(cold->metrics.subplan_cache_hits, 0);
+      EXPECT_GT(cold->metrics.subplan_cache_misses, 0);
+      ExpectResultsBitIdentical(truth, *cold);
 
-    Result<QueryResult> warm = engine.Execute(query);
-    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-    // Every cacheable segment hits on the repeat run.
-    EXPECT_GT(warm->metrics.subplan_cache_hits, 0);
-    EXPECT_EQ(warm->metrics.subplan_cache_misses, 0);
-    ExpectResultsBitIdentical(truth, *warm);
-    EXPECT_GT(cache.stats().hits, 0u);
+      Result<QueryResult> warm = engine.Execute(query);
+      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+      // Every cacheable segment hits on the repeat run.
+      EXPECT_GT(warm->metrics.subplan_cache_hits, 0);
+      EXPECT_EQ(warm->metrics.subplan_cache_misses, 0);
+      ExpectResultsBitIdentical(truth, *warm);
+      EXPECT_GT(cache.stats().hits, 0u);
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include "common/math_util.h"
 #include "engine/engine.h"
+#include "engine/explain_analyze.h"
 #include "engine/metrics_json.h"
 #include "queries/tpch_queries.h"
 #include "service/query_service.h"
@@ -301,6 +302,32 @@ TEST(MetricsJsonTest, HostileQueryNamesExportValidJson) {
                                     &error))
         << error;
   }
+}
+
+// Integer fields print exactly: formatted as doubles (%.9g), a 10-digit
+// byte count would print as 1.23456789e+09 and lose its last digit.
+TEST(MetricsJsonTest, TenDigitIntegersRoundTripExactly) {
+  MetricsJsonEntry entry;
+  entry.query = "Q9";
+  entry.mode = "KBE";
+  entry.metrics.materialized_bytes = 1234567891;
+  const std::string field = "\"materialized_bytes\":1234567891,";
+  EXPECT_NE(QueryMetricsToJson(entry).find(field), std::string::npos)
+      << QueryMetricsToJson(entry);
+
+  // EXPLAIN ANALYZE prints the per-segment counter and the metrics object.
+  ExplainAnalyzeReport report;
+  report.query = entry.query;
+  report.metrics = entry.metrics;
+  report.segments.emplace_back();
+  report.segments.back().sim.counters.bytes_materialized = 1234567891;
+  const std::string json = report.ToJson();
+  std::string error;
+  ASSERT_TRUE(trace::ValidateJson(json, &error)) << error;
+  const size_t segment_field = json.find(field);
+  ASSERT_NE(segment_field, std::string::npos) << json;
+  EXPECT_NE(json.find(field, segment_field + field.size()), std::string::npos)
+      << json;
 }
 
 TEST(ServiceTraceTest, HostileQueryNamesExportValidJson) {
