@@ -86,6 +86,46 @@ TEST(RandomTest, DeterministicForSeed) {
   }
 }
 
+// Pins the first 64 draws of the stream dbgen is built on, so that neither
+// an inlining nor a rewrite of Random can change the generated data.
+TEST(RandomTest, StreamIsPinned) {
+  constexpr uint64_t kSeed = 20160626;
+  const uint64_t kNext[64] = {
+      0xee97fa24ef7c6d1eULL, 0x0d30500a6a6db8d1ULL, 0x32000a842c920e00ULL,
+      0x239a7c664814bf47ULL, 0xac52f42f33e4dd02ULL, 0x3d1c8bd4ee0f23baULL,
+      0xf9232726f4fc2900ULL, 0xd58dc510af89b765ULL, 0x45f8e7d236d60bbdULL,
+      0xf804170c50ebe51fULL, 0xb8e7a3a74c268e71ULL, 0x3b0bd58d4216218fULL,
+      0x3486625f275e55bfULL, 0xbbdb518b73ac988dULL, 0xd7e8543a4285bbb6ULL,
+      0xe5cf1e341f3474d3ULL, 0x2c236043d9b85e74ULL, 0x64828451f2b69dcaULL,
+      0x577845e1fad1353bULL, 0x1b0f46f5301ec8c3ULL, 0x18984f2d0b1e6895ULL,
+      0x7020c3f6f705617cULL, 0xa60484312d7fda45ULL, 0x2e5a6a7e5e8e5d6aULL,
+      0x4efbf2e2fe476735ULL, 0xe1728bc12ba73615ULL, 0xe3f7b47e14081003ULL,
+      0xe20ac24872e6a52eULL, 0xbb1d4d1907e1080cULL, 0xbcde3471343992d8ULL,
+      0x7734a4da4d8cd5d8ULL, 0x6f34574f45bad70fULL, 0x6948ddf89b6ca53fULL,
+      0x216f3d518635d6fcULL, 0xc3f9fe29e23ee6abULL, 0xf9d7c2c4f9a9210bULL,
+      0x318ec0e66c3f40feULL, 0xd9737f9e877072a9ULL, 0x130ec0e6fdcc33c1ULL,
+      0x8a574f024b5f7573ULL, 0xfbc91c6bfe98f9abULL, 0xe297310b5a78107cULL,
+      0x9ccebfdabcf69fd7ULL, 0x70e46ff1bf2baa5cULL, 0xc0f6445e04598fc5ULL,
+      0x5731f9421a9ad92eULL, 0xe70dcfe3b5f9e81bULL, 0x2eea88c1270b1001ULL,
+      0xb7e7777d8f781383ULL, 0x684853c49f1377f5ULL, 0x6fa8b3e5629e1cf2ULL,
+      0x436efb665084d17aULL, 0xd8f334a841254345ULL, 0x502c3b1f9beb129dULL,
+      0x23188e44c7825573ULL, 0x039e584024ce7b07ULL, 0xc2ca26a2f6d9869eULL,
+      0x1f3d55dc4e4617c1ULL, 0xcb7d758d4b721cf6ULL, 0xa615f343efc9793dULL,
+      0x983eadb14c9a3f90ULL, 0x90b05b63925ae4e0ULL, 0xe0cc3c6103311468ULL,
+      0x626b26e364da6f4dULL,
+  };
+  const char kUniform1To7[] =
+      "6271554415264344673256366521754741767532614777273521154343316747";
+  const char kBernoulliHalf[] =
+      "0111010010011000111111011000001111001010000101010111011101000001";
+  Random next(kSeed), uniform(kSeed), bernoulli(kSeed);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(next.Next(), kNext[i]) << i;
+    EXPECT_EQ(uniform.Uniform(1, 7), kUniform1To7[i] - '0') << i;
+    EXPECT_EQ(bernoulli.Bernoulli(0.5), kBernoulliHalf[i] == '1') << i;
+  }
+}
+
 TEST(RandomTest, DifferentSeedsDiffer) {
   Random a(1), b(2);
   int same = 0;

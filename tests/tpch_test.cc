@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <unordered_set>
 
@@ -225,6 +226,71 @@ TEST(DbgenTest, SkippedCustomersHaveNoOrders) {
   const Column& cust = db.orders.GetColumn("o_custkey");
   for (int64_t i = 0; i < cust.size(); ++i) {
     ASSERT_NE(cust.Int32At(i) % 3, 0) << "customer divisible by 3 has an order";
+  }
+}
+
+// FNV-1a over every table's name, column names, types, raw buffers and
+// dictionary string order: any change to a generated byte changes it.
+class Fingerprint {
+ public:
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) hash_ = (hash_ ^ p[i]) * 0x100000001b3ULL;
+  }
+  void Int(int64_t v) { Bytes(&v, sizeof(v)); }
+  void Str(const std::string& s) {
+    Int(static_cast<int64_t>(s.size()));
+    Bytes(s.data(), s.size());
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+uint64_t DatabaseFingerprint(const Database& db) {
+  Fingerprint f;
+  for (const Table* t : {&db.region, &db.nation, &db.supplier, &db.customer,
+                         &db.part, &db.partsupp, &db.orders, &db.lineitem}) {
+    f.Str(t->name());
+    f.Int(t->num_columns());
+    for (int64_t c = 0; c < t->num_columns(); ++c) {
+      const Column& col = t->ColumnAt(c);
+      f.Str(t->column_names()[static_cast<size_t>(c)]);
+      f.Int(static_cast<int64_t>(col.type()));
+      f.Int(col.size());
+      VisitValues(col, [&](const auto* values) {
+        f.Bytes(values, static_cast<size_t>(col.size()) * sizeof(*values));
+      });
+      if (col.type() == DataType::kString) {
+        const Dictionary& dict = *col.dictionary();
+        f.Int(dict.size());
+        for (int32_t code = 0; code < dict.size(); ++code) {
+          f.Str(dict.GetString(code));
+        }
+      }
+    }
+  }
+  return f.value();
+}
+
+// Pins the generated bytes: dbgen's output is a function of (scale factor,
+// seed) only, whatever the host's thread count or the generator's internals.
+TEST(DbgenTest, BytesMatchPinnedFingerprint) {
+  struct Case {
+    double scale_factor;
+    uint64_t seed;
+    uint64_t fingerprint;
+  };
+  const Case cases[] = {
+      {0.01, DbgenConfig().seed, 0xb191278c2ce00a1dULL},
+      {0.05, 20160627, 0x1559077e335a2cdeULL},
+      {0.001, 3, 0x4f87a0ee607b30c8ULL},
+  };
+  for (const Case& c : cases) {
+    const Database db = Generate(DbgenConfig{c.scale_factor, c.seed});
+    EXPECT_EQ(DatabaseFingerprint(db), c.fingerprint)
+        << "SF " << c.scale_factor << " seed " << c.seed;
   }
 }
 
