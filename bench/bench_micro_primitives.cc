@@ -28,15 +28,19 @@ const tpch::Database& BenchDb() {
   return *db;
 }
 
+// Argument: scale factor in thousandths (1000 = SF 1).
 void BM_Dbgen(benchmark::State& state) {
   tpch::DbgenConfig config;
-  config.scale_factor = 0.002;
+  config.scale_factor = static_cast<double>(state.range(0)) / 1000.0;
+  int64_t bytes = 0;
   for (auto _ : state) {
     tpch::Database db = tpch::Generate(config);
+    bytes = db.byte_size();
     benchmark::DoNotOptimize(db.lineitem.num_rows());
   }
+  state.SetBytesProcessed(state.iterations() * bytes);
 }
-BENCHMARK(BM_Dbgen)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Dbgen)->Arg(2)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void BM_FilterKernel(benchmark::State& state) {
   const tpch::Database& db = BenchDb();

@@ -14,6 +14,7 @@
 /// >= 1.3x, shared scans serve more rows than the cold scans materialized.
 /// Deterministic rows (workers=1) are committed as
 /// bench/baselines/shared_work_quick.jsonl and diffed by bench_diff.py.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <deque>
@@ -29,6 +30,18 @@
 namespace {
 
 using namespace gpl;
+
+/// Percentile of an unsorted sample, interpolating linearly between the two
+/// order statistics bracketing p/100 * (n-1); 0 for an empty sample.
+double Percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] + (values[hi] - values[lo]) * frac;
+}
 
 /// Deterministic 64-bit LCG — the bench must replay the same Zipf sequence
 /// on every run and machine.
@@ -134,8 +147,8 @@ MixResult RunMix(const tpch::Database& db,
   out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              wall_start)
                    .count();
-  out.p50_ms = service::Percentile(latencies, 50.0);
-  out.p95_ms = service::Percentile(latencies, 95.0);
+  out.p50_ms = Percentile(latencies, 50.0);
+  out.p95_ms = Percentile(latencies, 95.0);
   out.stats = svc.Stats();
   return out;
 }

@@ -42,8 +42,9 @@ echo "=== tsan: concurrency tests under ThreadSanitizer ==="
 # while a sampler thread collects snapshots), and the shared-work layer
 # (PagePool refcounting, SubplanCache acquire/publish/attach, the bounded
 # TuningCache, and the service-wide subplan cache under concurrent workers),
-# and copy-on-write column buffers (threads copying and reading one shared
-# column while each mutates its own copy).
+# copy-on-write column buffers (threads copying and reading one shared
+# column while each mutates its own copy), and dbgen (pool tasks writing
+# disjoint row ranges of shared column buffers).
 cmake -B "$BUILD-tsan" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g" \
@@ -52,9 +53,9 @@ cmake --build "$BUILD-tsan" -j "$(nproc)" \
   --target service_test --target thread_pool_test --target host_parallel_test \
   --target fault_test --target shard_test --target obs_test \
   --target fused_engine_test --target pool_test --target subplan_cache_test \
-  --target storage_test
+  --target storage_test --target tpch_test
 ctest --test-dir "$BUILD-tsan" --output-on-failure \
-  -R "QueryService|ThreadPool|TuningCache|HostParallel|ServiceChaos|ShardedService|MetricsRegistry|FusedBitIdentity|PagePool|SubplanCache|ColumnCow"
+  -R "QueryService|ThreadPool|TuningCache|HostParallel|ServiceChaos|ShardedService|MetricsRegistry|FusedBitIdentity|PagePool|SubplanCache|ColumnCow|Dbgen"
 
 echo
 echo "=== asan+ubsan: fault-injection and service suites ==="
@@ -66,7 +67,7 @@ echo "=== asan+ubsan: fault-injection and service suites ==="
 # raw-pointer loops over column buffers and ProbeBatch's prefetch addresses.
 # The core and engine suites cover GplExecutor's per-segment steps, which
 # hand the subplan-cache compute ticket and the hash-state snapshot between
-# functions.
+# functions. The tpch suite covers dbgen's raw writes at precomputed offsets.
 cmake -B "$BUILD-asan" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \
@@ -76,9 +77,9 @@ cmake --build "$BUILD-asan" -j "$(nproc)" \
   --target fusion_test --target subplan_cache_test --target storage_test \
   --target expr_test --target expr_fuzz_test --target hash_table_test \
   --target primitives_test --target partitioned_join_test \
-  --target core_test --target engine_test
+  --target core_test --target engine_test --target tpch_test
 ctest --test-dir "$BUILD-asan" --output-on-failure \
-  -R "Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|FusedKernel|ComposeFusedStage|SubplanCache|Dictionary|Column|Table|Expr|Selectivity|FilterKernel|ProjectKernel|HashBuild|AggregateKernel|SortKernel|KbePrimitives|TimingDesc|PartitionedJoin|Tiling|GplFixture|PipelineTest|EngineTest|EngineComparison|EngineMetrics|ExplainAnalyze|EmptyAggregate|OcelotFlavor|OcelotHashTableCache|TunerQuality|AllModes"
+  -R "Dbgen|Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|FusedKernel|ComposeFusedStage|SubplanCache|Dictionary|Column|Table|Expr|Selectivity|FilterKernel|ProjectKernel|HashBuild|AggregateKernel|SortKernel|KbePrimitives|TimingDesc|PartitionedJoin|Tiling|GplFixture|PipelineTest|EngineTest|EngineComparison|EngineMetrics|ExplainAnalyze|EmptyAggregate|OcelotFlavor|OcelotHashTableCache|TunerQuality|AllModes"
 
 echo
 echo "=== trace smoke: gplcli --trace on Q5, JSON validated ==="

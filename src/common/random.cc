@@ -23,28 +23,9 @@ Random::Random(uint64_t seed) {
   if (s0_ == 0 && s1_ == 0) s1_ = 1;  // xorshift state must be non-zero.
 }
 
-uint64_t Random::Next() {
-  uint64_t x = s0_;
-  const uint64_t y = s1_;
-  s0_ = y;
-  x ^= x << 23;
-  s1_ = x ^ y ^ (x >> 17) ^ (y >> 26);
-  return s1_ + y;
+void Random::FailEmptyRange(int64_t lo, int64_t hi) {
+  GPL_CHECK(lo <= hi) << "Uniform(" << lo << ", " << hi << ")";
 }
-
-int64_t Random::Uniform(int64_t lo, int64_t hi) {
-  GPL_DCHECK(lo <= hi);
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  if (span == 0) return static_cast<int64_t>(Next());  // full 64-bit range
-  return lo + static_cast<int64_t>(Next() % span);
-}
-
-double Random::NextDouble() {
-  // 53 random bits into the mantissa.
-  return static_cast<double>(Next() >> 11) * (1.0 / 9007199254740992.0);
-}
-
-bool Random::Bernoulli(double p) { return NextDouble() < p; }
 
 int64_t Random::Skewed(int64_t lo, int64_t hi, double exponent) {
   GPL_DCHECK(lo <= hi);

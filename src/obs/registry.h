@@ -85,7 +85,7 @@ struct HistogramSnapshot {
   /// bucket containing the target rank, clamped to the observed min/max.
   /// Relative error is bounded by the bucket width (10^(1/buckets_per_decade)
   /// - 1); tests/obs_test.cc validates this bound against the exact
-  /// service::Percentile oracle.
+  /// testing_util::Percentile oracle.
   double Quantile(double q) const;
 };
 

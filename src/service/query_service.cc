@@ -16,19 +16,6 @@
 namespace gpl {
 namespace service {
 
-// Linear interpolation between the two order statistics bracketing
-// p/100 * (n-1): p50 of {1, 2} is 1.5, not either sample. (Declared in the
-// header; tests pin this behavior.)
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + (values[hi] - values[lo]) * frac;
-}
-
 namespace {
 
 const char* OutcomeName(QueryOutcome outcome) {
@@ -568,7 +555,7 @@ ServiceStats QueryService::Stats() const {
   ServiceStats snapshot = stats_;
   snapshot.queue_depth = queue_.size();
   // Histogram quantiles (bounded memory), not exact order statistics: within
-  // one bucket width (~12%) of Percentile() on the same sample.
+  // one bucket width (~12%) of the exact percentile of the same sample.
   const obs::HistogramSnapshot latency = latency_histogram_.Snapshot();
   snapshot.p50_latency_ms = latency.Quantile(0.50);
   snapshot.p95_latency_ms = latency.Quantile(0.95);

@@ -33,11 +33,6 @@ class TraceCollector;
 
 namespace service {
 
-/// Percentile over an unsorted sample by linear interpolation between the
-/// two closest order statistics (p in [0, 100]); 0 for an empty sample.
-/// Exposed for direct unit testing of the service's latency reporting.
-double Percentile(std::vector<double> values, double p);
-
 /// Retry policy for transient execution errors (kTransientDeviceError).
 /// Attempts beyond the first back off exponentially with deterministic,
 /// seeded jitter; the query's deadline is honored between attempts, so a
@@ -363,7 +358,7 @@ class QueryService {
   /// Completed-query latency distribution. A bounded log-scale histogram —
   /// NOT a per-query vector — so a long serve run's memory stays constant;
   /// the reported p50/p95/p99 are the histogram's interpolated quantiles
-  /// (exact Percentile() stays available as the test oracle).
+  /// (tests check them against exact percentiles).
   obs::Histogram latency_histogram_{obs::HistogramOptions::LatencyMs()};
   std::vector<FinishedRecord> finished_;
   std::vector<std::pair<int64_t, std::string>> rejected_log_;  ///< (ns, name)

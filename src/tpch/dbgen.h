@@ -13,8 +13,9 @@ namespace tpch {
 
 /// Generation parameters. scale_factor follows dbgen semantics (SF 1 ==
 /// ~6M lineitem rows); fractional scale factors are supported for fast tests
-/// and benches. Generation is fully deterministic for a given (scale_factor,
-/// seed) pair.
+/// and benches. Generation runs on the host thread pool and is fully
+/// deterministic for a given (scale_factor, seed) pair: the output is
+/// identical at any host thread count (DESIGN.md decision 4).
 struct DbgenConfig {
   double scale_factor = 0.01;
   uint64_t seed = 20160626;  // SIGMOD'16 opening day.

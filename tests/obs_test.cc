@@ -1,5 +1,5 @@
 // Tests for the observability layer (src/obs): histogram quantiles against
-// the exact service::Percentile oracle, concurrent registry updates (run
+// the exact testing_util::Percentile oracle, concurrent registry updates (run
 // under TSan by scripts/check.sh), and golden/hostile-name exposition tests
 // for the Prometheus and JSON exporters.
 #include <algorithm>
@@ -14,7 +14,7 @@
 
 #include "obs/export.h"
 #include "obs/registry.h"
-#include "service/query_service.h"
+#include "test_util.h"
 #include "trace/json.h"
 
 namespace gpl {
@@ -34,7 +34,7 @@ void ExpectQuantilesMatchOracle(const std::vector<double>& sample,
   for (const double v : sample) hist.Observe(v);
   ASSERT_EQ(hist.TotalCount(), sample.size());
   for (const double q : {0.50, 0.90, 0.95, 0.99}) {
-    const double exact = service::Percentile(sample, q * 100.0);
+    const double exact = testing_util::Percentile(sample, q * 100.0);
     const double approx = hist.Quantile(q);
     EXPECT_NEAR(approx, exact, kBucketRelTol * exact)
         << label << " q=" << q;

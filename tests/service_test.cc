@@ -179,25 +179,25 @@ TEST(QueryServiceTest, CancelledQueryReportsCancelled) {
   EXPECT_EQ(service.Stats().cancelled, 1u);
 }
 
-// Percentile (declared in query_service.h) interpolates linearly between the
-// two closest order statistics — these values pin that contract so reporting
-// code and dashboards can rely on it.
+// Percentile (the exact oracle in test_util.h) interpolates linearly between
+// the two closest order statistics — these values pin that contract, which
+// the histogram quantile tests rely on.
 TEST(PercentileTest, InterpolatesBetweenClosestRanks) {
-  EXPECT_DOUBLE_EQ(service::Percentile({}, 50.0), 0.0);
-  EXPECT_DOUBLE_EQ(service::Percentile({7.0}, 50.0), 7.0);
-  EXPECT_DOUBLE_EQ(service::Percentile({7.0}, 95.0), 7.0);
+  EXPECT_DOUBLE_EQ(testing_util::Percentile({}, 50.0), 0.0);
+  EXPECT_DOUBLE_EQ(testing_util::Percentile({7.0}, 50.0), 7.0);
+  EXPECT_DOUBLE_EQ(testing_util::Percentile({7.0}, 95.0), 7.0);
   // p50 of two samples is their midpoint, not either sample (nearest-rank
   // would return 2.0 here).
-  EXPECT_DOUBLE_EQ(service::Percentile({1.0, 2.0}, 50.0), 1.5);
+  EXPECT_DOUBLE_EQ(testing_util::Percentile({1.0, 2.0}, 50.0), 1.5);
   // 1..100: rank = 0.95 * 99 = 94.05 -> 95 + 0.05 * (96 - 95).
   std::vector<double> v(100);
   for (int i = 0; i < 100; ++i) v[static_cast<size_t>(i)] = i + 1.0;
-  EXPECT_DOUBLE_EQ(service::Percentile(v, 50.0), 50.5);
-  EXPECT_DOUBLE_EQ(service::Percentile(v, 95.0), 95.05);
-  EXPECT_DOUBLE_EQ(service::Percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(service::Percentile(v, 100.0), 100.0);
+  EXPECT_DOUBLE_EQ(testing_util::Percentile(v, 50.0), 50.5);
+  EXPECT_DOUBLE_EQ(testing_util::Percentile(v, 95.0), 95.05);
+  EXPECT_DOUBLE_EQ(testing_util::Percentile(v, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(testing_util::Percentile(v, 100.0), 100.0);
   // Input order is irrelevant (the sample is sorted internally).
-  EXPECT_DOUBLE_EQ(service::Percentile({2.0, 1.0}, 50.0), 1.5);
+  EXPECT_DOUBLE_EQ(testing_util::Percentile({2.0, 1.0}, 50.0), 1.5);
 }
 
 TEST(QueryHandleTest, AwaitOnInvalidHandleReturnsFailedPrecondition) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/counters.h"
 #include "storage/table.h"
 #include "tpch/dbgen.h"
@@ -31,6 +34,21 @@ inline const tpch::Database& MediumDb() {
     return new tpch::Database(tpch::Generate(config));
   }();
   return *db;
+}
+
+/// Percentile over an unsorted sample by linear interpolation between the
+/// two order statistics bracketing p/100 * (n-1) (p in [0, 100]): p50 of
+/// {1, 2} is 1.5, not either sample. 0 for an empty sample. The exact oracle
+/// that the service's and the metrics registry's histogram quantiles are
+/// checked against.
+inline double Percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] + (values[hi] - values[lo]) * frac;
 }
 
 /// Exact equality of every simulated hardware counter (all deterministic).
