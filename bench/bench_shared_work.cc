@@ -5,13 +5,13 @@
 /// cache on/off), report JSONL.
 ///
 /// Per row: client-observed p50/p95 latency (submit -> completion, host
-/// wall), subplan hit rate, shared-scan row accounting, and the p95 speedup
+/// wall), subplan hit rate and the p95 speedup
 /// of cache-on over cache-off at the same worker count. Every completed
 /// result is checked bit-identical to an isolated cache-less engine — the
 /// cache is a latency optimization, never an answer change.
 ///
 /// --quick gates (scripts/check.sh): warm hit rate >= 0.8, best p95 speedup
-/// >= 1.3x, shared scans serve more rows than the cold scans materialized.
+/// >= 1.3x.
 /// Deterministic rows (workers=1) are committed as
 /// bench/baselines/shared_work_quick.jsonl and diffed by bench_diff.py.
 #include <algorithm>
@@ -182,9 +182,8 @@ int main(int argc, char** argv) {
       args.quick ? std::vector<int>{5} : std::vector<int>{2, 5};
 
   benchutil::JsonlWriter jsonl(args.out);
-  std::printf("%4s %8s %6s %10s %10s %10s %12s %14s\n", "ws", "workers",
-              "cache", "hit rate", "p50 (ms)", "p95 (ms)", "wall (s)",
-              "rows shared");
+  std::printf("%4s %8s %6s %10s %10s %10s %12s\n", "ws", "workers",
+              "cache", "hit rate", "p50 (ms)", "p95 (ms)", "wall (s)");
 
   bool gates_ok = true;
   double best_p95_speedup = 0.0;
@@ -215,12 +214,10 @@ int main(int argc, char** argv) {
 
       for (const bool cache_on : {false, true}) {
         const MixResult& r = cache_on ? on : off;
-        std::printf("%4d %8d %6s %9.1f%% %10.3f %10.3f %12.3f %14llu\n", ws,
+        std::printf("%4d %8d %6s %9.1f%% %10.3f %10.3f %12.3f\n", ws,
                     workers, cache_on ? "on" : "off",
                     100.0 * (cache_on ? hit_rate : 0.0), r.p50_ms, r.p95_ms,
-                    r.wall_s,
-                    static_cast<unsigned long long>(
-                        r.stats.scan_rows_shared));
+                    r.wall_s);
         std::ostringstream row;
         row.precision(6);
         row << "{\"key\":\"ws" << ws << "_w" << workers << "_"
@@ -235,8 +232,6 @@ int main(int argc, char** argv) {
             << ",\"subplan_hits\":" << r.stats.subplan_cache_hits
             << ",\"subplan_misses\":" << r.stats.subplan_cache_misses
             << ",\"subplan_attaches\":" << r.stats.subplan_attaches
-            << ",\"scan_rows_scanned\":" << r.stats.scan_rows_scanned
-            << ",\"scan_rows_shared\":" << r.stats.scan_rows_shared
             << ",\"p95_speedup\":" << (cache_on ? p95_speedup : 1.0) << "}";
         jsonl.Line(row.str());
       }
@@ -247,17 +242,6 @@ int main(int argc, char** argv) {
                        "GATE FAILED: ws=%d workers=%d warm hit rate %.3f "
                        "< 0.8\n",
                        ws, workers, hit_rate);
-          gates_ok = false;
-        }
-        if (on.stats.scan_rows_shared <= on.stats.scan_rows_scanned) {
-          std::fprintf(stderr,
-                       "GATE FAILED: ws=%d workers=%d shared scans served "
-                       "%llu rows <= %llu materialized by cold scans\n",
-                       ws, workers,
-                       static_cast<unsigned long long>(
-                           on.stats.scan_rows_shared),
-                       static_cast<unsigned long long>(
-                           on.stats.scan_rows_scanned));
           gates_ok = false;
         }
       }

@@ -50,9 +50,9 @@
 ///                                     grid search reruns for every segment)
 ///   --subplan-cache-mb=<N>            capacity of the shared-work subplan
 ///                                     cache in MiB (default 64; 0 keeps
-///                                     shared-scan attach but retains nothing)
+///                                     in-flight attach but retains nothing)
 ///   --no-subplan-cache                disable subplan-result caching and
-///                                     shared-scan batching entirely
+///                                     in-flight attach entirely
 ///
 /// Sharded execution (routed through Engine::Execute via ExecOptions):
 ///   --shards=<N>                      hash-partition lineitem and orders N
@@ -162,7 +162,7 @@ struct CliOptions {
   bool breakdown = false;
   int host_threads = 0;          ///< 0 = hardware concurrency
   bool no_tuning_cache = false;  ///< re-run the grid search every segment
-  bool no_subplan_cache = false; ///< disable subplan caching + shared scans
+  bool no_subplan_cache = false; ///< disable subplan caching + attach
   int64_t subplan_cache_mb = 64; ///< subplan-cache capacity (MiB)
   int64_t rows = 10;
   std::string dump_tbl;

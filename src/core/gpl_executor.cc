@@ -99,63 +99,20 @@ GplExecutor::GplExecutor(const tpch::Database* db,
 
 Result<std::shared_ptr<const Table>> GplExecutor::ResolveInput(
     const Segment& segment,
-    const std::vector<std::shared_ptr<const Table>>& prior_outputs,
-    pool::SubplanCache* cache) const {
+    const std::vector<std::shared_ptr<const Table>>& prior_outputs) const {
   if (!segment.input_table.empty()) {
     const Table* base = db_->ByName(segment.input_table);
     if (base == nullptr) {
       return Status::NotFound("unknown table: " + segment.input_table);
     }
-    const auto build_view = [&]() -> Result<Table> {
-      Table view(segment.input_table);
-      for (const std::string& col : segment.input_columns) {
-        const std::string name = segment.input_alias.empty()
-                                     ? col
-                                     : segment.input_alias + "_" + col;
-        GPL_RETURN_NOT_OK(view.AddColumn(name, base->GetColumn(col)));
-      }
-      return view;
-    };
-    if (cache == nullptr) {
-      GPL_ASSIGN_OR_RETURN(Table view, build_view());
-      return std::shared_ptr<const Table>(
-          std::make_shared<const Table>(std::move(view)));
-    }
-    // Shared-scan path: concurrently admitted queries over the same
-    // (table, alias, columns) leaf attach to one in-flight materialization,
-    // and retained views charge the pool per column so overlapping views
-    // share page runs.
-    std::string key = "scan|" + db_tag_ + "|" + segment.input_table + "/" +
-                      segment.input_alias + ":";
+    auto view = std::make_shared<Table>(segment.input_table);
     for (const std::string& col : segment.input_columns) {
-      key += col;
-      key += ',';
+      const std::string name = segment.input_alias.empty()
+                                   ? col
+                                   : segment.input_alias + "_" + col;
+      GPL_RETURN_NOT_OK(view->AddColumn(name, base->GetColumn(col)));
     }
-    pool::SubplanCache::Acquisition acq = cache->Acquire(key);
-    if (acq.hit) {
-      cache->AddScanRows(/*shared=*/true, base->num_rows());
-      return std::static_pointer_cast<const Table>(acq.payload);
-    }
-    ComputeTicket ticket;
-    ticket.Arm(cache, key);
-    const auto scan_start = std::chrono::steady_clock::now();
-    GPL_ASSIGN_OR_RETURN(Table view, build_view());
-    const double cost_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - scan_start)
-                               .count();
-    auto shared_view = std::make_shared<const Table>(std::move(view));
-    std::vector<pool::SubplanCache::SharedUnit> units;
-    units.reserve(segment.input_columns.size());
-    for (const std::string& col : segment.input_columns) {
-      pool::SubplanCache::SharedUnit unit;
-      unit.key = "col|" + db_tag_ + "|" + segment.input_table + "." + col;
-      unit.bytes = base->GetColumn(col).byte_size();
-      units.push_back(std::move(unit));
-    }
-    cache->Publish(key, shared_view, shared_view->byte_size(), cost_ms, units);
-    ticket.Disarm();
-    cache->AddScanRows(/*shared=*/false, base->num_rows());
-    return std::shared_ptr<const Table>(shared_view);
+    return std::shared_ptr<const Table>(std::move(view));
   }
   if (segment.input_segment >= 0 &&
       segment.input_segment < static_cast<int>(prior_outputs.size())) {
@@ -268,7 +225,7 @@ Result<GplRunResult> GplExecutor::Run(const SegmentedPlan& plan,
     // unwinds here instead of simulating the remaining segments.
     if (exec.cancel != nullptr) GPL_RETURN_NOT_OK(exec.cancel->Check());
     SegmentRun run(plan.segments[i]);
-    GPL_ASSIGN_OR_RETURN(run.input, ResolveInput(run.segment, outputs, cache));
+    GPL_ASSIGN_OR_RETURN(run.input, ResolveInput(run.segment, outputs));
     DescribeAndScope(run, mode, exec, cache);
     LookupSubplan(run, exec, cache);
     ChooseParameters(run, mode, exec);

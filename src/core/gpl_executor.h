@@ -107,8 +107,8 @@ class GplExecutor {
   /// `tuning_cache` (optional) memoizes TuneSegment results across runs —
   /// the Engine passes its own or the QueryService's shared instance. It
   /// must outlive the executor. `subplan_cache` (optional) memoizes
-  /// materialized subplan *data* — scan views, build-side hash tables, whole
-  /// segment results — under exact chain+tuning signatures; same lifetime
+  /// materialized subplan *data* — whole segment results, build-side hash
+  /// tables included — under exact chain+tuning signatures; same lifetime
   /// rule. Both are thread-safe and shared across worker engines.
   GplExecutor(const tpch::Database* db, const sim::Simulator* simulator,
               const model::CalibrationTable* calibration,
@@ -132,14 +132,11 @@ class GplExecutor {
   struct SegmentRun;
 
   /// Resolves the segment's input as a shared view: a prior segment's output
-  /// (no copy), or a base-table scan view — through the subplan cache's
-  /// shared-scan path when `cache` is non-null (concurrent queries scanning
-  /// the same table attach to one in-flight materialization), fresh
-  /// otherwise.
+  /// or a base-table scan view. Neither copies column data (scan views share
+  /// the base columns copy-on-write).
   Result<std::shared_ptr<const Table>> ResolveInput(
       const Segment& segment,
-      const std::vector<std::shared_ptr<const Table>>& prior_outputs,
-      pool::SubplanCache* cache) const;
+      const std::vector<std::shared_ptr<const Table>>& prior_outputs) const;
 
   bool TuningCacheEnabled(const ExecOptions& exec) const;
 

@@ -88,8 +88,8 @@ struct ExecOptions {
   /// Disable (--no-tuning-cache) to re-run the grid search every segment.
   bool use_tuning_cache = true;
 
-  /// Memoize materialized subplan data (build-side hash tables, decoded scan
-  /// views, segment results) in the engine's pool::SubplanCache when one is
+  /// Memoize materialized subplan data (segment results, build-side hash
+  /// tables included) in the engine's pool::SubplanCache when one is
   /// configured (EngineOptions::subplan_cache). A hit replays the timing
   /// simulation from the cold run's recorded observations, so every
   /// simulated observable — result table, counters, elapsed_ms — is

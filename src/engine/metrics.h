@@ -51,7 +51,7 @@ struct QueryMetrics {
 
   /// Subplan-cache (data memoization) accounting for this execution — GPL
   /// modes with a configured pool::SubplanCache only, 0 elsewhere. A hit
-  /// serves a segment's materialized result (scan view, hash table, output
+  /// serves a segment's materialized result (output table or built hash
   /// table) from the cache and replays the timing simulation from the cold
   /// run's recorded observations, so simulated fields never change; only
   /// host wall-clock drops.

@@ -8,16 +8,16 @@ namespace gpl {
 namespace pool {
 
 namespace {
-PagePoolOptions PoolOptions(const SubplanCacheOptions& options) {
-  PagePoolOptions po;
-  po.page_bytes = options.page_bytes;
-  po.capacity_bytes = options.capacity_bytes;
-  return po;
+/// How many least-recently-used entries eviction compares.
+constexpr int kEvictionWindow = 4;
+
+int64_t PagesFor(int64_t bytes) {
+  return (bytes + SubplanCache::kPageBytes - 1) / SubplanCache::kPageBytes;
 }
 }  // namespace
 
 SubplanCache::SubplanCache(const SubplanCacheOptions& options)
-    : options_(options), pool_(PoolOptions(options)) {}
+    : total_pages_(std::max<int64_t>(options.capacity_bytes, 0) / kPageBytes) {}
 
 SubplanCache::~SubplanCache() = default;
 
@@ -44,7 +44,7 @@ SubplanCache::Acquisition SubplanCache::Acquire(const std::string& key) {
       return acq;
     }
     // Another query is computing this key right now: attach to it instead of
-    // recomputing (shared-scan batching). The record outlives its map slot
+    // recomputing the same segment. The record outlives its map slot
     // via the shared_ptr, so a publish after many waiters queued still
     // reaches all of them.
     std::shared_ptr<InFlight> rec = fit->second;
@@ -62,8 +62,8 @@ SubplanCache::Acquisition SubplanCache::Acquire(const std::string& key) {
 }
 
 void SubplanCache::Publish(const std::string& key, Payload payload,
-                           int64_t bytes, double cost_ms,
-                           const std::vector<SharedUnit>& shared_units) {
+                           int64_t bytes, double cost_ms) {
+  GPL_CHECK(bytes >= 0);
   std::lock_guard<std::mutex> lock(mu_);
   auto fit = inflight_.find(key);
   GPL_CHECK(fit != inflight_.end());
@@ -75,52 +75,20 @@ void SubplanCache::Publish(const std::string& key, Payload payload,
 
   if (entries_.count(key) > 0) return;  // benign re-publish race
 
+  const int64_t pages = PagesFor(bytes);
+  if (pages > total_pages_) {
+    // Could never fit: evicting first would only flush the cache.
+    ++stats_.rejected;
+    return;
+  }
+  while (used_pages_ + pages > total_pages_) EvictOneLocked();
+  used_pages_ += pages;
+
   Entry entry;
   entry.payload = std::move(payload);
   entry.bytes = bytes;
+  entry.pages = pages;
   entry.cost_ms = cost_ms;
-  if (shared_units.empty()) {
-    auto run = AcquireWithEvictionLocked(bytes);
-    if (!run.has_value()) {
-      ++stats_.rejected;
-      return;
-    }
-    entry.run = std::move(*run);
-  } else {
-    // Charge per shared unit: the first publisher of a unit acquires its
-    // run, later publishers take a refcounted share — overlapping scan
-    // views pay for each base column once.
-    std::vector<std::string> charged;
-    bool failed = false;
-    for (const SharedUnit& unit : shared_units) {
-      auto uit = units_.find(unit.key);
-      if (uit != units_.end()) {
-        pool_.Share(uit->second.run);
-        ++uit->second.users;
-      } else {
-        auto run = AcquireWithEvictionLocked(unit.bytes);
-        if (!run.has_value()) {
-          failed = true;
-          break;
-        }
-        UnitRecord rec;
-        rec.run = std::move(*run);
-        rec.users = 1;
-        units_.emplace(unit.key, std::move(rec));
-      }
-      charged.push_back(unit.key);
-    }
-    if (failed) {
-      for (const std::string& unit_key : charged) {
-        auto uit = units_.find(unit_key);
-        pool_.Release(uit->second.run);
-        if (--uit->second.users == 0) units_.erase(uit);
-      }
-      ++stats_.rejected;
-      return;
-    }
-    entry.unit_keys = std::move(charged);
-  }
   lru_.push_front(key);
   entry.lru_it = lru_.begin();
   stats_.bytes += entry.bytes;
@@ -138,68 +106,52 @@ void SubplanCache::Abort(const std::string& key) {
   cv_.notify_all();
 }
 
-std::optional<PageRun> SubplanCache::AcquireWithEvictionLocked(int64_t bytes) {
-  for (;;) {
-    auto run = pool_.Acquire(bytes);
-    if (run.has_value()) return run;
-    if (!EvictOneLocked()) return std::nullopt;
-  }
-}
-
-bool SubplanCache::EvictOneLocked() {
-  if (lru_.empty()) return false;
+void SubplanCache::EvictOneLocked() {
+  GPL_CHECK(!lru_.empty());
   // Scan the LRU tail window and pick the entry cheapest to recompute and
   // least re-used. Deterministic: ties keep the least-recently-used.
-  auto victim = std::prev(lru_.end());
+  auto victim = lru_.end();
   double victim_score = 0.0;
-  bool have_victim = false;
   auto it = lru_.end();
-  for (int i = 0; i < options_.eviction_window && it != lru_.begin(); ++i) {
+  for (int i = 0; i < kEvictionWindow && it != lru_.begin(); ++i) {
     --it;
     const Entry& entry = entries_.at(*it);
     const double score =
         entry.cost_ms * (1.0 + static_cast<double>(entry.hits));
-    if (!have_victim || score < victim_score) {
-      have_victim = true;
+    if (victim == lru_.end() || score < victim_score) {
       victim_score = score;
       victim = it;
     }
   }
-  if (!have_victim) return false;
   DropEntryLocked(*victim);
   ++stats_.evictions;
-  return true;
 }
 
 void SubplanCache::DropEntryLocked(const std::string& key) {
   auto it = entries_.find(key);
   GPL_CHECK(it != entries_.end());
   Entry& entry = it->second;
-  if (!entry.run.empty()) pool_.Release(entry.run);
-  for (const std::string& unit_key : entry.unit_keys) {
-    auto uit = units_.find(unit_key);
-    GPL_CHECK(uit != units_.end());
-    pool_.Release(uit->second.run);
-    if (--uit->second.users == 0) units_.erase(uit);
-  }
+  used_pages_ -= entry.pages;
   stats_.bytes -= entry.bytes;
   --stats_.entries;
   lru_.erase(entry.lru_it);
   entries_.erase(it);
 }
 
-void SubplanCache::AddScanRows(bool shared, int64_t rows) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (shared) {
-    stats_.scan_rows_shared += static_cast<uint64_t>(rows);
-  } else {
-    stats_.scan_rows_scanned += static_cast<uint64_t>(rows);
-  }
-}
-
 SubplanCacheStats SubplanCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+PagePoolStats SubplanCache::pool_stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  PagePoolStats pages;
+  pages.page_bytes = kPageBytes;
+  pages.total_pages = total_pages_;
+  pages.used_pages = used_pages_;
+  pages.payload_bytes = stats_.bytes;
+  pages.waste_bytes = used_pages_ * kPageBytes - stats_.bytes;
+  return pages;
 }
 
 void SubplanCache::Clear() {
@@ -226,15 +178,13 @@ std::vector<uint64_t> SubplanCache::RegisterGauges(
         [this] { return static_cast<double>(stats().misses); });
   gauge("_evictions", "Entries evicted for page pressure",
         [this] { return static_cast<double>(stats().evictions); });
-  gauge("_pool_occupancy", "Used fraction of the page pool",
+  gauge("_pool_occupancy", "Used fraction of the page budget",
         [this] { return pool_stats().Occupancy(); });
-  gauge("_pool_used_pages", "Pages currently referenced by cache entries",
+  gauge("_pool_used_pages", "Pages charged to retained entries",
         [this] { return static_cast<double>(pool_stats().used_pages); });
   gauge("_pool_waste_bytes",
         "Internal fragmentation: reserved page bytes minus stored payload",
         [this] { return static_cast<double>(pool_stats().waste_bytes); });
-  gauge("_scan_rows_shared", "Base-table rows served from shared scans",
-        [this] { return static_cast<double>(stats().scan_rows_shared); });
   return ids;
 }
 

@@ -8,27 +8,39 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "obs/registry.h"
-#include "pool/page_pool.h"
 
 namespace gpl {
 namespace pool {
 
 /// Configuration of a SubplanCache.
 struct SubplanCacheOptions {
-  /// Budget of the backing PagePool. 0 disables retention entirely: nothing
-  /// is ever kept after its in-flight consumers finish, but concurrent
-  /// queries computing the same key still attach to the one in-flight
-  /// compute (shared-scan batching needs no retention).
+  /// Retention budget, a whole number of SubplanCache::kPageBytes pages
+  /// (rounded down). 0 disables retention entirely: nothing is kept after
+  /// its in-flight consumers finish, but concurrent queries computing the
+  /// same key still attach to the one in-flight compute.
   int64_t capacity_bytes = 64ll * 1024 * 1024;
-  int64_t page_bytes = 64 * 1024;
-  /// Cost-aware eviction looks at the `eviction_window` least-recently-used
-  /// entries and evicts the one that is cheapest to recompute and least
-  /// re-used (min cost_ms * (1 + hits)); 1 degenerates to plain LRU.
-  int eviction_window = 4;
+};
+
+/// Page accounting of a SubplanCache (one consistent snapshot). Every
+/// retained entry is charged ceil(bytes / page_bytes) pages; `waste_bytes`
+/// is the round-up slack, reserved page bytes minus stored payload.
+/// `payload_bytes` always equals SubplanCacheStats::bytes.
+struct PagePoolStats {
+  int64_t page_bytes = 0;
+  int64_t total_pages = 0;
+  int64_t used_pages = 0;
+  int64_t payload_bytes = 0;
+  int64_t waste_bytes = 0;
+
+  double Occupancy() const {
+    return total_pages == 0
+               ? 0.0
+               : static_cast<double>(used_pages) /
+                     static_cast<double>(total_pages);
+  }
 };
 
 /// Counters of a SubplanCache (one consistent snapshot). `hits` includes
@@ -43,11 +55,6 @@ struct SubplanCacheStats {
   uint64_t evictions = 0;
   int64_t bytes = 0;    ///< logical payload bytes of retained entries
   int64_t entries = 0;  ///< retained entries
-  /// Shared-scan accounting: base-table rows materialized by actual scan
-  /// computes vs. rows served to queries that attached to a cached or
-  /// in-flight scan instead of issuing their own.
-  uint64_t scan_rows_scanned = 0;
-  uint64_t scan_rows_shared = 0;
 
   double HitRate() const {
     const uint64_t total = hits + misses;
@@ -56,13 +63,11 @@ struct SubplanCacheStats {
   }
 };
 
-/// A service-wide cache of materialized subplan data — build-side hash
-/// tables, decoded scan views, whole segment results — keyed by exact plan
-/// signatures (the executor composes them; see GplExecutor). Payloads are
-/// type-erased shared_ptrs: the cache owns lifetime and budget, the executor
-/// owns meaning. Page accounting goes through a PagePool so overlapping
-/// entries can share physical pages (`shared_units`) and occupancy/waste are
-/// observable.
+/// A service-wide cache of whole segment results — output tables and
+/// build-side hash tables — keyed by exact plan signatures (the executor
+/// composes them; see GplExecutor). Payloads are type-erased shared_ptrs:
+/// the cache owns lifetime and budget, the executor owns meaning. The budget
+/// is counted in fixed pages so occupancy and round-up waste are observable.
 ///
 /// Concurrency protocol: Acquire() either returns a hit, or blocks while
 /// another thread computes the same key, or makes the caller the *owner* of
@@ -82,14 +87,8 @@ class SubplanCache {
     Payload payload;
   };
 
-  /// A pool-sharing unit of an entry: (unit key, payload bytes). Entries
-  /// publishing the same unit key share one page run (refcounted) instead of
-  /// each acquiring their own — e.g. two scan views over the same base
-  /// column.
-  struct SharedUnit {
-    std::string key;
-    int64_t bytes = 0;
-  };
+  /// Page size of the budget.
+  static constexpr int64_t kPageBytes = 64 * 1024;
 
   explicit SubplanCache(const SubplanCacheOptions& options);
   ~SubplanCache();
@@ -101,23 +100,19 @@ class SubplanCache {
 
   /// Publishes the owner's computed payload: wakes waiters (they all receive
   /// `payload` regardless of retention) and tries to retain the entry,
-  /// evicting cold entries for pages as needed. `bytes` is the logical size
-  /// charged; `cost_ms` the host cost to recompute (eviction scoring). When
-  /// `shared_units` is non-empty the pool charge is per unit with sharing;
-  /// otherwise one dedicated run of `bytes`.
+  /// evicting cold entries for pages as needed. `bytes` (>= 0) is the
+  /// logical size charged; `cost_ms` the host cost to recompute (eviction
+  /// scoring). An entry larger than the whole budget is rejected without
+  /// evicting anything.
   void Publish(const std::string& key, Payload payload, int64_t bytes,
-               double cost_ms, const std::vector<SharedUnit>& shared_units = {});
+               double cost_ms);
 
   /// Abandons the owner's compute (error/cancellation): wakes waiters to
   /// retry. The failed status propagates only through the owner.
   void Abort(const std::string& key);
 
-  /// Shared-scan accounting hook (kept here so every executor over this
-  /// cache feeds one service-wide view).
-  void AddScanRows(bool shared, int64_t rows);
-
   SubplanCacheStats stats() const;
-  PagePoolStats pool_stats() const { return pool_.stats(); }
+  PagePoolStats pool_stats() const;
 
   /// Drops every retained entry (in-flight computes are unaffected).
   void Clear();
@@ -129,17 +124,12 @@ class SubplanCache {
                                        const std::string& prefix);
 
  private:
-  struct UnitRecord {
-    PageRun run;
-    int users = 0;
-  };
   struct Entry {
     Payload payload;
     int64_t bytes = 0;
+    int64_t pages = 0;
     double cost_ms = 0.0;
     uint64_t hits = 0;
-    PageRun run;                         ///< dedicated run (unit_keys empty)
-    std::vector<std::string> unit_keys;  ///< shared units charged instead
     std::list<std::string>::iterator lru_it;
   };
   struct InFlight {
@@ -148,20 +138,17 @@ class SubplanCache {
     Payload payload;
   };
 
-  /// Acquires `bytes` of pages, evicting per policy until it fits or the
-  /// cache is out of victims. Empty optional = cannot fit.
-  std::optional<PageRun> AcquireWithEvictionLocked(int64_t bytes);
-  /// Evicts the lowest-score entry among the `eviction_window` LRU tail.
-  /// False when nothing is evictable.
-  bool EvictOneLocked();
+  /// Evicts the entry cheapest to recompute and least re-used
+  /// (min cost_ms * (1 + hits)) among the 4 least-recently-used ones.
+  /// The LRU list must be non-empty.
+  void EvictOneLocked();
   void DropEntryLocked(const std::string& key);
 
-  const SubplanCacheOptions options_;
-  PagePool pool_;
+  const int64_t total_pages_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
+  int64_t used_pages_ = 0;
   std::unordered_map<std::string, Entry> entries_;
-  std::unordered_map<std::string, UnitRecord> units_;
   std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
   std::list<std::string> lru_;  ///< front = most recently used
   SubplanCacheStats stats_;

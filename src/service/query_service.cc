@@ -60,8 +60,6 @@ std::string ServiceStats::ToString() const {
       << " subplan_evictions=" << subplan_evictions
       << " subplan_bytes=" << subplan_bytes
       << " subplan_entries=" << subplan_entries
-      << " scan_rows_scanned=" << scan_rows_scanned
-      << " scan_rows_shared=" << scan_rows_shared
       << " queries_with_cache_hits=" << queries_with_cache_hits
       << " retries=" << retries << " degraded=" << degraded
       << " gave_up=" << gave_up;
@@ -570,8 +568,6 @@ ServiceStats QueryService::Stats() const {
   snapshot.subplan_evictions = subplan.evictions;
   snapshot.subplan_bytes = subplan.bytes;
   snapshot.subplan_entries = subplan.entries;
-  snapshot.scan_rows_scanned = subplan.scan_rows_scanned;
-  snapshot.scan_rows_shared = subplan.scan_rows_shared;
   return snapshot;
 }
 

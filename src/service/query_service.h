@@ -101,17 +101,17 @@ struct ServiceOptions {
   /// Interconnect of the group (exchange cost model).
   sim::LinkSpec link;
 
-  /// Shared-work execution: one pool::SubplanCache for all workers. A hash
-  /// table built (or a scan view decoded) by any worker is a hit for every
-  /// other, and concurrently admitted queries scanning the same table attach
-  /// to one in-flight materialization (shared-scan batching). Results are
+  /// Shared-work execution: one pool::SubplanCache for all workers. A
+  /// segment result (a built hash table included) computed by any worker is
+  /// a hit for every other, and concurrently admitted queries running the
+  /// same segment attach to its one in-flight compute. Results are
   /// bit-identical with the cache on or off at any capacity — hits replay
   /// the cold run's timing simulation — so this only trades host memory for
   /// host wall-clock. Disabled for sharded services (per-shard databases
   /// make whole-database entries unsound; the engine nulls it there anyway).
   bool subplan_cache = true;
-  /// Capacity of the shared subplan cache in MiB. 0 keeps shared-scan
-  /// batching (in-flight attach) but retains nothing.
+  /// Capacity of the shared subplan cache in MiB. 0 keeps in-flight attach
+  /// but retains nothing.
   int64_t subplan_cache_mb = 64;
 
   /// Optional metrics registry. When set, the service registers admission /
@@ -163,14 +163,15 @@ struct ServiceStats {
   /// Shared subplan-cache (data memoization) accounting across all workers
   /// (zero when ServiceOptions::subplan_cache is off). `subplan_attaches` is
   /// the subset of hits served by waiting on another query's in-flight
-  /// compute (shared-scan batching / shared builds); `scan_rows_*` split
-  /// base-table rows into actually-scanned vs. served-from-shared.
+  /// compute of the same segment.
   uint64_t subplan_cache_hits = 0;
   uint64_t subplan_cache_misses = 0;
   uint64_t subplan_attaches = 0;
   uint64_t subplan_evictions = 0;
   int64_t subplan_bytes = 0;
   int64_t subplan_entries = 0;
+  /// Always 0: the shared base-table scans they counted were removed. Kept
+  /// because perfbench/gplbench.cc still reads them.
   uint64_t scan_rows_scanned = 0;
   uint64_t scan_rows_shared = 0;
   /// Completed queries whose execution had at least one subplan-cache hit
@@ -339,10 +340,10 @@ class QueryService {
   /// tuned by any worker is a cache hit for the rest, so steady-state
   /// OptimizeWallMs() collapses to a signature lookup. Thread-safe.
   model::TuningCache tuning_cache_;
-  /// Shared subplan-data memo (paged pool + cache) referenced by every
-  /// worker engine when ServiceOptions::subplan_cache is on: scan views and
-  /// build-side hash tables materialized by any worker serve the rest, and
-  /// concurrent identical leaves attach to one in-flight scan. Thread-safe.
+  /// Shared subplan-data memo referenced by every worker engine when
+  /// ServiceOptions::subplan_cache is on: segment results and build-side
+  /// hash tables materialized by any worker serve the rest, and concurrent
+  /// identical segments attach to one in-flight compute. Thread-safe.
   pool::SubplanCache subplan_cache_;
   std::chrono::steady_clock::time_point start_tp_;
 

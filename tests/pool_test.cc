@@ -1,4 +1,4 @@
-#include "pool/page_pool.h"
+#include "pool/subplan_cache.h"
 
 #include <atomic>
 #include <chrono>
@@ -9,201 +9,19 @@
 
 #include <gtest/gtest.h>
 
-#include "pool/subplan_cache.h"
-
 namespace gpl {
 namespace {
 
-using pool::PagePool;
-using pool::PagePoolOptions;
 using pool::PagePoolStats;
-using pool::PageRun;
 using pool::SubplanCache;
 using pool::SubplanCacheOptions;
 using pool::SubplanCacheStats;
 
-PagePoolOptions SmallPool(int64_t pages, int64_t page_bytes = 1024) {
-  PagePoolOptions options;
-  options.page_bytes = page_bytes;
-  options.capacity_bytes = pages * page_bytes;
-  return options;
-}
+constexpr int64_t kPage = SubplanCache::kPageBytes;
 
-TEST(PagePoolTest, AcquireRoundsUpToWholePagesAndTracksWaste) {
-  PagePool pool(SmallPool(8));
-  auto run = pool.Acquire(1500);  // 1.5 pages -> 2 pages
-  ASSERT_TRUE(run.has_value());
-  EXPECT_EQ(run->pages.size(), 2u);
-  EXPECT_EQ(run->payload_bytes, 1500);
-
-  const PagePoolStats stats = pool.stats();
-  EXPECT_EQ(stats.used_pages, 2);
-  EXPECT_EQ(stats.free_pages, 6);
-  EXPECT_EQ(stats.payload_bytes, 1500);
-  EXPECT_EQ(stats.waste_bytes, 2 * 1024 - 1500);
-  EXPECT_DOUBLE_EQ(stats.Occupancy(), 2.0 / 8.0);
-
-  pool.Release(*run);
-  const PagePoolStats after = pool.stats();
-  EXPECT_EQ(after.used_pages, 0);
-  EXPECT_EQ(after.payload_bytes, 0);
-  EXPECT_EQ(after.waste_bytes, 0);
-}
-
-TEST(PagePoolTest, ZeroPayloadAlwaysSucceedsWithEmptyRun) {
-  PagePool pool(SmallPool(0));  // capacity 0: no pages at all
-  auto empty = pool.Acquire(0);
-  ASSERT_TRUE(empty.has_value());
-  EXPECT_TRUE(empty->empty());
-
-  auto denied = pool.Acquire(1);
-  EXPECT_FALSE(denied.has_value());
-  EXPECT_EQ(pool.stats().failures, 1u);
-}
-
-TEST(PagePoolTest, FailedAcquireLeavesPoolUnchanged) {
-  PagePool pool(SmallPool(2));
-  auto held = pool.Acquire(2048);  // both pages
-  ASSERT_TRUE(held.has_value());
-  const PagePoolStats before = pool.stats();
-
-  EXPECT_FALSE(pool.Acquire(1).has_value());
-  const PagePoolStats after = pool.stats();
-  EXPECT_EQ(after.used_pages, before.used_pages);
-  EXPECT_EQ(after.free_pages, before.free_pages);
-  EXPECT_EQ(after.payload_bytes, before.payload_bytes);
-  EXPECT_EQ(after.failures, before.failures + 1);
-}
-
-/// Free pages are handed out lowest-id first regardless of release order, so
-/// identical acquire/release sequences always yield identical runs.
-TEST(PagePoolTest, AllocationIsLowestIdFirstDeterministic) {
-  PagePool pool(SmallPool(4));
-  auto a = pool.Acquire(1024);  // page 0
-  auto b = pool.Acquire(1024);  // page 1
-  auto c = pool.Acquire(1024);  // page 2
-  ASSERT_TRUE(a.has_value() && b.has_value() && c.has_value());
-  EXPECT_EQ(a->pages, std::vector<int32_t>{0});
-  EXPECT_EQ(b->pages, std::vector<int32_t>{1});
-  EXPECT_EQ(c->pages, std::vector<int32_t>{2});
-
-  // Release out of order; the next two-page acquire still takes {0, 2}.
-  pool.Release(*c);
-  pool.Release(*a);
-  auto d = pool.Acquire(2048);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->pages, (std::vector<int32_t>{0, 2}));
-}
-
-TEST(PagePoolTest, ShareTakesAReferencePerPage) {
-  PagePool pool(SmallPool(4));
-  auto run = pool.Acquire(2048);
-  ASSERT_TRUE(run.has_value());
-  PageRun copy = pool.Share(*run);
-  EXPECT_EQ(copy.pages, run->pages);
-
-  // One release keeps the pages alive for the other reference.
-  pool.Release(*run);
-  EXPECT_EQ(pool.stats().used_pages, 2);
-  EXPECT_EQ(pool.stats().payload_bytes, 2048);
-
-  pool.Release(copy);
-  EXPECT_EQ(pool.stats().used_pages, 0);
-  EXPECT_EQ(pool.stats().payload_bytes, 0);
-}
-
-/// Prefix sharing: Extend() reuses the prefix's pages (refcounted) and only
-/// allocates fresh pages for the tail, so shared pages are charged once.
-TEST(PagePoolTest, ExtendSharesPrefixPages) {
-  PagePool pool(SmallPool(8));
-  auto prefix = pool.Acquire(2048);  // pages {0, 1}
-  ASSERT_TRUE(prefix.has_value());
-
-  auto extended = pool.Extend(*prefix, 3072);
-  ASSERT_TRUE(extended.has_value());
-  EXPECT_EQ(extended->payload_bytes, 3072);
-  ASSERT_EQ(extended->pages.size(), 3u);
-  EXPECT_EQ(extended->pages[0], prefix->pages[0]);
-  EXPECT_EQ(extended->pages[1], prefix->pages[1]);
-  EXPECT_EQ(extended->pages[2], 2);
-
-  // The shared pages count once in occupancy: 3 used pages, not 5.
-  EXPECT_EQ(pool.stats().used_pages, 3);
-
-  // The prefix run stays independently releasable: dropping it keeps the
-  // extended run's pages alive.
-  pool.Release(*prefix);
-  EXPECT_EQ(pool.stats().used_pages, 3);
-  pool.Release(*extended);
-  EXPECT_EQ(pool.stats().used_pages, 0);
-}
-
-TEST(PagePoolTest, ExtendFailureLeavesPoolUnchanged) {
-  PagePool pool(SmallPool(2));
-  auto prefix = pool.Acquire(1024);
-  ASSERT_TRUE(prefix.has_value());
-  const PagePoolStats before = pool.stats();
-
-  // Tail needs 2 pages but only 1 is free.
-  EXPECT_FALSE(pool.Extend(*prefix, 1024 + 2048).has_value());
-  const PagePoolStats after = pool.stats();
-  EXPECT_EQ(after.used_pages, before.used_pages);
-  EXPECT_EQ(after.free_pages, before.free_pages);
-  EXPECT_EQ(after.failures, before.failures + 1);
-}
-
-/// Concurrent acquire/release exactness: hammer the pool from many threads,
-/// then verify the books balance to the empty state — no leaked pages, no
-/// double frees, no drifting payload accounting.
-TEST(PagePoolTest, ConcurrentAcquireReleaseBalancesExactly) {
-  PagePool pool(SmallPool(64));
-  constexpr int kThreads = 8;
-  constexpr int kIters = 500;
-  std::atomic<uint64_t> failures{0};
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, &failures, t] {
-      for (int i = 0; i < kIters; ++i) {
-        // Deterministic per-thread size mix, 0.5 .. 4.5 pages.
-        const int64_t bytes = 512 + ((t * 131 + i * 17) % 8) * 512;
-        auto run = pool.Acquire(bytes);
-        if (!run.has_value()) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        PageRun shared = pool.Share(*run);
-        pool.Release(*run);
-        pool.Release(shared);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-
-  const PagePoolStats stats = pool.stats();
-  EXPECT_EQ(stats.used_pages, 0);
-  EXPECT_EQ(stats.free_pages, stats.total_pages);
-  EXPECT_EQ(stats.payload_bytes, 0);
-  EXPECT_EQ(stats.waste_bytes, 0);
-  EXPECT_EQ(stats.failures, failures.load());
-  // Every successful acquire was released twice (itself + its share).
-  EXPECT_EQ(stats.releases, 2 * (stats.acquires));
-
-  // The drained pool still allocates deterministically from page 0.
-  auto run = pool.Acquire(1024);
-  ASSERT_TRUE(run.has_value());
-  EXPECT_EQ(run->pages, std::vector<int32_t>{0});
-}
-
-// ---------------------------------------------------------------------------
-// SubplanCache protocol (the executor-facing layer over the pool).
-// ---------------------------------------------------------------------------
-
-SubplanCacheOptions SmallCache(int64_t pages, int64_t page_bytes = 1024) {
+SubplanCacheOptions SmallCache(int64_t pages) {
   SubplanCacheOptions options;
-  options.page_bytes = page_bytes;
-  options.capacity_bytes = pages * page_bytes;
+  options.capacity_bytes = pages * kPage;
   return options;
 }
 
@@ -214,6 +32,111 @@ SubplanCache::Payload IntPayload(int value) {
 int PayloadValue(const SubplanCache::Payload& payload) {
   return *static_cast<const int*>(payload.get());
 }
+
+/// Owns and publishes `key` in one step (the single-threaded miss path).
+void PublishNew(SubplanCache& cache, const std::string& key, int64_t bytes,
+                int value = 0) {
+  ASSERT_TRUE(cache.Acquire(key).owner);
+  cache.Publish(key, IntPayload(value), bytes, /*cost_ms=*/1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Page budget: SubplanCache::pool_stats(). Every retained entry is charged
+// ceil(bytes / kPageBytes) pages; `payload_bytes` mirrors stats().bytes.
+// ---------------------------------------------------------------------------
+
+TEST(PagePoolTest, AcquireRoundsUpToWholePagesAndTracksWaste) {
+  SubplanCache cache(SmallCache(8));
+  PublishNew(cache, "k", kPage + kPage / 2);  // 1.5 pages -> 2 pages
+
+  const PagePoolStats stats = cache.pool_stats();
+  EXPECT_EQ(stats.page_bytes, kPage);
+  EXPECT_EQ(stats.total_pages, 8);
+  EXPECT_EQ(stats.used_pages, 2);
+  EXPECT_EQ(stats.payload_bytes, kPage + kPage / 2);
+  EXPECT_EQ(stats.payload_bytes, cache.stats().bytes);
+  EXPECT_EQ(stats.waste_bytes, kPage / 2);
+  EXPECT_DOUBLE_EQ(stats.Occupancy(), 2.0 / 8.0);
+
+  cache.Clear();
+  const PagePoolStats after = cache.pool_stats();
+  EXPECT_EQ(after.used_pages, 0);
+  EXPECT_EQ(after.payload_bytes, 0);
+  EXPECT_EQ(after.waste_bytes, 0);
+}
+
+TEST(PagePoolTest, ZeroPayloadAlwaysSucceedsWithEmptyRun) {
+  SubplanCache cache(SmallCache(0));  // capacity 0: no pages at all
+  PublishNew(cache, "empty", 0);
+  EXPECT_EQ(cache.stats().entries, 1);
+  EXPECT_EQ(cache.pool_stats().used_pages, 0);
+  EXPECT_TRUE(cache.Acquire("empty").hit);
+
+  PublishNew(cache, "denied", 1);
+  EXPECT_EQ(cache.stats().rejected, 1u);
+  EXPECT_EQ(cache.stats().entries, 1);
+}
+
+TEST(PagePoolTest, FailedAcquireLeavesPoolUnchanged) {
+  SubplanCache cache(SmallCache(2));
+  PublishNew(cache, "held", 2 * kPage);  // both pages
+  const PagePoolStats before = cache.pool_stats();
+
+  PublishNew(cache, "too_big", 2 * kPage + 1);
+  const PagePoolStats after = cache.pool_stats();
+  EXPECT_EQ(after.used_pages, before.used_pages);
+  EXPECT_EQ(after.payload_bytes, before.payload_bytes);
+  EXPECT_EQ(after.waste_bytes, before.waste_bytes);
+  EXPECT_EQ(cache.stats().rejected, 1u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
+/// Concurrent publish/evict under pressure from many threads: the page books
+/// balance — used pages never exceed the budget, the payload mirrors the
+/// retained bytes, and a Clear() drains every page.
+TEST(PagePoolTest, ConcurrentAcquireReleaseBalancesExactly) {
+  SubplanCache cache(SmallCache(16));
+  constexpr int kThreads = 8;
+  constexpr int kIters = 300;
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, t] {
+      for (int i = 0; i < kIters; ++i) {
+        // Deterministic per-thread mix of 32 keys, 0.5 .. 4.5 pages each.
+        const int key_id = (t * 7 + i * 3) % 32;
+        const std::string key = "k" + std::to_string(key_id);
+        SubplanCache::Acquisition acq = cache.Acquire(key);
+        if (acq.owner) {
+          const int64_t bytes = kPage / 2 + (key_id % 8) * (kPage / 2);
+          cache.Publish(key, IntPayload(key_id), bytes, /*cost_ms=*/1.0);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const SubplanCacheStats stats = cache.stats();
+  const PagePoolStats pages = cache.pool_stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(pages.used_pages, pages.total_pages);
+  EXPECT_EQ(pages.payload_bytes, stats.bytes);
+  EXPECT_EQ(pages.waste_bytes, pages.used_pages * kPage - stats.bytes);
+  EXPECT_GE(pages.waste_bytes, 0);
+  EXPECT_LT(pages.waste_bytes, stats.entries * kPage);
+  EXPECT_EQ(stats.inserts - stats.evictions,
+            static_cast<uint64_t>(stats.entries));
+
+  cache.Clear();
+  EXPECT_EQ(cache.pool_stats().used_pages, 0);
+  EXPECT_EQ(cache.pool_stats().payload_bytes, 0);
+  EXPECT_EQ(cache.stats().bytes, 0);
+}
+
+// ---------------------------------------------------------------------------
+// SubplanCache protocol.
+// ---------------------------------------------------------------------------
 
 TEST(SubplanCacheTest, MissPublishHitRoundTrip) {
   SubplanCache cache(SmallCache(8));
@@ -284,23 +207,21 @@ TEST(SubplanCacheTest, CapacityZeroStillAttachesInFlight) {
 /// Eviction under pressure drops the cheapest/least-reused entries but never
 /// invalidates a payload a consumer still holds.
 TEST(SubplanCacheTest, EvictsColdEntriesUnderPressureAndKeepsServedPins) {
-  SubplanCacheOptions options = SmallCache(4);
-  options.eviction_window = 2;
-  SubplanCache cache(options);
+  SubplanCache cache(SmallCache(4));
 
   ASSERT_TRUE(cache.Acquire("a").owner);
-  cache.Publish("a", IntPayload(1), /*bytes=*/2048, /*cost_ms=*/1.0);
+  cache.Publish("a", IntPayload(1), /*bytes=*/2 * kPage, /*cost_ms=*/1.0);
   SubplanCache::Acquisition pinned = cache.Acquire("a");  // hold the payload
   ASSERT_TRUE(pinned.hit);
 
   ASSERT_TRUE(cache.Acquire("b").owner);
-  cache.Publish("b", IntPayload(2), /*bytes=*/2048, /*cost_ms=*/1.0);
+  cache.Publish("b", IntPayload(2), /*bytes=*/2 * kPage, /*cost_ms=*/1.0);
   EXPECT_EQ(cache.stats().entries, 2);
 
   // A third 2-page entry cannot fit without evicting; "a" has a hit and "b"
   // does not, so "b" is the victim.
   ASSERT_TRUE(cache.Acquire("c").owner);
-  cache.Publish("c", IntPayload(3), /*bytes=*/2048, /*cost_ms=*/1.0);
+  cache.Publish("c", IntPayload(3), /*bytes=*/2 * kPage, /*cost_ms=*/1.0);
 
   const SubplanCacheStats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
@@ -313,26 +234,32 @@ TEST(SubplanCacheTest, EvictsColdEntriesUnderPressureAndKeepsServedPins) {
   EXPECT_EQ(PayloadValue(pinned.payload), 1);
 }
 
-/// Entries publishing the same shared unit charge its pages once; the unit's
-/// run is released only when the last referencing entry is dropped.
-TEST(SubplanCacheTest, SharedUnitsChargePagesOnce) {
-  SubplanCache cache(SmallCache(8));
-  const std::vector<SubplanCache::SharedUnit> units = {{"col:a", 2048}};
+/// An entry larger than the whole budget is rejected up front: it must not
+/// flush the entries already retained on its way to failing. One exactly as
+/// large as the budget still fits, evicting everything else.
+TEST(SubplanCacheTest, OversizePublishKeepsRetainedEntries) {
+  SubplanCache cache(SmallCache(4));
+  PublishNew(cache, "a", kPage, 1);
+  PublishNew(cache, "b", kPage, 2);
 
-  ASSERT_TRUE(cache.Acquire("scan1").owner);
-  cache.Publish("scan1", IntPayload(1), /*bytes=*/2048, /*cost_ms=*/1.0,
-                units);
-  ASSERT_TRUE(cache.Acquire("scan2").owner);
-  cache.Publish("scan2", IntPayload(2), /*bytes=*/2048, /*cost_ms=*/1.0,
-                units);
-
-  // Two entries, one physical 2-page run.
-  EXPECT_EQ(cache.stats().entries, 2);
+  PublishNew(cache, "huge", 5 * kPage, 3);
+  SubplanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 2);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(cache.pool_stats().used_pages, 2);
+  EXPECT_EQ(cache.pool_stats().payload_bytes, stats.bytes);
+  EXPECT_TRUE(cache.Acquire("a").hit);
+  EXPECT_TRUE(cache.Acquire("b").hit);
 
-  cache.Clear();
-  EXPECT_EQ(cache.stats().entries, 0);
-  EXPECT_EQ(cache.pool_stats().used_pages, 0);
+  PublishNew(cache, "whole", 4 * kPage, 4);
+  stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1);
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(cache.pool_stats().used_pages, 4);
+  EXPECT_EQ(cache.pool_stats().payload_bytes, stats.bytes);
+  EXPECT_TRUE(cache.Acquire("whole").hit);
 }
 
 /// Concurrent acquire/publish on overlapping keys: every thread observes the
@@ -382,7 +309,6 @@ TEST(SubplanCacheTest, RegisterGaugesExportsOccupancyAndTraffic) {
 
   ASSERT_TRUE(cache.Acquire("k").owner);
   cache.Publish("k", IntPayload(1), /*bytes=*/1500, /*cost_ms=*/1.0);
-  cache.AddScanRows(/*shared=*/true, 100);
 
   bool saw_entries = false;
   bool saw_waste = false;
@@ -395,7 +321,7 @@ TEST(SubplanCacheTest, RegisterGaugesExportsOccupancyAndTraffic) {
     if (family.name == "test_subplan_pool_waste_bytes") {
       saw_waste = true;
       ASSERT_EQ(family.series.size(), 1u);
-      EXPECT_DOUBLE_EQ(family.series[0].value, 2 * 1024 - 1500.0);
+      EXPECT_DOUBLE_EQ(family.series[0].value, kPage - 1500.0);
     }
   }
   EXPECT_TRUE(saw_entries);

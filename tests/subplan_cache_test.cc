@@ -83,7 +83,7 @@ TEST(SubplanCacheEngineTest, WarmHitsAreBitIdenticalToColdAndIsolated) {
     for (auto& [name, query] : queries::EvaluationSuite()) {
       SCOPED_TRACE(name + " mode=" + EngineModeName(mode));
       // Fresh cache per query so the cold run is genuinely cold (suite queries
-      // share scans and build sides, which would otherwise pre-warm it).
+      // share build sides, which would otherwise pre-warm it).
       SubplanCache cache(SubplanCacheOptions{});
       EngineOptions options;
       options.mode = mode;
@@ -135,8 +135,7 @@ TEST(SubplanCacheEngineTest, CapacityZeroMatchesIsolatedTruth) {
 TEST(SubplanCacheEngineTest, EvictionHeavyScheduleMatchesIsolatedTruth) {
   const tpch::Database& db = SmallDb();
   SubplanCacheOptions cache_options;
-  cache_options.capacity_bytes = 64 * 1024;  // a handful of pages
-  cache_options.page_bytes = 4 * 1024;
+  cache_options.capacity_bytes = 4 * SubplanCache::kPageBytes;  // 4 pages
   SubplanCache cache(cache_options);
   EngineOptions options;
   options.subplan_cache = &cache;
@@ -239,9 +238,12 @@ TEST(SubplanCacheServiceTest, SharedCacheHitsAcrossWorkersBitIdentical) {
   EXPECT_GE(stats.SubplanHitRate(), 0.8) << stats.ToString();
   // All but the first round of each query class had hits.
   EXPECT_GE(stats.queries_with_cache_hits, mix.size() - 2 * 4);
-  // Shared scans really were shared: rows served from the cache exceed what
-  // any single cold pass scans.
-  EXPECT_GT(stats.scan_rows_shared, 0u);
+  // The page budget tracks exactly the retained bytes.
+  const pool::PagePoolStats pages = service.subplan_cache().pool_stats();
+  EXPECT_EQ(pages.payload_bytes, stats.subplan_bytes);
+  EXPECT_GT(pages.used_pages, 0);
+  EXPECT_EQ(pages.waste_bytes,
+            pages.used_pages * pages.page_bytes - pages.payload_bytes);
   EXPECT_NE(stats.ToString().find("subplan_cache_hits="), std::string::npos);
 }
 
