@@ -93,14 +93,14 @@
 ///   --max-retries=<R>                 retry transient device errors up to R
 ///                                     times (R+1 attempts total) with
 ///                                     exponential backoff (default 0)
-///   With --trace, serve mode writes the service timeline (per-worker
-///   queue/exec spans, retry attempts, concurrency counter, rejection
-///   instants) instead of the simulator timeline.
+///   With --trace, serve mode writes the service timeline of the newest
+///   16384 records (per-worker queue/exec spans, retry attempts, concurrency
+///   counter, rejection instants) instead of the simulator timeline.
 ///
 /// Live telemetry (serve mode, obs::MetricsRegistry):
-///   --serve-metrics                   register service/engine/simulator
-///                                     metrics and print the final Prometheus
-///                                     exposition to stdout
+///   --serve-metrics                   print the final Prometheus exposition
+///                                     of the service's registry (service,
+///                                     engine and simulator metrics)
 ///   --stats-interval-ms=<T>           sample the registry every T ms while
 ///                                     serving (implies --serve-metrics); one
 ///                                     snapshot is always taken at start and
@@ -431,14 +431,8 @@ int RunServe(const tpch::Database& db, const CliOptions& cli,
   const std::vector<std::pair<std::string, LogicalQuery>>& workload =
       *workload_or;
 
-  // Declared before the service so callback gauges registered by the
-  // service never outlive their registry.
-  obs::MetricsRegistry registry;
-  const bool metrics_enabled = cli.serve_metrics || cli.stats_interval_ms > 0;
-
   service::ServiceOptions sopts;
   sopts.num_workers = cli.serve_workers;
-  if (metrics_enabled) sopts.metrics = &registry;
   sopts.queue_capacity = static_cast<size_t>(cli.serve_queue);
   sopts.default_timeout_ms = cli.timeout_ms;
   sopts.engine = engine_options;
@@ -496,7 +490,7 @@ int RunServe(const tpch::Database& db, const CliOptions& cli,
         .count();
   };
   if (cli.stats_interval_ms > 0) {
-    EmitSnapshot(registry, snapshot_seq++, elapsed_ms(), &stats_jsonl,
+    EmitSnapshot(svc.metrics(), snapshot_seq++, elapsed_ms(), &stats_jsonl,
                  cli.prom_textfile_path);
     sampler = std::thread([&] {
       const auto interval =
@@ -505,7 +499,7 @@ int RunServe(const tpch::Database& db, const CliOptions& cli,
       while (!sampler_cv.wait_for(lock, interval,
                                   [&] { return sampler_stop; })) {
         // snapshot_seq is only touched here until the thread is joined.
-        EmitSnapshot(registry, snapshot_seq++, elapsed_ms(), &stats_jsonl,
+        EmitSnapshot(svc.metrics(), snapshot_seq++, elapsed_ms(), &stats_jsonl,
                      cli.prom_textfile_path);
       }
     });
@@ -549,8 +543,7 @@ int RunServe(const tpch::Database& db, const CliOptions& cli,
     }
   }
   // Final snapshot and exposition before Shutdown(): every in-flight query
-  // has been awaited above, so the numbers are final, but the service's
-  // callback gauges (tuning cache, thread pool) are still registered.
+  // has been awaited above, so the numbers are final.
   if (cli.stats_interval_ms > 0) {
     {
       std::lock_guard<std::mutex> lock(sampler_mu);
@@ -558,7 +551,7 @@ int RunServe(const tpch::Database& db, const CliOptions& cli,
     }
     sampler_cv.notify_all();
     sampler.join();
-    if (!EmitSnapshot(registry, snapshot_seq++, elapsed_ms(), &stats_jsonl,
+    if (!EmitSnapshot(svc.metrics(), snapshot_seq++, elapsed_ms(), &stats_jsonl,
                       cli.prom_textfile_path)) {
       std::fprintf(stderr, "writing %s failed\n",
                    cli.prom_textfile_path.c_str());
@@ -566,7 +559,7 @@ int RunServe(const tpch::Database& db, const CliOptions& cli,
     }
   }
   std::string final_exposition;
-  if (cli.serve_metrics) final_exposition = obs::PrometheusText(registry);
+  if (cli.serve_metrics) final_exposition = obs::PrometheusText(svc.metrics());
   svc.Shutdown();
 
   const double wall_s =
@@ -818,7 +811,6 @@ int main(int argc, char** argv) {
   options.partitioned_joins = cli.partitioned;
   options.exec.host_threads = cli.host_threads;
   options.exec.use_tuning_cache = !cli.no_tuning_cache;
-  options.exec.use_subplan_cache = !cli.no_subplan_cache;
   // Sharded execution is routed through Engine::Execute: ExecOptions carries
   // the shard count, device group and link bandwidth.
   options.exec.shards = cli.shards;

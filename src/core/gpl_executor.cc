@@ -210,11 +210,7 @@ Result<GplRunResult> GplExecutor::Run(const SegmentedPlan& plan,
   // Data memoization is bypassed entirely under fault injection: an injected
   // fault must hit the same launch/reservation sites as isolated execution,
   // and a cache hit would skip some of them.
-  pool::SubplanCache* cache =
-      (subplan_cache_ != nullptr && exec.use_subplan_cache &&
-       exec.fault == nullptr)
-          ? subplan_cache_
-          : nullptr;
+  pool::SubplanCache* cache = exec.fault == nullptr ? subplan_cache_ : nullptr;
   // A segment counts as a tuning-cache hit or miss only when the cost model
   // consults the cache.
   const bool tuning_cached = exec.use_cost_model && TuningCacheEnabled(exec);
@@ -541,8 +537,7 @@ Status GplExecutor::Simulate(SegmentRun& run, size_t index,
     case model::SegmentEngine::kGplChannel:
       sim_result = simulator_->RunPipeline(spec);
       if (!sim_result.ok() &&
-          sim_result.status().code() == StatusCode::kChannelAllocFailed &&
-          exec.degrade_on_channel_failure) {
+          sim_result.status().code() == StatusCode::kChannelAllocFailed) {
         // Graceful degradation: the pipelined segment could not get its
         // channels, so re-execute it kernel-at-a-time (the w/o-CE path needs
         // none). The functional output is already computed and unaffected;

@@ -78,8 +78,12 @@ struct EngineOptions {
   /// Optional shared subplan cache (see pool/subplan_cache.h). When set, the
   /// GPL executor memoizes materialized subplan data there — the
   /// QueryService passes one instance to all workers so a hash table built
-  /// by any worker is a hit for the rest. nullptr (the default) disables
-  /// data memoization entirely. Must outlive the engine; thread-safe.
+  /// by any worker is a hit for the rest. A hit replays the timing
+  /// simulation from the cold run's recorded observations, so every
+  /// simulated observable is bit-identical to cache-off execution. Bypassed
+  /// under fault injection (injected faults must hit the same sites as
+  /// isolated execution). nullptr (the default) disables data memoization
+  /// entirely. Must outlive the engine; thread-safe.
   pool::SubplanCache* subplan_cache = nullptr;
 
   /// Optional metrics registry. When set, the engine's Simulator registers

@@ -55,17 +55,13 @@ struct ExecOptions {
 
   /// Optional fault injector (see sim/fault.h). When non-null, every kernel
   /// launch and channel reservation consults it; injected faults surface as
-  /// kTransientDeviceError / kChannelAllocFailed. nullptr (the default)
-  /// disables injection with no overhead beyond null checks. Like the trace
-  /// collector the injector is mutable per-execution state: never share one
-  /// across concurrently executing queries.
+  /// kTransientDeviceError / kChannelAllocFailed, except that a GPL segment
+  /// whose channel allocation fails re-executes kernel-at-a-time (the w/o-CE
+  /// path needs no channels) and counts in QueryMetrics::degraded_segments.
+  /// nullptr (the default) disables injection with no overhead beyond null
+  /// checks. Like the trace collector the injector is mutable per-execution
+  /// state: never share one across concurrently executing queries.
   sim::FaultInjector* fault = nullptr;
-
-  /// GPL only: when a segment's channel allocation fails (injected or real),
-  /// re-execute that segment under kernel-at-a-time tiling (the w/o-CE path,
-  /// which needs no channels) instead of failing the query. Degraded
-  /// segments are counted in QueryMetrics::degraded_segments.
-  bool degrade_on_channel_failure = true;
 
   /// Optional cooperative cancellation/deadline token. Executors poll it at
   /// coarse boundaries (GPL: segment starts; KBE: operator starts) and
@@ -87,16 +83,6 @@ struct ExecOptions {
   /// the choice a fresh search would — simulated timing never changes.
   /// Disable (--no-tuning-cache) to re-run the grid search every segment.
   bool use_tuning_cache = true;
-
-  /// Memoize materialized subplan data (segment results, build-side hash
-  /// tables included) in the engine's pool::SubplanCache when one is
-  /// configured (EngineOptions::subplan_cache). A hit replays the timing
-  /// simulation from the cold run's recorded observations, so every
-  /// simulated observable — result table, counters, elapsed_ms — is
-  /// bit-identical to cache-off execution; only host wall-clock drops.
-  /// Automatically bypassed when `fault` is set (injected faults must hit
-  /// the same sites as isolated execution). Disable via --no-subplan-cache.
-  bool use_subplan_cache = true;
 
   /// Sharded-execution routing (--shards / --link-gbps).
   /// `Engine::Execute(query, exec)` IS the sharded entry point: shards > 1

@@ -59,8 +59,8 @@ struct QueryMetrics {
   int64_t subplan_cache_misses = 0;
 
   /// Segments that fell back from pipelined to kernel-at-a-time execution
-  /// because channel allocation failed (see ExecOptions::
-  /// degrade_on_channel_failure). 0 in fault-free runs.
+  /// because channel allocation failed (see ExecOptions::fault). 0 in
+  /// fault-free runs.
   int64_t degraded_segments = 0;
 
   /// Fusion accounting (EngineMode::kFused only; 0 elsewhere). Non-zero

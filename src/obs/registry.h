@@ -143,11 +143,11 @@ struct FamilySnapshot {
 /// fetch handles once (at construction) and keep them — the instrumented hot
 /// paths then never lock.
 ///
-/// Null-registry fast path: every instrumented layer takes a
-/// `MetricsRegistry*` that may be nullptr, holds nullptr handles in that
-/// case, and guards each update with a null check (see the free helpers
-/// below). Disabled metrics therefore cost one predictable branch per site —
-/// scripts/check.sh gates serve-mode overhead with metrics on vs. off.
+/// Null-registry fast path: the layers under a QueryService (which always
+/// owns a registry) take a `MetricsRegistry*` that may be nullptr, hold
+/// nullptr handles in that case, and guard each update with a null check
+/// (see the free helpers below). Disabled metrics therefore cost one
+/// predictable branch per site.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

@@ -118,8 +118,10 @@ class SubplanCache {
   void Clear();
 
   /// Registers occupancy/waste/traffic gauges on `metrics` and returns the
-  /// callback ids; the caller removes them (RemoveCallback) before this
-  /// cache is destroyed. `prefix` names the family, e.g. "gpl_subplan".
+  /// callback ids. The callbacks read this cache, so the caller removes them
+  /// (RemoveCallback) before it is destroyed, unless nothing can collect
+  /// `metrics` by then (QueryService owns both). `prefix` names the family,
+  /// e.g. "gpl_subplan".
   std::vector<uint64_t> RegisterGauges(obs::MetricsRegistry* metrics,
                                        const std::string& prefix);
 

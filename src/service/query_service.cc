@@ -32,13 +32,6 @@ const char* OutcomeName(QueryOutcome outcome) {
   return "unknown";
 }
 
-/// Query class for per-class latency series: the submission-name prefix
-/// before '#' ("Q5#37" -> "Q5"; a name without '#' is its own class).
-std::string QueryClass(const std::string& name) {
-  const size_t hash = name.find('#');
-  return hash == std::string::npos ? name : name.substr(0, hash);
-}
-
 }  // namespace
 
 std::string ServiceStats::ToString() const {
@@ -68,11 +61,6 @@ std::string ServiceStats::ToString() const {
     for (size_t i = 0; i < device_busy_ms.size(); ++i) {
       if (i > 0) out << ",";
       out << device_busy_ms[i];
-    }
-    out << "] device_queries=[";
-    for (size_t i = 0; i < device_queries.size(); ++i) {
-      if (i > 0) out << ",";
-      out << device_queries[i];
     }
     out << "]";
   }
@@ -156,77 +144,71 @@ QueryService::QueryService(const tpch::Database* db, ServiceOptions options)
   options_.engine.subplan_cache =
       options_.subplan_cache && options_.num_shards <= 1 ? &subplan_cache_
                                                          : nullptr;
-  if (options_.engine.metrics == nullptr) {
-    options_.engine.metrics = options_.metrics;
-  }
+  options_.engine.metrics = &metrics_;
 
-  if (obs::MetricsRegistry* metrics = options_.metrics; metrics != nullptr) {
-    admitted_counter_ = metrics->GetCounter(
-        "gpl_service_admission_total", "Admission decisions by result",
-        {{"result", "admitted"}});
-    rejected_counter_ = metrics->GetCounter(
-        "gpl_service_admission_total", "Admission decisions by result",
-        {{"result", "rejected"}});
-    const char* help = "Finished queries by outcome";
-    outcome_counters_[static_cast<int>(QueryOutcome::kCompleted)] =
-        metrics->GetCounter("gpl_service_queries_total", help,
-                            {{"outcome", "completed"}});
-    outcome_counters_[static_cast<int>(QueryOutcome::kTimedOut)] =
-        metrics->GetCounter("gpl_service_queries_total", help,
-                            {{"outcome", "timed_out"}});
-    outcome_counters_[static_cast<int>(QueryOutcome::kCancelled)] =
-        metrics->GetCounter("gpl_service_queries_total", help,
-                            {{"outcome", "cancelled"}});
-    outcome_counters_[static_cast<int>(QueryOutcome::kFailed)] =
-        metrics->GetCounter("gpl_service_queries_total", help,
-                            {{"outcome", "failed"}});
-    retries_counter_ = metrics->GetCounter(
-        "gpl_service_retries_total",
-        "Re-execution attempts beyond each query's first");
-    gave_up_counter_ = metrics->GetCounter(
-        "gpl_service_gave_up_total",
-        "Transient errors that exhausted the retry budget");
-    degraded_counter_ = metrics->GetCounter(
-        "gpl_service_degraded_total",
-        "Completed queries with at least one degraded segment");
-    queue_depth_gauge_ = metrics->GetGauge("gpl_service_queue_depth",
-                                           "Queries waiting for a worker");
-    running_gauge_ = metrics->GetGauge("gpl_service_running",
-                                       "Queries currently executing");
-    latency_metric_ = metrics->GetHistogram(
-        "gpl_service_latency_ms",
-        "Host wall-clock latency of completed queries (ms)",
-        obs::HistogramOptions::LatencyMs());
-    // Collect-time callback gauges over counters owned elsewhere. They
-    // capture `this`/ThreadPool::Global(); Shutdown() deregisters them
-    // before the service (and its tuning cache) is destroyed.
-    callback_ids_.push_back(metrics->AddCallbackGauge(
-        "gpl_tuning_cache_hits", "Shared TuneSegment memo hits", {},
-        [this] { return static_cast<double>(tuning_cache_.stats().hits); }));
-    callback_ids_.push_back(metrics->AddCallbackGauge(
-        "gpl_tuning_cache_misses", "Shared TuneSegment memo misses", {},
-        [this] { return static_cast<double>(tuning_cache_.stats().misses); }));
-    callback_ids_.push_back(metrics->AddCallbackGauge(
-        "gpl_threadpool_tasks_submitted",
-        "Tasks submitted to the global host pool", {}, [] {
-          return static_cast<double>(ThreadPool::Global().stats().tasks_submitted);
-        }));
-    callback_ids_.push_back(metrics->AddCallbackGauge(
-        "gpl_threadpool_tasks_executed",
-        "Tasks executed by the global host pool", {}, [] {
-          return static_cast<double>(ThreadPool::Global().stats().tasks_executed);
-        }));
-    callback_ids_.push_back(metrics->AddCallbackGauge(
-        "gpl_threadpool_steals",
-        "Tasks stolen from another worker's deque", {}, [] {
-          return static_cast<double>(ThreadPool::Global().stats().steals);
-        }));
-    if (options_.engine.subplan_cache != nullptr) {
-      const std::vector<uint64_t> subplan_ids =
-          subplan_cache_.RegisterGauges(metrics, "gpl_subplan");
-      callback_ids_.insert(callback_ids_.end(), subplan_ids.begin(),
-                           subplan_ids.end());
-    }
+  admitted_counter_ = metrics_.GetCounter("gpl_service_admission_total",
+                                          "Admission decisions by result",
+                                          {{"result", "admitted"}});
+  rejected_counter_ = metrics_.GetCounter("gpl_service_admission_total",
+                                          "Admission decisions by result",
+                                          {{"result", "rejected"}});
+  for (const QueryOutcome outcome :
+       {QueryOutcome::kCompleted, QueryOutcome::kTimedOut,
+        QueryOutcome::kCancelled, QueryOutcome::kFailed}) {
+    outcome_counters_[static_cast<int>(outcome)] = metrics_.GetCounter(
+        "gpl_service_queries_total", "Finished queries by outcome",
+        {{"outcome", OutcomeName(outcome)}});
+  }
+  retries_counter_ = metrics_.GetCounter(
+      "gpl_service_retries_total",
+      "Re-execution attempts beyond each query's first");
+  gave_up_counter_ = metrics_.GetCounter(
+      "gpl_service_gave_up_total",
+      "Transient errors that exhausted the retry budget");
+  degraded_counter_ = metrics_.GetCounter(
+      "gpl_service_degraded_total",
+      "Completed queries with at least one degraded segment");
+  cache_hit_queries_counter_ = metrics_.GetCounter(
+      "gpl_service_queries_with_cache_hits_total",
+      "Completed queries with at least one subplan-cache hit");
+  queue_depth_gauge_ = metrics_.GetGauge("gpl_service_queue_depth",
+                                         "Queries waiting for a worker");
+  max_queue_depth_gauge_ = metrics_.GetGauge(
+      "gpl_service_max_queue_depth", "High-water mark of the admission queue");
+  running_gauge_ = metrics_.GetGauge("gpl_service_running",
+                                     "Queries currently executing");
+  simulated_ms_gauge_ = metrics_.GetGauge(
+      "gpl_service_simulated_ms",
+      "Simulated device time of completed queries (ms)");
+  latency_histogram_ = metrics_.GetHistogram(
+      "gpl_service_latency_ms",
+      "Host wall-clock latency of completed queries (ms)",
+      obs::HistogramOptions::LatencyMs());
+  // Collect-time callback gauges over counters owned elsewhere. They capture
+  // this service's caches and ThreadPool::Global(); the registry is a member
+  // of the service, so nothing can collect it once those are gone.
+  metrics_.AddCallbackGauge(
+      "gpl_tuning_cache_hits", "Shared TuneSegment memo hits", {},
+      [this] { return static_cast<double>(tuning_cache_.stats().hits); });
+  metrics_.AddCallbackGauge(
+      "gpl_tuning_cache_misses", "Shared TuneSegment memo misses", {},
+      [this] { return static_cast<double>(tuning_cache_.stats().misses); });
+  const auto pool_gauge = [this](const char* name, const char* help,
+                                 uint64_t ThreadPoolStats::*field) {
+    metrics_.AddCallbackGauge(name, help, {}, [field] {
+      return static_cast<double>(ThreadPool::Global().stats().*field);
+    });
+  };
+  pool_gauge("gpl_threadpool_tasks_submitted",
+             "Tasks submitted to the global host pool",
+             &ThreadPoolStats::tasks_submitted);
+  pool_gauge("gpl_threadpool_tasks_executed",
+             "Tasks executed by the global host pool",
+             &ThreadPoolStats::tasks_executed);
+  pool_gauge("gpl_threadpool_steals", "Tasks stolen from another worker's deque",
+             &ThreadPoolStats::steals);
+  if (options_.engine.subplan_cache != nullptr) {
+    subplan_cache_.RegisterGauges(&metrics_, "gpl_subplan");
   }
 
   if (options_.num_shards > 1) {
@@ -258,9 +240,13 @@ QueryService::QueryService(const tpch::Database* db, ServiceOptions options)
             model::CalibrationTable::Run(sim::Simulator(device)));
       }
     }
-    stats_.device_busy_ms.assign(static_cast<size_t>(options_.num_shards),
-                                 0.0);
-    stats_.device_queries.assign(static_cast<size_t>(options_.num_shards), 0);
+    exchange_bytes_counters_ = {
+        shard::ExchangeBytesCounter(&metrics_, "broadcast"),
+        shard::ExchangeBytesCounter(&metrics_, "shuffle")};
+    for (int i = 0; i < group_.size(); ++i) {
+      slot_busy_gauges_.push_back(shard::SlotBusyGauge(
+          &metrics_, i, group_.devices[static_cast<size_t>(i)].name));
+    }
 
     // Workers ride the unified Engine::Execute surface: the shared
     // pre-partitioned database and per-device calibrations go in
@@ -304,32 +290,38 @@ Result<QueryHandle> QueryService::Submit(std::string name, LogicalQuery query,
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.submitted++;
-    if (stop_) {
-      stats_.rejected++;
-      obs::Inc(rejected_counter_);
-      rejected_log_.emplace_back(task->submit_ns, task->name);
-      return Status::Unavailable("QueryService is shut down");
-    }
-    if (queue_.size() >= options_.queue_capacity) {
-      stats_.rejected++;
-      obs::Inc(rejected_counter_);
-      rejected_log_.emplace_back(task->submit_ns, task->name);
+    if (stop_ || queue_.size() >= options_.queue_capacity) {
+      rejected_counter_->Increment();
+      Record record;
+      record.name = task->name;
+      record.rejected = true;
+      record.submit_ns = task->submit_ns;
+      RecordLocked(std::move(record));
+      if (stop_) return Status::Unavailable("QueryService is shut down");
       return Status::ResourceExhausted(
           "admission queue full (" + std::to_string(queue_.size()) + "/" +
           std::to_string(options_.queue_capacity) + "), query '" + task->name +
           "' rejected");
     }
-    stats_.admitted++;
-    obs::Inc(admitted_counter_);
+    admitted_counter_->Increment();
     task->sequence = next_sequence_++;
     queue_.push_back(task);
-    obs::Set(queue_depth_gauge_, static_cast<double>(queue_.size()));
-    stats_.max_queue_depth =
-        std::max<uint64_t>(stats_.max_queue_depth, queue_.size());
+    const double depth = static_cast<double>(queue_.size());
+    queue_depth_gauge_->Set(depth);
+    max_queue_depth_gauge_->Set(
+        std::max(max_queue_depth_gauge_->Value(), depth));
   }
   work_cv_.notify_one();
   return QueryHandle(std::move(task));
+}
+
+void QueryService::RecordLocked(Record record) {
+  if (recent_.size() < kRecentRecords) {
+    recent_.push_back(std::move(record));
+    return;
+  }
+  recent_[recent_next_] = std::move(record);
+  recent_next_ = (recent_next_ + 1) % kRecentRecords;
 }
 
 void QueryService::WorkerLoop(int worker_index) {
@@ -360,9 +352,8 @@ void QueryService::WorkerLoop(int worker_index) {
       // and owe their submitters a result (possibly kDeadlineExceeded).
       task = std::move(queue_.front());
       queue_.pop_front();
-      stats_.running++;
-      obs::Set(queue_depth_gauge_, static_cast<double>(queue_.size()));
-      obs::Set(running_gauge_, static_cast<double>(stats_.running));
+      queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
+      running_gauge_->Add(1.0);
     }
     RunTask(worker_index, execute, task);
     work_cv_.notify_all();
@@ -441,7 +432,7 @@ void QueryService::RunTask(int worker_index, const ExecuteFn& execute,
 
   const int64_t end_ns = NowNs();
 
-  FinishedRecord record;
+  Record record;
   record.name = task->name;
   record.worker = worker_index;
   record.submit_ns = task->submit_ns;
@@ -449,14 +440,16 @@ void QueryService::RunTask(int worker_index, const ExecuteFn& execute,
   record.end_ns = end_ns;
   record.attempts = attempts;
   record.attempt_spans = std::move(attempt_spans);
+  bool degraded = false;
+  bool cache_hit = false;
   if (result->ok()) {
+    const QueryMetrics& m = (*result)->metrics;
     record.outcome = QueryOutcome::kCompleted;
-    record.simulated_ms = (*result)->metrics.elapsed_ms;
-    record.degraded = (*result)->metrics.degraded_segments > 0;
-    record.subplan_hits = (*result)->metrics.subplan_cache_hits;
-    record.subplan_misses = (*result)->metrics.subplan_cache_misses;
-    record.exchange_bytes = (*result)->metrics.exchange_bytes;
-    record.device_elapsed_ms = (*result)->metrics.device_elapsed_ms;
+    record.simulated_ms = m.elapsed_ms;
+    record.exchange_bytes = m.exchange_bytes;
+    record.device_elapsed_ms = m.device_elapsed_ms;
+    degraded = m.degraded_segments > 0;
+    cache_hit = m.subplan_cache_hits > 0;
   } else {
     switch (result->status().code()) {
       case StatusCode::kDeadlineExceeded:
@@ -475,67 +468,33 @@ void QueryService::RunTask(int worker_index, const ExecuteFn& execute,
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.running--;
-    obs::Set(running_gauge_, static_cast<double>(stats_.running));
+    running_gauge_->Add(-1.0);
     if (attempts > 1) {
-      stats_.retries += static_cast<uint64_t>(attempts - 1);
-      obs::Inc(retries_counter_, static_cast<uint64_t>(attempts - 1));
+      retries_counter_->Increment(static_cast<uint64_t>(attempts - 1));
     }
-    if (gave_up) {
-      stats_.gave_up++;
-      obs::Inc(gave_up_counter_);
-    }
-    obs::Inc(outcome_counters_[static_cast<int>(record.outcome)]);
-    switch (record.outcome) {
-      case QueryOutcome::kCompleted: {
-        stats_.completed++;
-        if (record.degraded) {
-          stats_.degraded++;
-          obs::Inc(degraded_counter_);
-        }
-        if (record.subplan_hits > 0) stats_.queries_with_cache_hits++;
-        const double latency_ms =
-            static_cast<double>(end_ns - task->submit_ns) / 1e6;
-        latency_histogram_.Observe(latency_ms);
-        obs::Observe(latency_metric_, latency_ms);
-        if (options_.metrics != nullptr) {
-          // Per-class latency series, fetched once per new class (the handle
-          // is cached under mu_ so steady state never locks the registry).
-          const std::string query_class = QueryClass(task->name);
-          obs::Histogram*& h = class_latency_metrics_[query_class];
-          if (h == nullptr) {
-            h = options_.metrics->GetHistogram(
-                "gpl_service_class_latency_ms",
-                "Host wall-clock latency by query class (ms)",
-                obs::HistogramOptions::LatencyMs(),
-                {{"class", query_class}});
-          }
-          h->Observe(latency_ms);
-        }
-        stats_.total_simulated_ms += record.simulated_ms;
-        // Per-device-slot load (whole-group placement: every device of the
-        // worker's group ran a shard of this query).
-        stats_.exchange_bytes +=
-            static_cast<uint64_t>(record.exchange_bytes);
-        for (size_t i = 0; i < record.device_elapsed_ms.size() &&
-                           i < stats_.device_busy_ms.size();
-             ++i) {
-          stats_.device_busy_ms[i] += record.device_elapsed_ms[i];
-          stats_.device_queries[i] += 1;
-        }
-        break;
+    if (gave_up) gave_up_counter_->Increment();
+    outcome_counters_[static_cast<int>(record.outcome)]->Increment();
+    if (record.outcome == QueryOutcome::kCompleted) {
+      if (degraded) degraded_counter_->Increment();
+      if (cache_hit) cache_hit_queries_counter_->Increment();
+      const double latency_ms =
+          static_cast<double>(end_ns - task->submit_ns) / 1e6;
+      latency_histogram_->Observe(latency_ms);
+      // Per-class latency series, keyed by the query's own name so the
+      // label set stays as small as the set of distinct queries; the handle
+      // is cached under mu_ so steady state never locks the registry.
+      obs::Histogram*& by_class = class_latency_histograms_[task->query.name];
+      if (by_class == nullptr) {
+        by_class = metrics_.GetHistogram(
+            "gpl_service_class_latency_ms",
+            "Host wall-clock latency by query class (ms)",
+            obs::HistogramOptions::LatencyMs(),
+            {{"class", task->query.name}});
       }
-      case QueryOutcome::kTimedOut:
-        stats_.timed_out++;
-        break;
-      case QueryOutcome::kCancelled:
-        stats_.cancelled++;
-        break;
-      case QueryOutcome::kFailed:
-        stats_.failed++;
-        break;
+      by_class->Observe(latency_ms);
+      simulated_ms_gauge_->Add(record.simulated_ms);
     }
-    finished_.push_back(std::move(record));
+    RecordLocked(std::move(record));
   }
 
   // Publish the result last: once done flips, Await() returns and the
@@ -550,14 +509,28 @@ void QueryService::RunTask(int worker_index, const ExecuteFn& execute,
 
 ServiceStats QueryService::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  ServiceStats snapshot = stats_;
+  ServiceStats snapshot;
+  snapshot.admitted = admitted_counter_->Value();
+  snapshot.rejected = rejected_counter_->Value();
+  snapshot.submitted = snapshot.admitted + snapshot.rejected;
+  const auto outcomes = [this](QueryOutcome outcome) {
+    return outcome_counters_[static_cast<int>(outcome)]->Value();
+  };
+  snapshot.completed = outcomes(QueryOutcome::kCompleted);
+  snapshot.timed_out = outcomes(QueryOutcome::kTimedOut);
+  snapshot.cancelled = outcomes(QueryOutcome::kCancelled);
+  snapshot.failed = outcomes(QueryOutcome::kFailed);
   snapshot.queue_depth = queue_.size();
+  snapshot.running = static_cast<size_t>(running_gauge_->Value());
+  snapshot.max_queue_depth =
+      static_cast<uint64_t>(max_queue_depth_gauge_->Value());
   // Histogram quantiles (bounded memory), not exact order statistics: within
   // one bucket width (~12%) of the exact percentile of the same sample.
-  const obs::HistogramSnapshot latency = latency_histogram_.Snapshot();
+  const obs::HistogramSnapshot latency = latency_histogram_->Snapshot();
   snapshot.p50_latency_ms = latency.Quantile(0.50);
   snapshot.p95_latency_ms = latency.Quantile(0.95);
   snapshot.p99_latency_ms = latency.Quantile(0.99);
+  snapshot.total_simulated_ms = simulated_ms_gauge_->Value();
   const model::TuningCacheStats cache_stats = tuning_cache_.stats();
   snapshot.tuning_cache_hits = cache_stats.hits;
   snapshot.tuning_cache_misses = cache_stats.misses;
@@ -568,6 +541,16 @@ ServiceStats QueryService::Stats() const {
   snapshot.subplan_evictions = subplan.evictions;
   snapshot.subplan_bytes = subplan.bytes;
   snapshot.subplan_entries = subplan.entries;
+  snapshot.queries_with_cache_hits = cache_hit_queries_counter_->Value();
+  snapshot.retries = retries_counter_->Value();
+  snapshot.degraded = degraded_counter_->Value();
+  snapshot.gave_up = gave_up_counter_->Value();
+  for (const obs::Counter* bytes : exchange_bytes_counters_) {
+    snapshot.exchange_bytes += bytes->Value();
+  }
+  for (const obs::Gauge* busy : slot_busy_gauges_) {
+    snapshot.device_busy_ms.push_back(busy->Value());
+  }
   return snapshot;
 }
 
@@ -596,14 +579,6 @@ void QueryService::Shutdown() {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  // The callback gauges capture this service; the registry may outlive it,
-  // so deregister before returning (the destructor funnels through here).
-  if (options_.metrics != nullptr) {
-    for (const uint64_t id : callback_ids_) {
-      options_.metrics->RemoveCallback(id);
-    }
-    callback_ids_.clear();
-  }
   GPL_SLOG(Info, "service") << "QueryService stopped: " << Stats().ToString();
 }
 
@@ -611,15 +586,22 @@ void QueryService::ExportTrace(trace::TraceCollector* collector) const {
   if (collector == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
 
+  // The ring oldest first, split into finished queries and rejections.
+  std::vector<const Record*> records;
+  std::vector<const Record*> rejections;
+  for (size_t i = 0; i < recent_.size(); ++i) {
+    const Record& record = recent_[(recent_next_ + i) % recent_.size()];
+    (record.rejected ? rejections : records).push_back(&record);
+  }
+  std::stable_sort(records.begin(), records.end(),
+                   [](const Record* a, const Record* b) {
+                     return a->start_ns < b->start_ns;
+                   });
+
   // Host nanoseconds as "cycles": the collector's default clock of 1000 MHz
   // divides by 1000, rendering the timeline in microseconds.
-  std::vector<FinishedRecord> records = finished_;
-  std::sort(records.begin(), records.end(),
-            [](const FinishedRecord& a, const FinishedRecord& b) {
-              return a.start_ns < b.start_ns;
-            });
-
-  for (const FinishedRecord& record : records) {
+  for (const Record* r : records) {
+    const Record& record = *r;
     const int track =
         collector->TrackId("worker " + std::to_string(record.worker));
     if (record.start_ns > record.submit_ns) {
@@ -657,9 +639,9 @@ void QueryService::ExportTrace(trace::TraceCollector* collector) const {
   // Concurrency level over time, from start/end edges.
   std::vector<std::pair<int64_t, int>> edges;
   edges.reserve(records.size() * 2);
-  for (const FinishedRecord& record : records) {
-    edges.emplace_back(record.start_ns, +1);
-    edges.emplace_back(record.end_ns, -1);
+  for (const Record* record : records) {
+    edges.emplace_back(record->start_ns, +1);
+    edges.emplace_back(record->end_ns, -1);
   }
   std::sort(edges.begin(), edges.end());
   int running = 0;
@@ -669,11 +651,12 @@ void QueryService::ExportTrace(trace::TraceCollector* collector) const {
                           static_cast<double>(running));
   }
 
-  if (!rejected_log_.empty()) {
+  if (!rejections.empty()) {
     const int track = collector->TrackId("admission");
-    for (const auto& [t_ns, name] : rejected_log_) {
-      collector->AddInstant(track, name + " rejected", "service.admission",
-                            static_cast<double>(t_ns));
+    for (const Record* record : rejections) {
+      collector->AddInstant(track, record->name + " rejected",
+                            "service.admission",
+                            static_cast<double>(record->submit_ns));
     }
   }
 }

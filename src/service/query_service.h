@@ -70,7 +70,8 @@ struct ServiceOptions {
   /// Template for the per-worker engines: device, mode, partitioned joins,
   /// default ExecOptions. `exec.trace` is forced to nullptr (a collector
   /// cannot be shared across workers — use ExportTrace() for a service-level
-  /// timeline) and `calibration` is replaced by the service's shared table.
+  /// timeline); `calibration`, `tuning_cache`, `subplan_cache` and `metrics`
+  /// are replaced by the service's own shared instances.
   /// `exec.fault` is likewise forced to nullptr: a FaultInjector is mutable
   /// per-execution state, so the service builds a fresh one per attempt from
   /// `fault` below instead of sharing one across workers.
@@ -113,14 +114,6 @@ struct ServiceOptions {
   /// Capacity of the shared subplan cache in MiB. 0 keeps in-flight attach
   /// but retains nothing.
   int64_t subplan_cache_mb = 64;
-
-  /// Optional metrics registry. When set, the service registers admission /
-  /// outcome counters, queue-depth and running gauges, overall and per-class
-  /// latency histograms, and callback gauges over the shared ThreadPool and
-  /// TuningCache; it is also propagated to the worker engines (simulator
-  /// counters) unless `engine.metrics` was set explicitly. Must outlive the
-  /// service. nullptr (the default) is the null-registry fast path.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// How an admitted query ended.
@@ -131,15 +124,17 @@ enum class QueryOutcome {
   kFailed,     ///< any other execution error
 };
 
-/// Aggregated service counters — one consistent snapshot (see
-/// QueryService::Stats). Latencies are host wall-clock from admission to
-/// completion, over completed queries only; simulated time is the sum of the
-/// per-query simulated elapsed times (the two time bases are reported
-/// separately and never mixed).
+/// Aggregated service counters — one consistent snapshot of the service's
+/// metrics registry (see QueryService::Stats and QueryService::metrics).
+/// Latencies are host wall-clock from admission to completion, over
+/// completed queries only; simulated time is the sum of the per-query
+/// simulated elapsed times (the two time bases are reported separately and
+/// never mixed).
 struct ServiceStats {
   uint64_t submitted = 0;  ///< Submit() calls (admitted + rejected)
   uint64_t admitted = 0;
-  uint64_t rejected = 0;   ///< bounced off the full admission queue
+  /// Bounced off the full admission queue, or submitted after Shutdown().
+  uint64_t rejected = 0;
   uint64_t completed = 0;
   uint64_t timed_out = 0;
   uint64_t cancelled = 0;
@@ -191,12 +186,12 @@ struct ServiceStats {
   uint64_t degraded = 0;  ///< completed queries with >= 1 degraded segment
   uint64_t gave_up = 0;   ///< transient errors that exhausted max_attempts
 
-  /// Sharded-execution accounting (empty/zero for unsharded services).
-  /// Per-device-slot load: every worker's group shares slot indexing
-  /// (device 0 of any worker accumulates into slot 0).
-  uint64_t exchange_bytes = 0;            ///< broadcast + shuffle, completed
-  std::vector<double> device_busy_ms;     ///< simulated busy time per slot
-  std::vector<uint64_t> device_queries;   ///< completed queries per slot
+  /// Sharded-execution accounting (empty/zero for unsharded services), read
+  /// from the series every worker's ShardedExecutor adds to. Per-device-slot
+  /// load: every worker's group shares slot indexing (device 0 of any worker
+  /// accumulates into slot 0).
+  uint64_t exchange_bytes = 0;         ///< broadcast + shuffle, completed
+  std::vector<double> device_busy_ms;  ///< simulated busy time per slot
 
   /// Human-readable one-stop report for CLIs/benches.
   std::string ToString() const;
@@ -277,12 +272,25 @@ class QueryService {
   /// deadlines permitting) before Shutdown returns.
   void Shutdown();
 
-  /// Exports the service-level timeline into a trace collector: one track
-  /// per worker with a queue-wait + execution span per query (host time:
-  /// with the collector's default clock, 1 "cycle" = 1 ns), plus
-  /// queue-depth/running counter series and instants for rejected
-  /// submissions. Call from one thread, typically after the run.
+  /// How many of the most recent per-query records (finished queries and
+  /// rejected submissions) the service keeps for ExportTrace. Older records
+  /// are overwritten, so a long serve run's memory stays bounded; Stats()
+  /// and metrics() still count every submission.
+  static constexpr size_t kRecentRecords = size_t{1} << 14;
+
+  /// Exports the service-level timeline of the last kRecentRecords records
+  /// into a trace collector: one track per worker with a queue-wait +
+  /// execution span per finished query (host time: with the collector's
+  /// default clock, 1 "cycle" = 1 ns), a running-queries counter series,
+  /// and instants for rejected submissions. Call from one thread, typically
+  /// after the run.
   void ExportTrace(trace::TraceCollector* collector) const;
+
+  /// The service's metrics registry, the one store of its events: admission
+  /// and outcome counters, queue and latency series, the worker engines'
+  /// simulator and shard series, and callback gauges over the shared caches
+  /// and the host pool. Lives exactly as long as the service.
+  obs::MetricsRegistry& metrics() { return metrics_; }
 
   const model::CalibrationTable& calibration() const { return calibration_; }
   const ServiceOptions& options() const { return options_; }
@@ -296,18 +304,18 @@ class QueryService {
   pool::SubplanCache& subplan_cache() { return subplan_cache_; }
 
  private:
-  struct FinishedRecord {
+  /// One entry of the recent-records ring: a finished query, or a rejected
+  /// submission (`rejected`, with only `name` and `submit_ns` set).
+  struct Record {
     std::string name;
+    bool rejected = false;
     int worker = -1;
     QueryOutcome outcome = QueryOutcome::kCompleted;
     int64_t submit_ns = 0;  ///< since service start
     int64_t start_ns = 0;
     int64_t end_ns = 0;
     double simulated_ms = 0.0;
-    int attempts = 0;       ///< engine executions (0 = deadline beat dispatch)
-    bool degraded = false;  ///< completed with >= 1 degraded segment
-    int64_t subplan_hits = 0;    ///< this query's subplan-cache hits
-    int64_t subplan_misses = 0;  ///< this query's cacheable-segment misses
+    int attempts = 0;  ///< engine executions (0 = deadline beat dispatch)
     int64_t exchange_bytes = 0;            ///< sharded runs only
     std::vector<double> device_elapsed_ms; ///< sharded runs only
     /// (start_ns, end_ns) of each engine execution; gaps between entries are
@@ -325,7 +333,13 @@ class QueryService {
   void RunTask(int worker_index, const ExecuteFn& execute,
                const std::shared_ptr<QueryHandle::Task>& task);
   int64_t NowNs() const;  ///< host steady-clock ns since service start
+  /// Appends to the recent-records ring, overwriting the oldest once full.
+  /// Caller holds mu_.
+  void RecordLocked(Record record);
 
+  /// Declared first: every member and worker engine that holds a handle
+  /// into it is destroyed before it.
+  obs::MetricsRegistry metrics_;
   const tpch::Database* db_;
   ServiceOptions options_;
   /// Shared Γ calibration (Section 2.1) referenced by every worker engine.
@@ -354,31 +368,32 @@ class QueryService {
   bool stop_ = false;
   uint64_t next_sequence_ = 0;  ///< admission order; seeds fault injection
 
-  // Aggregates (guarded by mu_).
-  ServiceStats stats_;
-  /// Completed-query latency distribution. A bounded log-scale histogram —
-  /// NOT a per-query vector — so a long serve run's memory stays constant;
-  /// the reported p50/p95/p99 are the histogram's interpolated quantiles
-  /// (tests check them against exact percentiles).
-  obs::Histogram latency_histogram_{obs::HistogramOptions::LatencyMs()};
-  std::vector<FinishedRecord> finished_;
-  std::vector<std::pair<int64_t, std::string>> rejected_log_;  ///< (ns, name)
+  /// Recent-records ring (guarded by mu_): at most kRecentRecords entries;
+  /// once full, recent_next_ is the oldest entry, the next to overwrite.
+  std::vector<Record> recent_;
+  size_t recent_next_ = 0;
 
-  // Metrics handles (null without ServiceOptions::metrics). Outcome counters
-  // are indexed by QueryOutcome; per-class latency histograms are fetched
-  // lazily per new query class under mu_. Callback-gauge ids are removed in
-  // Shutdown(), before anything they capture dies.
-  obs::Counter* admitted_counter_ = nullptr;
-  obs::Counter* rejected_counter_ = nullptr;
-  obs::Counter* retries_counter_ = nullptr;
-  obs::Counter* gave_up_counter_ = nullptr;
-  obs::Counter* degraded_counter_ = nullptr;
-  obs::Counter* outcome_counters_[4] = {nullptr, nullptr, nullptr, nullptr};
-  obs::Gauge* queue_depth_gauge_ = nullptr;
-  obs::Gauge* running_gauge_ = nullptr;
-  obs::Histogram* latency_metric_ = nullptr;
-  std::map<std::string, obs::Histogram*> class_latency_metrics_;
-  std::vector<uint64_t> callback_ids_;
+  // Handles into metrics_, resolved once in the constructor and never null.
+  // The service updates them only under mu_, so Stats() reads one
+  // consistent snapshot. Outcome counters are indexed by QueryOutcome;
+  // per-class latency histograms are fetched once per new class under mu_.
+  obs::Counter* admitted_counter_;
+  obs::Counter* rejected_counter_;
+  obs::Counter* outcome_counters_[4];
+  obs::Counter* retries_counter_;
+  obs::Counter* gave_up_counter_;
+  obs::Counter* degraded_counter_;
+  obs::Counter* cache_hit_queries_counter_;
+  obs::Gauge* queue_depth_gauge_;
+  obs::Gauge* max_queue_depth_gauge_;
+  obs::Gauge* running_gauge_;
+  obs::Gauge* simulated_ms_gauge_;
+  obs::Histogram* latency_histogram_;
+  std::map<std::string, obs::Histogram*> class_latency_histograms_;
+  /// Sharded services only: the series every worker's ShardedExecutor adds
+  /// to, outside mu_ (exchange bytes by kind, busy ms per device slot).
+  std::vector<obs::Counter*> exchange_bytes_counters_;
+  std::vector<obs::Gauge*> slot_busy_gauges_;
 
   std::vector<std::thread> workers_;
 };

@@ -335,6 +335,21 @@ std::string MergeLabel(const std::string& fallback_reason) {
                                  : "single-device (" + fallback_reason + ")";
 }
 
+obs::Counter* ExchangeBytesCounter(obs::MetricsRegistry* metrics,
+                                   const std::string& kind) {
+  return metrics->GetCounter("gpl_shard_exchange_bytes_total",
+                             "Bytes shipped between devices by exchange kind",
+                             {{"kind", kind}});
+}
+
+obs::Gauge* SlotBusyGauge(obs::MetricsRegistry* metrics, int slot,
+                          const std::string& device) {
+  return metrics->GetGauge(
+      "gpl_shard_device_busy_ms",
+      "Accumulated simulated busy time per device slot (ms)",
+      {{"slot", std::to_string(slot)}, {"device", device}});
+}
+
 ShardedExecutor::ShardedExecutor(
     const tpch::Database* db, const ShardedDatabase* sharded, DeviceGroup group,
     EngineOptions options,
@@ -389,25 +404,16 @@ ShardedExecutor::ShardedExecutor(
   }
 
   if (obs::MetricsRegistry* metrics = options_.metrics; metrics != nullptr) {
-    broadcast_bytes_counter_ = metrics->GetCounter(
-        "gpl_shard_exchange_bytes_total",
-        "Bytes shipped between devices by exchange kind",
-        {{"kind", "broadcast"}});
-    shuffle_bytes_counter_ = metrics->GetCounter(
-        "gpl_shard_exchange_bytes_total",
-        "Bytes shipped between devices by exchange kind",
-        {{"kind", "shuffle"}});
+    broadcast_bytes_counter_ = ExchangeBytesCounter(metrics, "broadcast");
+    shuffle_bytes_counter_ = ExchangeBytesCounter(metrics, "shuffle");
     fallbacks_counter_ = metrics->GetCounter(
         "gpl_shard_fallbacks_total",
         "Sharded queries run unmodified on device 0 instead of combining "
         "per-shard partial aggregates");
     slot_busy_gauges_.reserve(static_cast<size_t>(group_.size()));
     for (int i = 0; i < group_.size(); ++i) {
-      slot_busy_gauges_.push_back(metrics->GetGauge(
-          "gpl_shard_device_busy_ms",
-          "Accumulated simulated busy time per device slot (ms)",
-          {{"slot", std::to_string(i)},
-           {"device", group_.devices[static_cast<size_t>(i)].name}}));
+      slot_busy_gauges_.push_back(SlotBusyGauge(
+          metrics, i, group_.devices[static_cast<size_t>(i)].name));
     }
   }
 }

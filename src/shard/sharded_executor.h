@@ -56,6 +56,14 @@ struct DistributedExplain {
 /// the log print: "combine", or "single-device (<reason>)" on a fallback.
 std::string MergeLabel(const std::string& fallback_reason);
 
+/// The series every ShardedExecutor on `metrics` adds to: bytes shipped by
+/// exchange kind ("broadcast" or "shuffle"), and accumulated simulated busy
+/// ms of a device slot. QueryService reads the same series for its Stats().
+obs::Counter* ExchangeBytesCounter(obs::MetricsRegistry* metrics,
+                                   const std::string& kind);
+obs::Gauge* SlotBusyGauge(obs::MetricsRegistry* metrics, int slot,
+                          const std::string& device);
+
 /// Data-parallel execution of one query across a DeviceGroup: every device
 /// runs the same exchange-annotated plan over its shard of the fact table,
 /// per-shard partial aggregates are gathered to device 0 over the group's

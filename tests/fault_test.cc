@@ -298,21 +298,6 @@ TEST(EngineFaultTest, ChannelFailureDegradesToKernelAtATime) {
   EXPECT_NE(baseline->metrics.elapsed_ms, degraded->metrics.elapsed_ms);
 }
 
-TEST(EngineFaultTest, DegradationCanBeDisabled) {
-  const tpch::Database& db = SmallDb();
-  Engine engine(&db, EngineOptions{});
-
-  sim::FaultConfig config;
-  config.channel_alloc_fail_rate = 1.0;
-  sim::FaultInjector injector(config);
-  ExecOptions exec;
-  exec.fault = &injector;
-  exec.degrade_on_channel_failure = false;
-  Result<QueryResult> result = engine.Execute(queries::Q14(), exec);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kChannelAllocFailed);
-}
-
 // ---- Service-level chaos sweep ----
 
 struct ChaosOutcome {

@@ -1,14 +1,18 @@
 #include "service/query_service.h"
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
+#include "obs/export.h"
 #include "queries/tpch_queries.h"
 #include "test_util.h"
+#include "trace/trace.h"
 
 namespace gpl {
 namespace {
@@ -383,10 +387,8 @@ TEST(QueryServiceTest, ShutdownDrainsQueuedQueries) {
 
 TEST(QueryServiceTest, MetricsRegistryTracksOutcomesAndLatency) {
   const tpch::Database& db = SmallDb();
-  obs::MetricsRegistry registry;
   ServiceOptions options;
   options.num_workers = 2;
-  options.metrics = &registry;
   QueryService service(&db, options);
 
   std::vector<QueryHandle> handles;
@@ -399,6 +401,7 @@ TEST(QueryServiceTest, MetricsRegistryTracksOutcomesAndLatency) {
   for (QueryHandle& h : handles) ASSERT_TRUE(h.Await().ok());
   service.Shutdown();
 
+  obs::MetricsRegistry& registry = service.metrics();
   EXPECT_EQ(registry
                 .GetCounter("gpl_service_admission_total", "",
                             {{"result", "admitted"}})
@@ -417,11 +420,9 @@ TEST(QueryServiceTest, MetricsRegistryTracksOutcomesAndLatency) {
       "gpl_service_class_latency_ms", "", obs::HistogramOptions::LatencyMs(),
       {{"class", "Q5"}});
   EXPECT_EQ(by_class->TotalCount(), 6u);
-  // The bounded histogram agrees with the exact ServiceStats percentiles:
-  // both are computed from the same observations.
+  // ServiceStats reads the one latency histogram there is.
   const ServiceStats stats = service.Stats();
-  EXPECT_NEAR(latency->Quantile(0.5), stats.p50_latency_ms,
-              1e-9 + 0.13 * stats.p50_latency_ms);
+  EXPECT_EQ(latency->Quantile(0.5), stats.p50_latency_ms);
   // The simulator's per-device counters registered through the propagated
   // engine options and saw every kernel launch.
   EXPECT_GT(registry
@@ -429,6 +430,146 @@ TEST(QueryServiceTest, MetricsRegistryTracksOutcomesAndLatency) {
                             {{"device", options.engine.device.name}})
                 ->Value(),
             0u);
+}
+
+/// Per-class latency series are keyed by LogicalQuery::name, not by the
+/// submission name: fresh parameter draws of one query share one series.
+TEST(QueryServiceTest, ClassLatencyKeyedByQueryName) {
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.queue_capacity = 64;
+  QueryService service(&SmallDb(), options);
+  std::vector<QueryHandle> handles;
+  for (int i = 0; i < 50; ++i) {
+    const double selectivity = 0.02 + 0.005 * i;
+    Result<QueryHandle> h =
+        service.Submit("Q14(s=" + std::to_string(selectivity) + ")",
+                       queries::Q14(selectivity));
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    handles.push_back(h.take());
+  }
+  for (QueryHandle& h : handles) ASSERT_TRUE(h.Await().ok());
+  service.Shutdown();
+
+  size_t series = 0;
+  for (const obs::FamilySnapshot& family : service.metrics().Collect()) {
+    if (family.name != "gpl_service_class_latency_ms") continue;
+    series = family.series.size();
+    ASSERT_EQ(series, 1u);
+    EXPECT_EQ(family.series[0].labels,
+              (obs::Labels{{"class", "Q14"}}));
+    EXPECT_EQ(family.series[0].histogram->count, 50u);
+  }
+  EXPECT_EQ(series, 1u);
+}
+
+/// Per-query records are a bounded ring: past kRecentRecords records,
+/// ExportTrace renders only the most recent ones, while Stats() still counts
+/// every submission.
+TEST(QueryServiceTest, RecentRecordsStayBoundedPastCapacity) {
+  constexpr size_t kCapacity = QueryService::kRecentRecords;
+  constexpr size_t kQueue = 64;
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.queue_capacity = kQueue;
+  QueryService service(&SmallDb(), options);
+  const LogicalQuery q6 = queries::Q6();
+  const auto count_events = [&service](size_t* exec_spans,
+                                       size_t* rejections) {
+    trace::TraceCollector collector;
+    service.ExportTrace(&collector);
+    *exec_spans = 0;
+    for (const trace::SpanEvent& span : collector.spans()) {
+      if (span.category == "service.exec") ++*exec_spans;
+    }
+    *rejections = collector.instants().size();
+  };
+
+  // An already-expired deadline finishes with 0 attempts, so going past the
+  // capacity executes nothing. Whole batches are awaited before the next, so
+  // none of these is rejected.
+  const size_t expired = kCapacity + 100;
+  std::vector<QueryHandle> batch;
+  for (size_t i = 0; i < expired; ++i) {
+    Result<QueryHandle> h =
+        service.Submit("expired", q6, /*timeout_ms=*/1e-6);
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    batch.push_back(h.take());
+    if (batch.size() == kQueue || i + 1 == expired) {
+      for (QueryHandle& handle : batch) {
+        ASSERT_EQ(handle.Await().status().code(),
+                  StatusCode::kDeadlineExceeded);
+      }
+      batch.clear();
+    }
+  }
+  size_t exec_spans = 0;
+  size_t rejections = 0;
+  count_events(&exec_spans, &rejections);
+  EXPECT_EQ(exec_spans, kCapacity);
+  EXPECT_EQ(rejections, 0u);
+
+  // Paused: fill the queue, then every further submission is rejected.
+  service.Pause();
+  for (size_t i = 0; i < kQueue; ++i) {
+    Result<QueryHandle> h = service.Submit("queued", q6, /*timeout_ms=*/1e-6);
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    batch.push_back(h.take());
+  }
+  const size_t rejected = kCapacity + 100;
+  for (size_t i = 0; i < rejected; ++i) {
+    ASSERT_EQ(service.Submit("overflow", q6).status().code(),
+              StatusCode::kResourceExhausted);
+  }
+  service.Resume();
+  for (QueryHandle& handle : batch) handle.Await();
+  service.Shutdown();
+
+  // The queued queries finished after every rejection, so they are the
+  // newest kQueue records and rejections fill the rest of the ring.
+  count_events(&exec_spans, &rejections);
+  EXPECT_EQ(exec_spans, kQueue);
+  EXPECT_EQ(rejections, kCapacity - kQueue);
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.submitted, expired + kQueue + rejected);
+  EXPECT_EQ(stats.timed_out, expired + kQueue);
+  EXPECT_EQ(stats.rejected, rejected);
+}
+
+/// Stats() and the Prometheus exposition read the registry while workers
+/// update it (run under TSan by scripts/check.sh).
+TEST(QueryServiceTest, StatsAndExpositionReadWhileWorkersRun) {
+  ServiceOptions options;
+  options.num_workers = 3;
+  options.queue_capacity = 64;
+  QueryService service(&SmallDb(), options);
+  std::atomic<bool> done{false};
+  uint64_t last_completed = 0;
+  std::thread reader([&] {
+    while (!done.load()) {
+      const ServiceStats stats = service.Stats();
+      EXPECT_GE(stats.completed, last_completed);
+      EXPECT_EQ(stats.submitted, stats.admitted + stats.rejected);
+      last_completed = stats.completed;
+      EXPECT_NE(obs::PrometheusText(service.metrics())
+                    .find("gpl_service_queries_total"),
+                std::string::npos);
+    }
+  });
+  std::vector<QueryHandle> handles;
+  for (int round = 0; round < 2; ++round) {
+    for (auto& [name, query] : queries::EvaluationSuite()) {
+      // No ASSERT while the reader runs: it must be joined.
+      Result<QueryHandle> h = service.Submit(name, query);
+      EXPECT_TRUE(h.ok()) << h.status().ToString();
+      if (h.ok()) handles.push_back(h.take());
+    }
+  }
+  for (QueryHandle& h : handles) EXPECT_TRUE(h.Await().ok());
+  done.store(true);
+  reader.join();
+  service.Shutdown();
+  EXPECT_EQ(service.Stats().completed, handles.size());
 }
 
 }  // namespace

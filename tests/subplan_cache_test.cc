@@ -154,22 +154,6 @@ TEST(SubplanCacheEngineTest, EvictionHeavyScheduleMatchesIsolatedTruth) {
   EXPECT_GT(stats.evictions + stats.rejected, 0u);
 }
 
-TEST(SubplanCacheEngineTest, DisabledViaExecOptionsReportsBypass) {
-  const tpch::Database& db = SmallDb();
-  SubplanCache cache(SubplanCacheOptions{});
-  EngineOptions options;
-  options.subplan_cache = &cache;
-  options.exec.use_subplan_cache = false;
-  Engine engine(&db, options);
-
-  Result<QueryResult> result = engine.Execute(queries::Q5());
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->metrics.subplan_cache_hits, 0);
-  EXPECT_EQ(result->metrics.subplan_cache_misses, 0);
-  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
-  ExpectResultsBitIdentical(IsolatedTruth(db, queries::Q5()), *result);
-}
-
 TEST(SubplanCacheEngineTest, ExplainAnalyzeReportsPerSegmentOutcome) {
   const tpch::Database& db = SmallDb();
   SubplanCache cache(SubplanCacheOptions{});
