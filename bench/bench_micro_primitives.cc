@@ -10,9 +10,11 @@
 
 #include "common/math_util.h"
 #include "common/random.h"
+#include "core/pipeline.h"
 #include "exec/hash_table.h"
 #include "exec/primitives.h"
 #include "model/calibration.h"
+#include "plan/segment.h"
 #include "sim/engine.h"
 #include "tpch/dbgen.h"
 
@@ -79,6 +81,41 @@ void BM_HashProbe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * db.lineitem.num_rows());
 }
 BENCHMARK(BM_HashProbe)->Unit(benchmark::kMillisecond);
+
+/// One segment of the functional layer end to end over every lineitem
+/// column: filter -> probe orders -> probe supplier -> aggregate, in 1 MiB
+/// tiles through RunSegmentFunctional. The stages hand on row batches, so
+/// the carried columns are never copied; rows/s is the layer's standing
+/// number (DESIGN.md decision 13).
+void BM_SegmentFunctionalWide(benchmark::State& state) {
+  const tpch::Database& db = BenchDb();
+  auto orders = std::make_shared<HashJoinState>();
+  auto supplier = std::make_shared<HashJoinState>();
+  GPL_CHECK(MakeHashBuildKernel({Col("o_orderkey")}, orders)->Process(db.orders).ok());
+  GPL_CHECK(
+      MakeHashBuildKernel({Col("s_suppkey")}, supplier)->Process(db.supplier).ok());
+  Segment segment;
+  segment.stages.push_back(
+      {MakeFilterKernel(Lt(Col("l_shipdate"), LitDate("1997-01-01")))});
+  segment.stages.push_back({MakeHashProbeKernel(
+      {Col("l_orderkey")}, orders, {"o_orderdate", "o_custkey"})});
+  segment.stages.push_back({MakeHashProbeKernel(
+      {Col("l_suppkey")}, supplier, {"s_nationkey"})});
+  segment.stages.push_back({MakeAggregateKernel(
+      {{"s_nationkey", Col("s_nationkey")}},
+      {{AggSpec::kSum,
+        Mul(Col("l_extendedprice"), Sub(LitFloat(1.0), Col("l_discount"))),
+        "revenue"}})});
+  for (auto _ : state) {
+    segment.stages.back().kernel->Reset();
+    Result<FunctionalRun> run =
+        RunSegmentFunctional(segment, db.lineitem, MiB(1));
+    GPL_CHECK(run.ok());
+    benchmark::DoNotOptimize(run->output.num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * db.lineitem.num_rows());
+}
+BENCHMARK(BM_SegmentFunctionalWide)->Unit(benchmark::kMillisecond);
 
 void BM_PrefixSum(benchmark::State& state) {
   Random rng(1);

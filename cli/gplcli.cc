@@ -505,30 +505,14 @@ int RunServe(const tpch::Database& db, const CliOptions& cli,
     });
   }
 
+  // Closed loop: at most --serve-queue queries in flight, so the client
+  // never fills the admission queue and every submission is admitted. Each
+  // awaited result, whether awaited to make room or at the end, goes through
+  // one classifier.
   std::deque<service::QueryHandle> inflight;
   int failures = 0;
-  for (int i = 0; i < cli.serve_queries; ++i) {
-    const auto& [name, query] =
-        workload[static_cast<size_t>(i) % workload.size()];
-    for (;;) {
-      Result<service::QueryHandle> submitted =
-          svc.Submit(name + "#" + std::to_string(i), query);
-      if (submitted.ok()) {
-        inflight.push_back(submitted.take());
-        break;
-      }
-      if (submitted.status().code() != StatusCode::kResourceExhausted ||
-          inflight.empty()) {
-        std::fprintf(stderr, "submit failed: %s\n",
-                     submitted.status().ToString().c_str());
-        return 1;
-      }
-      inflight.front().Await();
-      inflight.pop_front();
-    }
-  }
-  for (service::QueryHandle& handle : inflight) {
-    const Result<QueryResult>& result = handle.Await();
+  const auto await_oldest = [&] {
+    const Result<QueryResult>& result = inflight.front().Await();
     // Deadline misses are an expected outcome under load, not a failure;
     // under fault injection so are transient errors that exhausted their
     // retries (reported in the stats as gave_up).
@@ -541,7 +525,24 @@ int RunServe(const tpch::Database& db, const CliOptions& cli,
                    result.status().ToString().c_str());
       failures++;
     }
+    inflight.pop_front();
+  };
+  for (int i = 0; i < cli.serve_queries; ++i) {
+    const auto& [name, query] =
+        workload[static_cast<size_t>(i) % workload.size()];
+    if (inflight.size() >= static_cast<size_t>(cli.serve_queue)) {
+      await_oldest();
+    }
+    Result<service::QueryHandle> submitted =
+        svc.Submit(name + "#" + std::to_string(i), query);
+    if (!submitted.ok()) {
+      std::fprintf(stderr, "submit failed: %s\n",
+                   submitted.status().ToString().c_str());
+      return 1;
+    }
+    inflight.push_back(submitted.take());
   }
+  while (!inflight.empty()) await_oldest();
   // Final snapshot and exposition before Shutdown(): every in-flight query
   // has been awaited above, so the numbers are final.
   if (cli.stats_interval_ms > 0) {

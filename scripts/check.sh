@@ -43,8 +43,9 @@ echo "=== tsan: concurrency tests under ThreadSanitizer ==="
 # (SubplanCache acquire/publish/attach and its page budget, the bounded
 # TuningCache, and the service-wide subplan cache under concurrent workers),
 # copy-on-write column buffers (threads copying and reading one shared
-# column while each mutates its own copy), and dbgen (pool tasks writing
-# disjoint row ranges of shared column buffers).
+# column while each mutates its own copy), dbgen (pool tasks writing
+# disjoint row ranges of shared column buffers), and the row-batch layer
+# (morsel-parallel gathers through sources shared across batches).
 cmake -B "$BUILD-tsan" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g" \
@@ -53,9 +54,9 @@ cmake --build "$BUILD-tsan" -j "$(nproc)" \
   --target service_test --target thread_pool_test --target host_parallel_test \
   --target fault_test --target shard_test --target obs_test \
   --target fused_engine_test --target pool_test --target subplan_cache_test \
-  --target storage_test --target tpch_test
+  --target storage_test --target tpch_test --target late_materialization_test
 ctest --test-dir "$BUILD-tsan" --output-on-failure \
-  -R "QueryService|ThreadPool|TuningCache|HostParallel|ServiceChaos|ShardedService|MetricsRegistry|FusedBitIdentity|PagePool|SubplanCache|ColumnCow|Dbgen"
+  -R "QueryService|ThreadPool|TuningCache|HostParallel|ServiceChaos|ShardedService|MetricsRegistry|FusedBitIdentity|PagePool|SubplanCache|ColumnCow|Dbgen|LateMaterialization"
 
 echo
 echo "=== asan+ubsan: fault-injection and service suites ==="
@@ -70,6 +71,9 @@ echo "=== asan+ubsan: fault-injection and service suites ==="
 # The core and engine suites cover GplExecutor's per-segment steps, which
 # hand the subplan-cache compute ticket and the hash-state snapshot between
 # functions. The tpch suite covers dbgen's raw writes at precomputed offsets.
+# The late-materialization suite covers row batches: composed positions and
+# gathers through them, where an out-of-range position would read past a
+# buffer. The morsel suite covers ProbeAll's writes at prefix offsets.
 cmake -B "$BUILD-asan" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \
@@ -80,9 +84,10 @@ cmake --build "$BUILD-asan" -j "$(nproc)" \
   --target storage_test \
   --target expr_test --target expr_fuzz_test --target hash_table_test \
   --target primitives_test --target partitioned_join_test \
-  --target core_test --target engine_test --target tpch_test
+  --target core_test --target engine_test --target tpch_test \
+  --target late_materialization_test
 ctest --test-dir "$BUILD-asan" --output-on-failure \
-  -R "Dbgen|Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|FusedKernel|ComposeFusedStage|PagePool|SubplanCache|Dictionary|Column|Table|Expr|Selectivity|FilterKernel|ProjectKernel|HashBuild|AggregateKernel|SortKernel|KbePrimitives|TimingDesc|PartitionedJoin|Tiling|GplFixture|PipelineTest|EngineTest|EngineComparison|EngineMetrics|ExplainAnalyze|EmptyAggregate|OcelotFlavor|OcelotHashTableCache|TunerQuality|AllModes"
+  -R "Dbgen|Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|FusedKernel|ComposeFusedStage|PagePool|SubplanCache|Dictionary|Column|Table|Expr|Selectivity|FilterKernel|ProjectKernel|HashBuild|AggregateKernel|SortKernel|KbePrimitives|TimingDesc|PartitionedJoin|Tiling|GplFixture|PipelineTest|EngineTest|EngineComparison|EngineMetrics|ExplainAnalyze|EmptyAggregate|OcelotFlavor|OcelotHashTableCache|TunerQuality|AllModes|LateMaterialization|MorselWideTable"
 
 echo
 echo "=== trace smoke: gplcli --trace on Q5, JSON validated ==="
@@ -185,14 +190,30 @@ echo "=== serve telemetry smoke: periodic snapshots + Prometheus export ==="
 STATS_OUT="$(mktemp /tmp/gpl_check_stats.XXXXXX.jsonl)"
 PROM_OUT="$(mktemp /tmp/gpl_check_prom.XXXXXX.prom)"
 trap 'rm -f "$TRACE_OUT" "$METRICS_OUT" "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT" "$FUSED_EXPLAIN_OUT" "$FUSED_METRICS_OUT" "$STATS_OUT" "$PROM_OUT"' EXIT
+# The closed-loop client keeps at most --serve-queue queries in flight, so
+# with a queue of 2 every one of the 24 submissions is admitted and none is
+# rejected.
 "$BUILD/cli/gplcli" --query=all --mode=gpl --sf=0.02 \
-  --serve-workers=2 --serve-queries=24 --stats-interval-ms=50 \
+  --serve-workers=2 --serve-queries=24 --serve-queue=2 --stats-interval-ms=50 \
   --stats-jsonl="$STATS_OUT" --prom-textfile="$PROM_OUT" > /dev/null
 "$BUILD/tests/trace_smoke" --jsonl "$STATS_OUT" 2
 python3 scripts/validate_prom.py "$PROM_OUT" \
   --require-metric gpl_service_latency_ms \
   --require-metric gpl_service_queries_total \
   --require-metric gpl_sim_kernel_launches_total
+python3 - "$PROM_OUT" 24 <<'PYEOF'
+import re, sys
+text = open(sys.argv[1]).read()
+def admission(result):
+    m = re.search(r'^gpl_service_admission_total\{result="%s"\} (\S+)$' % result,
+                  text, re.M)
+    return float(m.group(1)) if m else 0.0
+admitted, rejected = admission("admitted"), admission("rejected")
+if rejected != 0 or admitted != int(sys.argv[2]):
+    sys.exit(f"serve admission: admitted={admitted:g} rejected={rejected:g}, "
+             f"want admitted={sys.argv[2]} rejected=0")
+print(f"serve admission: OK ({admitted:g} admitted, 0 rejected)")
+PYEOF
 
 echo
 echo "=== metrics overhead: serve wall-clock, sampler + exposition on vs. off ==="

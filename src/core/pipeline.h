@@ -29,10 +29,13 @@ struct FunctionalRun {
 
 /// Streams `input` through the segment's kernel chain in tiles of at most
 /// `tile_bytes`, computing real results and recording per-stage
-/// cardinalities. An empty input makes no tiles but still flows one
-/// zero-row batch, so kernels learn its schema. After the last tile,
-/// kernels' Finish() outputs cascade through the remaining stages
-/// (aggregates emit here).
+/// cardinalities. Each tile is a RowBatch range over `input`; stages hand
+/// on RowBatches and `output` materializes once, after the last stage
+/// (DESIGN.md decision 13). A stage's observed bytes are those of the table
+/// its batch stands for, rows x row width. An empty input makes no tiles
+/// but still flows one zero-row batch, so kernels learn its schema. After
+/// the last tile, kernels' Finish() outputs cascade through the remaining
+/// stages (aggregates emit here).
 Result<FunctionalRun> RunSegmentFunctional(const Segment& segment,
                                            const Table& input,
                                            int64_t tile_bytes);

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "exec/morsel.h"
 #include "exec/primitives.h"
 #include "plan/segment.h"
 
@@ -28,11 +29,11 @@ Status KbeEngine::Record(Context* ctx, const sim::KernelLaunch& launch,
   return Status::OK();
 }
 
-Result<Table> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
+Result<RowBatch> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
   // Operator-boundary cancellation check (the KBE analogue of the GPL
   // executor's segment-boundary check).
   if (ctx->cancel != nullptr) GPL_RETURN_NOT_OK(ctx->cancel->Check());
-  if (&op == ctx->substitute_at) return std::move(ctx->substitute);
+  if (&op == ctx->substitute_at) return RowBatch(std::move(ctx->substitute));
   switch (op.kind) {
     case PhysicalOp::Kind::kScan: {
       const Table* base = db_->ByName(op.table);
@@ -43,16 +44,17 @@ Result<Table> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
             op.alias.empty() ? col : op.alias + "_" + col;
         GPL_RETURN_NOT_OK(view.AddColumn(name, base->GetColumn(col)));
       }
-      return view;  // base data already resides in global memory
+      // Base data already resides in global memory.
+      return RowBatch(std::move(view));
     }
 
     case PhysicalOp::Kind::kFilter: {
-      GPL_ASSIGN_OR_RETURN(Table input, Exec(*op.child, ctx));
+      GPL_ASSIGN_OR_RETURN(RowBatch input, Exec(*op.child, ctx));
       const int64_t n = input.num_rows();
       const int64_t input_bytes = input.byte_size();
 
       // k_map: evaluate the predicate into flags (a bitmap for Ocelot).
-      Column flags = ComputeFlags(input, op.predicate);
+      Column flags = EvaluateMorsels(*op.predicate, input);
       const int64_t flags_bytes = flavor_.bitmap_selection ? n / 8 + 1 : n * 4;
       sim::KernelLaunch map_launch;
       map_launch.desc = FilterTiming(op.predicate->CostPerRow());
@@ -78,8 +80,10 @@ Result<Table> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
         GPL_RETURN_NOT_OK(Record(ctx, prefix_launch, 0));
       }
 
-      // k_scatter: compact the satisfying rows into a new relation.
-      Table out = ScatterRows(input, flags, offsets);
+      // k_scatter: compact the satisfying rows into a new relation. The
+      // launch charges writing every column, as a kernel-at-a-time engine
+      // materializes it; on the host the rows pass on by position.
+      RowBatch out = input.Select(FlaggedRows(flags));
       sim::KernelLaunch scatter_launch;
       scatter_launch.desc = ScatterTiming(static_cast<int>(input.num_columns()));
       scatter_launch.rows_in = n;
@@ -92,9 +96,9 @@ Result<Table> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
     }
 
     case PhysicalOp::Kind::kProject: {
-      GPL_ASSIGN_OR_RETURN(Table input, Exec(*op.child, ctx));
+      GPL_ASSIGN_OR_RETURN(RowBatch input, Exec(*op.child, ctx));
       KernelPtr kernel = MakeProjectKernel(op.projections);
-      GPL_ASSIGN_OR_RETURN(Table out, kernel->Process(input));
+      GPL_ASSIGN_OR_RETURN(RowBatch out, kernel->ProcessBatch(input));
       sim::KernelLaunch launch;
       launch.desc = kernel->timing();
       launch.rows_in = input.num_rows();
@@ -106,7 +110,7 @@ Result<Table> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
     }
 
     case PhysicalOp::Kind::kHashJoin: {
-      GPL_ASSIGN_OR_RETURN(Table build_input, Exec(*op.build_child, ctx));
+      GPL_ASSIGN_OR_RETURN(RowBatch build_input, Exec(*op.build_child, ctx));
 
       // Ocelot: reuse a previously built hash table for the same build. The
       // key pins the whole build relation (scan columns, aliases, filters,
@@ -123,7 +127,8 @@ Result<Table> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
       if (state == nullptr) {
         state = std::make_shared<HashJoinState>();
         KernelPtr build = MakeHashBuildKernel(op.build_keys, state);
-        GPL_ASSIGN_OR_RETURN(Table ignored, build->Process(build_input));
+        GPL_ASSIGN_OR_RETURN(RowBatch ignored,
+                             build->ProcessBatch(build_input));
         (void)ignored;
         sim::KernelLaunch build_launch;
         build_launch.desc = build->timing();
@@ -137,10 +142,10 @@ Result<Table> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
         if (flavor_.cache_hash_tables) hash_table_cache_[signature] = state;
       }
 
-      GPL_ASSIGN_OR_RETURN(Table probe_input, Exec(*op.child, ctx));
+      GPL_ASSIGN_OR_RETURN(RowBatch probe_input, Exec(*op.child, ctx));
       KernelPtr probe =
           MakeHashProbeKernel(op.probe_keys, state, op.build_payload);
-      GPL_ASSIGN_OR_RETURN(Table out, probe->Process(probe_input));
+      GPL_ASSIGN_OR_RETURN(RowBatch out, probe->ProcessBatch(probe_input));
       sim::KernelLaunch probe_launch;
       probe_launch.desc = probe->timing();
       probe_launch.rows_in = probe_input.num_rows();
@@ -152,14 +157,14 @@ Result<Table> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
     }
 
     case PhysicalOp::Kind::kAggregate: {
-      GPL_ASSIGN_OR_RETURN(Table input, Exec(*op.child, ctx));
+      GPL_ASSIGN_OR_RETURN(RowBatch input, Exec(*op.child, ctx));
       const int64_t n = input.num_rows();
 
       KernelPtr agg = MakeAggregateKernel(op.group_by, op.aggregates,
                                           op.partial_aggregate
                                               ? AggregatePhase::kPartial
                                               : AggregatePhase::kComplete);
-      GPL_ASSIGN_OR_RETURN(Table ignored, agg->Process(input));
+      GPL_ASSIGN_OR_RETURN(RowBatch ignored, agg->ProcessBatch(input));
       (void)ignored;
       GPL_ASSIGN_OR_RETURN(Table out, agg->Finish());
 
@@ -184,7 +189,7 @@ Result<Table> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
       gather_launch.input_resident_fraction =
           simulator_->cache().ChannelResidency(n * 8, 0);
       GPL_RETURN_NOT_OK(Record(ctx, gather_launch, 0));
-      return out;
+      return RowBatch(std::move(out));
     }
 
     case PhysicalOp::Kind::kExchange:
@@ -194,9 +199,9 @@ Result<Table> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
       return Exec(*op.child, ctx);
 
     case PhysicalOp::Kind::kSort: {
-      GPL_ASSIGN_OR_RETURN(Table input, Exec(*op.child, ctx));
+      GPL_ASSIGN_OR_RETURN(RowBatch input, Exec(*op.child, ctx));
       KernelPtr sort = MakeSortKernel(op.sort_keys);
-      GPL_ASSIGN_OR_RETURN(Table ignored, sort->Process(input));
+      GPL_ASSIGN_OR_RETURN(RowBatch ignored, sort->ProcessBatch(input));
       (void)ignored;
       GPL_ASSIGN_OR_RETURN(Table out, sort->Finish());
       sim::KernelLaunch launch;
@@ -206,7 +211,7 @@ Result<Table> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
       launch.rows_out = out.num_rows();
       launch.bytes_out = out.byte_size();
       GPL_RETURN_NOT_OK(Record(ctx, launch, 0));
-      return out;
+      return RowBatch(std::move(out));
     }
   }
   return Status::Internal("unknown physical operator kind");
@@ -231,9 +236,9 @@ Result<QueryResult> KbeEngine::ExecuteWithInput(const PhysicalOpPtr& plan,
   ctx.fault = exec.fault;
   ctx.substitute_at = substitute_at;
   ctx.substitute = std::move(substitute);
-  GPL_ASSIGN_OR_RETURN(Table out, Exec(*plan, &ctx));
+  GPL_ASSIGN_OR_RETURN(RowBatch out, Exec(*plan, &ctx));
   QueryResult result;
-  result.table = std::move(out);
+  result.table = out.Materialize();
   result.metrics.counters = ctx.counters;
   result.metrics.Finalize(simulator_->device());
   return result;

@@ -7,6 +7,7 @@
 #include "common/status.h"
 #include "engine/exec_options.h"
 #include "engine/metrics.h"
+#include "exec/row_batch.h"
 #include "plan/physical_plan.h"
 #include "sim/engine.h"
 #include "tpch/dbgen.h"
@@ -68,7 +69,11 @@ class KbeEngine {
     Table substitute;
   };
 
-  Result<Table> Exec(const PhysicalOp& op, Context* ctx);
+  /// Runs `op`'s subtree. Operators hand each other RowBatches: a filter or
+  /// probe passes rows on by position, and only the final result
+  /// materializes. Each launch still charges the relation a
+  /// kernel-at-a-time engine materializes (rows x row width).
+  Result<RowBatch> Exec(const PhysicalOp& op, Context* ctx);
   /// Runs one KBE kernel launch through the simulator and accumulates.
   /// Fails with kTransientDeviceError when the fault injector fires; the
   /// failed launch contributes nothing to the counters.

@@ -39,29 +39,28 @@ FusedKernel::FusedKernel(std::vector<KernelPtr> children)
   timing_.blocking = false;
 }
 
-Result<Table> FusedKernel::FlowFrom(size_t first, Table batch) {
+Result<RowBatch> FusedKernel::FlowFrom(size_t first, RowBatch batch) {
   for (size_t s = first; s < children_.size(); ++s) {
     FusedStageObservation& obs = observations_[s];
     obs.rows_in += batch.num_rows();
     obs.bytes_in += batch.byte_size();
-    GPL_ASSIGN_OR_RETURN(Table out, children_[s]->Process(batch));
+    GPL_ASSIGN_OR_RETURN(RowBatch out, children_[s]->ProcessBatch(batch));
     obs.rows_out += out.num_rows();
     obs.bytes_out += out.byte_size();
     batch = std::move(out);
-    if (batch.num_rows() == 0 && batch.num_columns() == 0) {
+    if (batch.num_columns() == 0) {
       return batch;  // child withheld output (accumulating kernel)
     }
   }
   return batch;
 }
 
-Result<Table> FusedKernel::Process(const Table& input) {
+Result<RowBatch> FusedKernel::ProcessBatch(const RowBatch& input) {
   return FlowFrom(0, input);
 }
 
 Result<Table> FusedKernel::Finish() {
-  Table result;
-  bool initialized = false;
+  std::vector<RowBatch> parts;
   // Mirror the segment-level Finish cascade: each child's withheld emission
   // flows through the remaining children, concatenated in child order.
   for (size_t s = 0; s < children_.size(); ++s) {
@@ -70,16 +69,12 @@ Result<Table> FusedKernel::Finish() {
     FusedStageObservation& obs = observations_[s];
     obs.rows_out += emitted.num_rows();
     obs.bytes_out += emitted.byte_size();
-    GPL_ASSIGN_OR_RETURN(Table flowed, FlowFrom(s + 1, std::move(emitted)));
+    GPL_ASSIGN_OR_RETURN(RowBatch flowed,
+                         FlowFrom(s + 1, RowBatch(std::move(emitted))));
     if (flowed.num_columns() == 0) continue;  // withheld downstream
-    if (!initialized) {
-      result = std::move(flowed);
-      initialized = true;
-    } else {
-      GPL_RETURN_NOT_OK(result.AppendTable(flowed));
-    }
+    parts.push_back(std::move(flowed));
   }
-  return result;
+  return RowBatch::Concatenate(parts);
 }
 
 void FusedKernel::Reset() {

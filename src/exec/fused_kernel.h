@@ -19,10 +19,11 @@ struct FusedStageObservation {
 
 /// A fused kernel: a chain of non-blocking child kernels executed as one
 /// kernel body. Each input batch flows child-to-child register-to-register —
-/// no per-stage materialization, no channel hand-off — and Finish() cascades
-/// each child's withheld emission through the remaining children, exactly
-/// mirroring the unfused pipeline's FlowBatch/Finish semantics so results
-/// stay bit-identical to per-stage execution.
+/// no per-stage materialization, no channel hand-off (on the host the
+/// children pass RowBatches, so none copies a column it only carries) — and
+/// Finish() cascades each child's withheld emission through the remaining
+/// children, exactly mirroring the unfused pipeline's FlowBatch/Finish
+/// semantics so results stay bit-identical to per-stage execution.
 ///
 /// Per-child observations are recorded so the timing layer can still account
 /// the original stages' cardinalities (the fusion win is priced analytically,
@@ -31,7 +32,7 @@ class FusedKernel final : public Kernel {
  public:
   explicit FusedKernel(std::vector<KernelPtr> children);
 
-  Result<Table> Process(const Table& input) override;
+  Result<RowBatch> ProcessBatch(const RowBatch& input) override;
   Result<Table> Finish() override;
   void Reset() override;
   void PrepareTiming() override;
@@ -44,8 +45,8 @@ class FusedKernel final : public Kernel {
 
  private:
   /// Flows one batch through children [first, end); returns the surviving
-  /// batch, or an empty 0-column table when a child withheld it.
-  Result<Table> FlowFrom(size_t first, Table batch);
+  /// batch, or a batch with no columns when a child withheld it.
+  Result<RowBatch> FlowFrom(size_t first, RowBatch batch);
 
   std::vector<KernelPtr> children_;
   std::vector<FusedStageObservation> observations_;

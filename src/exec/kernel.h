@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "exec/row_batch.h"
 #include "sim/kernel_desc.h"
 #include "storage/table.h"
 
@@ -13,9 +14,11 @@ namespace gpl {
 
 /// A (simulated) GPU kernel: the functional body of one pipeline stage plus
 /// its timing descriptor. Kernels are streaming transformers: the engines
-/// push batches (tiles) through Process() and call Finish() after the last
-/// batch; kernels that accumulate state (hash build, aggregation, sort)
-/// withhold output until Finish().
+/// push batches (tiles) through ProcessBatch() and call Finish() after the
+/// last batch; kernels that accumulate state (hash build, aggregation, sort)
+/// withhold output until Finish(). Batches are RowBatches: a kernel gathers
+/// the columns it reads and passes the rest on by position (DESIGN.md
+/// decision 13).
 ///
 /// The same kernel objects serve both execution modes: KBE pushes the whole
 /// input as one batch, GPL pushes tile-sized batches connected by simulated
@@ -33,8 +36,15 @@ class Kernel {
   const std::string& name() const { return timing_.name; }
   bool blocking() const { return timing_.blocking; }
 
-  /// Processes one input batch; returns the rows emitted for this batch.
-  virtual Result<Table> Process(const Table& input) = 0;
+  /// Processes one input batch; returns the rows emitted for this batch, or
+  /// a batch with no columns when the kernel withholds them.
+  virtual Result<RowBatch> ProcessBatch(const RowBatch& input) = 0;
+
+  /// ProcessBatch over all rows of `input`, materialized.
+  Result<Table> Process(const Table& input) {
+    GPL_ASSIGN_OR_RETURN(RowBatch out, ProcessBatch(RowBatch(input)));
+    return out.Materialize();
+  }
 
   /// Emits any withheld output after the last batch. Default: nothing.
   virtual Result<Table> Finish() { return Table(); }

@@ -1,5 +1,6 @@
 #include "exec/morsel.h"
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <utility>
@@ -21,40 +22,22 @@ int64_t NumMorsels(int64_t rows) {
   return (rows + kMorselRows - 1) / kMorselRows;
 }
 
-/// The columns of `input` that `exprs` read, sharing their buffers (O(1) per
-/// column), so that a morsel slice copies only those. Keeps the first column
-/// when none is read, so the row count survives.
-Table NarrowTo(const Table& input, const std::vector<const Expr*>& exprs) {
-  std::vector<std::string> refs;
-  for (const Expr* expr : exprs) expr->CollectColumnRefs(&refs);
-  Table narrow(input.name());
-  for (const std::string& name : refs) {
-    if (!narrow.HasColumn(name)) {
-      GPL_CHECK_OK(narrow.AddColumn(name, input.GetColumn(name)));
-    }
-  }
-  if (narrow.num_columns() == 0 && input.num_columns() > 0) {
-    GPL_CHECK_OK(narrow.AddColumn(input.ColumnNameAt(0), input.ColumnAt(0)));
-  }
-  return narrow;
-}
-
 }  // namespace
 
-Column EvaluateMorsels(const Expr& expr, const Table& input) {
+Column EvaluateMorsels(const Expr& expr, const RowBatch& input) {
   const int64_t n = input.num_rows();
-  // A bare column reference shares the input's buffer and computes nothing —
-  // slicing and re-concatenating it would only add copies.
+  const std::vector<std::string> reads = input.ColumnsRead({&expr});
+  // A bare column reference computes nothing: gather it whole rather than
+  // slicing it into morsels and concatenating them again.
   std::string column_name;
   if (RunSerial(n) || expr.IsColumnRef(&column_name)) {
-    return expr.Evaluate(input);
+    return expr.Evaluate(input.Gather(reads));
   }
   const int64_t num_morsels = NumMorsels(n);
-  const Table narrow = NarrowTo(input, {&expr});
   std::vector<std::optional<Column>> parts(static_cast<size_t>(num_morsels));
   ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
     parts[static_cast<size_t>(b / kMorselRows)] =
-        expr.Evaluate(narrow.Slice(b, e - b));
+        expr.Evaluate(input.GatherRows(reads, b, e - b));
   });
   Column out = std::move(*parts[0]);
   out.Reserve(n);
@@ -64,10 +47,12 @@ Column EvaluateMorsels(const Expr& expr, const Table& input) {
   return out;
 }
 
-std::vector<int64_t> SelectIndices(const Expr& predicate, const Table& input) {
+std::vector<int64_t> SelectIndices(const Expr& predicate,
+                                   const RowBatch& input) {
   const int64_t n = input.num_rows();
+  const std::vector<std::string> reads = input.ColumnsRead({&predicate});
   if (RunSerial(n)) {
-    const Column flags = predicate.Evaluate(input);
+    const Column flags = predicate.Evaluate(input.Gather(reads));
     std::vector<int64_t> indices;
     for (int64_t i = 0; i < n; ++i) {
       if (flags.Int32At(i) != 0) indices.push_back(i);
@@ -75,10 +60,9 @@ std::vector<int64_t> SelectIndices(const Expr& predicate, const Table& input) {
     return indices;
   }
   const int64_t num_morsels = NumMorsels(n);
-  const Table narrow = NarrowTo(input, {&predicate});
   std::vector<std::vector<int64_t>> parts(static_cast<size_t>(num_morsels));
   ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
-    const Column flags = predicate.Evaluate(narrow.Slice(b, e - b));
+    const Column flags = predicate.Evaluate(input.GatherRows(reads, b, e - b));
     std::vector<int64_t>& out = parts[static_cast<size_t>(b / kMorselRows)];
     const int64_t len = e - b;
     for (int64_t i = 0; i < len; ++i) {
@@ -95,7 +79,7 @@ std::vector<int64_t> SelectIndices(const Expr& predicate, const Table& input) {
   return indices;
 }
 
-std::vector<int64_t> EvaluateJoinKeys(const Table& input,
+std::vector<int64_t> EvaluateJoinKeys(const RowBatch& input,
                                       const std::vector<ExprPtr>& key_exprs) {
   GPL_CHECK(!key_exprs.empty() && key_exprs.size() <= 2)
       << "joins support one or two key expressions";
@@ -125,15 +109,15 @@ std::vector<int64_t> EvaluateJoinKeys(const Table& input,
       });
     });
   };
-  if (RunSerial(n)) {
-    fill(input, 0);
-    return keys;
-  }
   std::vector<const Expr*> exprs;
   for (const ExprPtr& expr : key_exprs) exprs.push_back(expr.get());
-  const Table narrow = NarrowTo(input, exprs);
+  const std::vector<std::string> reads = input.ColumnsRead(exprs);
+  if (RunSerial(n)) {
+    fill(input.Gather(reads), 0);
+    return keys;
+  }
   ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
-    fill(narrow.Slice(b, e - b), b);
+    fill(input.GatherRows(reads, b, e - b), b);
   });
   return keys;
 }
@@ -156,14 +140,22 @@ void ProbeAll(const JoinHashTable& table, const std::vector<int64_t>& keys,
     MatchPart& part = parts[static_cast<size_t>(b / kMorselRows)];
     table.ProbeBatch(keys.data() + b, e - b, b, &part.probe, &part.build);
   });
-  size_t total = 0;
-  for (const MatchPart& part : parts) total += part.probe.size();
-  probe_idx->reserve(probe_idx->size() + total);
-  build_idx->reserve(build_idx->size() + total);
-  for (const MatchPart& part : parts) {
-    probe_idx->insert(probe_idx->end(), part.probe.begin(), part.probe.end());
-    build_idx->insert(build_idx->end(), part.build.begin(), part.build.end());
+  // Write the parts through at their prefix offsets, one morsel per task:
+  // the pairs land exactly where the serial loop would append them.
+  std::vector<size_t> offsets(parts.size() + 1, probe_idx->size());
+  for (size_t m = 0; m < parts.size(); ++m) {
+    offsets[m + 1] = offsets[m] + parts[m].probe.size();
   }
+  probe_idx->resize(offsets.back());
+  build_idx->resize(offsets.back());
+  int64_t* probe_out = probe_idx->data();
+  int64_t* build_out = build_idx->data();
+  ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t) {
+    const size_t m = static_cast<size_t>(b / kMorselRows);
+    const MatchPart& part = parts[m];
+    std::copy(part.probe.begin(), part.probe.end(), probe_out + offsets[m]);
+    std::copy(part.build.begin(), part.build.end(), build_out + offsets[m]);
+  });
 }
 
 }  // namespace gpl

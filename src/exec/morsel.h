@@ -6,6 +6,7 @@
 
 #include "exec/expr.h"
 #include "exec/hash_table.h"
+#include "exec/row_batch.h"
 #include "storage/table.h"
 
 namespace gpl {
@@ -16,24 +17,26 @@ namespace gpl {
 /// boundaries (common/thread_pool.h), per-morsel intermediates are written
 /// to position-derived slots, and results are concatenated back together in
 /// morsel order. Expression evaluation is pure and per-row (exec/expr.cc
-/// never mutates a Dictionary during Evaluate), so slicing it is safe. A
-/// morsel slice holds only the columns the expressions name in
-/// CollectColumnRefs (DESIGN.md decision 12).
+/// never mutates a Dictionary during Evaluate), so slicing it is safe. Each
+/// morsel gathers from the RowBatch only the columns the expressions name
+/// in CollectColumnRefs, at that morsel's rows (DESIGN.md decisions 12, 13).
 ///
 /// These affect *host* wall-clock only; the simulated kernel timing is
 /// derived from the KernelTimingDescs and cardinalities, never from how the
 /// host computed the result.
 
-/// expr.Evaluate(input), morsel-parallel. Bit-identical output column.
-Column EvaluateMorsels(const Expr& expr, const Table& input);
+/// expr.Evaluate over the rows of `input`, morsel-parallel. Bit-identical
+/// output column.
+Column EvaluateMorsels(const Expr& expr, const RowBatch& input);
 
 /// Row indices where `predicate` is nonzero, ascending — the functional body
 /// of map/select (filter).
-std::vector<int64_t> SelectIndices(const Expr& predicate, const Table& input);
+std::vector<int64_t> SelectIndices(const Expr& predicate,
+                                   const RowBatch& input);
 
 /// Packed int64 join keys for 1- or 2-key equi-joins (the hash build/probe
 /// key pipeline; see JoinHashTable::PackKeys).
-std::vector<int64_t> EvaluateJoinKeys(const Table& input,
+std::vector<int64_t> EvaluateJoinKeys(const RowBatch& input,
                                       const std::vector<ExprPtr>& key_exprs);
 
 /// Probes `table` with every key in order, appending (probe row, build row)

@@ -29,7 +29,7 @@ class PartitionedBuildKernel : public Kernel {
     timing_.random_working_set_bytes = state_->max_partition_bytes();
   }
 
-  Result<Table> Process(const Table& input) override {
+  Result<RowBatch> ProcessBatch(const RowBatch& input) override {
     const std::vector<int64_t> keys = EvaluateJoinKeys(input, key_exprs_);
     const int num_partitions = state_->num_partitions();
     std::vector<std::vector<int64_t>> partition_rows(
@@ -45,7 +45,8 @@ class PartitionedBuildKernel : public Kernel {
       for (size_t i = 0; i < rows.size(); ++i) {
         partition_keys[i] = keys[static_cast<size_t>(rows[i])];
       }
-      Table gathered = input.Gather(rows);
+      // A blocking consumer: each partition's rows materialize here.
+      Table gathered = input.Select(rows).Materialize();
       const int64_t base =
           state_->rows_initialized(p) ? state_->rows(p).num_rows() : 0;
       state_->table(p).Insert(partition_keys, base);
@@ -57,7 +58,7 @@ class PartitionedBuildKernel : public Kernel {
       }
     }
     timing_.random_working_set_bytes = state_->max_partition_bytes();
-    return Table();
+    return RowBatch();
   }
 
   void Reset() override { state_->Reset(); }
@@ -90,7 +91,7 @@ class PartitionedProbeKernel : public Kernel {
     timing_.random_working_set_bytes = state_->max_partition_bytes();
   }
 
-  Result<Table> Process(const Table& input) override {
+  Result<RowBatch> ProcessBatch(const RowBatch& input) override {
     PrepareTiming();
     const std::vector<int64_t> keys = EvaluateJoinKeys(input, key_exprs_);
     const size_t n = keys.size();
@@ -141,7 +142,9 @@ class PartitionedProbeKernel : public Kernel {
         build_idx[slot] = m.build[k];
       }
     }
-    Table out = input.Gather(probe_idx);
+    // Probe-side columns follow their rows by position; the payload is
+    // gathered here, across partitions.
+    RowBatch out = input.Select(probe_idx);
     const size_t matched = build_idx.size();
     for (const std::string& name : build_payload_) {
       // Every built partition has the build side's schema; with no built

@@ -17,6 +17,8 @@ namespace {
 // exec/morsel.h): they honor CurrentHostParallelism() and are bit-identical
 // to the serial path at any thread count. Simulated timing is unaffected —
 // it derives from the timing descriptors and observed cardinalities only.
+// Each body gathers from its RowBatch only the columns it reads; filters and
+// probes pass the rest on by position (DESIGN.md decision 13).
 
 class FilterKernel : public Kernel {
  public:
@@ -24,8 +26,8 @@ class FilterKernel : public Kernel {
     timing_ = FilterTiming(predicate_->CostPerRow());
   }
 
-  Result<Table> Process(const Table& input) override {
-    return input.Gather(SelectIndices(*predicate_, input));
+  Result<RowBatch> ProcessBatch(const RowBatch& input) override {
+    return input.Select(SelectIndices(*predicate_, input));
   }
 
  private:
@@ -41,10 +43,18 @@ class ProjectKernel : public Kernel {
     timing_ = ProjectTiming(cost, static_cast<int>(columns_.size()));
   }
 
-  Result<Table> Process(const Table& input) override {
-    Table out(input.name());
+  Result<RowBatch> ProcessBatch(const RowBatch& input) override {
+    // A bare column reference is carried by position; only the computed
+    // columns gather what they read.
+    RowBatch out = input.SameRows();
+    std::string ref;
     for (const ProjectedColumn& c : columns_) {
-      GPL_RETURN_NOT_OK(out.AddColumn(c.name, EvaluateMorsels(*c.expr, input)));
+      if (c.expr->IsColumnRef(&ref)) {
+        GPL_RETURN_NOT_OK(out.CarryColumn(input, ref, c.name));
+      } else {
+        GPL_RETURN_NOT_OK(
+            out.AddColumn(c.name, EvaluateMorsels(*c.expr, input)));
+      }
     }
     return out;
   }
@@ -65,22 +75,23 @@ class HashBuildKernel : public Kernel {
     timing_.random_working_set_bytes = state_->table.byte_size();
   }
 
-  Result<Table> Process(const Table& input) override {
+  Result<RowBatch> ProcessBatch(const RowBatch& input) override {
     const std::vector<int64_t> keys = EvaluateJoinKeys(input, key_exprs_);
     const int64_t base = state_->build_rows_initialized
                              ? state_->build_rows.num_rows()
                              : 0;
     state_->table.Insert(keys, base);
+    // The build rows are a blocking consumer: they materialize here.
     if (!state_->build_rows_initialized) {
-      state_->build_rows = input;
+      state_->build_rows = input.Materialize();
       state_->build_rows_initialized = true;
     } else {
-      GPL_RETURN_NOT_OK(state_->build_rows.AppendTable(input));
+      GPL_RETURN_NOT_OK(state_->build_rows.AppendTable(input.Materialize()));
     }
     // The hash table materializes in global memory; keep the timing
     // descriptor's working set in sync for downstream probes.
     timing_.random_working_set_bytes = state_->table.byte_size();
-    return Table();
+    return RowBatch();
   }
 
   void Reset() override { state_->Reset(); }
@@ -105,16 +116,23 @@ class HashProbeKernel : public Kernel {
     timing_.random_working_set_bytes = state_->probe_table().byte_size();
   }
 
-  Result<Table> Process(const Table& input) override {
+  Result<RowBatch> ProcessBatch(const RowBatch& input) override {
     timing_.random_working_set_bytes = state_->probe_table().byte_size();
     const std::vector<int64_t> keys = EvaluateJoinKeys(input, key_exprs_);
     std::vector<int64_t> probe_idx;
     std::vector<int64_t> build_idx;
     ProbeAll(state_->probe_table(), keys, &probe_idx, &build_idx);
-    Table out = input.Gather(probe_idx);
-    for (const std::string& name : build_payload_) {
-      GPL_RETURN_NOT_OK(out.AddColumn(
-          name, state_->probe_rows().GetColumn(name).Gather(build_idx)));
+    // Probe-side columns follow their rows by position; the payload joins
+    // as a source read at the matched build rows.
+    RowBatch out = input.Select(probe_idx);
+    if (!build_payload_.empty()) {
+      Table payload(state_->probe_rows().name());
+      for (const std::string& name : build_payload_) {
+        GPL_RETURN_NOT_OK(
+            payload.AddColumn(name, state_->probe_rows().GetColumn(name)));
+      }
+      GPL_RETURN_NOT_OK(
+          out.AddSource(std::move(payload), std::move(build_idx)));
     }
     return out;
   }
@@ -197,11 +215,11 @@ class AggregateKernel : public Kernel {
     timing_ = AggregateTiming(cost, static_cast<int>(aggregates_.size()));
   }
 
-  Result<Table> Process(const Table& input) override {
+  Result<RowBatch> ProcessBatch(const RowBatch& input) override {
     const int64_t n = input.num_rows();
     // The first batch fixes the group columns' types and dictionaries even
     // when it is empty, so an empty result keeps its schema.
-    if (n == 0 && !group_types_.empty()) return Table();
+    if (n == 0 && !group_types_.empty()) return RowBatch();
 
     // Evaluate group keys and aggregate arguments once per batch. The
     // evaluation is the expensive part and is morsel-parallel; the
@@ -220,7 +238,7 @@ class AggregateKernel : public Kernel {
         group_dicts_.push_back(c.dictionary());
       }
     }
-    if (n == 0) return Table();
+    if (n == 0) return RowBatch();
     std::vector<std::vector<int64_t>> keys;
     keys.reserve(group_cols.size());
     for (const Column& c : group_cols) keys.push_back(GroupKeys(c));
@@ -259,7 +277,7 @@ class AggregateKernel : public Kernel {
         acc.counts[a] += 1;
       }
     }
-    return Table();  // partial aggregation; emitted at Finish()
+    return RowBatch();  // partial aggregation; emitted at Finish()
   }
 
   /// Merges one partial-aggregate table (the kPartial wire format) into the
@@ -465,25 +483,23 @@ class SortKernel : public Kernel {
     timing_ = SortTiming();
   }
 
-  Result<Table> Process(const Table& input) override {
-    if (!initialized_) {
-      accumulated_ = input;
-      initialized_ = true;
-    } else {
-      GPL_RETURN_NOT_OK(accumulated_.AppendTable(input));
-    }
-    return Table();
+  Result<RowBatch> ProcessBatch(const RowBatch& input) override {
+    pending_.push_back(input);
+    return RowBatch();
   }
 
   Result<Table> Finish() override {
-    if (!initialized_) return Table();
-    const int64_t n = accumulated_.num_rows();
+    if (pending_.empty()) return Table();
+    // The sort is a blocking consumer: its input materializes here, once.
+    GPL_ASSIGN_OR_RETURN(const Table accumulated,
+                         RowBatch::Concatenate(pending_));
+    const int64_t n = accumulated.num_rows();
     std::vector<int64_t> indices(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i) indices[static_cast<size_t>(i)] = i;
 
     std::vector<const Column*> cols;
     for (const SortKey& k : keys_) {
-      cols.push_back(&accumulated_.GetColumn(k.column));
+      cols.push_back(&accumulated.GetColumn(k.column));
     }
     std::stable_sort(indices.begin(), indices.end(),
                      [&](int64_t a, int64_t b) {
@@ -505,18 +521,14 @@ class SortKernel : public Kernel {
                        }
                        return a < b;
                      });
-    return accumulated_.Gather(indices);
+    return accumulated.Gather(indices);
   }
 
-  void Reset() override {
-    accumulated_ = Table();
-    initialized_ = false;
-  }
+  void Reset() override { pending_.clear(); }
 
  private:
   std::vector<SortKey> keys_;
-  Table accumulated_;
-  bool initialized_ = false;
+  std::vector<RowBatch> pending_;
 };
 
 }  // namespace
@@ -607,7 +619,7 @@ KernelPtr MakeSortKernel(std::vector<SortKey> keys) {
 // ---------------------------------------------------------------------------
 
 Column ComputeFlags(const Table& input, const ExprPtr& predicate) {
-  return EvaluateMorsels(*predicate, input);
+  return EvaluateMorsels(*predicate, RowBatch(input));
 }
 
 Column PrefixSum(const Column& flags, int64_t* total) {
@@ -650,17 +662,14 @@ Column PrefixSum(const Column& flags, int64_t* total) {
   return out;
 }
 
-Table ScatterRows(const Table& input, const Column& flags, const Column& offsets) {
+std::vector<int64_t> FlaggedRows(const Column& flags) {
   const int64_t n = flags.size();
-  GPL_CHECK(offsets.size() == n);
-  // offsets[i] is the output slot; gathering the selected rows in input
-  // order reproduces the scatter result.
   if (CurrentHostParallelism() <= 1 || n < 2 * kMorselRows) {
     std::vector<int64_t> indices;
     for (int64_t i = 0; i < n; ++i) {
       if (flags.Int32At(i) != 0) indices.push_back(i);
     }
-    return input.Gather(indices);
+    return indices;
   }
   const int64_t num_morsels = (n + kMorselRows - 1) / kMorselRows;
   std::vector<std::vector<int64_t>> parts(static_cast<size_t>(num_morsels));
@@ -677,7 +686,14 @@ Table ScatterRows(const Table& input, const Column& flags, const Column& offsets
   for (const auto& part : parts) {
     indices.insert(indices.end(), part.begin(), part.end());
   }
-  return input.Gather(indices);
+  return indices;
+}
+
+Table ScatterRows(const Table& input, const Column& flags, const Column& offsets) {
+  GPL_CHECK(offsets.size() == flags.size());
+  // offsets[i] is the output slot; gathering the selected rows in input
+  // order reproduces the scatter result.
+  return input.Gather(FlaggedRows(flags));
 }
 
 // ---------------------------------------------------------------------------

@@ -157,8 +157,12 @@ Column ComputeFlags(const Table& input, const ExprPtr& predicate);
 /// Exclusive prefix sum of a 0/1 flags column; *total receives the sum.
 Column PrefixSum(const Column& flags, int64_t* total);
 
+/// Ascending positions of the rows whose flag is set: the rows k_scatter
+/// keeps, in output order.
+std::vector<int64_t> FlaggedRows(const Column& flags);
+
 /// Compacts `input` to the rows whose flag is set, using the offsets
-/// (KBE k_scatter).
+/// (KBE k_scatter), gathering every column.
 Table ScatterRows(const Table& input, const Column& flags, const Column& offsets);
 
 // ---------------------------------------------------------------------------

@@ -335,7 +335,7 @@ TEST_P(MorselWideTableTest, EvaluateMorselsMatchesEvaluate) {
   };
   for (const ExprPtr& e : exprs) {
     SCOPED_TRACE(e->ToString());
-    const Column got = EvaluateMorsels(*e, t);
+    const Column got = EvaluateMorsels(*e, RowBatch(t));
     ASSERT_EQ(got.size(), t.num_rows());
     ExpectColumnsBitIdentical(e->Evaluate(t), got);
   }
@@ -357,7 +357,7 @@ TEST_P(MorselWideTableTest, SelectIndicesMatchesEvaluate) {
     for (int64_t i = 0; i < flags.size(); ++i) {
       if (flags.Int32At(i) != 0) expected.push_back(i);
     }
-    EXPECT_EQ(SelectIndices(*p, t), expected);
+    EXPECT_EQ(SelectIndices(*p, RowBatch(t)), expected);
   }
 }
 
@@ -379,13 +379,13 @@ TEST_P(MorselWideTableTest, EvaluateJoinKeysMatchesEvaluate) {
                     static_cast<int32_t>(k0.AsInt64(i)),
                     static_cast<int32_t>(key_exprs[1]->Evaluate(t).AsInt64(i)));
     }
-    EXPECT_EQ(EvaluateJoinKeys(t, key_exprs), expected);
+    EXPECT_EQ(EvaluateJoinKeys(RowBatch(t), key_exprs), expected);
   }
 }
 
 TEST_P(MorselWideTableTest, ProbeAllMatchesPerKeyProbe) {
   const Table t = WideTable();
-  const std::vector<int64_t> keys = EvaluateJoinKeys(t, {Col("b")});
+  const std::vector<int64_t> keys = EvaluateJoinKeys(RowBatch(t), {Col("b")});
   JoinHashTable table;
   // Duplicated build keys, and probe keys with no match.
   std::vector<int64_t> build;
@@ -406,6 +406,56 @@ TEST_P(MorselWideTableTest, ProbeAllMatchesPerKeyProbe) {
   ProbeAll(table, keys, &got_probe, &got_build);
   EXPECT_EQ(got_probe, want_probe);
   EXPECT_EQ(got_build, want_build);
+}
+
+TEST_P(MorselWideTableTest, ProbeAllWritesPartsAfterExistingPairs) {
+  // ProbeAll appends: each morsel's pairs land at their prefix offset past
+  // what the outputs already hold. Keys 0..2999 against a sparse build side
+  // leave some morsels with no match at all.
+  const Table t = WideTable();
+  const std::vector<int64_t> keys = EvaluateJoinKeys(RowBatch(t), {Col("b")});
+  JoinHashTable table;
+  std::vector<int64_t> build;
+  for (int64_t k = 0; k < 3000; k += 11) build.push_back(k);
+  for (int64_t k = 0; k < 600; k += 2) build.push_back(k);
+  table.Build(build);
+  std::vector<int64_t> want_probe = {-7, -8};
+  std::vector<int64_t> want_build = {-9, -10};
+  std::vector<int64_t> rows;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    rows.clear();
+    table.Probe(keys[i], &rows);
+    for (int64_t r : rows) {
+      want_probe.push_back(static_cast<int64_t>(i));
+      want_build.push_back(r);
+    }
+  }
+  ScopedHostParallelism scope(GetParam());
+  std::vector<int64_t> got_probe = {-7, -8};
+  std::vector<int64_t> got_build = {-9, -10};
+  ProbeAll(table, keys, &got_probe, &got_build);
+  EXPECT_EQ(got_probe, want_probe);
+  EXPECT_EQ(got_build, want_build);
+}
+
+TEST_P(MorselWideTableTest, HelpersReadComposedBatchesAsTheirTable) {
+  // A batch whose rows are composed positions (every third row, then the
+  // first rows backwards) evaluates exactly like its materialized table.
+  const Table t = WideTable();
+  std::vector<int64_t> rows;
+  for (int64_t i = 0; i < t.num_rows(); i += 3) rows.push_back(i);
+  for (int64_t i = kMorselRows; i >= 0; --i) rows.push_back(i);
+  const RowBatch batch = RowBatch(t).Select(rows);
+  const Table materialized = batch.Materialize();
+  ScopedHostParallelism scope(GetParam());
+  const ExprPtr expr = Add(Mul(Col("c"), LitFloat(2.0)), Col("a"));
+  ExpectColumnsBitIdentical(expr->Evaluate(materialized),
+                            EvaluateMorsels(*expr, batch));
+  const ExprPtr predicate = Eq(Col("s"), LitString("PROMO"));
+  EXPECT_EQ(SelectIndices(*predicate, batch),
+            SelectIndices(*predicate, RowBatch(materialized)));
+  EXPECT_EQ(EvaluateJoinKeys(batch, {Col("a"), Col("d")}),
+            EvaluateJoinKeys(RowBatch(materialized), {Col("a"), Col("d")}));
 }
 
 INSTANTIATE_TEST_SUITE_P(HostThreads, MorselWideTableTest,
