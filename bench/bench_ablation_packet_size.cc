@@ -25,9 +25,9 @@ int main() {
     sim::ChannelConfig config;
     config.num_channels = 8;
     config.packet_bytes = p;
-    const sim::SimResult r =
+    const sim::HwCounters r =
         model::RunProducerConsumer(simulator, config, n_ints * 4);
-    const double gbps = static_cast<double>(n_ints * 4) / r.elapsed_cycles() *
+    const double gbps = static_cast<double>(n_ints * 4) / r.elapsed_cycles *
                         device.core_mhz * 1e6 / 1e9;
     if (gbps > best_tp) {
       best_tp = gbps;

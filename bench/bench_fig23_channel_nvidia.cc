@@ -27,10 +27,10 @@ int main() {
       sim::ChannelConfig config;
       config.num_channels = n;
       config.packet_bytes = 16;  // fixed: the K40 exposes no packet knob
-      const sim::SimResult r =
+      const sim::HwCounters r =
           model::RunProducerConsumer(simulator, config, nk * 1024 * 4);
       const double gbps = static_cast<double>(nk * 1024 * 4) /
-                          r.elapsed_cycles() * device.core_mhz * 1e6 / 1e9;
+                          r.elapsed_cycles * device.core_mhz * 1e6 / 1e9;
       std::printf("  %8.2f ", gbps);
     }
     std::printf("\n");

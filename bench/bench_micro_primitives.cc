@@ -219,9 +219,9 @@ void BM_EventSimulatorPipeline(benchmark::State& state) {
   for (auto _ : state) {
     sim::ChannelConfig config;
     config.num_channels = static_cast<int>(state.range(0));
-    const sim::SimResult r =
+    const sim::HwCounters r =
         model::RunProducerConsumer(simulator, config, MiB(16));
-    benchmark::DoNotOptimize(r.elapsed_cycles());
+    benchmark::DoNotOptimize(r.elapsed_cycles);
   }
 }
 BENCHMARK(BM_EventSimulatorPipeline)->Arg(1)->Arg(8)->Arg(16);

@@ -27,7 +27,8 @@
 ///                                     annotated with actual rows, simulated
 ///                                     cycles, prediction error, host wall
 ///                                     time, channel bytes, cache/degradation
-///                                     flags per segment (GPL modes only);
+///                                     flags per segment (gpl, noce, fused;
+///                                     kbe and ocelot need --shards);
 ///                                     with --shards, prints the distributed
 ///                                     plan with Exchange operators inline and
 ///                                     predicted vs actual exchanged bytes
@@ -734,33 +735,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // ---- Data ----
-  tpch::DbgenConfig config;
-  config.scale_factor = cli.sf;
-  config.seed = cli.seed;
-  tpch::Database db = tpch::Generate(config);
-  if (!cli.tbl_dir.empty()) {
-    Result<tpch::Database> loaded = tpch::LoadTbl(cli.tbl_dir, db);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "loading %s failed: %s\n", cli.tbl_dir.c_str(),
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    db = loaded.take();
-    std::printf("loaded database from %s (%lld lineitem rows)\n",
-                cli.tbl_dir.c_str(),
-                static_cast<long long>(db.lineitem.num_rows()));
-  }
-  if (!cli.dump_tbl.empty()) {
-    Status status = tpch::WriteTbl(db, cli.dump_tbl);
-    if (!status.ok()) {
-      std::fprintf(stderr, "dump failed: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote .tbl files to %s\n", cli.dump_tbl.c_str());
-    if (cli.query.empty()) return 0;
-  }
-
   // ---- Engine ----
   EngineOptions options;
   std::vector<sim::DeviceSpec> devices;
@@ -818,6 +792,44 @@ int main(int argc, char** argv) {
   if (devices.size() > 1) options.exec.device_list = devices;
   options.exec.link_gbps = cli.link_gbps;
 
+  // Without --shards, EXPLAIN ANALYZE annotates the segments of a GPL-family
+  // plan; kbe and ocelot have none.
+  if (cli.explain_analyze && cli.shards == 1 &&
+      (options.mode == EngineMode::kKbe ||
+       options.mode == EngineMode::kOcelot)) {
+    std::fprintf(stderr,
+                 "--explain-analyze needs a GPL-family mode (gpl, noce, "
+                 "fused) or --shards\n");
+    return 2;
+  }
+
+  // ---- Data ----
+  tpch::DbgenConfig config;
+  config.scale_factor = cli.sf;
+  config.seed = cli.seed;
+  tpch::Database db = tpch::Generate(config);
+  if (!cli.tbl_dir.empty()) {
+    Result<tpch::Database> loaded = tpch::LoadTbl(cli.tbl_dir, db);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "loading %s failed: %s\n", cli.tbl_dir.c_str(),
+                   loaded.status().ToString().c_str());
+      return 1;
+    }
+    db = loaded.take();
+    std::printf("loaded database from %s (%lld lineitem rows)\n",
+                cli.tbl_dir.c_str(),
+                static_cast<long long>(db.lineitem.num_rows()));
+  }
+  if (!cli.dump_tbl.empty()) {
+    Status status = tpch::WriteTbl(db, cli.dump_tbl);
+    if (!status.ok()) {
+      std::fprintf(stderr, "dump failed: %s\n", status.ToString().c_str());
+      return 1;
+    }
+    std::printf("wrote .tbl files to %s\n", cli.dump_tbl.c_str());
+    if (cli.query.empty()) return 0;
+  }
+
   // ---- Serve mode ----
   if (cli.serve_workers > 0) {
     return RunServe(db, cli, options, devices, link);
@@ -860,22 +872,15 @@ int main(int argc, char** argv) {
   }
 
   // ---- Queries ----
+  Result<std::vector<std::pair<std::string, LogicalQuery>>> workload =
+      SelectWorkload(cli.query);
+  if (!workload.ok()) {
+    std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
+    return 2;
+  }
   int failures = 0;
-  if (cli.query == "all") {
-    for (auto& [name, q] : queries::EvaluationSuite()) {
-      failures += RunQuery(engine, db, cli, device_label, name, q, &state);
-    }
-  } else if (cli.query == "extended") {
-    for (auto& [name, q] : queries::ExtendedSuite()) {
-      failures += RunQuery(engine, db, cli, device_label, name, q, &state);
-    }
-  } else {
-    Result<LogicalQuery> q = FindQuery(cli.query);
-    if (!q.ok()) {
-      std::fprintf(stderr, "%s\n", q.status().ToString().c_str());
-      return 2;
-    }
-    failures += RunQuery(engine, db, cli, device_label, cli.query, *q, &state);
+  for (const auto& [name, q] : *workload) {
+    failures += RunQuery(engine, db, cli, device_label, name, q, &state);
   }
 
   // ---- Reports ----

@@ -5,7 +5,8 @@
 # tracing smoke run of the CLI whose output is validated by the in-tree
 # JSON parser (via the trace_smoke binary's file-validation mode), an
 # EXPLAIN ANALYZE vs --metrics-json consistency diff (every query under
-# each GPL-family mode, plus the fusion checks under --mode=fused), a
+# each GPL-family mode, plus the fusion checks under --mode=fused), an
+# --explain-analyze flag check (unsharded kbe/ocelot exit 2), a
 # serve-mode telemetry smoke (JSONL snapshots + Prometheus textfile
 # validated by scripts/validate_prom.py), a metrics-overhead
 # wall-clock gate (scripts/bench_diff.py, 3% + 50 ms slack), and the
@@ -102,9 +103,9 @@ trap 'rm -f "$TRACE_OUT" "$METRICS_OUT"' EXIT
 echo
 echo "=== explain smoke: EXPLAIN ANALYZE actuals vs --metrics-json ==="
 # One invocation per GPL-family mode emits both files from the same run over
-# every query; the per-segment actuals in the explain report must agree
-# exactly with the QueryMetrics the engine reported for that run (segment
-# cycles sum to elapsed_cycles, totals match field-for-field).
+# every query; the report's metrics object and the --metrics-json entry are
+# written from the same QueryMetrics, so they must be equal key for key, and
+# the per-segment actual cycles must sum to elapsed_cycles.
 EXPLAIN_OUT="$(mktemp /tmp/gpl_check_explain.XXXXXX.json)"
 EXPLAIN_METRICS_OUT="$(mktemp /tmp/gpl_check_explain_metrics.XXXXXX.json)"
 trap 'rm -f "$TRACE_OUT" "$METRICS_OUT" "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT"' EXIT
@@ -118,26 +119,24 @@ for mode in gpl noce fused; do
 import json, sys
 reports = {r["query"]: r for r in json.load(open(sys.argv[1]))}
 entries = {e["query"]: e for e in json.load(open(sys.argv[2]))}
+if reports.keys() != entries.keys():
+    sys.exit(f"explain queries {sorted(reports)} != metrics-json queries "
+             f"{sorted(entries)}")
 checked = 0
 for query, report in reports.items():
     entry = entries[query]
-    for field in ("elapsed_cycles", "elapsed_ms", "predicted_ms",
-                  "channel_bytes", "materialized_bytes", "degraded_segments",
-                  "fused_segments", "fused_launches_saved",
-                  "fused_bytes_avoided",
-                  "tuning_cache_hits", "tuning_cache_misses",
-                  "subplan_cache_hits", "subplan_cache_misses"):
-        if report["metrics"][field] != entry[field]:
-            sys.exit(f"{query}.{field}: explain {report['metrics'][field]} "
-                     f"!= metrics-json {entry[field]}")
-        checked += 1
+    if report["metrics"] != entry:
+        diff = sorted(k for k in report["metrics"].keys() | entry.keys()
+                      if report["metrics"].get(k) != entry.get(k))
+        sys.exit(f"{query}: explain metrics != metrics-json on {diff}")
+    checked += len(entry)
     seg_sum = sum(s["actual_cycles"] for s in report["segments"])
     total = entry["elapsed_cycles"]
     # %.9g serialization rounds each segment independently.
     if abs(seg_sum - total) > 1e-6 * max(total, 1.0):
         sys.exit(f"{query}: segment cycles {seg_sum} != total {total}")
 print(f"explain smoke ({sys.argv[3]}): OK ({len(reports)} queries, "
-      f"{checked} fields match)")
+      f"{checked} keys match)")
 PYEOF
 done
 
@@ -157,13 +156,15 @@ python3 - "$FUSED_EXPLAIN_OUT" "$FUSED_METRICS_OUT" <<'PYEOF'
 import json, sys
 reports = {r["query"]: r for r in json.load(open(sys.argv[1]))}
 entries = {e["query"]: e for e in json.load(open(sys.argv[2]))}
+if reports.keys() != entries.keys():
+    sys.exit(f"explain queries {sorted(reports)} != metrics-json queries "
+             f"{sorted(entries)}")
 for query, report in reports.items():
     entry = entries[query]
-    for field in ("elapsed_cycles", "elapsed_ms", "fused_segments",
-                  "fused_launches_saved", "fused_bytes_avoided"):
-        if report["metrics"][field] != entry[field]:
-            sys.exit(f"{query}.{field}: explain {report['metrics'][field]} "
-                     f"!= metrics-json {entry[field]}")
+    if report["metrics"] != entry:
+        diff = sorted(k for k in report["metrics"].keys() | entry.keys()
+                      if report["metrics"].get(k) != entry.get(k))
+        sys.exit(f"{query}: explain metrics != metrics-json on {diff}")
     if entry["fused_segments"] < 1:
         sys.exit(f"{query}: fusion did not fire under --mode=fused")
     segments = report["segments"]
@@ -180,6 +181,26 @@ for query, report in reports.items():
 print(f"fused explain smoke: OK ({len(reports)} queries, "
       f"{entries['Q5']['fused_launches_saved']} launches saved)")
 PYEOF
+
+echo
+echo "=== explain flag smoke: --explain-analyze rejects unsharded kbe/ocelot ==="
+# Unsharded kbe and ocelot plans have no segments to annotate: the CLI must
+# exit 2 at flag validation and write neither output file.
+for mode in kbe ocelot; do
+  REJECT_DIR="$(mktemp -d /tmp/gpl_check_explain_reject.XXXXXX)"
+  rc=0
+  "$BUILD/cli/gplcli" --query=all --mode="$mode" --sf=0.02 --explain-analyze \
+    --explain-json="$REJECT_DIR/explain.json" \
+    --metrics-json="$REJECT_DIR/metrics.json" > /dev/null 2>&1 || rc=$?
+  written="$(ls -A "$REJECT_DIR")"
+  rm -rf "$REJECT_DIR"
+  if [ "$rc" -ne 2 ] || [ -n "$written" ]; then
+    echo "--explain-analyze --mode=$mode: exit $rc (want 2), wrote:" \
+      "${written:-nothing}" >&2
+    exit 1
+  fi
+done
+echo "explain flag smoke: OK (kbe and ocelot exit 2, no files written)"
 
 echo
 echo "=== serve telemetry smoke: periodic snapshots + Prometheus export ==="

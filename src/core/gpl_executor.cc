@@ -235,7 +235,7 @@ Result<GplRunResult> GplExecutor::Run(const SegmentedPlan& plan,
                               std::chrono::steady_clock::now() - run.start)
                               .count();
     // Run-level tallies, added once from the finished segment.
-    result.counters.Accumulate(report.sim.counters);
+    result.counters.Accumulate(report.counters);
     result.predicted_total_cycles += report.predicted_cycles;
     result.tuner_wall_ms += run.tune_ms;
     if (tuning_cached) {
@@ -444,8 +444,7 @@ Status GplExecutor::RunFunctional(SegmentRun& run) const {
   return Status::OK();
 }
 
-sim::PipelineSpec GplExecutor::BuildLaunches(
-    SegmentRun& run, sim::Simulator::FusedAccounting* fusion) const {
+sim::PipelineSpec GplExecutor::BuildLaunches(SegmentRun& run) const {
   SegmentReport& report = run.report;
   const model::TuningChoice& choice = report.tuning;
   const std::vector<StageObservation>& observed = report.observations.stages;
@@ -484,10 +483,10 @@ sim::PipelineSpec GplExecutor::BuildLaunches(
         stages.push_back(std::move(sd));
       }
       launch.desc = model::ComposeFusedStage(stages, 0, size).timing;
-      ++fusion->fused_kernels;
-      fusion->launches_saved += static_cast<int>(size) - 1;
+      ++report.fused_groups;
+      report.launches_saved += static_cast<int>(size) - 1;
       for (size_t s = next; s < last; ++s) {
-        fusion->bytes_avoided += observed[s].bytes_out;
+        report.fused_bytes_avoided += observed[s].bytes_out;
       }
     }
     launch.rows_in = observed[next].rows_in;
@@ -516,8 +515,7 @@ sim::PipelineSpec GplExecutor::BuildLaunches(
 Status GplExecutor::Simulate(SegmentRun& run, size_t index,
                              const ExecOptions& exec) const {
   SegmentReport& report = run.report;
-  sim::Simulator::FusedAccounting fusion;
-  sim::PipelineSpec spec = BuildLaunches(run, &fusion);
+  sim::PipelineSpec spec = BuildLaunches(run);
   for (const Stage& stage : run.segment.stages) {
     report.stage_names.push_back(stage.kernel->name());
   }
@@ -531,40 +529,31 @@ Status GplExecutor::Simulate(SegmentRun& run, size_t index,
       .Field("engine", model::SegmentEngineName(report.engine))
       << "running segment";
 
-  // The one dispatch rule: the segment's engine picks the simulator path.
-  Result<sim::SimResult> sim_result = Status::OK();
-  switch (report.engine) {
-    case model::SegmentEngine::kGplChannel:
-      sim_result = simulator_->RunPipeline(spec);
-      if (!sim_result.ok() &&
-          sim_result.status().code() == StatusCode::kChannelAllocFailed) {
-        // Graceful degradation: the pipelined segment could not get its
-        // channels, so re-execute it kernel-at-a-time (the w/o-CE path needs
-        // none). The functional output is already computed and unaffected;
-        // only the simulated timing of this segment degrades.
-        GPL_SLOG(Warning, "core").Field("segment", spec.label)
-            << "degrading to kernel-at-a-time: "
-            << sim_result.status().ToString();
-        sim_result = simulator_->RunSequentialTiles(spec);
-        if (sim_result.ok()) {
-          report.degraded = true;
-          report.engine = model::SegmentEngine::kKernelAtATime;
-        }
-      }
-      break;
-    case model::SegmentEngine::kKernelAtATime:
-      sim_result = simulator_->RunSequentialTiles(spec);
-      break;
-    case model::SegmentEngine::kFused:
-      sim_result = simulator_->RunFusedSegment(spec, fusion);
-      break;
+  // The one dispatch rule: a pipelined segment runs with channels; every
+  // other engine (kernel-at-a-time, fused groups) runs the sequential tiling
+  // over the spec's launches.
+  Result<sim::HwCounters> counters =
+      report.engine == model::SegmentEngine::kGplChannel
+          ? simulator_->RunPipeline(spec)
+          : simulator_->RunSequentialTiles(spec);
+  if (!counters.ok() &&
+      counters.status().code() == StatusCode::kChannelAllocFailed) {
+    // Graceful degradation: the pipelined segment (only RunPipeline
+    // allocates channels) could not get its channels, so re-execute it
+    // kernel-at-a-time (the w/o-CE path needs none). The functional output
+    // is already computed and unaffected; only the simulated timing of this
+    // segment degrades.
+    GPL_SLOG(Warning, "core").Field("segment", spec.label)
+        << "degrading to kernel-at-a-time: " << counters.status().ToString();
+    counters = simulator_->RunSequentialTiles(spec);
+    if (counters.ok()) {
+      report.degraded = true;
+      report.engine = model::SegmentEngine::kKernelAtATime;
+    }
   }
-  GPL_RETURN_NOT_OK(sim_result.status());
-  report.sim = sim_result.take();
-  report.measured_cycles = report.sim.counters.elapsed_cycles;
-  report.fused_groups = fusion.fused_kernels;
-  report.launches_saved = fusion.launches_saved;
-  report.fused_bytes_avoided = fusion.bytes_avoided;
+  GPL_RETURN_NOT_OK(counters.status());
+  report.counters = counters.take();
+  report.measured_cycles = report.counters.elapsed_cycles;
   return Status::OK();
 }
 

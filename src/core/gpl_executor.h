@@ -33,7 +33,7 @@ const char* SubplanOutcomeName(SubplanOutcome outcome);
 struct SegmentReport {
   std::string description;
   model::TuningChoice tuning;
-  sim::SimResult sim;
+  sim::HwCounters counters;
   FunctionalRun observations;
   double predicted_cycles = 0.0;
   double measured_cycles = 0.0;
@@ -50,12 +50,13 @@ struct SegmentReport {
   /// kGplChannel in the gpl mode, kKernelAtATime in the noce mode (and after
   /// degradation), the tuner's pick in the fused mode.
   model::SegmentEngine engine = model::SegmentEngine::kGplChannel;
-  /// Fusion accounting (engine == kFused only; 0 otherwise).
+  /// Fusion accounting, written by BuildLaunches (0 unless the segment runs
+  /// fused kernel groups).
   int fused_groups = 0;            ///< composed kernels in this segment
   int launches_saved = 0;          ///< per-stage launches eliminated
   int64_t fused_bytes_avoided = 0; ///< hand-off bytes kept in registers
   /// Original per-stage kernel names, one per observations.stages entry —
-  /// stable across engines (a fused segment's sim.kernels are the composed
+  /// stable across engines (a fused segment's launches are the composed
   /// kernels, not the original stages).
   std::vector<std::string> stage_names;
   /// Whether this segment's functional work was served by the subplan cache.
@@ -100,8 +101,8 @@ struct GplRunResult {
 /// Every segment of every GPL-family mode takes the same steps. A segment
 /// runs as a list of kernel groups: all of size 1 unless the fused mode's
 /// tuner chose to fuse it. Its engine decides the simulation: kGplChannel
-/// runs the concurrent pipeline with channels, kKernelAtATime the sequential
-/// w/o-CE tiling, kFused the sequential tiling over the composed kernels.
+/// runs the concurrent pipeline with channels; kKernelAtATime and kFused run
+/// the sequential w/o-CE tiling, over the composed kernels when fused.
 class GplExecutor {
  public:
   /// `tuning_cache` (optional) memoizes TuneSegment results across runs —
@@ -157,11 +158,10 @@ class GplExecutor {
   /// Streams the tiles through the segment's kernel groups (skipped on a
   /// subplan hit) and records per-original-stage observations.
   Status RunFunctional(SegmentRun& run) const;
-  /// Builds one launch per kernel group from the observed cardinalities and
-  /// names the segment (the launch names joined by " -> "); counts the fused
-  /// groups into `fusion`.
-  sim::PipelineSpec BuildLaunches(
-      SegmentRun& run, sim::Simulator::FusedAccounting* fusion) const;
+  /// Builds one launch per kernel group from the observed cardinalities,
+  /// names the segment (the launch names joined by " -> ") and writes the
+  /// fused groups' accounting into the report.
+  sim::PipelineSpec BuildLaunches(SegmentRun& run) const;
   /// Simulates the segment's timing from the observed cardinalities on the
   /// engine's simulator path.
   Status Simulate(SegmentRun& run, size_t index,

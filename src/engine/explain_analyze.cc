@@ -86,8 +86,8 @@ std::string ExplainAnalyzeReport::ToString() const {
         << "  (" << FormatMs(device_spec.CyclesToMs(seg.measured_cycles))
         << " ms simulated)\n";
     out << "    host_wall_ms=" << FormatMs(seg.host_wall_ms)
-        << " channel_bytes=" << seg.sim.counters.bytes_via_channel
-        << " materialized_bytes=" << seg.sim.counters.bytes_materialized
+        << " channel_bytes=" << seg.counters.bytes_via_channel
+        << " materialized_bytes=" << seg.counters.bytes_materialized
         << "\n";
     out << "    cache: " << SubplanOutcomeName(seg.subplan_cache) << "\n";
     if (seg.fused_groups > 0) {
@@ -180,8 +180,8 @@ std::string ExplainAnalyzeReport::ToJson() const {
         .Field("cycle_error_pct",
                CycleErrorPct(seg.predicted_cycles, seg.measured_cycles))
         .Field("host_wall_ms", seg.host_wall_ms)
-        .Field("channel_bytes", seg.sim.counters.bytes_via_channel)
-        .Field("materialized_bytes", seg.sim.counters.bytes_materialized)
+        .Field("channel_bytes", seg.counters.bytes_via_channel)
+        .Field("materialized_bytes", seg.counters.bytes_materialized)
         .Field("tuning_cache_hit", seg.tuning_cache_hit)
         .Field("degraded", seg.degraded)
         .Field("subplan_cache", SubplanOutcomeName(seg.subplan_cache))

@@ -19,13 +19,10 @@ KbeEngine::KbeEngine(const tpch::Database* db, const sim::Simulator* simulator,
 Status KbeEngine::Record(Context* ctx, const sim::KernelLaunch& launch,
                          int64_t resident_bytes) {
   GPL_ASSIGN_OR_RETURN(
-      const sim::SimResult result,
+      const sim::HwCounters counters,
       simulator_->RunKernelBatch(launch, resident_bytes, ctx->trace,
                                  ctx->fault));
-  ctx->counters.Accumulate(result.counters);
-  for (const sim::KernelStats& stats : result.kernels) {
-    ctx->kernels.push_back(stats);
-  }
+  ctx->counters.Accumulate(counters);
   return Status::OK();
 }
 

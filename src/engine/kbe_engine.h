@@ -58,7 +58,6 @@ class KbeEngine {
  private:
   struct Context {
     sim::HwCounters counters;
-    std::vector<sim::KernelStats> kernels;
     trace::TraceCollector* trace = nullptr;
     const CancelToken* cancel = nullptr;
     sim::FaultInjector* fault = nullptr;

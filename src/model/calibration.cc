@@ -10,9 +10,9 @@
 namespace gpl {
 namespace model {
 
-sim::SimResult RunProducerConsumer(const sim::Simulator& simulator,
-                                   const sim::ChannelConfig& config,
-                                   int64_t data_bytes) {
+sim::HwCounters RunProducerConsumer(const sim::Simulator& simulator,
+                                    const sim::ChannelConfig& config,
+                                    int64_t data_bytes) {
   const int64_t rows = std::max<int64_t>(1, data_bytes / 4);  // N integers
 
   // The producer *generates* N integers (Section 2.1), so the chain is
@@ -47,7 +47,7 @@ sim::SimResult RunProducerConsumer(const sim::Simulator& simulator,
   spec.tile_bytes = std::max<int64_t>(data_bytes, 1);  // one tile: d is the knob
   // No fault injector here: calibration is infrastructure, not a query, so
   // the run cannot fail.
-  Result<sim::SimResult> result = simulator.RunPipeline(spec);
+  Result<sim::HwCounters> result = simulator.RunPipeline(spec);
   GPL_CHECK(result.ok()) << result.status().ToString();
   return result.take();
 }
@@ -70,7 +70,8 @@ CalibrationTable CalibrationTable::Run(const sim::Simulator& simulator) {
         sim::ChannelConfig config;
         config.num_channels = n;
         config.packet_bytes = p;
-        const sim::SimResult result = RunProducerConsumer(simulator, config, d);
+        const sim::HwCounters counters =
+            RunProducerConsumer(simulator, config, d);
         CalibrationPoint point;
         point.num_channels = n;
         point.packet_bytes = p;
@@ -80,7 +81,7 @@ CalibrationTable CalibrationTable::Run(const sim::Simulator& simulator) {
         // producer/consumer compute time is excluded — Eq. 6 charges it
         // separately through c_Ki.
         const double wall_channel_cycles = std::max(
-            1.0, result.counters.channel_cycles /
+            1.0, counters.channel_cycles /
                      static_cast<double>(simulator.device().num_cus));
         point.throughput_bytes_per_cycle =
             static_cast<double>(d) / wall_channel_cycles;

@@ -59,11 +59,11 @@ class CalibrationTable {
 };
 
 /// Runs one producer-consumer transfer of `data_bytes` through a channel
-/// with the given configuration and returns the simulated result (also used
-/// directly by the Figure 2 / Figure 23 benches).
-sim::SimResult RunProducerConsumer(const sim::Simulator& simulator,
-                                   const sim::ChannelConfig& config,
-                                   int64_t data_bytes);
+/// with the given configuration and returns the simulated counters (also
+/// used directly by the Figure 2 / Figure 23 benches).
+sim::HwCounters RunProducerConsumer(const sim::Simulator& simulator,
+                                    const sim::ChannelConfig& config,
+                                    int64_t data_bytes);
 
 }  // namespace model
 }  // namespace gpl

@@ -721,9 +721,9 @@ Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query,
   combine.bytes_in = bytes_in;
   combine.rows_out = combined.num_rows();
   combine.bytes_out = combined.byte_size();
-  GPL_ASSIGN_OR_RETURN(const sim::SimResult r,
+  GPL_ASSIGN_OR_RETURN(const sim::HwCounters combine_counters,
                        sim0.RunKernelBatch(combine, 0, exec.trace, exec.fault));
-  merge_counters.Accumulate(r.counters);
+  merge_counters.Accumulate(combine_counters);
   KbeEngine merge_engine(db_, &sim0);
   GPL_ASSIGN_OR_RETURN(
       QueryResult merge_result,

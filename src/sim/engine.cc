@@ -39,15 +39,6 @@ Simulator::Simulator(const DeviceSpec& device, obs::MetricsRegistry* metrics)
     throttle_events_ = metrics->GetCounter(
         "gpl_sim_throttle_events_total",
         "Injected memory-pressure throttles applied to a launch", labels);
-    fused_kernels_ = metrics->GetCounter(
-        "gpl_sim_fused_kernels_total",
-        "Fused (composed) kernels executed", labels);
-    fused_launches_saved_ = metrics->GetCounter(
-        "gpl_sim_fused_launches_saved_total",
-        "Per-stage kernel launches eliminated by fusion", labels);
-    fused_bytes_avoided_ = metrics->GetCounter(
-        "gpl_sim_fused_bytes_avoided_total",
-        "Interior hand-off bytes fusion kept in registers", labels);
   }
 }
 
@@ -112,10 +103,10 @@ Simulator::WgWork Simulator::ComputeWgWork(
   return w;
 }
 
-Result<SimResult> Simulator::RunKernelBatch(const KernelLaunch& launch,
-                                            int64_t resident_bytes,
-                                            trace::TraceCollector* trace,
-                                            FaultInjector* fault) const {
+Result<HwCounters> Simulator::RunKernelBatch(const KernelLaunch& launch,
+                                             int64_t resident_bytes,
+                                             trace::TraceCollector* trace,
+                                             FaultInjector* fault) const {
   double throttle_penalty = 0.0;
   if (fault != nullptr) {
     GPL_RETURN_NOT_OK(fault->OnKernelLaunch(launch.desc.name,
@@ -123,7 +114,6 @@ Result<SimResult> Simulator::RunKernelBatch(const KernelLaunch& launch,
   }
   obs::Inc(kernel_launches_);
   if (throttle_penalty > 0.0) obs::Inc(throttle_events_);
-  SimResult result;
   const KernelTimingDesc& desc = launch.desc;
   const int slots = SingleKernelSlots(device_, desc);
 
@@ -157,7 +147,7 @@ Result<SimResult> Simulator::RunKernelBatch(const KernelLaunch& launch,
   const double elapsed = exec + throttle_cycles +
                          static_cast<double>(device_.kernel_launch_cycles);
 
-  HwCounters& c = result.counters;
+  HwCounters c;
   c.elapsed_cycles = elapsed;
   c.stall_cycles = throttle_cycles;
   c.compute_cycles = total_alu;
@@ -169,17 +159,6 @@ Result<SimResult> Simulator::RunKernelBatch(const KernelLaunch& launch,
   if (launch.output == Endpoint::kGlobal) {
     c.bytes_materialized = launch.bytes_out;
   }
-
-  KernelStats stats;
-  stats.name = desc.name;
-  stats.busy_cycles = total_alu + total_mem;
-  stats.compute_cycles = total_alu;
-  stats.mem_cycles = total_mem;
-  stats.stall_cycles = throttle_cycles;
-  stats.finish_cycles = elapsed;
-  stats.valu_busy = c.ValuBusy(device_);
-  stats.mem_unit_busy = c.MemUnitBusy(device_);
-  result.kernels.push_back(std::move(stats));
 
   if (trace != nullptr) {
     trace->set_clock_mhz(static_cast<double>(device_.core_mhz));
@@ -196,11 +175,12 @@ Result<SimResult> Simulator::RunKernelBatch(const KernelLaunch& launch,
     trace->AddOverhead(c.launch_cycles);
     trace->AdvanceOrigin(elapsed);
   }
-  return result;
+  return c;
 }
 
-Result<SimResult> Simulator::RunSequentialTiles(const PipelineSpec& spec) const {
-  SimResult result;
+Result<HwCounters> Simulator::RunSequentialTiles(
+    const PipelineSpec& spec) const {
+  HwCounters counters;
   GPL_CHECK(!spec.kernels.empty());
   const int64_t input_bytes = std::max<int64_t>(spec.kernels[0].bytes_in, 1);
   const int64_t num_tiles =
@@ -223,7 +203,7 @@ Result<SimResult> Simulator::RunSequentialTiles(const PipelineSpec& spec) const 
   }
 
   for (size_t i = 0; i < spec.kernels.size(); ++i) {
-    const double kernel_start = result.counters.elapsed_cycles;
+    const double kernel_start = counters.elapsed_cycles;
     KernelLaunch tile_launch = spec.kernels[i];
     tile_launch.rows_in = std::max<int64_t>(1, tile_launch.rows_in / num_tiles);
     tile_launch.bytes_in = tile_launch.bytes_in / num_tiles;
@@ -238,13 +218,13 @@ Result<SimResult> Simulator::RunSequentialTiles(const PipelineSpec& spec) const 
           tile_launch.bytes_in, spec.extra_resident_bytes + spec.tile_bytes);
     }
     GPL_ASSIGN_OR_RETURN(
-        const SimResult tile_result,
+        const HwCounters tile,
         RunKernelBatch(tile_launch, spec.extra_resident_bytes,
                        /*trace=*/nullptr, spec.fault));
 
     // All tiles are uniform: scale one tile's cost, swapping the per-launch
     // overhead RunKernelBatch charged for the cheaper per-tile dispatch.
-    HwCounters scaled = tile_result.counters;
+    HwCounters scaled = tile;
     const double n = static_cast<double>(num_tiles);
     scaled.elapsed_cycles =
         (scaled.elapsed_cycles - scaled.launch_cycles) * n + per_kernel_overhead;
@@ -257,32 +237,22 @@ Result<SimResult> Simulator::RunSequentialTiles(const PipelineSpec& spec) const 
     scaled.cache_hits *= n;
     scaled.resident_wg_time *= n;
     scaled.bytes_materialized = spec.kernels[i].bytes_out;
-    result.counters.Accumulate(scaled);
-
-    KernelStats stats;
-    stats.name = spec.kernels[i].desc.name;
-    stats.busy_cycles =
-        (tile_result.counters.compute_cycles + tile_result.counters.mem_cycles) * n;
-    stats.compute_cycles = tile_result.counters.compute_cycles * n;
-    stats.mem_cycles = tile_result.counters.mem_cycles * n;
-    stats.finish_cycles = result.counters.elapsed_cycles;
-    result.kernels.push_back(std::move(stats));
+    counters.Accumulate(scaled);
 
     if (trace != nullptr) {
       const std::string& name = spec.kernels[i].desc.name;
       const int track = trace->TrackId(name);
       trace->AddSpan(track, name, "kernel", kernel_start,
-                     result.counters.elapsed_cycles,
+                     counters.elapsed_cycles,
                      {{"tiles", TraceInt(num_tiles)},
                       {"rows_in", TraceInt(spec.kernels[i].rows_in)},
                       {"rows_out", TraceInt(spec.kernels[i].rows_out)},
                       {"cache_hit_ratio",
-                       trace::JsonNumber(tile_result.counters.CacheHitRatio())}});
-      trace->AddCounter("cache_hit_ratio:" + name,
-                        result.counters.elapsed_cycles,
-                        tile_result.counters.CacheHitRatio());
-      trace->AddKernelPhase(name, tile_result.counters.compute_cycles * n,
-                            tile_result.counters.mem_cycles * n, 0.0, 0.0);
+                       trace::JsonNumber(tile.CacheHitRatio())}});
+      trace->AddCounter("cache_hit_ratio:" + name, counters.elapsed_cycles,
+                        tile.CacheHitRatio());
+      trace->AddKernelPhase(name, tile.compute_cycles * n,
+                            tile.mem_cycles * n, 0.0, 0.0);
       trace->AddOverhead(per_kernel_overhead);
     }
   }
@@ -290,38 +260,17 @@ Result<SimResult> Simulator::RunSequentialTiles(const PipelineSpec& spec) const 
   if (trace != nullptr) {
     trace->AddSpan(trace->TrackId("segment"),
                    spec.label.empty() ? "segment (w/o CE)" : spec.label,
-                   "segment", 0.0, result.counters.elapsed_cycles,
+                   "segment", 0.0, counters.elapsed_cycles,
                    {{"tiles", TraceInt(num_tiles)},
                     {"tile_bytes", TraceInt(spec.tile_bytes)},
                     {"kernels", TraceInt(static_cast<int64_t>(
                                     spec.kernels.size()))}});
-    trace->AdvanceOrigin(result.counters.elapsed_cycles);
+    trace->AdvanceOrigin(counters.elapsed_cycles);
   }
-  return result;
+  return counters;
 }
 
-Result<SimResult> Simulator::RunFusedSegment(
-    const PipelineSpec& spec, const FusedAccounting& accounting) const {
-  // Timing-wise a fused segment is the sequential path over the composed
-  // kernels: group boundaries materialize, but the fused chains' interior
-  // launches and hand-offs no longer exist in the spec at all.
-  GPL_ASSIGN_OR_RETURN(SimResult result, RunSequentialTiles(spec));
-  if (accounting.fused_kernels > 0) {
-    obs::Inc(fused_kernels_, static_cast<uint64_t>(accounting.fused_kernels));
-  }
-  if (accounting.launches_saved > 0) {
-    obs::Inc(fused_launches_saved_,
-             static_cast<uint64_t>(accounting.launches_saved));
-  }
-  if (accounting.bytes_avoided > 0) {
-    obs::Inc(fused_bytes_avoided_,
-             static_cast<uint64_t>(accounting.bytes_avoided));
-  }
-  return result;
-}
-
-Result<SimResult> Simulator::RunPipeline(const PipelineSpec& spec) const {
-  SimResult result;
+Result<HwCounters> Simulator::RunPipeline(const PipelineSpec& spec) const {
   const int num_kernels = static_cast<int>(spec.kernels.size());
   GPL_CHECK(num_kernels > 0);
   GPL_CHECK(static_cast<int>(spec.channel_configs.size()) >=
@@ -374,7 +323,6 @@ Result<SimResult> Simulator::RunPipeline(const PipelineSpec& spec) const {
     bool stalled = false;
     double stall_cycles = 0.0;
     double finish_time = 0.0;
-    double busy_cycles = 0.0;
 
     // Tracing state (only populated when spec.trace is set).
     int64_t wg_per_tile = 1;
@@ -639,6 +587,7 @@ Result<SimResult> Simulator::RunPipeline(const PipelineSpec& spec) const {
   dispatch();
   note_stall_transitions();
   double last_time = 0.0;
+  double resident_wg_time = 0.0;
   while (!heap.empty()) {
     const Event ev = heap.top();
     heap.pop();
@@ -647,7 +596,7 @@ Result<SimResult> Simulator::RunPipeline(const PipelineSpec& spec) const {
       for (auto& sim : ks) {
         if (sim.stalled) sim.stall_cycles += dt;
       }
-      result.counters.resident_wg_time += total_resident * dt;
+      resident_wg_time += total_resident * dt;
       last_time = ev.time;
     }
     now = ev.time;
@@ -695,7 +644,8 @@ Result<SimResult> Simulator::RunPipeline(const PipelineSpec& spec) const {
   }
 
   // ---- Aggregate counters ----
-  HwCounters& c = result.counters;
+  HwCounters c;
+  c.resident_wg_time = resident_wg_time;
   const double overhead =
       static_cast<double>(device_.kernel_launch_cycles) * num_kernels +
       static_cast<double>(device_.tile_dispatch_cycles) *
@@ -716,19 +666,6 @@ Result<SimResult> Simulator::RunPipeline(const PipelineSpec& spec) const {
     } else {
       c.bytes_via_channel += spec.kernels[static_cast<size_t>(k)].bytes_out;
     }
-
-    KernelStats stats;
-    stats.name = spec.kernels[static_cast<size_t>(k)].desc.name;
-    stats.busy_cycles = (sim.work.alu + sim.work.mem + sim.work.chan) * n;
-    stats.compute_cycles = sim.work.alu * n;
-    stats.mem_cycles = sim.work.mem * n;
-    stats.channel_cycles = sim.work.chan * n;
-    stats.stall_cycles = sim.stall_cycles;
-    stats.finish_cycles = sim.finish_time;
-    stats.valu_busy = sim.work.alu * n / (c.elapsed_cycles * device_.num_cus);
-    stats.mem_unit_busy =
-        (sim.work.mem + sim.work.chan) * n / (c.elapsed_cycles * device_.num_cus);
-    result.kernels.push_back(std::move(stats));
 
     if (trace != nullptr) {
       const double hit_ratio =
@@ -768,7 +705,7 @@ Result<SimResult> Simulator::RunPipeline(const PipelineSpec& spec) const {
                    "segment", 0.0, c.elapsed_cycles, std::move(args));
     trace->AdvanceOrigin(c.elapsed_cycles);
   }
-  return result;
+  return c;
 }
 
 }  // namespace sim

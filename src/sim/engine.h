@@ -74,33 +74,14 @@ struct PipelineSpec {
   std::string label;
 };
 
-/// Per-kernel outcome of a simulated execution.
-struct KernelStats {
-  std::string name;
-  double busy_cycles = 0.0;   ///< ALU + MEM + channel work
-  double stall_cycles = 0.0;  ///< starved/blocked time (delay)
-  double finish_cycles = 0.0;
-  double valu_busy = 0.0;
-  double mem_unit_busy = 0.0;
-
-  // Busy-cycle components (busy_cycles = compute + mem + channel).
-  double compute_cycles = 0.0;
-  double mem_cycles = 0.0;
-  double channel_cycles = 0.0;
-};
-
-/// Result of a simulated execution.
-struct SimResult {
-  HwCounters counters;
-  std::vector<KernelStats> kernels;
-
-  double elapsed_cycles() const { return counters.elapsed_cycles; }
-};
-
-/// The GPU timing simulator. All Run* methods are const: the simulator holds
-/// only the device description and derived models, so a Simulator is safe to
-/// share across threads — provided concurrent runs do not share a
-/// TraceCollector (the collector is the only mutable state a run touches).
+/// The GPU timing simulator. Every Run* method returns the run's HwCounters:
+/// the per-query counters the paper reads off the device (VALUBusy,
+/// MemUnitBusy, cache hit ratio, occupancy). The per-kernel record is the
+/// trace's kernel phases (TraceCollector::AddKernelPhase, Figures 20/29).
+/// All Run* methods are const: the simulator holds only the device
+/// description and derived models, so a Simulator is safe to share across
+/// threads — provided concurrent runs do not share a TraceCollector (the
+/// collector is the only mutable state a run touches).
 class Simulator {
  public:
   /// With a non-null `metrics`, the simulator registers per-device counters
@@ -121,10 +102,10 @@ class Simulator {
   /// collector's current origin and the origin advances past it. When
   /// `fault` is non-null it is consulted before the launch; an injected
   /// abort/reset returns kTransientDeviceError with nothing recorded.
-  Result<SimResult> RunKernelBatch(const KernelLaunch& launch,
-                                   int64_t resident_bytes,
-                                   trace::TraceCollector* trace = nullptr,
-                                   FaultInjector* fault = nullptr) const;
+  Result<HwCounters> RunKernelBatch(const KernelLaunch& launch,
+                                    int64_t resident_bytes,
+                                    trace::TraceCollector* trace = nullptr,
+                                    FaultInjector* fault = nullptr) const;
 
   /// GPL pipelined execution of a segment: kernels run concurrently,
   /// exchanging tiles through channels (discrete-event simulation at
@@ -132,29 +113,15 @@ class Simulator {
   /// fail with kChannelAllocFailed (before any simulated work) and kernel
   /// launches with kTransientDeviceError; a failed run leaves no state
   /// behind (all simulation state is local to the call).
-  Result<SimResult> RunPipeline(const PipelineSpec& spec) const;
+  Result<HwCounters> RunPipeline(const PipelineSpec& spec) const;
 
   /// GPL (w/o CE) ablation: same tiling, but kernels execute one at a time
   /// per tile, with per-tile kernel launches and materialized intermediates.
   /// Needs no channels, so it doubles as the degraded-execution path when
-  /// RunPipeline's channel allocation fails.
-  Result<SimResult> RunSequentialTiles(const PipelineSpec& spec) const;
-
-  /// Accounting of one fused-segment execution, fed to the obs registry.
-  struct FusedAccounting {
-    int fused_kernels = 0;      ///< composed kernels (chains of >1 stage)
-    int launches_saved = 0;     ///< per-stage launches fusion eliminated
-    int64_t bytes_avoided = 0;  ///< interior hand-off bytes kept in registers
-  };
-
-  /// Fused execution of a segment whose fusible chains were composed into
-  /// single kernels (spec.kernels holds one launch per chain). The composed
-  /// kernels run one after another over materialized group boundaries —
-  /// RunSequentialTiles' timing — but with fewer, denser kernels: the saved
-  /// launches and eliminated hand-off traffic are already absent from the
-  /// spec. `accounting` only feeds the fused metrics counters.
-  Result<SimResult> RunFusedSegment(const PipelineSpec& spec,
-                                    const FusedAccounting& accounting) const;
+  /// RunPipeline's channel allocation fails. A fused segment runs here too:
+  /// its spec holds one composed kernel per fused chain, so the chains'
+  /// interior launches and hand-offs are already absent.
+  Result<HwCounters> RunSequentialTiles(const PipelineSpec& spec) const;
 
  private:
   struct WgWork {
@@ -186,9 +153,6 @@ class Simulator {
   obs::Counter* tile_dispatches_ = nullptr;
   obs::Counter* channel_reservations_ = nullptr;
   obs::Counter* throttle_events_ = nullptr;
-  obs::Counter* fused_kernels_ = nullptr;
-  obs::Counter* fused_launches_saved_ = nullptr;
-  obs::Counter* fused_bytes_avoided_ = nullptr;
 };
 
 }  // namespace sim

@@ -176,7 +176,7 @@ TEST(SimulatorFaultTest, KernelAbortFailsTheBatch) {
   sim::FaultConfig config;
   config.scheduled.push_back({sim::FaultKind::kTransientKernelAbort, 0});
   sim::FaultInjector injector(config);
-  Result<sim::SimResult> result =
+  Result<sim::HwCounters> result =
       sim.RunKernelBatch(MakeLaunch("k", 100000), 0, nullptr, &injector);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kTransientDeviceError);
@@ -185,16 +185,16 @@ TEST(SimulatorFaultTest, KernelAbortFailsTheBatch) {
 TEST(SimulatorFaultTest, ThrottledBatchIsSlowerAndStalls) {
   sim::Simulator sim(sim::DeviceSpec::AmdA10());
   const sim::KernelLaunch launch = MakeLaunch("k", 1000000);
-  const sim::SimResult clean = *sim.RunKernelBatch(launch, 0);
+  const sim::HwCounters clean = *sim.RunKernelBatch(launch, 0);
 
   sim::FaultConfig config;
   config.throttle_penalty = 0.5;
   config.scheduled.push_back({sim::FaultKind::kMemoryThrottle, 0});
   sim::FaultInjector injector(config);
-  const sim::SimResult throttled =
+  const sim::HwCounters throttled =
       *sim.RunKernelBatch(launch, 0, nullptr, &injector);
-  EXPECT_GT(throttled.elapsed_cycles(), clean.elapsed_cycles());
-  EXPECT_GT(throttled.counters.stall_cycles, clean.counters.stall_cycles);
+  EXPECT_GT(throttled.elapsed_cycles, clean.elapsed_cycles);
+  EXPECT_GT(throttled.stall_cycles, clean.stall_cycles);
 }
 
 TEST(SimulatorFaultTest, ChannelFailureFailsThePipeline) {
@@ -204,7 +204,7 @@ TEST(SimulatorFaultTest, ChannelFailureFailsThePipeline) {
   config.scheduled.push_back({sim::FaultKind::kChannelAllocFailed, 0});
   sim::FaultInjector injector(config);
   spec.fault = &injector;
-  Result<sim::SimResult> result = sim.RunPipeline(spec);
+  Result<sim::HwCounters> result = sim.RunPipeline(spec);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kChannelAllocFailed);
 
@@ -217,7 +217,7 @@ TEST(SimulatorFaultTest, ChannelFailureFailsThePipeline) {
 TEST(SimulatorFaultTest, InertInjectorDoesNotPerturbTiming) {
   sim::Simulator sim(sim::DeviceSpec::AmdA10());
   sim::PipelineSpec spec = TwoStagePipeline(500000);
-  const sim::SimResult plain = *sim.RunPipeline(spec);
+  const sim::HwCounters plain = *sim.RunPipeline(spec);
 
   // An injector whose faults never fire must be timing-invisible.
   sim::FaultConfig config;
@@ -225,10 +225,10 @@ TEST(SimulatorFaultTest, InertInjectorDoesNotPerturbTiming) {
       {sim::FaultKind::kTransientKernelAbort, /*site_index=*/1 << 20});
   sim::FaultInjector injector(config);
   spec.fault = &injector;
-  const sim::SimResult guarded = *sim.RunPipeline(spec);
-  EXPECT_EQ(plain.counters.elapsed_cycles, guarded.counters.elapsed_cycles);
-  EXPECT_EQ(plain.counters.stall_cycles, guarded.counters.stall_cycles);
-  EXPECT_EQ(plain.counters.channel_cycles, guarded.counters.channel_cycles);
+  const sim::HwCounters guarded = *sim.RunPipeline(spec);
+  EXPECT_EQ(plain.elapsed_cycles, guarded.elapsed_cycles);
+  EXPECT_EQ(plain.stall_cycles, guarded.stall_cycles);
+  EXPECT_EQ(plain.channel_cycles, guarded.channel_cycles);
   EXPECT_GT(injector.stats().kernel_launches, 0);
 }
 

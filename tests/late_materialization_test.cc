@@ -22,6 +22,7 @@
 #include "exec/partitioned_join.h"
 #include "exec/primitives.h"
 #include "queries/tpch_queries.h"
+#include "sim/fault.h"
 #include "test_util.h"
 
 namespace gpl {
@@ -388,14 +389,18 @@ INSTANTIATE_TEST_SUITE_P(
     ThreadsAndSnapshot, LateMaterializationTest,
     ::testing::Combine(::testing::Values(1, 4), ::testing::Bool()));
 
-/// HwCounters and elapsed_ms of Q5 and Q9 at SF 0.01, recorded before the
-/// functional layer passed row batches: simulated time reads only observed
-/// rows and bytes, so it must not move by one bit.
+/// HwCounters and elapsed_ms of Q5 and Q9 at SF 0.01. Simulated time reads
+/// only observed rows and bytes, so neither the functional layer nor the
+/// simulator's plumbing may move it by one bit. The rows cover every
+/// simulator path: RunKernelBatch (kbe, ocelot), RunPipeline (gpl),
+/// RunSequentialTiles (noce, fused, and gpl with every channel allocation
+/// failing, which degrades each pipelined segment).
 struct PinnedRun {
   const char* query;
   EngineMode mode;
   double elapsed_ms;
   sim::HwCounters counters;
+  bool channels_fail = false;
 };
 
 const PinnedRun kPinned[] = {
@@ -426,6 +431,29 @@ const PinnedRun kPinned[] = {
       0x1.1e6d075075075p+16, 0x1.335f6cccccccfp+18, 0x1.85a6p+17,
       0x1.447688eb710ecp+17, 0x1.466eadddddddep+17, 0x1.429a263d70a3ep+22,
       2091656, 4786916}},
+    {"Q5", EngineMode::kGplNoCe, 0x1.4ea4e33b394cap-1,
+     {0x1.cb90504e04e05p+18, 0x1.6ad8p+17, 0x1.cae2b3a83a83bp+18, 0x0p+0,
+      0x0p+0, 0x1.8e7p+18, 0x1.54b5p+12, 0x1.6b38p+12,
+      0x1.5d49285f15f17p+22, 374024, 0}},
+    {"Q9", EngineMode::kGplNoCe, 0x1.5b56cc285b4dap+0,
+     {0x1.dcff62be2be2cp+19, 0x1.443ap+19, 0x1.367ed8af8af8cp+22, 0x0p+0,
+      0x0p+0, 0x1.482p+18, 0x1.2ab599999999ap+14, 0x1.3688p+14,
+      0x1.161c8495f15f2p+26, 13320772, 0}},
+    {"Q5", EngineMode::kOcelot, 0x1.09ca05525f407p-1,
+     {0x1.6d017eeeeeeefp+18, 0x1.7a18p+17, 0x1.087a0283a83a9p+19, 0x0p+0,
+      0x0p+0, 0x1.24f8p+18, 0x1.7a6699999999ap+12, 0x1.982p+12,
+      0x1.70f9ead41d41ep+22, 376557, 0}},
+    {"Q9", EngineMode::kOcelot, 0x1.72432aa62c3aap+0,
+     {0x1.fc7a5d41d41d4p+19, 0x1.61fap+19, 0x1.836a45f15f15fp+22, 0x0p+0,
+      0x0p+0, 0x1.d4cp+17, 0x1.3e40333333333p+14, 0x1.54c8p+14,
+      0x1.5d06d30ea0ea1p+26, 13559623, 0}},
+    // Every pipelined segment degrades to RunSequentialTiles with the tuned
+    // parameters the noce mode also runs, so this equals the noce row.
+    {"Q5", EngineMode::kGpl, 0x1.4ea4e33b394cap-1,
+     {0x1.cb90504e04e05p+18, 0x1.6ad8p+17, 0x1.cae2b3a83a83bp+18, 0x0p+0,
+      0x0p+0, 0x1.8e7p+18, 0x1.54b5p+12, 0x1.6b38p+12,
+      0x1.5d49285f15f17p+22, 374024, 0},
+     /*channels_fail=*/true},
 };
 
 TEST(LateMaterializationPinTest, SimulatedTimeIsPinned) {
@@ -435,13 +463,21 @@ TEST(LateMaterializationPinTest, SimulatedTimeIsPinned) {
   const tpch::Database db = tpch::Generate(config);
   for (const PinnedRun& pinned : kPinned) {
     SCOPED_TRACE(std::string(pinned.query) + " mode " +
-                 std::to_string(static_cast<int>(pinned.mode)));
+                 EngineModeName(pinned.mode) +
+                 (pinned.channels_fail ? " channels fail" : ""));
     EngineOptions options;
     options.mode = pinned.mode;
     Engine engine(&db, options);
+    sim::FaultConfig faults;
+    faults.channel_alloc_fail_rate = 1.0;
+    sim::FaultInjector injector(faults);
+    ExecOptions exec = options.exec;
+    if (pinned.channels_fail) exec.fault = &injector;
     Result<QueryResult> result = engine.Execute(
-        std::string(pinned.query) == "Q5" ? queries::Q5() : queries::Q9());
+        std::string(pinned.query) == "Q5" ? queries::Q5() : queries::Q9(),
+        exec);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->metrics.degraded_segments > 0, pinned.channels_fail);
     EXPECT_EQ(result->metrics.elapsed_ms, pinned.elapsed_ms);
     testing_util::ExpectCountersBitIdentical(pinned.counters,
                                              result->metrics.counters);

@@ -81,9 +81,9 @@ TEST(CalibrationTest, LookupInterpolatesUnseenPoints) {
 TEST(ProducerConsumerTest, TransfersAllData) {
   sim::ChannelConfig config;
   config.num_channels = 4;
-  const sim::SimResult r = RunProducerConsumer(AmdSim(), config, MiB(4));
-  EXPECT_GT(r.elapsed_cycles(), 0.0);
-  EXPECT_EQ(r.counters.bytes_via_channel, MiB(4));
+  const sim::HwCounters r = RunProducerConsumer(AmdSim(), config, MiB(4));
+  EXPECT_GT(r.elapsed_cycles, 0.0);
+  EXPECT_EQ(r.bytes_via_channel, MiB(4));
 }
 
 // ---- Cost model ----

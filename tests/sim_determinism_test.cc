@@ -41,24 +41,24 @@ class DeterminismTest : public ::testing::TestWithParam<int64_t> {};
 TEST_P(DeterminismTest, RepeatedPipelineRunsAgreeExactly) {
   Simulator sim(DeviceSpec::AmdA10());
   const PipelineSpec spec = MakeSpec(GetParam(), 32, MiB(1));
-  const SimResult a = *sim.RunPipeline(spec);
-  const SimResult b = *sim.RunPipeline(spec);
-  EXPECT_DOUBLE_EQ(a.elapsed_cycles(), b.elapsed_cycles());
-  EXPECT_DOUBLE_EQ(a.counters.compute_cycles, b.counters.compute_cycles);
-  EXPECT_DOUBLE_EQ(a.counters.mem_cycles, b.counters.mem_cycles);
-  EXPECT_DOUBLE_EQ(a.counters.channel_cycles, b.counters.channel_cycles);
-  EXPECT_DOUBLE_EQ(a.counters.stall_cycles, b.counters.stall_cycles);
+  const HwCounters a = *sim.RunPipeline(spec);
+  const HwCounters b = *sim.RunPipeline(spec);
+  EXPECT_DOUBLE_EQ(a.elapsed_cycles, b.elapsed_cycles);
+  EXPECT_DOUBLE_EQ(a.compute_cycles, b.compute_cycles);
+  EXPECT_DOUBLE_EQ(a.mem_cycles, b.mem_cycles);
+  EXPECT_DOUBLE_EQ(a.channel_cycles, b.channel_cycles);
+  EXPECT_DOUBLE_EQ(a.stall_cycles, b.stall_cycles);
 }
 
 TEST_P(DeterminismTest, SequentialAndBatchAgreeAcrossRuns) {
   Simulator sim(DeviceSpec::AmdA10());
   const PipelineSpec spec = MakeSpec(GetParam(), 32, MiB(1));
-  EXPECT_DOUBLE_EQ(sim.RunSequentialTiles(spec)->elapsed_cycles(),
-                   sim.RunSequentialTiles(spec)->elapsed_cycles());
+  EXPECT_DOUBLE_EQ(sim.RunSequentialTiles(spec)->elapsed_cycles,
+                   sim.RunSequentialTiles(spec)->elapsed_cycles);
   KernelLaunch launch = spec.kernels[0];
   launch.output = Endpoint::kGlobal;
-  EXPECT_DOUBLE_EQ(sim.RunKernelBatch(launch, 0)->elapsed_cycles(),
-                   sim.RunKernelBatch(launch, 0)->elapsed_cycles());
+  EXPECT_DOUBLE_EQ(sim.RunKernelBatch(launch, 0)->elapsed_cycles,
+                   sim.RunKernelBatch(launch, 0)->elapsed_cycles);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, DeterminismTest,
@@ -70,7 +70,7 @@ TEST(SimMonotonicityTest, MoreComputeInstructionsNeverFaster) {
   for (double c_inst : {2.0, 8.0, 32.0, 128.0}) {
     PipelineSpec spec = MakeSpec(1000000, 32, MiB(1));
     spec.kernels[0].desc.compute_inst_per_row = c_inst;
-    const double elapsed = sim.RunPipeline(spec)->elapsed_cycles();
+    const double elapsed = sim.RunPipeline(spec)->elapsed_cycles;
     EXPECT_GE(elapsed, prev);
     prev = elapsed;
   }
@@ -85,7 +85,7 @@ TEST(SimMonotonicityTest, HigherLatencyNeverFaster) {
     PipelineSpec spec = MakeSpec(1000000, 32, MiB(1));
     spec.kernels[0].desc.random_access_fraction = 0.8;
     spec.kernels[0].desc.random_working_set_bytes = MiB(32);
-    const double elapsed = sim.RunPipeline(spec)->elapsed_cycles();
+    const double elapsed = sim.RunPipeline(spec)->elapsed_cycles;
     EXPECT_GE(elapsed, prev);
     prev = elapsed;
   }
@@ -104,7 +104,7 @@ TEST(SimMonotonicityTest, MoreBandwidthNeverSlowerForScans) {
     launch.rows_in = 4000000;
     launch.bytes_in = 64000000;
     launch.bytes_out = 0;
-    const double elapsed = sim.RunKernelBatch(launch, 0)->elapsed_cycles();
+    const double elapsed = sim.RunKernelBatch(launch, 0)->elapsed_cycles;
     EXPECT_LE(elapsed, prev);
     prev = elapsed;
   }

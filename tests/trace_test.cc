@@ -25,10 +25,10 @@ using testing_util::SmallDb;
 using sim::ChannelConfig;
 using sim::DeviceSpec;
 using sim::Endpoint;
+using sim::HwCounters;
 using sim::KernelLaunch;
 using sim::PipelineSpec;
 using sim::Simulator;
-using sim::SimResult;
 
 KernelLaunch MakeLaunch(const std::string& name, int64_t rows,
                         int64_t bytes_in, int64_t bytes_out) {
@@ -99,9 +99,9 @@ TEST(TraceCollectorTest, PipelineSpansMatchSimulatedTime) {
   PipelineSpec spec = TwoStagePipeline(500000);
   spec.trace = &collector;
   spec.label = "test segment";
-  const SimResult r = *sim.RunPipeline(spec);
+  const HwCounters r = *sim.RunPipeline(spec);
 
-  const double elapsed = r.elapsed_cycles();
+  const double elapsed = r.elapsed_cycles;
   ASSERT_FALSE(collector.spans().empty());
 
   const int seg_track = collector.TrackId("segment");
@@ -141,16 +141,16 @@ TEST(TraceCollectorTest, PipelineSpansMatchSimulatedTime) {
 TEST(TraceCollectorTest, ConsecutiveRunsLayOutEndToEnd) {
   Simulator sim(DeviceSpec::AmdA10());
   trace::TraceCollector collector;
-  const SimResult first =
+  const HwCounters first =
       *sim.RunKernelBatch(MakeLaunch("k", 100000, 800000, 0), 0, &collector);
   const size_t spans_after_first = collector.spans().size();
-  const SimResult second =
+  const HwCounters second =
       *sim.RunKernelBatch(MakeLaunch("k", 100000, 800000, 0), 0, &collector);
   ASSERT_EQ(collector.spans().size(), spans_after_first + 1);
   const trace::SpanEvent& a = collector.spans()[spans_after_first - 1];
   const trace::SpanEvent& b = collector.spans()[spans_after_first];
-  EXPECT_DOUBLE_EQ(b.start_cycles, first.elapsed_cycles());
-  EXPECT_DOUBLE_EQ(b.end_cycles - b.start_cycles, second.elapsed_cycles());
+  EXPECT_DOUBLE_EQ(b.start_cycles, first.elapsed_cycles);
+  EXPECT_DOUBLE_EQ(b.end_cycles - b.start_cycles, second.elapsed_cycles);
   EXPECT_LE(a.end_cycles, b.start_cycles + 1e-9);
 }
 
@@ -186,23 +186,20 @@ TEST(TraceCollectorTest, DisabledTracingEmitsNothingAndMatchesTracedRun) {
   trace::TraceCollector unused;
 
   PipelineSpec spec = TwoStagePipeline(300000);
-  const SimResult plain = *sim.RunPipeline(spec);  // spec.trace == nullptr
+  const HwCounters plain = *sim.RunPipeline(spec);  // spec.trace == nullptr
   EXPECT_TRUE(unused.empty());
 
   trace::TraceCollector collector;
   spec.trace = &collector;
-  const SimResult traced = *sim.RunPipeline(spec);
+  const HwCounters traced = *sim.RunPipeline(spec);
   EXPECT_FALSE(collector.empty());
 
   // Tracing must not perturb the simulation: identical counters either way.
-  EXPECT_DOUBLE_EQ(plain.counters.elapsed_cycles,
-                   traced.counters.elapsed_cycles);
-  EXPECT_DOUBLE_EQ(plain.counters.compute_cycles,
-                   traced.counters.compute_cycles);
-  EXPECT_DOUBLE_EQ(plain.counters.mem_cycles, traced.counters.mem_cycles);
-  EXPECT_DOUBLE_EQ(plain.counters.stall_cycles, traced.counters.stall_cycles);
-  EXPECT_DOUBLE_EQ(plain.counters.cache_accesses,
-                   traced.counters.cache_accesses);
+  EXPECT_DOUBLE_EQ(plain.elapsed_cycles, traced.elapsed_cycles);
+  EXPECT_DOUBLE_EQ(plain.compute_cycles, traced.compute_cycles);
+  EXPECT_DOUBLE_EQ(plain.mem_cycles, traced.mem_cycles);
+  EXPECT_DOUBLE_EQ(plain.stall_cycles, traced.stall_cycles);
+  EXPECT_DOUBLE_EQ(plain.cache_accesses, traced.cache_accesses);
 }
 
 // ---- (d) per-kernel breakdown agrees with QueryMetrics ----
@@ -320,7 +317,7 @@ TEST(MetricsJsonTest, TenDigitIntegersRoundTripExactly) {
   report.query = entry.query;
   report.metrics = entry.metrics;
   report.segments.emplace_back();
-  report.segments.back().sim.counters.bytes_materialized = 1234567891;
+  report.segments.back().counters.bytes_materialized = 1234567891;
   const std::string json = report.ToJson();
   std::string error;
   ASSERT_TRUE(trace::ValidateJson(json, &error)) << error;
