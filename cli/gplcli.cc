@@ -420,9 +420,7 @@ bool EmitSnapshot(const obs::MetricsRegistry& registry, int seq,
 /// submission, the driver drains the oldest in-flight query and retries —
 /// the closed loop keeps the service saturated without overrunning it.
 int RunServe(const tpch::Database& db, const CliOptions& cli,
-             const EngineOptions& engine_options,
-             const std::vector<sim::DeviceSpec>& devices,
-             const sim::LinkSpec& link) {
+             const EngineOptions& engine_options) {
   Result<std::vector<std::pair<std::string, LogicalQuery>>> workload_or =
       SelectWorkload(cli.query);
   if (!workload_or.ok()) {
@@ -445,11 +443,6 @@ int RunServe(const tpch::Database& db, const CliOptions& cli,
     sopts.fault.channel_alloc_fail_rate = cli.fault_rate;
   }
   sopts.retry.max_attempts = cli.max_retries + 1;
-  if (cli.shards > 1) {
-    sopts.num_shards = cli.shards;
-    if (devices.size() > 1) sopts.devices = devices;
-    sopts.link = link;
-  }
 
   std::printf("serving %d queries (%s mix) on %d workers, queue capacity %d"
               "%s%s...\n",
@@ -773,8 +766,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--link-gbps must be positive\n");
     return 2;
   }
-  sim::LinkSpec link;
-  if (cli.link_gbps > 0.0) link.gbytes_per_sec = cli.link_gbps;
   if (cli.tile_kb > 0) {
     options.exec.use_cost_model = false;
     options.exec.overrides.tile_bytes = cli.tile_kb * 1024;
@@ -832,7 +823,7 @@ int main(int argc, char** argv) {
 
   // ---- Serve mode ----
   if (cli.serve_workers > 0) {
-    return RunServe(db, cli, options, devices, link);
+    return RunServe(db, cli, options);
   }
 
   // ---- Tracing / profiling ----

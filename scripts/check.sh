@@ -8,7 +8,8 @@
 # each GPL-family mode, plus the fusion checks under --mode=fused), an
 # --explain-analyze flag check (unsharded kbe/ocelot exit 2), a
 # serve-mode telemetry smoke (JSONL snapshots + Prometheus textfile
-# validated by scripts/validate_prom.py), a metrics-overhead
+# validated by scripts/validate_prom.py), a sharded serve smoke (--shards
+# and a mixed --device list both shard the service), a metrics-overhead
 # wall-clock gate (scripts/bench_diff.py, 3% + 50 ms slack), and the
 # host-scaling / shard-scaling / shared-work / fault / fusion-ablation
 # bench gates.
@@ -235,6 +236,28 @@ if rejected != 0 or admitted != int(sys.argv[2]):
              f"want admitted={sys.argv[2]} rejected=0")
 print(f"serve admission: OK ({admitted:g} admitted, 0 rejected)")
 PYEOF
+
+echo
+echo "=== sharded serve smoke: the service shards exactly as its engine options ==="
+# --shards and a mixed --device list reach the service only through its
+# engine options; its own stats must then count the exchange traffic and
+# the busy time of both device slots.
+for shape in --shards=2 --device=amd,nvidia; do
+  stats="$("$BUILD/cli/gplcli" --query=all --sf=0.01 --serve-workers=2 \
+    --serve-queries=22 "$shape" | grep '^submitted=')"
+  python3 - "$shape" "$stats" <<'PYEOF'
+import re, sys
+shape, line = sys.argv[1], sys.argv[2]
+fields = dict(re.findall(r"(\w+)=(\[[^]]*\]|\S+)", line))
+busy = [float(x) for x in fields.get("device_busy_ms", "[]").strip("[]").split(",") if x]
+exchange = int(fields.get("exchange_bytes", "0"))
+if (fields.get("completed") != "22" or fields.get("failed") != "0"
+        or exchange <= 0 or len(busy) != 2 or min(busy) <= 0):
+    sys.exit(f"sharded serve {shape}: bad stats line: {line}")
+print(f"sharded serve {shape}: OK (exchange_bytes={exchange}, "
+      f"device_busy_ms={busy})")
+PYEOF
+done
 
 echo
 echo "=== metrics overhead: serve wall-clock, sampler + exposition on vs. off ==="

@@ -123,20 +123,12 @@ Result<shard::ShardedExecutor*> Engine::ShardedFor(const ExecOptions& exec) {
         "ShardedFor requires a sharded ExecOptions (shards > 1 or a "
         "multi-entry device_list)");
   }
-  // The sharding shape: devices (explicit list, or N copies of the engine's
-  // own device) and link bandwidth.
-  std::vector<sim::DeviceSpec> devices = exec.device_list;
-  if (devices.empty()) {
-    devices.assign(static_cast<size_t>(exec.shards), options_.device);
-  }
-  const int num_shards = static_cast<int>(devices.size());
-  sim::LinkSpec link;
-  if (exec.link_gbps > 0.0) link.gbytes_per_sec = exec.link_gbps;
-
+  shard::DeviceGroup group = shard::DeviceGroup::ForExec(exec, options_.device);
+  const int num_shards = group.size();
   std::string signature = std::to_string(num_shards);
   signature += '|';
-  signature += std::to_string(link.gbytes_per_sec);
-  for (const sim::DeviceSpec& device : devices) {
+  signature += std::to_string(group.link.gbytes_per_sec);
+  for (const sim::DeviceSpec& device : group.devices) {
     signature += '|';
     signature += device.name;
   }
@@ -158,9 +150,6 @@ Result<shard::ShardedExecutor*> Engine::ShardedFor(const ExecOptions& exec) {
     state->sharded = &*state->owned_sharded;
   }
 
-  shard::DeviceGroup group;
-  group.devices = std::move(devices);
-  group.link = link;
   EngineOptions executor_options = options_;
   executor_options.sharded_db = nullptr;  // the executor's engines are leaves
   executor_options.device_calibrations = nullptr;

@@ -62,10 +62,10 @@ Result<RowBatch> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
       map_launch.input_resident_fraction = flavor_.scan_resident_fraction;
       GPL_RETURN_NOT_OK(Record(ctx, map_launch, 0));
 
-      int64_t total = 0;
-      Column offsets = PrefixSum(flags, &total);
       if (!flavor_.bitmap_selection) {
-        // k_prefix_sum over the flags array (blocking).
+        // k_prefix_sum over the flags array (blocking). Only the launch is
+        // simulated: the host compacts through FlaggedRows, which needs no
+        // offsets.
         sim::KernelLaunch prefix_launch;
         prefix_launch.desc = PrefixSumTiming();
         prefix_launch.rows_in = n;

@@ -1,9 +1,5 @@
 #include "model/exchange_model.h"
 
-#include <algorithm>
-
-#include "model/tuning_cache.h"
-
 namespace gpl {
 namespace model {
 
@@ -70,46 +66,17 @@ ExchangeDecision PriceExchange(const ExchangeInput& input,
   return decision;
 }
 
-ExchangeDecision TuneExchange(const ExchangeInput& input,
-                              const sim::LinkSpec& link, int num_shards,
-                              int64_t fact_bytes) {
-  if (input.co_partitioned || num_shards <= 1) {
-    return PriceExchange(input, ExchangeStrategy::kCoPartitioned, link,
-                         num_shards, fact_bytes);
-  }
-  // Argmin by modeled ms (bytes as tie-break; candidate order breaks the
-  // remaining ties, so broadcast wins when both agree). Per-copy link
-  // latency is real simulated time: N-1 tiny broadcast DMAs can lose to one
-  // repartition DMA even when the repartition moves more bytes.
-  const ExchangeStrategy candidates[] = {ExchangeStrategy::kBroadcast,
-                                         ExchangeStrategy::kRepartition};
-  ExchangeDecision best;
-  bool first = true;
-  for (ExchangeStrategy strategy : candidates) {
-    ExchangeDecision candidate =
-        PriceExchange(input, strategy, link, num_shards, fact_bytes);
-    if (first || candidate.ms < best.ms ||
-        (candidate.ms == best.ms && candidate.bytes < best.bytes)) {
-      best = candidate;
-      first = false;
-    }
-  }
-  return best;
-}
-
-namespace {
-
-/// The exact subset argmin behind PlanExchange. Decisions are coupled: the
-/// spine relocation is charged once per plan (the fact side relocates once,
-/// not once per dimension), paid by the repartitioning relation with the
-/// widest spine — so the optimal strategy for one relation depends on which
-/// others repartition. With k eligible relations (k <= 7 for TPC-H shapes)
+/// The exact subset argmin. Decisions are coupled: the spine relocation is
+/// charged once per plan (the fact side relocates once, not once per
+/// dimension), paid by the repartitioning relation with the widest spine —
+/// so the optimal strategy for one relation depends on which others
+/// repartition. With k eligible relations (k <= 7 for TPC-H shapes)
 /// a 2^k sweep is exact and deterministic: minimize total ms, tie-break on
 /// total bytes, remaining ties go to the subset enumerated first (the
 /// all-broadcast plan).
-ExchangePlan PlanExchangeFresh(const std::vector<ExchangeInput>& inputs,
-                               const sim::LinkSpec& link, int num_shards,
-                               int64_t fact_bytes) {
+ExchangePlan PlanExchange(const std::vector<ExchangeInput>& inputs,
+                          const sim::LinkSpec& link, int num_shards,
+                          int64_t fact_bytes) {
   ExchangePlan plan;
   plan.decisions.resize(inputs.size());
 
@@ -148,7 +115,7 @@ ExchangePlan PlanExchangeFresh(const std::vector<ExchangeInput>& inputs,
   int64_t best_bytes = 0;
   bool first = true;
   // Beyond 16 eligible relations (never seen in practice) fall back to the
-  // all-broadcast baseline plus per-relation standalone tuning via mask 0.
+  // all-broadcast baseline (mask 0).
   const uint64_t num_masks = k <= 16 ? (uint64_t{1} << k) : 1;
   for (uint64_t mask = 0; mask < num_masks; ++mask) {
     double ms = 0.0;
@@ -222,32 +189,6 @@ ExchangePlan PlanExchangeFresh(const std::vector<ExchangeInput>& inputs,
     plan.total_bytes += decision.bytes;
     plan.total_ms += decision.ms;
   }
-  return plan;
-}
-
-}  // namespace
-
-ExchangePlan PlanExchange(const std::vector<ExchangeInput>& inputs,
-                          const sim::LinkSpec& link, int num_shards,
-                          int64_t fact_bytes) {
-  return PlanExchange(inputs, link, num_shards, fact_bytes, nullptr);
-}
-
-ExchangePlan PlanExchange(const std::vector<ExchangeInput>& inputs,
-                          const sim::LinkSpec& link, int num_shards,
-                          int64_t fact_bytes, TuningCache* cache) {
-  if (cache == nullptr) {
-    return PlanExchangeFresh(inputs, link, num_shards, fact_bytes);
-  }
-  // Memoized at plan granularity: the shared spine relocation couples the
-  // per-relation decisions, so anything finer could cross-serve a decision
-  // computed against a different set of inputs.
-  const std::string signature =
-      TuningCache::ExchangePlanSignature(link, num_shards, fact_bytes, inputs);
-  std::optional<ExchangePlan> hit = cache->LookupExchangePlan(signature);
-  if (hit.has_value()) return *std::move(hit);
-  ExchangePlan plan = PlanExchangeFresh(inputs, link, num_shards, fact_bytes);
-  cache->InsertExchangePlan(signature, plan);
   return plan;
 }
 

@@ -94,7 +94,9 @@ struct ExchangePlan {
 ///                 repartitioning relations pays it.
 /// Co-partitioned relations cost nothing at query time. The plan is the
 /// exact argmin over repartition subsets by total ms (bytes break ties, the
-/// all-broadcast plan wins remaining ties) — deterministic.
+/// all-broadcast plan wins remaining ties) — deterministic. With k <= 7
+/// eligible relations the 2^k sweep takes a few microseconds, so every
+/// sharded plan is priced afresh rather than memoized.
 ExchangePlan PlanExchange(const std::vector<ExchangeInput>& inputs,
                           const sim::LinkSpec& link, int num_shards,
                           int64_t fact_bytes);
@@ -102,36 +104,12 @@ ExchangePlan PlanExchange(const std::vector<ExchangeInput>& inputs,
 /// Prices one relation under one specific strategy (no choosing), as if it
 /// were the only relation exchanged: kRepartition includes the relation's
 /// own spine relocation (spine_bytes, falling back to fact_bytes when 0).
-/// The building block TuneExchange minimizes over; exposed so tests can
-/// verify the tuner against a brute-force argmin.
+/// The per-relation price PlanExchange sums; exposed so tests can check a
+/// single-relation plan against a brute-force argmin.
 ExchangeDecision PriceExchange(const ExchangeInput& input,
                                ExchangeStrategy strategy,
                                const sim::LinkSpec& link, int num_shards,
                                int64_t fact_bytes);
-
-/// Chooses the cheapest legal strategy for one relation in isolation:
-/// co-partitioned relations (and single-shard groups) move nothing;
-/// otherwise the argmin of PriceExchange over {broadcast, repartition} by
-/// modeled ms — bytes break ties, broadcast wins remaining ties (a repeated
-/// per-copy latency is real simulated time, so a small relation crossing a
-/// high-latency link once can legitimately beat N-1 tiny copies).
-/// Deterministic.
-ExchangeDecision TuneExchange(const ExchangeInput& input,
-                              const sim::LinkSpec& link, int num_shards,
-                              int64_t fact_bytes);
-
-class TuningCache;
-
-/// Memoizing overload: the whole plan is keyed by
-/// TuningCache::ExchangePlanSignature and cached, so a service replaying the
-/// same sharded queries prices the exchange once. Plan-level (not
-/// per-relation) keying is required: the shared spine relocation couples the
-/// decisions, so a relation's choice depends on every other input in the
-/// call. `cache == nullptr` falls back to fresh planning. Exact-match
-/// keying: a hit provably returns what PlanExchange would recompute.
-ExchangePlan PlanExchange(const std::vector<ExchangeInput>& inputs,
-                          const sim::LinkSpec& link, int num_shards,
-                          int64_t fact_bytes, TuningCache* cache);
 
 }  // namespace model
 }  // namespace gpl

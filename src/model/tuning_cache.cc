@@ -30,29 +30,26 @@ void AppendInt(std::string* out, long long v) {
 
 TuningCache::TuningCache(size_t max_entries) : max_entries_(max_entries) {}
 
-template <typename Map>
-void TuningCache::EvictOneLocked(Map* map, std::list<std::string>* lru) {
+void TuningCache::EvictOneLocked() {
   // Same policy as pool::SubplanCache: scan the eviction window at the LRU
   // tail and drop the least re-used entry (recompute cost is uniform for
   // tuning results, so the cost-aware score is just 1 + hits); on a tie the
   // entry closer to the tail loses, keeping the more recently used.
-  auto victim = std::prev(lru->end());
-  uint64_t victim_score = map->find(*victim)->second.hits;
-  auto it = std::prev(lru->end());
-  for (int scanned = 1; scanned < kEvictionWindow && it != lru->begin();
+  auto victim = std::prev(lru_.end());
+  uint64_t victim_score = entries_.find(*victim)->second.hits;
+  auto it = std::prev(lru_.end());
+  for (int scanned = 1; scanned < kEvictionWindow && it != lru_.begin();
        ++scanned) {
     --it;
-    const uint64_t score = map->find(*it)->second.hits;
+    const uint64_t score = entries_.find(*it)->second.hits;
     if (score < victim_score) {
       victim = it;
       victim_score = score;
     }
   }
-  auto entry_it = map->find(*victim);
-  bytes_ -= static_cast<int64_t>(victim->size() +
-                                 sizeof(typename Map::mapped_type));
-  map->erase(entry_it);
-  lru->erase(victim);
+  bytes_ -= static_cast<int64_t>(victim->size() + sizeof(Entry));
+  entries_.erase(*victim);
+  lru_.erase(victim);
   evictions_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -106,66 +103,6 @@ std::string TuningCache::SegmentSignature(const sim::DeviceSpec& device,
   return key;
 }
 
-std::string TuningCache::ExchangePlanSignature(
-    const sim::LinkSpec& link, int num_shards, int64_t fact_bytes,
-    const std::vector<ExchangeInput>& inputs) {
-  std::string key;
-  key.reserve(64 + inputs.size() * 64);
-  // Version prefix: "xp2" keys the plan-level format with spine-aware
-  // pricing. Entries written under the retired per-relation "x|" scheme (or
-  // any future shape bump) can never alias this key space.
-  key += "xp2|";
-  key += link.name;
-  key += '|';
-  AppendBits(&key, link.gbytes_per_sec);
-  AppendBits(&key, link.latency_us);
-  AppendInt(&key, num_shards);
-  AppendInt(&key, fact_bytes);
-  for (const ExchangeInput& input : inputs) {
-    key += input.table;
-    key += '|';
-    AppendInt(&key, input.bytes);
-    AppendInt(&key, input.rows);
-    AppendInt(&key, input.co_partitioned ? 1 : 0);
-    AppendInt(&key, input.spine_bytes);
-    key += ';';
-  }
-  return key;
-}
-
-std::optional<ExchangePlan> TuningCache::LookupExchangePlan(
-    const std::string& signature) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = exchange_entries_.find(signature);
-    if (it != exchange_entries_.end()) {
-      exchange_hits_.fetch_add(1, std::memory_order_relaxed);
-      ++it->second.hits;
-      exchange_lru_.splice(exchange_lru_.begin(), exchange_lru_,
-                           it->second.lru_it);
-      return it->second.plan;
-    }
-  }
-  exchange_misses_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
-}
-
-void TuningCache::InsertExchangePlan(const std::string& signature,
-                                     const ExchangePlan& plan) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (exchange_entries_.count(signature) > 0) return;  // first insert wins
-  while (max_entries_ > 0 && exchange_entries_.size() >= max_entries_ &&
-         !exchange_lru_.empty()) {
-    EvictOneLocked(&exchange_entries_, &exchange_lru_);
-  }
-  exchange_lru_.push_front(signature);
-  ExchangeEntry entry;
-  entry.plan = plan;
-  entry.lru_it = exchange_lru_.begin();
-  exchange_entries_.emplace(signature, std::move(entry));
-  bytes_ += static_cast<int64_t>(signature.size() + sizeof(ExchangeEntry));
-}
-
 std::optional<TuningChoice> TuningCache::Lookup(const std::string& signature) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -187,7 +124,7 @@ void TuningCache::Insert(const std::string& signature,
   if (entries_.count(signature) > 0) return;  // first wins (values identical)
   while (max_entries_ > 0 && entries_.size() >= max_entries_ &&
          !lru_.empty()) {
-    EvictOneLocked(&entries_, &lru_);
+    EvictOneLocked();
   }
   lru_.push_front(signature);
   Entry entry;
@@ -201,14 +138,11 @@ TuningCacheStats TuningCache::stats() const {
   TuningCacheStats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.exchange_hits = exchange_hits_.load(std::memory_order_relaxed);
-  stats.exchange_misses = exchange_misses_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats.bytes = bytes_;
-    stats.entries =
-        static_cast<int64_t>(entries_.size() + exchange_entries_.size());
+    stats.entries = static_cast<int64_t>(entries_.size());
   }
   return stats;
 }
@@ -218,23 +152,14 @@ size_t TuningCache::size() const {
   return entries_.size();
 }
 
-size_t TuningCache::exchange_size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return exchange_entries_.size();
-}
-
 void TuningCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
-  exchange_entries_.clear();
   lru_.clear();
-  exchange_lru_.clear();
   bytes_ = 0;
   evictions_.store(0, std::memory_order_relaxed);
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
-  exchange_hits_.store(0, std::memory_order_relaxed);
-  exchange_misses_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace model

@@ -9,26 +9,19 @@
 #include <string>
 #include <unordered_map>
 
-#include "model/exchange_model.h"
 #include "model/plan_tuner.h"
 #include "sim/device.h"
-#include "sim/link.h"
 
 namespace gpl {
 namespace model {
 
 /// Hit/miss counters of a TuningCache — one consistent-enough snapshot for
-/// stats reporting (the counters are monotonic atomics). Segment-tuning and
-/// exchange-planning lookups are counted separately so segment hit-rate
-/// gates are unaffected by how many exchange decisions a query prices.
+/// stats reporting (the counters are monotonic atomics).
 struct TuningCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t exchange_hits = 0;
-  uint64_t exchange_misses = 0;
   /// Bounding accounting: entries dropped by the LRU/cost-aware policy,
-  /// approximate retained bytes (keys + values), and retained entry count
-  /// (segment + exchange maps combined).
+  /// approximate retained bytes (keys + values), and retained entry count.
   uint64_t evictions = 0;
   int64_t bytes = 0;
   int64_t entries = 0;
@@ -57,12 +50,11 @@ struct TuningCacheStats {
 /// first-wins and the values are identical, so this is benign.
 class TuningCache {
  public:
-  /// `max_entries` bounds each map (segment choices and exchange plans)
-  /// independently. Past the bound the cache evicts with the same policy as
-  /// pool::SubplanCache — among the `kEvictionWindow` least-recently-used
-  /// entries, drop the least re-used (recompute cost is uniform here, so the
-  /// cost-aware score degenerates to 1 + hits); ties keep the more recently
-  /// used. 0 means unbounded.
+  /// `max_entries` bounds the number of memoized choices. Past the bound
+  /// the cache evicts with the same policy as pool::SubplanCache — among the
+  /// `kEvictionWindow` least-recently-used entries, drop the least re-used
+  /// (recompute cost is uniform here, so the cost-aware score degenerates to
+  /// 1 + hits); ties keep the more recently used. 0 means unbounded.
   explicit TuningCache(size_t max_entries = kDefaultMaxEntries);
 
   static constexpr size_t kDefaultMaxEntries = 65536;
@@ -91,30 +83,8 @@ class TuningCache {
   /// Memoizes a freshly tuned choice (first insert wins).
   void Insert(const std::string& signature, const TuningChoice& choice);
 
-  /// Exact memoization key for one whole exchange plan: link spec, shard
-  /// count, fact bytes, and every relation's model inputs (including its
-  /// attach-join spine bytes) in call order. Plan-level keying is required —
-  /// the shared spine relocation couples the per-relation decisions, so a
-  /// decision cached against one input set must never be served to another.
-  /// The key carries a format-version prefix so entries written by an older
-  /// proof/pricing shape can never cross-serve a newer one. Same exactness
-  /// rationale as SegmentSignature — PlanExchange is deterministic, so a
-  /// hit provably equals fresh planning.
-  static std::string ExchangePlanSignature(
-      const sim::LinkSpec& link, int num_shards, int64_t fact_bytes,
-      const std::vector<ExchangeInput>& inputs);
-
-  /// Returns the memoized exchange plan, counting an exchange hit; nullopt
-  /// counts an exchange miss.
-  std::optional<ExchangePlan> LookupExchangePlan(const std::string& signature);
-
-  /// Memoizes a freshly computed exchange plan (first insert wins).
-  void InsertExchangePlan(const std::string& signature,
-                          const ExchangePlan& plan);
-
   TuningCacheStats stats() const;
-  size_t size() const;           ///< memoized segment choices
-  size_t exchange_size() const;  ///< memoized exchange plans
+  size_t size() const;  ///< memoized segment choices
   void Clear();  ///< drops entries and resets the counters
 
  private:
@@ -123,28 +93,18 @@ class TuningCache {
     uint64_t hits = 0;
     std::list<std::string>::iterator lru_it;
   };
-  struct ExchangeEntry {
-    ExchangePlan plan;
-    uint64_t hits = 0;
-    std::list<std::string>::iterator lru_it;
-  };
 
-  /// Drops the least re-used entry among the window at the LRU tail of
-  /// `map`/`lru` (ties keep the more recently used). Requires mu_ held.
-  template <typename Map>
-  void EvictOneLocked(Map* map, std::list<std::string>* lru);
+  /// Drops the least re-used entry among the window at the LRU tail (ties
+  /// keep the more recently used). Requires mu_ held.
+  void EvictOneLocked();
 
   const size_t max_entries_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, Entry> entries_;
-  std::unordered_map<std::string, ExchangeEntry> exchange_entries_;
-  std::list<std::string> lru_;           ///< front = most recently used
-  std::list<std::string> exchange_lru_;  ///< front = most recently used
+  std::list<std::string> lru_;  ///< front = most recently used
   int64_t bytes_ = 0;  ///< approximate retained bytes; guarded by mu_
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> exchange_hits_{0};
-  std::atomic<uint64_t> exchange_misses_{0};
   std::atomic<uint64_t> evictions_{0};
 };
 

@@ -141,9 +141,9 @@ QueryService::QueryService(const tpch::Database* db, ServiceOptions options)
   // leaf scans batch onto one in-flight compute. Sharded services keep it
   // off — shard engines run over per-shard partitions, so whole-database
   // entries would be unsound there (the engine also nulls it for leaves).
+  const bool sharded_exec = Engine::IsShardedExec(options_.engine.exec);
   options_.engine.subplan_cache =
-      options_.subplan_cache && options_.num_shards <= 1 ? &subplan_cache_
-                                                         : nullptr;
+      options_.subplan_cache && !sharded_exec ? &subplan_cache_ : nullptr;
   options_.engine.metrics = &metrics_;
 
   admitted_counter_ = metrics_.GetCounter("gpl_service_admission_total",
@@ -211,22 +211,12 @@ QueryService::QueryService(const tpch::Database* db, ServiceOptions options)
     subplan_cache_.RegisterGauges(&metrics_, "gpl_subplan");
   }
 
-  if (options_.num_shards > 1) {
+  if (sharded_exec) {
     // Partition once; every worker's ShardedExecutor reads the same shards.
-    if (options_.devices.empty()) {
-      group_ = shard::DeviceGroup::Homogeneous(options_.engine.device,
-                                               options_.num_shards,
-                                               options_.link);
-    } else {
-      GPL_CHECK(static_cast<int>(options_.devices.size()) ==
-                options_.num_shards)
-          << "ServiceOptions::devices has " << options_.devices.size()
-          << " entries but num_shards=" << options_.num_shards;
-      group_.devices = options_.devices;
-      group_.link = options_.link;
-    }
+    group_ = shard::DeviceGroup::ForExec(options_.engine.exec,
+                                         options_.engine.device);
     shard::PartitionOptions partition;
-    partition.num_shards = options_.num_shards;
+    partition.num_shards = group_.size();
     Result<shard::ShardedDatabase> sharded =
         shard::PartitionDatabase(*db_, partition);
     GPL_CHECK(sharded.ok()) << sharded.status().ToString();
@@ -248,16 +238,12 @@ QueryService::QueryService(const tpch::Database* db, ServiceOptions options)
           &metrics_, i, group_.devices[static_cast<size_t>(i)].name));
     }
 
-    // Workers ride the unified Engine::Execute surface: the shared
-    // pre-partitioned database and per-device calibrations go in
-    // EngineOptions (so no worker re-partitions or re-calibrates), and the
-    // sharding shape goes in the default ExecOptions (so every execution
-    // routes through the engine's ShardedExecutor).
+    // Workers ride the unified Engine::Execute surface with the sharding
+    // shape of their default ExecOptions; the shared pre-partitioned
+    // database and per-device calibrations go in EngineOptions, so no
+    // worker re-partitions or re-calibrates.
     options_.engine.sharded_db = &*sharded_;
     options_.engine.device_calibrations = &shard_calibrations_;
-    options_.engine.exec.shards = options_.num_shards;
-    options_.engine.exec.device_list = group_.devices;
-    options_.engine.exec.link_gbps = options_.link.gbytes_per_sec;
   }
 
   workers_.reserve(static_cast<size_t>(options_.num_workers));

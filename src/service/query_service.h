@@ -75,6 +75,14 @@ struct ServiceOptions {
   /// `exec.fault` is likewise forced to nullptr: a FaultInjector is mutable
   /// per-execution state, so the service builds a fresh one per attempt from
   /// `fault` below instead of sharing one across workers.
+  ///
+  /// A sharded `exec` (Engine::IsShardedExec: `exec.shards` > 1 or a
+  /// multi-entry `exec.device_list`, over `exec.link_gbps`) makes the
+  /// service partition the database once at construction
+  /// (shard::PartitionDatabase), calibrate each distinct device once, and
+  /// share both with every worker engine. Placement is whole-group per
+  /// query: one query occupies all devices of its worker's group for its
+  /// duration, and retries re-run the entire sharded execution.
   EngineOptions engine;
 
   /// Fault-injection configuration (chaos testing / availability benches).
@@ -86,21 +94,6 @@ struct ServiceOptions {
 
   /// Retry policy for transient device errors.
   RetryPolicy retry;
-
-  /// Sharded execution (> 1): the service partitions the database once at
-  /// construction (shard::PartitionDatabase), shares it with every worker
-  /// engine via EngineOptions::sharded_db, and sets the sharding shape on
-  /// the workers' default ExecOptions — queries then route through the
-  /// unified Engine::Execute surface onto a device group of this size.
-  /// Placement is whole-group per query: one query occupies all devices of
-  /// its worker's group for its duration, and retries re-run the entire
-  /// sharded execution. 1 (the default) keeps the single-device path.
-  int num_shards = 1;
-  /// Device group template. Empty = num_shards copies of engine.device;
-  /// non-empty (a mixed group) must have exactly num_shards entries.
-  std::vector<sim::DeviceSpec> devices;
-  /// Interconnect of the group (exchange cost model).
-  sim::LinkSpec link;
 
   /// Shared-work execution: one pool::SubplanCache for all workers. A
   /// segment result (a built hash table included) computed by any worker is
@@ -294,7 +287,8 @@ class QueryService {
 
   const model::CalibrationTable& calibration() const { return calibration_; }
   const ServiceOptions& options() const { return options_; }
-  /// True when queries run through sharded execution (num_shards > 1).
+  /// True when queries run through sharded execution
+  /// (Engine::IsShardedExec(options().engine.exec)).
   bool sharded() const { return sharded_.has_value(); }
   /// The per-worker device-group template (empty group when !sharded()).
   const shard::DeviceGroup& device_group() const { return group_; }

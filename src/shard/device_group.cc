@@ -1,5 +1,7 @@
 #include "shard/device_group.h"
 
+#include "engine/exec_options.h"
+
 namespace gpl {
 namespace shard {
 
@@ -8,6 +10,17 @@ DeviceGroup DeviceGroup::Homogeneous(const sim::DeviceSpec& spec, int n,
   DeviceGroup group;
   group.devices.assign(static_cast<size_t>(n < 1 ? 1 : n), spec);
   group.link = std::move(link);
+  return group;
+}
+
+DeviceGroup DeviceGroup::ForExec(const ExecOptions& exec,
+                                 const sim::DeviceSpec& default_device) {
+  DeviceGroup group;
+  group.devices = exec.device_list;
+  if (group.devices.empty()) {
+    group.devices.assign(static_cast<size_t>(exec.shards), default_device);
+  }
+  if (exec.link_gbps > 0.0) group.link.gbytes_per_sec = exec.link_gbps;
   return group;
 }
 

@@ -8,6 +8,9 @@
 #include "sim/link.h"
 
 namespace gpl {
+
+struct ExecOptions;
+
 namespace shard {
 
 /// A group of simulated devices executing one sharded query — homogeneous
@@ -23,6 +26,13 @@ struct DeviceGroup {
   /// N identical devices over `link`.
   static DeviceGroup Homogeneous(const sim::DeviceSpec& spec, int n,
                                  sim::LinkSpec link = {});
+
+  /// The group a sharded `exec` runs on: `exec.device_list`, or
+  /// `exec.shards` copies of `default_device`, over a link whose bandwidth
+  /// is `exec.link_gbps` (0 keeps the sim::LinkSpec default). Engine and
+  /// QueryService both derive their groups here, so they agree on the shape.
+  static DeviceGroup ForExec(const ExecOptions& exec,
+                             const sim::DeviceSpec& default_device);
 
   /// "amd x4 over pcie3" / "amd+nvidia over pcie3" (for banners and traces).
   std::string ToString() const;

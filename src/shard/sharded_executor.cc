@@ -452,12 +452,7 @@ Result<model::ExchangePlan> ShardedExecutor::ExchangeForPlan(
     }
     inputs.push_back(std::move(input));
   }
-  // Memoized per plan: a service replaying the same sharded queries prices
-  // the whole exchange once (TuningCache::ExchangePlanSignature) — the
-  // shared spine relocation couples the per-relation decisions, so nothing
-  // finer than the plan can be cached safely.
-  return model::PlanExchange(inputs, group_.link, group_.size(), fact_bytes,
-                             tuning_cache_);
+  return model::PlanExchange(inputs, group_.link, group_.size(), fact_bytes);
 }
 
 Result<ShardedExecutor::DistributedPlan> ShardedExecutor::PlanDistributed(

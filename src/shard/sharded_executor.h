@@ -72,9 +72,9 @@ obs::Gauge* SlotBusyGauge(obs::MetricsRegistry* metrics, int slot,
 /// Exchange operators are first-class plan nodes (PhysicalOp::kExchange):
 /// planning wraps every non-fact scan of the shard subtree in an Exchange
 /// whose kind (broadcast / repartition / co-partitioned passthrough) the
-/// cost model picks per relation over the group's sim::Link, memoized in the
-/// TuningCache. On a device the operator is an identity — the link cost is
-/// charged once at the group level, exactly as priced.
+/// cost model picks per relation over the group's sim::Link. On a device the
+/// operator is an identity — the link cost is charged once at the group
+/// level, exactly as priced.
 ///
 /// Bit-identity. Double summation is non-associative, so merging per-shard
 /// *rounded* aggregates could never be bit-identical to a single-device run.
@@ -131,8 +131,7 @@ class ShardedExecutor {
   /// How Execute() would run `query`: the exchange-annotated per-shard plan
   /// plus per-exchange predictions, or the unmodified plan and the reason it
   /// falls back to one device. Pure planning — nothing executes and no
-  /// link traffic is recorded (exchange decisions do land in the
-  /// TuningCache, so a following Execute() prices them by lookup).
+  /// link traffic is recorded.
   Result<DistributedExplain> Explain(const LogicalQuery& query) const;
 
   Result<QueryResult> Execute(const LogicalQuery& query);
@@ -155,7 +154,7 @@ class ShardedExecutor {
   /// Plans `query` on the unpartitioned catalog (shared by Execute and
   /// Explain so both see identical plans), picks combine or fallback, and
   /// for a combine annotates the per-shard plan with Exchange operators
-  /// (cost-model priced, TuningCache-memoized).
+  /// (cost-model priced).
   Result<DistributedPlan> PlanDistributed(const LogicalQuery& query) const;
   /// Exchange plan for the tables scanned inside the shard subtree (tables
   /// above the aggregate run on the merge device and are never shipped).

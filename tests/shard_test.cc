@@ -522,10 +522,10 @@ TEST(ShardedExecutorTest, ExplainRendersExchangeOperatorsInline) {
   EXPECT_EQ(plain->plan_text.find("Exchange["), std::string::npos);
 }
 
-TEST(ExchangeModelTest, TuneExchangeMatchesBruteForceArgmin) {
-  // TuneExchange must pick exactly the strategy a brute-force sweep over
-  // PriceExchange finds cheapest by modeled ms (bytes breaking ties,
-  // broadcast winning what remains). The grid leans on small relations at
+TEST(ExchangeModelTest, SingleRelationPlanMatchesBruteForceArgmin) {
+  // A one-relation PlanExchange must pick exactly the strategy a brute-force
+  // sweep over PriceExchange finds cheapest by modeled ms (bytes breaking
+  // ties, broadcast winning what remains). The grid leans on small relations at
   // high shard counts — the latency-dominated corner where the ms argmin
   // diverges from the byte argmin (N-1 tiny copies vs one DMA).
   const sim::LinkSpec link;
@@ -543,7 +543,8 @@ TEST(ExchangeModelTest, TuneExchangeMatchesBruteForceArgmin) {
     for (int64_t fact_bytes : fact_sizes) {
       for (const model::ExchangeInput& input : inputs) {
         const model::ExchangeDecision got =
-            model::TuneExchange(input, link, num_shards, fact_bytes);
+            model::PlanExchange({input}, link, num_shards, fact_bytes)
+                .decisions[0];
         if (input.co_partitioned || num_shards <= 1) {
           EXPECT_EQ(got.strategy, model::ExchangeStrategy::kCoPartitioned);
           EXPECT_EQ(got.bytes, 0);
@@ -1268,10 +1269,12 @@ TEST(ShardedExecutorTest, GatherEstimateTracksMeasuredPartialBytes) {
 
 // ---- Sharded service ----
 
-TEST(ShardedServiceTest, ResultsBitIdenticalToSingleDevice) {
-  service::ServiceOptions options;
+/// Runs the evaluation suite `rounds` times through a service built from
+/// `options` and checks it ran 2-way sharded: results bit-identical to the
+/// single device, and each completed query's exchange and per-device time
+/// counted once in the series the workers' sharded executors add to.
+void ExpectTwoWayShardedService(service::ServiceOptions options, int rounds) {
   options.num_workers = 2;
-  options.num_shards = 2;
   options.queue_capacity = 64;
   service::QueryService service(&SmallDb(), options);
   EXPECT_TRUE(service.sharded());
@@ -1280,7 +1283,7 @@ TEST(ShardedServiceTest, ResultsBitIdenticalToSingleDevice) {
   std::vector<ShardedTruth> truth = SingleDeviceTruth(EngineMode::kGpl);
   std::vector<service::QueryHandle> handles;
   auto suite = queries::EvaluationSuite();
-  for (int round = 0; round < 2; ++round) {
+  for (int round = 0; round < rounds; ++round) {
     for (auto& [name, query] : suite) {
       Result<service::QueryHandle> submitted = service.Submit(name, query);
       ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
@@ -1305,8 +1308,6 @@ TEST(ShardedServiceTest, ResultsBitIdenticalToSingleDevice) {
   }
   service.Shutdown();
 
-  // Each completed query's exchange and per-device time is counted once, in
-  // the series the workers' sharded executors add to.
   const service::ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.completed, handles.size());
   EXPECT_EQ(stats.exchange_bytes, exchange_bytes);
@@ -1317,10 +1318,39 @@ TEST(ShardedServiceTest, ResultsBitIdenticalToSingleDevice) {
   }
 }
 
+TEST(ShardedServiceTest, ResultsBitIdenticalToSingleDevice) {
+  service::ServiceOptions options;
+  options.engine.exec.shards = 2;
+  ExpectTwoWayShardedService(options, /*rounds=*/2);
+}
+
+TEST(ShardedServiceTest, ShardedExactlyWhenEngineOptionsAre) {
+  // The engine options alone carry the shape: either way of asking for two
+  // shards must shard the service's own partition, calibrations and
+  // exchange/busy series, not only its workers.
+  {
+    SCOPED_TRACE("exec.shards = 2");
+    service::ServiceOptions options;
+    options.engine.exec.shards = 2;
+    ExpectTwoWayShardedService(options, /*rounds=*/1);
+  }
+  {
+    SCOPED_TRACE("exec.device_list = {amd, nvidia}");
+    service::ServiceOptions options;
+    options.engine.exec.device_list = {sim::DeviceSpec::AmdA10(),
+                                       sim::DeviceSpec::NvidiaK40()};
+    ExpectTwoWayShardedService(options, /*rounds=*/1);
+  }
+  service::ServiceOptions single;
+  service::QueryService unsharded(&SmallDb(), single);
+  EXPECT_FALSE(unsharded.sharded());
+  EXPECT_EQ(unsharded.device_group().size(), 0);
+}
+
 TEST(ShardedServiceTest, RetriesRecoverInjectedFaultsUnderSharding) {
   service::ServiceOptions options;
   options.num_workers = 2;
-  options.num_shards = 2;
+  options.engine.exec.shards = 2;
   options.queue_capacity = 64;
   options.fault.kernel_abort_rate = 0.01;
   options.fault.seed = 17;

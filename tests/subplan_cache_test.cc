@@ -330,6 +330,10 @@ TEST(TuningCacheBoundingTest, EvictsPastMaxEntriesAndCountsBytes) {
   // The most recent insertions survived the LRU-windowed policy.
   EXPECT_TRUE(cache.Lookup("seg-9").has_value());
   EXPECT_FALSE(cache.Lookup("seg-0").has_value());
+
+  cache.Clear();
+  EXPECT_EQ(cache.stats().bytes, 0);
+  EXPECT_EQ(cache.stats().entries, 0);
 }
 
 TEST(TuningCacheBoundingTest, ReusedEntriesSurviveTheEvictionWindow) {
@@ -345,19 +349,6 @@ TEST(TuningCacheBoundingTest, ReusedEntriesSurviveTheEvictionWindow) {
   cache.Insert("seg-new", choice);  // forces one eviction
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_TRUE(cache.Lookup("seg-0").has_value());  // hot entry kept
-}
-
-TEST(TuningCacheBoundingTest, ExchangePlansAreBoundedIndependently) {
-  model::TuningCache cache(/*max_entries=*/2);
-  model::ExchangePlan plan;
-  for (int i = 0; i < 5; ++i) {
-    cache.InsertExchangePlan("xp-" + std::to_string(i), plan);
-  }
-  EXPECT_EQ(cache.exchange_size(), 2u);
-  EXPECT_GE(cache.stats().evictions, 3u);
-  cache.Clear();
-  EXPECT_EQ(cache.stats().bytes, 0);
-  EXPECT_EQ(cache.stats().entries, 0);
 }
 
 }  // namespace
