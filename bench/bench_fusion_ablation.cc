@@ -23,29 +23,7 @@
 
 #include "bench_util.h"
 
-namespace {
-
 using namespace gpl;
-
-bool TablesBitIdentical(const Table& expected, const Table& actual) {
-  if (expected.num_columns() != actual.num_columns() ||
-      expected.num_rows() != actual.num_rows()) {
-    return false;
-  }
-  for (int64_t i = 0; i < expected.num_columns(); ++i) {
-    if (expected.ColumnNameAt(i) != actual.ColumnNameAt(i)) return false;
-    const Column& e = expected.ColumnAt(i);
-    const Column& a = actual.ColumnAt(i);
-    if (e.type() != a.type()) return false;
-    if (e.data32() != a.data32() || e.data64() != a.data64() ||
-        e.dataf() != a.dataf()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   benchutil::BenchArgs args =
@@ -88,7 +66,8 @@ int main(int argc, char** argv) {
     const QueryResult fused =
         benchutil::Run(db, EngineMode::kFused, query, args.device);
 
-    const bool bit_identical = TablesBitIdentical(kbe.table, fused.table);
+    const bool bit_identical =
+        benchutil::TablesBitIdentical(kbe.table, fused.table);
     all_bit_identical = all_bit_identical && bit_identical;
     const QueryMetrics& fm = fused.metrics;
     const double ratio = gpl.metrics.elapsed_ms > 0.0

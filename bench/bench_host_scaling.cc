@@ -7,7 +7,9 @@
 ///
 /// Per (threads, query): cold wall (first run, tuner grid search), warm wall
 /// (best of 3, tuning cache hot), speedup vs the serial warm wall, and the
-/// tuning-cache hit rate. JSONL rows go to --out (default
+/// query's warm tuning-cache hit rate. Every thread count runs its cold pass
+/// first; then the warm reps alternate between thread counts, one batch of
+/// all queries at a time. JSONL rows go to --out (default
 /// BENCH_host_scaling.json).
 ///
 /// --quick runs {1, 8} threads only and turns the bench into a smoke gate
@@ -19,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -30,34 +33,10 @@ namespace {
 
 using namespace gpl;
 
-bool TablesBitIdentical(const Table& expected, const Table& actual) {
-  if (expected.num_columns() != actual.num_columns() ||
-      expected.num_rows() != actual.num_rows()) {
-    return false;
-  }
-  for (int64_t i = 0; i < expected.num_columns(); ++i) {
-    if (expected.ColumnNameAt(i) != actual.ColumnNameAt(i)) return false;
-    const Column& e = expected.ColumnAt(i);
-    const Column& a = actual.ColumnAt(i);
-    if (e.type() != a.type()) return false;
-    if (e.data32() != a.data32() || e.data64() != a.data64() ||
-        e.dataf() != a.dataf()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool CountersBitIdentical(const sim::HwCounters& e, const sim::HwCounters& a) {
-  return e.elapsed_cycles == a.elapsed_cycles &&
-         e.compute_cycles == a.compute_cycles &&
-         e.mem_cycles == a.mem_cycles &&
-         e.channel_cycles == a.channel_cycles &&
-         e.stall_cycles == a.stall_cycles &&
-         e.launch_cycles == a.launch_cycles && e.cache_hits == a.cache_hits &&
-         e.cache_accesses == a.cache_accesses &&
-         e.bytes_materialized == a.bytes_materialized &&
-         e.bytes_via_channel == a.bytes_via_channel;
+double HitRate(int64_t hits, int64_t misses) {
+  return hits + misses > 0
+             ? static_cast<double>(hits) / static_cast<double>(hits + misses)
+             : 0.0;
 }
 
 struct TimedRun {
@@ -137,88 +116,102 @@ int main(int argc, char** argv) {
               "cold (ms)", "warm best (ms)", "speedup", "hit rate",
               "bit-id");
 
-  // Per-query serial warm baselines (thread_counts always starts at 1).
-  std::vector<QueryResult> serial_results;
-  std::vector<double> serial_warm_ms;
-  double serial_batch_warm_ms = 0.0;
-  double eight_batch_warm_ms = -1.0;
-  double eight_hit_rate = -1.0;
-  bool all_bit_identical = true;
-
+  // One engine per thread count. The engine-owned tuning cache persists
+  // across Execute calls, so each engine's cold pass populates it and the
+  // warm passes measure hits.
+  std::vector<std::unique_ptr<Engine>> engines;
   for (int threads : thread_counts) {
     EngineOptions options;
     options.mode = EngineMode::kGpl;
     options.device = device;
     options.calibration = &calibration;
     options.exec.host_threads = threads;
-    // The engine-owned tuning cache persists across Execute calls, so the
-    // cold pass populates it and the warm pass below measures hits.
-    Engine engine(&db, options);
+    engines.push_back(std::make_unique<Engine>(&db, options));
+  }
 
-    double batch_warm_ms = 0.0;
+  struct QueryRuns {
+    double cold_ms = 0.0;
+    double warm_best_ms = 0.0;
     int64_t warm_hits = 0;
     int64_t warm_misses = 0;
+    QueryResult warm_result;
+  };
+  std::vector<std::vector<QueryRuns>> runs(
+      thread_counts.size(), std::vector<QueryRuns>(workload.size()));
+  for (size_t t = 0; t < thread_counts.size(); ++t) {
     for (size_t q = 0; q < workload.size(); ++q) {
-      const auto& [name, query] = workload[q];
-      const TimedRun cold = TimedExecute(engine, name, query);
-      double warm_best_ms = 0.0;
-      QueryResult warm_result;
-      for (int rep = 0; rep < kWarmReps; ++rep) {
-        TimedRun warm = TimedExecute(engine, name, query);
-        if (rep == 0 || warm.wall_ms < warm_best_ms) {
-          warm_best_ms = warm.wall_ms;
+      runs[t][q].cold_ms =
+          TimedExecute(*engines[t], workload[q].first, workload[q].second)
+              .wall_ms;
+    }
+  }
+  // Warm reps alternate between the thread counts batch by batch, so a phase
+  // of CPU steal on a shared host lands on every side, not on one.
+  for (int rep = 0; rep < kWarmReps; ++rep) {
+    for (size_t t = 0; t < thread_counts.size(); ++t) {
+      for (size_t q = 0; q < workload.size(); ++q) {
+        QueryRuns& r = runs[t][q];
+        TimedRun warm =
+            TimedExecute(*engines[t], workload[q].first, workload[q].second);
+        if (rep == 0 || warm.wall_ms < r.warm_best_ms) {
+          r.warm_best_ms = warm.wall_ms;
         }
-        warm_hits += warm.result.metrics.tuning_cache_hits;
-        warm_misses += warm.result.metrics.tuning_cache_misses;
-        warm_result = std::move(warm.result);
+        r.warm_hits += warm.result.metrics.tuning_cache_hits;
+        r.warm_misses += warm.result.metrics.tuning_cache_misses;
+        r.warm_result = std::move(warm.result);
       }
-      batch_warm_ms += warm_best_ms;
+    }
+  }
 
-      bool bit_identical = true;
-      double speedup = 1.0;
-      if (threads == 1) {
-        serial_results.push_back(warm_result);
-        serial_warm_ms.push_back(warm_best_ms);
-      } else {
-        const QueryResult& baseline = serial_results[q];
-        bit_identical =
-            TablesBitIdentical(baseline.table, warm_result.table) &&
-            CountersBitIdentical(baseline.metrics.counters,
-                                 warm_result.metrics.counters) &&
-            baseline.metrics.elapsed_ms == warm_result.metrics.elapsed_ms;
-        all_bit_identical = all_bit_identical && bit_identical;
-        speedup = warm_best_ms > 0.0 ? serial_warm_ms[q] / warm_best_ms : 0.0;
-      }
+  // thread_counts always starts at 1: runs[0] is the serial baseline.
+  double serial_batch_warm_ms = 0.0;
+  double eight_batch_warm_ms = -1.0;
+  double eight_hit_rate = -1.0;
+  bool all_bit_identical = true;
+  for (size_t t = 0; t < thread_counts.size(); ++t) {
+    const int threads = thread_counts[t];
+    double batch_warm_ms = 0.0;
+    int64_t batch_hits = 0;
+    int64_t batch_misses = 0;
+    for (size_t q = 0; q < workload.size(); ++q) {
+      const std::string& name = workload[q].first;
+      const QueryRuns& r = runs[t][q];
+      const QueryRuns& serial = runs[0][q];
+      batch_warm_ms += r.warm_best_ms;
+      batch_hits += r.warm_hits;
+      batch_misses += r.warm_misses;
 
-      const double hit_rate =
-          warm_hits + warm_misses > 0
-              ? static_cast<double>(warm_hits) /
-                    static_cast<double>(warm_hits + warm_misses)
-              : 0.0;
+      const bool bit_identical =
+          benchutil::TablesBitIdentical(serial.warm_result.table,
+                                        r.warm_result.table) &&
+          serial.warm_result.metrics.counters ==
+              r.warm_result.metrics.counters &&
+          serial.warm_result.metrics.elapsed_ms ==
+              r.warm_result.metrics.elapsed_ms;
+      all_bit_identical = all_bit_identical && bit_identical;
+      const double speedup =
+          r.warm_best_ms > 0.0 ? serial.warm_best_ms / r.warm_best_ms : 0.0;
+      const double hit_rate = HitRate(r.warm_hits, r.warm_misses);
       std::printf("%8d %6s %14.3f %14.3f %9.2fx %9.1f%% %8s\n", threads,
-                  name.c_str(), cold.wall_ms, warm_best_ms, speedup,
+                  name.c_str(), r.cold_ms, r.warm_best_ms, speedup,
                   hit_rate * 100.0, bit_identical ? "yes" : "NO");
 
       std::ostringstream row;
       row.precision(6);
       row << "{\"bench\":\"host_scaling\",\"device\":\"" << device.name
           << "\",\"query\":\"" << name << "\",\"host_threads\":" << threads
-          << ",\"cold_wall_ms\":" << cold.wall_ms
-          << ",\"warm_wall_ms\":" << warm_best_ms
+          << ",\"cold_wall_ms\":" << r.cold_ms
+          << ",\"warm_wall_ms\":" << r.warm_best_ms
           << ",\"speedup_vs_serial\":" << speedup
-          << ",\"tuning_cache_hits\":" << warm_hits
-          << ",\"tuning_cache_misses\":" << warm_misses
+          << ",\"tuning_cache_hits\":" << r.warm_hits
+          << ",\"tuning_cache_misses\":" << r.warm_misses
           << ",\"hit_rate\":" << hit_rate
           << ",\"bit_identical\":" << (bit_identical ? "true" : "false")
-          << ",\"simulated_ms\":" << warm_result.metrics.elapsed_ms << "}";
+          << ",\"simulated_ms\":" << r.warm_result.metrics.elapsed_ms << "}";
       jsonl.Line(row.str());
     }
 
-    const double batch_hit_rate =
-        warm_hits + warm_misses > 0
-            ? static_cast<double>(warm_hits) /
-                  static_cast<double>(warm_hits + warm_misses)
-            : 0.0;
+    const double batch_hit_rate = HitRate(batch_hits, batch_misses);
     if (threads == 1) serial_batch_warm_ms = batch_warm_ms;
     if (threads == 8) {
       eight_batch_warm_ms = batch_warm_ms;

@@ -39,29 +39,7 @@
 #include "bench_util.h"
 #include "shard/device_group.h"
 
-namespace {
-
 using namespace gpl;
-
-bool TablesBitIdentical(const Table& expected, const Table& actual) {
-  if (expected.num_columns() != actual.num_columns() ||
-      expected.num_rows() != actual.num_rows()) {
-    return false;
-  }
-  for (int64_t i = 0; i < expected.num_columns(); ++i) {
-    if (expected.ColumnNameAt(i) != actual.ColumnNameAt(i)) return false;
-    const Column& e = expected.ColumnAt(i);
-    const Column& a = actual.ColumnAt(i);
-    if (e.type() != a.type()) return false;
-    if (e.data32() != a.data32() || e.data64() != a.data64() ||
-        e.dataf() != a.dataf()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string out = "BENCH_shard_scaling.json";
@@ -185,7 +163,7 @@ int main(int argc, char** argv) {
       const QueryMetrics& m = result->metrics;
 
       const bool bit_identical =
-          TablesBitIdentical(truth[q].table, result->table);
+          benchutil::TablesBitIdentical(truth[q].table, result->table);
       all_bit_identical = all_bit_identical && bit_identical;
       const double speedup =
           m.elapsed_ms > 0.0 ? truth[q].metrics.elapsed_ms / m.elapsed_ms

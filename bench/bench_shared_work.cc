@@ -62,20 +62,6 @@ int ZipfDraw(uint64_t* state, int n) {
   return n - 1;
 }
 
-void CheckTablesBitIdentical(const Table& expected, const Table& actual,
-                             const std::string& what) {
-  GPL_CHECK(expected.num_columns() == actual.num_columns()) << what;
-  GPL_CHECK(expected.num_rows() == actual.num_rows()) << what;
-  for (int64_t i = 0; i < expected.num_columns(); ++i) {
-    const Column& e = expected.ColumnAt(i);
-    const Column& a = actual.ColumnAt(i);
-    GPL_CHECK(e.data32() == a.data32() && e.data64() == a.data64() &&
-              e.dataf() == a.dataf())
-        << what << " column " << expected.ColumnNameAt(i)
-        << " diverged from the isolated cache-less truth";
-  }
-}
-
 struct MixResult {
   double wall_s = 0.0;
   double p50_ms = 0.0;
@@ -114,8 +100,10 @@ MixResult RunMix(const tpch::Database& db,
     latencies.push_back(std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - pending.start)
                             .count());
-    CheckTablesBitIdentical(truth[static_cast<size_t>(pending.cls)],
-                            result->table, mix[static_cast<size_t>(pending.cls)].first);
+    GPL_CHECK(benchutil::TablesBitIdentical(
+        truth[static_cast<size_t>(pending.cls)], result->table))
+        << mix[static_cast<size_t>(pending.cls)].first
+        << " diverged from the isolated cache-less truth";
   };
 
   uint64_t rng = 0x5eed5eed5eedULL;

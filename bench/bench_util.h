@@ -66,6 +66,30 @@ inline double& PinnedLinkGbps() {
   return gbps;
 }
 
+/// True when `actual` has `expected`'s column names, types and raw buffers,
+/// and, for string columns, the same decoded strings (codes alone could
+/// agree across different dictionaries).
+inline bool TablesBitIdentical(const Table& expected, const Table& actual) {
+  if (expected.num_columns() != actual.num_columns() ||
+      expected.num_rows() != actual.num_rows()) {
+    return false;
+  }
+  for (int64_t i = 0; i < expected.num_columns(); ++i) {
+    if (expected.ColumnNameAt(i) != actual.ColumnNameAt(i)) return false;
+    const Column& e = expected.ColumnAt(i);
+    const Column& a = actual.ColumnAt(i);
+    if (e.type() != a.type() || e.data32() != a.data32() ||
+        e.data64() != a.data64() || e.dataf() != a.dataf()) {
+      return false;
+    }
+    if (e.type() != DataType::kString) continue;
+    for (int64_t r = 0; r < e.size(); ++r) {
+      if (e.StringAt(r) != a.StringAt(r)) return false;
+    }
+  }
+  return true;
+}
+
 /// Executes a query under a mode; aborts on failure (benches are harnesses).
 inline QueryResult Run(const tpch::Database& db, EngineMode mode,
                        const LogicalQuery& query,

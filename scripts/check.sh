@@ -89,7 +89,7 @@ cmake --build "$BUILD-asan" -j "$(nproc)" \
   --target core_test --target engine_test --target tpch_test \
   --target late_materialization_test
 ctest --test-dir "$BUILD-asan" --output-on-failure \
-  -R "Dbgen|Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|FusedKernel|ComposeFusedStage|PagePool|SubplanCache|Dictionary|Column|Table|Expr|Selectivity|FilterKernel|ProjectKernel|HashBuild|AggregateKernel|SortKernel|KbePrimitives|TimingDesc|PartitionedJoin|Tiling|GplFixture|PipelineTest|EngineTest|EngineComparison|EngineMetrics|ExplainAnalyze|EmptyAggregate|OcelotFlavor|OcelotHashTableCache|TunerQuality|AllModes|LateMaterialization|MorselWideTable"
+  -R "Dbgen|Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|ComposeFusedStage|PagePool|SubplanCache|Dictionary|Column|Table|Expr|Selectivity|FilterKernel|ProjectKernel|HashBuild|AggregateKernel|SortKernel|KbePrimitives|TimingDesc|PartitionedJoin|Tiling|GplFixture|PipelineTest|EngineTest|EngineComparison|EngineMetrics|ExplainAnalyze|EmptyAggregate|OcelotFlavor|OcelotHashTableCache|TunerQuality|AllModes|LateMaterialization|MorselWideTable"
 
 echo
 echo "=== trace smoke: gplcli --trace on Q5, JSON validated ==="
@@ -285,7 +285,8 @@ echo "=== perf smoke: host-scaling bench, bit-identity + cache gates ==="
 # --quick exits non-zero if parallel results are not bit-identical to
 # serial, if the warm 8-thread batch exceeds 1.3x the serial warm batch
 # (tolerance for single-core runners), or if the warm tuning-cache hit rate
-# drops below 90%.
+# drops below 90%. The warm reps alternate serial and 8-thread batches, so a
+# phase of CPU steal on a shared host does not land on one side only.
 HOST_SCALING_OUT="$(mktemp /tmp/gpl_check_host_scaling.XXXXXX.jsonl)"
 trap 'rm -f "$TRACE_OUT" "$METRICS_OUT" "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT" "$FUSED_EXPLAIN_OUT" "$FUSED_METRICS_OUT" "$STATS_OUT" "$PROM_OUT" "$OVERHEAD_OFF" "$OVERHEAD_ON" "$HOST_SCALING_OUT"' EXIT
 "$BUILD/bench/bench_host_scaling" --quick --out="$HOST_SCALING_OUT"

@@ -9,7 +9,6 @@
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "common/thread_pool.h"
-#include "exec/fused_kernel.h"
 #include "exec/primitives.h"
 #include "plan/fusion.h"
 
@@ -234,24 +233,11 @@ Result<GplRunResult> GplExecutor::Run(const SegmentedPlan& plan,
     report.host_wall_ms = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - run.start)
                               .count();
-    // Run-level tallies, added once from the finished segment.
     result.counters.Accumulate(report.counters);
-    result.predicted_total_cycles += report.predicted_cycles;
     result.tuner_wall_ms += run.tune_ms;
     if (tuning_cached) {
       ++(report.tuning_cache_hit ? result.tuning_cache_hits
                                  : result.tuning_cache_misses);
-    }
-    if (report.degraded) ++result.degraded_segments;
-    if (report.engine == model::SegmentEngine::kFused) {
-      ++result.fused_segments;
-      result.fused_launches_saved += report.launches_saved;
-      result.fused_bytes_avoided += report.fused_bytes_avoided;
-    }
-    if (report.subplan_cache == SubplanOutcome::kHit) {
-      ++result.subplan_cache_hits;
-    } else if (report.subplan_cache == SubplanOutcome::kMiss) {
-      ++result.subplan_cache_misses;
     }
     result.segments.push_back(std::move(report));
   }
@@ -275,10 +261,10 @@ void GplExecutor::DescribeAndScope(SegmentRun& run, EngineMode mode,
   std::string engine_scope = mode == EngineMode::kGplNoCe ? "noce" : "gpl";
   if (mode == EngineMode::kFused) {
     engine_scope = "fused:";
-    for (const FusedGroup& group : PlanFusion(run.segment).groups) {
-      if (!run.fusion_groups.empty()) engine_scope += ',';
-      run.fusion_groups.push_back(static_cast<int>(group.count));
-      engine_scope += std::to_string(group.count);
+    run.fusion_groups = PlanFusion(run.segment);
+    for (size_t g = 0; g < run.fusion_groups.size(); ++g) {
+      if (g > 0) engine_scope += ',';
+      engine_scope += std::to_string(run.fusion_groups[g]);
     }
   }
 
@@ -387,60 +373,13 @@ Status GplExecutor::RunFunctional(SegmentRun& run) const {
     return Status::OK();
   }
 
-  // Each group larger than 1 collapses into a FusedKernel; results are
-  // bit-identical because the composed body replays the exact per-stage flow
-  // (see FusedKernel). Without such a group the segment runs as it is.
-  const Segment& segment = run.segment;
-  Segment exec_segment;
-  std::vector<std::shared_ptr<FusedKernel>> group_kernels;  ///< null: size 1
-  if (run.groups.size() < segment.stages.size()) {
-    exec_segment.output_is_hash_build = segment.output_is_hash_build;
-    size_t next = 0;
-    for (int size_i : run.groups) {
-      const size_t size = static_cast<size_t>(size_i);
-      Stage stage = segment.stages[next + size - 1];  // tail's estimates
-      std::shared_ptr<FusedKernel> fused_kernel;
-      if (size > 1) {
-        std::vector<KernelPtr> children;
-        children.reserve(size);
-        for (size_t s = next; s < next + size; ++s) {
-          children.push_back(segment.stages[s].kernel);
-        }
-        fused_kernel = std::make_shared<FusedKernel>(std::move(children));
-        stage.kernel = fused_kernel;
-      }
-      group_kernels.push_back(std::move(fused_kernel));
-      exec_segment.stages.push_back(std::move(stage));
-      next += size;
-    }
-  }
-  GPL_ASSIGN_OR_RETURN(
-      FunctionalRun func,
-      RunSegmentFunctional(group_kernels.empty() ? segment : exec_segment,
-                           *run.input, run.report.tuning.params.tile_bytes));
-
-  // Per-original-stage observations: a FusedKernel's recorded child
-  // cardinalities stand in for its group, so EXPLAIN ANALYZE and the composed
-  // timing see the same per-stage actuals as an unfused run.
-  observations.input_rows = func.input_rows;
-  observations.input_bytes = func.input_bytes;
-  observations.num_tiles = func.num_tiles;
-  for (size_t g = 0; g < func.stages.size(); ++g) {
-    if (group_kernels.empty() || group_kernels[g] == nullptr) {
-      observations.stages.push_back(func.stages[g]);
-      continue;
-    }
-    for (const FusedStageObservation& child :
-         group_kernels[g]->observations()) {
-      StageObservation so;
-      so.rows_in = child.rows_in;
-      so.bytes_in = child.bytes_in;
-      so.rows_out = child.rows_out;
-      so.bytes_out = child.bytes_out;
-      observations.stages.push_back(so);
-    }
-  }
-  run.output = std::move(func.output);
+  // Fused or not, the host runs the segment's stages as they are: a fused
+  // group is one composed launch in the simulator only (BuildLaunches).
+  GPL_ASSIGN_OR_RETURN(FunctionalRun func,
+                       RunSegmentFunctional(run.segment, *run.input,
+                                            run.report.tuning.params.tile_bytes));
+  run.output = std::exchange(func.output, Table());
+  observations = std::move(func);
   return Status::OK();
 }
 

@@ -50,9 +50,9 @@ struct SegmentReport {
   /// kGplChannel in the gpl mode, kKernelAtATime in the noce mode (and after
   /// degradation), the tuner's pick in the fused mode.
   model::SegmentEngine engine = model::SegmentEngine::kGplChannel;
-  /// Fusion accounting, written by BuildLaunches (0 unless the segment runs
-  /// fused kernel groups).
-  int fused_groups = 0;            ///< composed kernels in this segment
+  /// Fusion accounting, written by BuildLaunches (0 unless the segment is
+  /// simulated with fused kernel groups).
+  int fused_groups = 0;            ///< composed launches in this segment
   int launches_saved = 0;          ///< per-stage launches eliminated
   int64_t fused_bytes_avoided = 0; ///< hand-off bytes kept in registers
   /// Original per-stage kernel names, one per observations.stages entry —
@@ -65,32 +65,22 @@ struct SegmentReport {
   SubplanOutcome subplan_cache = SubplanOutcome::kBypass;
 };
 
-/// Outcome of executing a segmented plan with GPL.
+/// Outcome of executing a segmented plan with GPL. Per-segment figures
+/// (predicted cycles, degradation, fusion and subplan-cache outcomes) live
+/// in `segments` only; Engine::FinalizeGplMetrics sums them.
 ///
-/// `predicted_total_cycles` / `counters` are *simulated* quantities and are
-/// bit-deterministic for a given plan and database.
-/// `tuner_wall_ms` is host wall-clock spent in the tuner: it varies from run
-/// to run (and especially under concurrent execution), so it is reported
-/// separately and must never be folded into simulated-time totals.
+/// `counters` are *simulated* quantities and are bit-deterministic for a
+/// given plan and database. `tuner_wall_ms` is host wall-clock spent in the
+/// tuner: it varies from run to run (and especially under concurrent
+/// execution), so it is reported separately and must never be folded into
+/// simulated-time totals.
 struct GplRunResult {
   Table output;
   std::vector<SegmentReport> segments;
   sim::HwCounters counters;  ///< accumulated across segments (simulated)
-  double predicted_total_cycles = 0.0;
   double tuner_wall_ms = 0.0;  ///< host wall-clock spent in the tuner
   int tuning_cache_hits = 0;   ///< segments whose choice came from the cache
   int tuning_cache_misses = 0; ///< segments that ran the full grid search
-  /// Segments that fell back from pipelined to kernel-at-a-time execution
-  /// because their channel allocation failed (graceful degradation; the
-  /// functional result is unaffected, only the simulated timing changes).
-  int degraded_segments = 0;
-  /// Fusion accounting across segments (fused mode only; 0 otherwise).
-  int fused_segments = 0;            ///< segments the tuner chose to fuse
-  int fused_launches_saved = 0;      ///< per-stage launches eliminated
-  int64_t fused_bytes_avoided = 0;   ///< hand-off bytes kept in registers
-  /// Subplan-cache accounting (0 everywhere when no cache is configured).
-  int subplan_cache_hits = 0;    ///< segments served from the subplan cache
-  int subplan_cache_misses = 0;  ///< cacheable segments computed this run
 };
 
 /// The pipelined query executor — the paper's core contribution. Executes a
@@ -98,11 +88,12 @@ struct GplRunResult {
 /// pipeline parameters with the analytical model, streams tiles through the
 /// kernels functionally, and accounts time with the event simulator.
 ///
-/// Every segment of every GPL-family mode takes the same steps. A segment
-/// runs as a list of kernel groups: all of size 1 unless the fused mode's
-/// tuner chose to fuse it. Its engine decides the simulation: kGplChannel
-/// runs the concurrent pipeline with channels; kKernelAtATime and kFused run
-/// the sequential w/o-CE tiling, over the composed kernels when fused.
+/// Every segment of every GPL-family mode takes the same steps, and the host
+/// runs every segment's stages the same way. A segment is simulated as a
+/// list of kernel groups: all of size 1 unless the fused mode's tuner chose
+/// to fuse it. Its engine decides the simulation: kGplChannel runs the
+/// concurrent pipeline with channels; kKernelAtATime and kFused run the
+/// sequential w/o-CE tiling, over one composed launch per group when fused.
 class GplExecutor {
  public:
   /// `tuning_cache` (optional) memoizes TuneSegment results across runs —
@@ -155,8 +146,9 @@ class GplExecutor {
   /// cache, or the paper's defaults).
   void ChooseParameters(SegmentRun& run, EngineMode mode,
                         const ExecOptions& exec) const;
-  /// Streams the tiles through the segment's kernel groups (skipped on a
-  /// subplan hit) and records per-original-stage observations.
+  /// Streams the tiles through the segment's stages (skipped on a subplan
+  /// hit) and records per-stage observations. Fused groups run here as
+  /// their stages; only the simulation composes them.
   Status RunFunctional(SegmentRun& run) const;
   /// Builds one launch per kernel group from the observed cardinalities,
   /// names the segment (the launch names joined by " -> ") and writes the

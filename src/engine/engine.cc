@@ -215,17 +215,26 @@ QueryMetrics Engine::FinalizeGplMetrics(const GplRunResult& run) const {
   QueryMetrics metrics;
   metrics.counters = run.counters;
   metrics.Finalize(simulator_.device());
-  metrics.predicted_ms =
-      simulator_.device().CyclesToMs(run.predicted_total_cycles);
   metrics.tune_wall_ms = run.tuner_wall_ms;
   metrics.tuning_cache_hits = run.tuning_cache_hits;
   metrics.tuning_cache_misses = run.tuning_cache_misses;
-  metrics.degraded_segments = run.degraded_segments;
-  metrics.subplan_cache_hits = run.subplan_cache_hits;
-  metrics.subplan_cache_misses = run.subplan_cache_misses;
-  metrics.fused_segments = run.fused_segments;
-  metrics.fused_launches_saved = run.fused_launches_saved;
-  metrics.fused_bytes_avoided = run.fused_bytes_avoided;
+  // Summed in segment order: floating-point addition is order-sensitive,
+  // and predicted_ms must be deterministic for a plan.
+  double predicted_cycles = 0.0;
+  for (const SegmentReport& seg : run.segments) {
+    predicted_cycles += seg.predicted_cycles;
+    if (seg.degraded) ++metrics.degraded_segments;
+    if (seg.subplan_cache == SubplanOutcome::kHit) ++metrics.subplan_cache_hits;
+    if (seg.subplan_cache == SubplanOutcome::kMiss) {
+      ++metrics.subplan_cache_misses;
+    }
+    if (seg.engine == model::SegmentEngine::kFused) {
+      ++metrics.fused_segments;
+      metrics.fused_launches_saved += seg.launches_saved;
+      metrics.fused_bytes_avoided += seg.fused_bytes_avoided;
+    }
+  }
+  metrics.predicted_ms = simulator_.device().CyclesToMs(predicted_cycles);
   return metrics;
 }
 

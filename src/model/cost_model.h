@@ -32,7 +32,7 @@ struct SegmentDesc {
 enum class SegmentEngine {
   kGplChannel,     ///< concurrent kernels exchanging tiles through channels
   kKernelAtATime,  ///< one kernel at a time, materialized intermediates
-  kFused,          ///< fusible chains collapsed into single kernels
+  kFused,          ///< fusible chains simulated as single composed launches
 };
 
 const char* SegmentEngineName(SegmentEngine engine);
@@ -41,8 +41,10 @@ const char* SegmentEngineName(SegmentEngine engine);
 /// model-side description of one fused kernel: per-row instruction counts
 /// are normalized to the fused input's rows, interior streaming traffic is
 /// eliminated (intermediates stay in registers), random side-structure
-/// accesses survive, and register/local footprints add up (the occupancy
-/// pressure the fusion term charges).
+/// accesses survive, and register/local footprints compose as max + half
+/// the rest (stages run in turn per item and reuse registers). This is the
+/// one place the fused footprint is priced: the tuner and the simulated
+/// launch both call it.
 StageDesc ComposeFusedStage(const std::vector<StageDesc>& stages, size_t first,
                             size_t count);
 

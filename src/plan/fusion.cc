@@ -18,15 +18,12 @@ bool TerminatesChain(const FusionStageView& v) {
 
 }  // namespace
 
-FusionPlan PlanFusion(const std::vector<FusionStageView>& stages,
-                      const FusionOptions& options) {
-  FusionPlan plan;
+std::vector<int> PlanFusion(const std::vector<FusionStageView>& stages) {
+  std::vector<int> groups;
   const size_t n = stages.size();
   size_t i = 0;
   while (i < n) {
-    FusedGroup group;
-    group.first = i;
-    group.count = 1;
+    size_t count = 1;
     const FusionStageView& head = stages[i];
     if (Fusible(head) && !TerminatesChain(head)) {
       int64_t private_bytes = head.private_bytes_per_item;
@@ -35,25 +32,21 @@ FusionPlan PlanFusion(const std::vector<FusionStageView>& stages,
         if (!Fusible(next)) break;
         if (next.exchange_boundary) break;  // must head its own kernel
         if (private_bytes + next.private_bytes_per_item >
-            options.max_private_bytes_per_item) {
+            kFusedPrivateBytesBudget) {
           break;  // register budget: occupancy would crater
         }
         private_bytes += next.private_bytes_per_item;
-        ++group.count;
+        ++count;
         if (TerminatesChain(next)) break;  // included as the chain's tail
       }
     }
-    if (group.fused()) {
-      ++plan.fused_groups;
-      plan.stages_fused += static_cast<int>(group.count);
-    }
-    plan.groups.push_back(group);
-    i += group.count;
+    groups.push_back(static_cast<int>(count));
+    i += count;
   }
-  return plan;
+  return groups;
 }
 
-FusionPlan PlanFusion(const Segment& segment, const FusionOptions& options) {
+std::vector<int> PlanFusion(const Segment& segment) {
   std::vector<FusionStageView> views;
   views.reserve(segment.stages.size());
   for (const Stage& stage : segment.stages) {
@@ -66,7 +59,7 @@ FusionPlan PlanFusion(const Segment& segment, const FusionOptions& options) {
     v.private_bytes_per_item = stage.kernel->timing().private_bytes_per_item;
     views.push_back(v);
   }
-  return PlanFusion(views, options);
+  return PlanFusion(views);
 }
 
 }  // namespace gpl

@@ -21,31 +21,10 @@ struct FusionStageView {
   int64_t private_bytes_per_item = 0;
 };
 
-struct FusionOptions {
-  /// Register budget of a fused kernel body: fusing chains past this
-  /// per-work-item private footprint would crater occupancy, so the pass
-  /// splits the chain instead (the cost model then prices what remains).
-  int64_t max_private_bytes_per_item = 256;
-};
-
-/// A maximal run of consecutive stages executed as one kernel. Singleton
-/// groups (count == 1) execute unfused.
-struct FusedGroup {
-  size_t first = 0;
-  size_t count = 1;
-  bool fused() const { return count > 1; }
-};
-
-/// Outcome of the fusion pass over one segment.
-struct FusionPlan {
-  std::vector<FusedGroup> groups;  ///< covers every stage exactly once
-  int fused_groups = 0;            ///< groups with count > 1
-  int stages_fused = 0;            ///< stages inside those groups
-
-  /// Kernel launches eliminated: each fused group of n stages launches once
-  /// instead of n times.
-  int launches_saved() const { return stages_fused - fused_groups; }
-};
+/// Register budget of a fused kernel body: fusing chains past this summed
+/// per-work-item private footprint would crater occupancy, so the pass splits
+/// the chain instead (the cost model then prices what remains).
+constexpr int64_t kFusedPrivateBytesBudget = 256;
 
 /// Greedy maximal-chain fusion with these legality rules:
 ///  - blocking stages (prefix sum, hash/partition build, sort, scan-reduce)
@@ -58,13 +37,14 @@ struct FusionPlan {
 ///    ran on another device);
 ///  - a multi-consumer stage terminates its chain (its output must be
 ///    materialized for the other consumers);
-///  - the summed per-work-item private bytes of a chain must stay within
-///    options.max_private_bytes_per_item, else the chain is split.
-FusionPlan PlanFusion(const std::vector<FusionStageView>& stages,
-                      const FusionOptions& options = {});
+///  - the plain sum of a chain's per-work-item private bytes must stay within
+///    kFusedPrivateBytesBudget, else the chain is split.
+/// Returns the group sizes in stage order; they cover every stage exactly
+/// once, and a group of size 1 executes unfused.
+std::vector<int> PlanFusion(const std::vector<FusionStageView>& stages);
 
 /// Extracts the views from a segment's stages and runs the pass.
-FusionPlan PlanFusion(const Segment& segment, const FusionOptions& options = {});
+std::vector<int> PlanFusion(const Segment& segment);
 
 }  // namespace gpl
 

@@ -52,6 +52,8 @@ struct HwCounters {
   }
 
   void Accumulate(const HwCounters& other);
+
+  bool operator==(const HwCounters&) const = default;
 };
 
 }  // namespace sim

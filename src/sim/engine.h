@@ -119,7 +119,7 @@ class Simulator {
   /// per tile, with per-tile kernel launches and materialized intermediates.
   /// Needs no channels, so it doubles as the degraded-execution path when
   /// RunPipeline's channel allocation fails. A fused segment runs here too:
-  /// its spec holds one composed kernel per fused chain, so the chains'
+  /// its spec holds one composed launch per fused chain, so the chains'
   /// interior launches and hand-offs are already absent.
   Result<HwCounters> RunSequentialTiles(const PipelineSpec& spec) const;
 

@@ -199,7 +199,10 @@ TEST_F(GplFixture, ConcurrentBeatsSequential) {
 }
 
 // Every GPL-family mode takes the same per-segment steps; the segment's
-// engine alone picks the simulator path.
+// engine alone picks the simulator path. Fused or not, the host runs a
+// segment's stages the same way: with the cost model off both the fused and
+// the noce mode tile at 1 MiB, so their outputs and per-stage observations
+// must be equal.
 TEST_F(GplFixture, SegmentEngineFollowsTheMode) {
   for (EngineMode kbe : {EngineMode::kKbe, EngineMode::kOcelot}) {
     EXPECT_EQ(executor_.Run(Segments(queries::Q6()), kbe, {}).status().code(),
@@ -214,12 +217,18 @@ TEST_F(GplFixture, SegmentEngineFollowsTheMode) {
     Result<GplRunResult> gpl = executor_.Run(plan, EngineMode::kGpl, {});
     Result<GplRunResult> fused =
         executor_.Run(plan, EngineMode::kFused, defaults);
-    ASSERT_TRUE(noce.ok() && gpl.ok() && fused.ok());
+    Result<GplRunResult> noce_defaults =
+        executor_.Run(plan, EngineMode::kGplNoCe, defaults);
+    ASSERT_TRUE(noce.ok() && gpl.ok() && fused.ok() && noce_defaults.ok());
     ASSERT_EQ(noce->segments.size(), plan.segments.size());
     ASSERT_EQ(gpl->segments.size(), plan.segments.size());
     ASSERT_EQ(fused->segments.size(), plan.segments.size());
+    ASSERT_EQ(noce_defaults->segments.size(), plan.segments.size());
+    testing_util::ExpectTablesBitIdentical(noce_defaults->output,
+                                           fused->output);
 
     int fusible_segments = 0;
+    int fused_segments = 0;
     for (size_t i = 0; i < plan.segments.size(); ++i) {
       SCOPED_TRACE("segment " + std::to_string(i));
       std::string stages;
@@ -228,9 +237,7 @@ TEST_F(GplFixture, SegmentEngineFollowsTheMode) {
         stages += stage.kernel->name();
       }
       bool fusible = false;
-      for (const FusedGroup& group : PlanFusion(plan.segments[i]).groups) {
-        fusible |= group.fused();
-      }
+      for (int size : PlanFusion(plan.segments[i])) fusible |= size > 1;
       fusible_segments += fusible ? 1 : 0;
 
       EXPECT_EQ(noce->segments[i].engine, model::SegmentEngine::kKernelAtATime);
@@ -238,15 +245,30 @@ TEST_F(GplFixture, SegmentEngineFollowsTheMode) {
       EXPECT_EQ(fused->segments[i].engine,
                 fusible ? model::SegmentEngine::kFused
                         : model::SegmentEngine::kGplChannel);
+      if (fused->segments[i].engine == model::SegmentEngine::kFused) {
+        ++fused_segments;
+      }
       EXPECT_EQ(noce->segments[i].description, stages);
       EXPECT_EQ(gpl->segments[i].description, stages);
       if (!fusible) {
         EXPECT_EQ(fused->segments[i].description, stages);
       }
+
+      const FunctionalRun& want = noce_defaults->segments[i].observations;
+      const FunctionalRun& got = fused->segments[i].observations;
+      EXPECT_EQ(got.input_rows, want.input_rows);
+      EXPECT_EQ(got.input_bytes, want.input_bytes);
+      EXPECT_EQ(got.num_tiles, want.num_tiles);
+      ASSERT_EQ(got.stages.size(), want.stages.size());
+      for (size_t s = 0; s < want.stages.size(); ++s) {
+        SCOPED_TRACE("stage " + std::to_string(s));
+        EXPECT_EQ(got.stages[s].rows_in, want.stages[s].rows_in);
+        EXPECT_EQ(got.stages[s].bytes_in, want.stages[s].bytes_in);
+        EXPECT_EQ(got.stages[s].rows_out, want.stages[s].rows_out);
+        EXPECT_EQ(got.stages[s].bytes_out, want.stages[s].bytes_out);
+      }
     }
-    EXPECT_EQ(fused->fused_segments, fusible_segments);
-    EXPECT_EQ(noce->fused_segments, 0);
-    EXPECT_EQ(gpl->fused_segments, 0);
+    EXPECT_EQ(fused_segments, fusible_segments);
   }
 }
 

@@ -4,15 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/fused_kernel.h"
-#include "exec/primitives.h"
 #include "model/cost_model.h"
-#include "test_util.h"
 
 namespace gpl {
 namespace {
-
-using testing_util::Int32Table;
 
 FusionStageView Map(int64_t private_bytes = 16) {
   FusionStageView v;
@@ -39,69 +34,31 @@ FusionStageView PartialAggregate() {
   return v;
 }
 
-std::vector<size_t> GroupSizes(const FusionPlan& plan) {
-  std::vector<size_t> sizes;
-  for (const FusedGroup& g : plan.groups) sizes.push_back(g.count);
-  return sizes;
-}
-
-/// Every stage appears in exactly one group, in order.
-void ExpectCoversAllStages(const FusionPlan& plan, size_t num_stages) {
-  size_t next = 0;
-  for (const FusedGroup& g : plan.groups) {
-    EXPECT_EQ(g.first, next);
-    EXPECT_GE(g.count, 1u);
-    next += g.count;
-  }
-  EXPECT_EQ(next, num_stages);
-}
+using Groups = std::vector<int>;
 
 TEST(PlanFusionTest, AllNonBlockingStagesFuseIntoOneChain) {
-  const std::vector<FusionStageView> stages = {Map(), Map(), Map(), Map()};
-  const FusionPlan plan = PlanFusion(stages);
-  EXPECT_EQ(GroupSizes(plan), (std::vector<size_t>{4}));
-  EXPECT_EQ(plan.fused_groups, 1);
-  EXPECT_EQ(plan.stages_fused, 4);
-  EXPECT_EQ(plan.launches_saved(), 3);
-  ExpectCoversAllStages(plan, stages.size());
+  EXPECT_EQ(PlanFusion({Map(), Map(), Map(), Map()}), Groups({4}));
 }
 
 TEST(PlanFusionTest, BlockingStagesNeverFuse) {
   // map | BLOCKING | map map — the barrier executes alone, the tail fuses.
-  const std::vector<FusionStageView> stages = {Map(), Blocking(), Map(), Map()};
-  const FusionPlan plan = PlanFusion(stages);
-  EXPECT_EQ(GroupSizes(plan), (std::vector<size_t>{1, 1, 2}));
-  EXPECT_EQ(plan.fused_groups, 1);
-  ExpectCoversAllStages(plan, stages.size());
-
+  EXPECT_EQ(PlanFusion({Map(), Blocking(), Map(), Map()}), Groups({1, 1, 2}));
   // Two barriers back-to-back stay singletons.
-  const FusionPlan barriers = PlanFusion({Blocking(), Blocking()});
-  EXPECT_EQ(GroupSizes(barriers), (std::vector<size_t>{1, 1}));
-  EXPECT_EQ(barriers.fused_groups, 0);
-  EXPECT_EQ(barriers.launches_saved(), 0);
+  EXPECT_EQ(PlanFusion({Blocking(), Blocking()}), Groups({1, 1}));
 }
 
 TEST(PlanFusionTest, CompleteAggregateNeverFuses) {
-  const std::vector<FusionStageView> stages = {Map(), Map(),
-                                               CompleteAggregate()};
-  const FusionPlan plan = PlanFusion(stages);
-  EXPECT_EQ(GroupSizes(plan), (std::vector<size_t>{2, 1}));
-  ExpectCoversAllStages(plan, stages.size());
+  EXPECT_EQ(PlanFusion({Map(), Map(), CompleteAggregate()}), Groups({2, 1}));
 }
 
 TEST(PlanFusionTest, PartialAggregateOnlyTerminatesAChain) {
   // map map PARTIAL map: the partial aggregate joins as the chain's tail,
   // but nothing fuses after it.
-  const std::vector<FusionStageView> stages = {Map(), Map(), PartialAggregate(),
-                                               Map()};
-  const FusionPlan plan = PlanFusion(stages);
-  EXPECT_EQ(GroupSizes(plan), (std::vector<size_t>{3, 1}));
-  ExpectCoversAllStages(plan, stages.size());
-
+  EXPECT_EQ(PlanFusion({Map(), Map(), PartialAggregate(), Map()}),
+            Groups({3, 1}));
   // A partial aggregate cannot *head* a chain either — it accumulates, so
   // its successor would never see per-tile output.
-  const FusionPlan head = PlanFusion({PartialAggregate(), Map()});
-  EXPECT_EQ(GroupSizes(head), (std::vector<size_t>{1, 1}));
+  EXPECT_EQ(PlanFusion({PartialAggregate(), Map()}), Groups({1, 1}));
 }
 
 TEST(PlanFusionTest, ExchangeBoundaryStartsItsOwnChain) {
@@ -109,107 +66,28 @@ TEST(PlanFusionTest, ExchangeBoundaryStartsItsOwnChain) {
   // its producer's kernel, but it can head a fresh chain.
   FusionStageView exchanged = Map();
   exchanged.exchange_boundary = true;
-  const std::vector<FusionStageView> stages = {Map(), Map(), exchanged, Map()};
-  const FusionPlan plan = PlanFusion(stages);
-  EXPECT_EQ(GroupSizes(plan), (std::vector<size_t>{2, 2}));
-  EXPECT_EQ(plan.fused_groups, 2);
-  ExpectCoversAllStages(plan, stages.size());
+  EXPECT_EQ(PlanFusion({Map(), Map(), exchanged, Map()}), Groups({2, 2}));
 }
 
 TEST(PlanFusionTest, MultiConsumerTerminatesItsChain) {
   FusionStageView shared = Map();
   shared.multi_consumer = true;
-  const std::vector<FusionStageView> stages = {Map(), shared, Map(), Map()};
-  const FusionPlan plan = PlanFusion(stages);
   // The multi-consumer stage joins as tail (its output materializes either
   // way), then the rest start over.
-  EXPECT_EQ(GroupSizes(plan), (std::vector<size_t>{2, 2}));
-  ExpectCoversAllStages(plan, stages.size());
+  EXPECT_EQ(PlanFusion({Map(), shared, Map(), Map()}), Groups({2, 2}));
 }
 
 TEST(PlanFusionTest, RegisterBudgetSplitsLongChains) {
-  FusionOptions options;
-  options.max_private_bytes_per_item = 256;
-  // 100 + 100 fits; adding the third (300 > 256) splits the chain.
-  const std::vector<FusionStageView> stages = {Map(100), Map(100), Map(100)};
-  const FusionPlan plan = PlanFusion(stages, options);
-  EXPECT_EQ(GroupSizes(plan), (std::vector<size_t>{2, 1}));
-
-  // A generous budget fuses all three.
-  options.max_private_bytes_per_item = 1024;
-  EXPECT_EQ(GroupSizes(PlanFusion(stages, options)),
-            (std::vector<size_t>{3}));
+  static_assert(kFusedPrivateBytesBudget == 256);
+  // The budget bounds the plain sum: 100 + 100 fits, adding the third
+  // (300 > 256) splits the chain.
+  EXPECT_EQ(PlanFusion({Map(100), Map(100), Map(100)}), Groups({2, 1}));
+  // 3 x 80 = 240 fits, so all three fuse.
+  EXPECT_EQ(PlanFusion({Map(80), Map(80), Map(80)}), Groups({3}));
 }
 
 TEST(PlanFusionTest, EmptySegmentYieldsEmptyPlan) {
-  const FusionPlan plan = PlanFusion(std::vector<FusionStageView>{});
-  EXPECT_TRUE(plan.groups.empty());
-  EXPECT_EQ(plan.fused_groups, 0);
-  EXPECT_EQ(plan.launches_saved(), 0);
-}
-
-// ---- FusedKernel: the composed body must equal the unfused chain ----
-
-TEST(FusedKernelTest, MatchesUnfusedChainBitExactly) {
-  const Table input = Int32Table("x", {5, 1, 2, 9, 0, 7, 3});
-
-  KernelPtr filter = MakeFilterKernel(Lt(Col("x"), LitInt(5)));
-  KernelPtr project = MakeProjectKernel(
-      {{"double_x", Mul(Col("x"), LitInt(2))}, {"x", Col("x")}});
-  FusedKernel fused({MakeFilterKernel(Lt(Col("x"), LitInt(5))),
-                     MakeProjectKernel({{"double_x", Mul(Col("x"), LitInt(2))},
-                                        {"x", Col("x")}})});
-  EXPECT_FALSE(fused.blocking());
-
-  Result<Table> step = filter->Process(input);
-  ASSERT_TRUE(step.ok());
-  Result<Table> expected = project->Process(*step);
-  ASSERT_TRUE(expected.ok());
-  Result<Table> actual = fused.Process(input);
-  ASSERT_TRUE(actual.ok());
-
-  ASSERT_EQ(actual->num_rows(), expected->num_rows());
-  ASSERT_EQ(actual->num_columns(), expected->num_columns());
-  for (int64_t c = 0; c < expected->num_columns(); ++c) {
-    EXPECT_EQ(expected->ColumnAt(c).data32(), actual->ColumnAt(c).data32());
-    EXPECT_EQ(expected->ColumnAt(c).data64(), actual->ColumnAt(c).data64());
-    EXPECT_EQ(expected->ColumnAt(c).dataf(), actual->ColumnAt(c).dataf());
-  }
-
-  // Per-stage observations carry the interior cardinalities the simulator
-  // needs: stage 0 saw all rows, stage 1 only the survivors.
-  const std::vector<FusedStageObservation>& obs = fused.observations();
-  ASSERT_EQ(obs.size(), 2u);
-  EXPECT_EQ(obs[0].rows_in, input.num_rows());
-  EXPECT_EQ(obs[0].rows_out, expected->num_rows());
-  EXPECT_EQ(obs[1].rows_in, expected->num_rows());
-  EXPECT_EQ(obs[1].rows_out, expected->num_rows());
-}
-
-TEST(FusedKernelTest, ComposedTimingUsesRegisterReuse) {
-  KernelPtr a = MakeProjectKernel({{"x", Col("x")}});
-  KernelPtr b = MakeFilterKernel(Lt(Col("x"), LitInt(5)));
-  const int64_t pa = a->timing().private_bytes_per_item;
-  const int64_t pb = b->timing().private_bytes_per_item;
-  const int64_t pmax = pa > pb ? pa : pb;
-
-  FusedKernel fused({std::move(a), std::move(b)});
-  // max + half the rest: stages run sequentially per item, so the compiler
-  // reuses part of each stage's registers (mirrors model::ComposeFusedStage).
-  EXPECT_EQ(fused.timing().private_bytes_per_item,
-            pmax + (pa + pb - pmax) / 2);
-}
-
-TEST(FusedKernelTest, ResetClearsChildrenAndObservations) {
-  FusedKernel fused({MakeFilterKernel(Lt(Col("x"), LitInt(5))),
-                     MakeProjectKernel({{"x", Col("x")}})});
-  ASSERT_TRUE(fused.Process(Int32Table("x", {1, 2, 3})).ok());
-  EXPECT_GT(fused.observations()[0].rows_in, 0);
-  fused.Reset();
-  EXPECT_EQ(fused.observations()[0].rows_in, 0);
-  Result<Table> again = fused.Process(Int32Table("x", {1}));
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->num_rows(), 1);
+  EXPECT_TRUE(PlanFusion(std::vector<FusionStageView>{}).empty());
 }
 
 // ---- model::ComposeFusedStage: the descriptor-level mirror ----

@@ -18,22 +18,8 @@ namespace gpl {
 namespace {
 
 using testing_util::ExpectCountersBitIdentical;
+using testing_util::ExpectTablesBitIdentical;
 using testing_util::SmallDb;
-
-void ExpectTablesBitIdentical(const Table& expected, const Table& actual) {
-  ASSERT_EQ(expected.num_columns(), actual.num_columns());
-  ASSERT_EQ(expected.num_rows(), actual.num_rows());
-  for (int64_t i = 0; i < expected.num_columns(); ++i) {
-    SCOPED_TRACE("column " + expected.ColumnNameAt(i));
-    EXPECT_EQ(expected.ColumnNameAt(i), actual.ColumnNameAt(i));
-    const Column& e = expected.ColumnAt(i);
-    const Column& a = actual.ColumnAt(i);
-    ASSERT_EQ(e.type(), a.type());
-    EXPECT_TRUE(e.data32() == a.data32());
-    EXPECT_TRUE(e.data64() == a.data64());
-    EXPECT_TRUE(e.dataf() == a.dataf());
-  }
-}
 
 void ExpectChoicesIdentical(const model::TuningChoice& expected,
                             const model::TuningChoice& actual) {

@@ -18,7 +18,6 @@
 #include "core/tiling.h"
 #include "engine/engine.h"
 #include "exec/expr.h"
-#include "exec/fused_kernel.h"
 #include "exec/partitioned_join.h"
 #include "exec/primitives.h"
 #include "queries/tpch_queries.h"
@@ -251,22 +250,6 @@ FunctionalRun RunMaterializing(const Segment& segment, const Table& input,
   return run;
 }
 
-/// `segment` with stages [0, fused) collapsed into one FusedKernel.
-Segment FuseHead(const Segment& segment, size_t fused,
-                 std::shared_ptr<FusedKernel>* kernel) {
-  std::vector<KernelPtr> children;
-  for (size_t s = 0; s < fused; ++s) {
-    children.push_back(segment.stages[s].kernel);
-  }
-  *kernel = std::make_shared<FusedKernel>(std::move(children));
-  Segment out;
-  out.stages.push_back({*kernel});
-  for (size_t s = fused; s < segment.stages.size(); ++s) {
-    out.stages.push_back(segment.stages[s]);
-  }
-  return out;
-}
-
 void ExpectTablesBitIdentical(const Table& expected, const Table& actual) {
   EXPECT_EQ(expected.name(), actual.name());
   ASSERT_EQ(expected.column_names(), actual.column_names());
@@ -290,34 +273,22 @@ void ExpectObservationsEqual(const StageObservation& expected,
   EXPECT_EQ(expected.bytes_out, actual.bytes_out);
 }
 
-/// Runs `chain` both ways (optionally fusing its first `fused` stages on
-/// the row-batch side) and checks output and observations match.
+/// Runs `chain` both ways and checks output and observations match.
 void CheckChain(Chain chain, bool snapshot, const Table& input,
-                int64_t tile_bytes, size_t fused) {
+                int64_t tile_bytes) {
   const FunctionalRun want =
       RunMaterializing(MakeChain(chain, snapshot), input, tile_bytes);
-  Segment segment = MakeChain(chain, snapshot);
-  std::shared_ptr<FusedKernel> fused_kernel;
-  if (fused > 1) segment = FuseHead(segment, fused, &fused_kernel);
-  Result<FunctionalRun> got = RunSegmentFunctional(segment, input, tile_bytes);
+  Result<FunctionalRun> got =
+      RunSegmentFunctional(MakeChain(chain, snapshot), input, tile_bytes);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
 
   EXPECT_EQ(got->input_rows, want.input_rows);
   EXPECT_EQ(got->input_bytes, want.input_bytes);
   EXPECT_EQ(got->num_tiles, want.num_tiles);
-  std::vector<StageObservation> stages;
-  if (fused_kernel != nullptr) {
-    for (const FusedStageObservation& o : fused_kernel->observations()) {
-      stages.push_back({o.rows_in, o.bytes_in, o.rows_out, o.bytes_out});
-    }
-    stages.insert(stages.end(), got->stages.begin() + 1, got->stages.end());
-  } else {
-    stages = got->stages;
-  }
-  ASSERT_EQ(stages.size(), want.stages.size());
-  for (size_t s = 0; s < stages.size(); ++s) {
+  ASSERT_EQ(got->stages.size(), want.stages.size());
+  for (size_t s = 0; s < want.stages.size(); ++s) {
     SCOPED_TRACE("stage " + std::to_string(s));
-    ExpectObservationsEqual(want.stages[s], stages[s]);
+    ExpectObservationsEqual(want.stages[s], got->stages[s]);
   }
   ExpectTablesBitIdentical(want.output, got->output);
   if (input.num_rows() > 0) {
@@ -344,7 +315,7 @@ TEST_P(LateMaterializationTest, AggregateChainMatchesMaterializingRun) {
   for (const int64_t tile_rows : {kDeadRows, 2 * kMorselRows + 7, kRows}) {
     SCOPED_TRACE("tile rows " + std::to_string(tile_rows));
     CheckChain(Chain::kAggregate, snapshot(), input,
-               tile_rows * input.row_width(), 0);
+               tile_rows * input.row_width());
   }
 }
 
@@ -353,27 +324,15 @@ TEST_P(LateMaterializationTest, WideChainMatchesMaterializingRun) {
   ScopedHostParallelism scope(threads());
   for (const int64_t tile_rows : {kDeadRows, 2 * kMorselRows + 7, kRows}) {
     SCOPED_TRACE("tile rows " + std::to_string(tile_rows));
-    CheckChain(Chain::kWide, snapshot(), input, tile_rows * input.row_width(),
-               0);
+    CheckChain(Chain::kWide, snapshot(), input, tile_rows * input.row_width());
   }
-}
-
-TEST_P(LateMaterializationTest, FusedGroupingMatchesMaterializingRun) {
-  const Table input = WideInput();
-  ScopedHostParallelism scope(threads());
-  const int64_t tile_bytes = (2 * kMorselRows + 7) * input.row_width();
-  // filter + probe + probe fused ahead of the project and the aggregate;
-  // and the whole wide chain as one fused kernel.
-  CheckChain(Chain::kAggregate, snapshot(), input, tile_bytes, 3);
-  CheckChain(Chain::kWide, snapshot(), input, tile_bytes, 4);
 }
 
 TEST_P(LateMaterializationTest, EmptyInputKeepsAggregateKeyTypes) {
   const Table input = WideInput().Slice(0, 0);
   ScopedHostParallelism scope(threads());
-  CheckChain(Chain::kAggregate, snapshot(), input, KiB(64), 0);
-  CheckChain(Chain::kAggregate, snapshot(), input, KiB(64), 3);
-  CheckChain(Chain::kWide, snapshot(), input, KiB(64), 0);
+  CheckChain(Chain::kAggregate, snapshot(), input, KiB(64));
+  CheckChain(Chain::kWide, snapshot(), input, KiB(64));
   Result<FunctionalRun> run = RunSegmentFunctional(
       MakeChain(Chain::kAggregate, snapshot()), input, KiB(64));
   ASSERT_TRUE(run.ok());

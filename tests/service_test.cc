@@ -22,25 +22,11 @@ using service::QueryService;
 using service::ServiceOptions;
 using service::ServiceStats;
 using testing_util::ExpectCountersBitIdentical;
+using testing_util::ExpectTablesBitIdentical;
 using testing_util::SmallDb;
 
 /// Bit-level table equality: raw physical buffers, not a tolerance compare.
 /// Execution is simulated, so concurrency must not change a single bit.
-void ExpectTablesBitIdentical(const Table& expected, const Table& actual) {
-  ASSERT_EQ(expected.num_columns(), actual.num_columns());
-  ASSERT_EQ(expected.num_rows(), actual.num_rows());
-  for (int64_t i = 0; i < expected.num_columns(); ++i) {
-    SCOPED_TRACE("column " + expected.ColumnNameAt(i));
-    EXPECT_EQ(expected.ColumnNameAt(i), actual.ColumnNameAt(i));
-    const Column& e = expected.ColumnAt(i);
-    const Column& a = actual.ColumnAt(i);
-    ASSERT_EQ(e.type(), a.type());
-    EXPECT_TRUE(e.data32() == a.data32());
-    EXPECT_TRUE(e.data64() == a.data64());
-    EXPECT_TRUE(e.dataf() == a.dataf());
-  }
-}
-
 /// The core service guarantee: N queries through a concurrent QueryService
 /// produce results bit-identical to a serial Engine — same tables, same
 /// HwCounters, same simulated times. Only host wall-clock may differ.

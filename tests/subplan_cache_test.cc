@@ -26,21 +26,8 @@ using service::QueryHandle;
 using service::QueryService;
 using service::ServiceOptions;
 using service::ServiceStats;
+using testing_util::ExpectTablesBitIdentical;
 using testing_util::SmallDb;
-
-void ExpectTablesBitIdentical(const Table& expected, const Table& actual) {
-  ASSERT_EQ(expected.num_columns(), actual.num_columns());
-  ASSERT_EQ(expected.num_rows(), actual.num_rows());
-  for (int64_t i = 0; i < expected.num_columns(); ++i) {
-    SCOPED_TRACE("column " + expected.ColumnNameAt(i));
-    const Column& e = expected.ColumnAt(i);
-    const Column& a = actual.ColumnAt(i);
-    ASSERT_EQ(e.type(), a.type());
-    EXPECT_TRUE(e.data32() == a.data32());
-    EXPECT_TRUE(e.data64() == a.data64());
-    EXPECT_TRUE(e.dataf() == a.dataf());
-  }
-}
 
 void ExpectResultsBitIdentical(const QueryResult& expected,
                                const QueryResult& actual) {

@@ -51,6 +51,24 @@ inline double Percentile(std::vector<double> values, double p) {
   return values[lo] + (values[hi] - values[lo]) * frac;
 }
 
+/// Same column names, types and raw buffers (string columns compare their
+/// dictionary codes).
+inline void ExpectTablesBitIdentical(const Table& expected,
+                                     const Table& actual) {
+  ASSERT_EQ(expected.num_columns(), actual.num_columns());
+  ASSERT_EQ(expected.num_rows(), actual.num_rows());
+  for (int64_t i = 0; i < expected.num_columns(); ++i) {
+    SCOPED_TRACE("column " + expected.ColumnNameAt(i));
+    EXPECT_EQ(expected.ColumnNameAt(i), actual.ColumnNameAt(i));
+    const Column& e = expected.ColumnAt(i);
+    const Column& a = actual.ColumnAt(i);
+    ASSERT_EQ(e.type(), a.type());
+    EXPECT_TRUE(e.data32() == a.data32());
+    EXPECT_TRUE(e.data64() == a.data64());
+    EXPECT_TRUE(e.dataf() == a.dataf());
+  }
+}
+
 /// Exact equality of every simulated hardware counter (all deterministic).
 inline void ExpectCountersBitIdentical(const sim::HwCounters& expected,
                                 const sim::HwCounters& actual) {
