@@ -308,7 +308,7 @@ int RunQuery(Engine& engine, const tpch::Database& db, const CliOptions& cli,
                   shard::MergeLabel(dist->fallback_reason).c_str(),
                   dist->plan_text.c_str());
       std::printf("exchanges over %s:\n",
-                  (*sharded)->link().spec().name.c_str());
+                  (*sharded)->group().link.name.c_str());
       for (const shard::ExchangeOpReport& ex : dist->exchanges) {
         std::printf("  %-12s %-14s %10lld bytes  %.4f ms\n", ex.table.c_str(),
                     std::string(ExchangeKindName(ex.kind)).c_str(),

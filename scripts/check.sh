@@ -5,7 +5,9 @@
 # tracing smoke run of the CLI whose output is validated by the in-tree
 # JSON parser (via the trace_smoke binary's file-validation mode), an
 # EXPLAIN ANALYZE vs --metrics-json consistency diff (every query under
-# each GPL-family mode, plus the fusion checks under --mode=fused), an
+# each GPL-family mode, plus the fusion checks under --mode=fused, and
+# under --shards=2 / --device=amd,nvidia the sharded report's exchange
+# bytes against the charged ones), an
 # --explain-analyze flag check (unsharded kbe/ocelot exit 2), a
 # serve-mode telemetry smoke (JSONL snapshots + Prometheus textfile
 # validated by scripts/validate_prom.py), a sharded serve smoke (--shards
@@ -182,6 +184,51 @@ for query, report in reports.items():
 print(f"fused explain smoke: OK ({len(reports)} queries, "
       f"{entries['Q5']['fused_launches_saved']} launches saved)")
 PYEOF
+
+echo
+echo "=== sharded explain smoke: EXPLAIN ANALYZE under --shards / --device ==="
+# A sharded report renders the very plan that ran: its metrics object must
+# equal the --metrics-json entry key for key, the relation exchanges' predicted
+# bytes must sum to the broadcast bytes charged, and every query combines
+# across both devices.
+SHARD_EXPLAIN_DIR="$(mktemp -d /tmp/gpl_check_shard_explain.XXXXXX)"
+trap 'rm -rf "$TRACE_OUT" "$METRICS_OUT" "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT" "$FUSED_EXPLAIN_OUT" "$FUSED_METRICS_OUT" "$SHARD_EXPLAIN_DIR"' EXIT
+for shape in "--shards=2 --mode=gpl" "--shards=2 --mode=kbe" \
+    "--device=amd,nvidia"; do
+  # shellcheck disable=SC2086  # $shape is two flags or one
+  "$BUILD/cli/gplcli" --query=all --sf=0.02 $shape --explain-analyze \
+    --explain-json="$SHARD_EXPLAIN_DIR/explain.json" \
+    --metrics-json="$SHARD_EXPLAIN_DIR/metrics.json" > /dev/null
+  python3 - "$SHARD_EXPLAIN_DIR/explain.json" \
+    "$SHARD_EXPLAIN_DIR/metrics.json" "$shape" <<'PYEOF'
+import json, sys
+reports = {r["query"]: r for r in json.load(open(sys.argv[1]))}
+entries = {e["query"]: e for e in json.load(open(sys.argv[2]))}
+shape = sys.argv[3]
+if reports.keys() != entries.keys():
+    sys.exit(f"{shape}: explain queries {sorted(reports)} != metrics-json "
+             f"queries {sorted(entries)}")
+for query, report in reports.items():
+    entry = entries[query]
+    if report["metrics"] != entry:
+        diff = sorted(k for k in report["metrics"].keys() | entry.keys()
+                      if report["metrics"].get(k) != entry.get(k))
+        sys.exit(f"{shape} {query}: explain metrics != metrics-json on {diff}")
+    predicted = sum(x["predicted_bytes"] for x in report["exchanges"]
+                    if x["kind"] != "gather")
+    if predicted != entry["broadcast_bytes"]:
+        sys.exit(f"{shape} {query}: predicted exchange bytes {predicted} != "
+                 f"broadcast_bytes {entry['broadcast_bytes']}")
+    if entry["exchange_bytes"] != entry["broadcast_bytes"] + entry["shuffle_bytes"]:
+        sys.exit(f"{shape} {query}: exchange_bytes != broadcast + shuffle")
+    if len(entry["device_elapsed_ms"]) != 2 or not entry["partial_combine"]:
+        sys.exit(f"{shape} {query}: want 2 device times and a combine, got "
+                 f"{entry['device_elapsed_ms']}, "
+                 f"partial_combine={entry['partial_combine']}")
+print(f"sharded explain smoke ({shape}): OK ({len(reports)} queries)")
+PYEOF
+done
+rm -rf "$SHARD_EXPLAIN_DIR"
 
 echo
 echo "=== explain flag smoke: --explain-analyze rejects unsharded kbe/ocelot ==="

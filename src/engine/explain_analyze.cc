@@ -229,9 +229,9 @@ Result<ExplainAnalyzeReport> ExplainAnalyze(Engine& engine,
   if (Engine::IsShardedExec(exec)) {
     GPL_ASSIGN_OR_RETURN(shard::ShardedExecutor * sharded,
                          engine.ShardedFor(exec));
-    GPL_ASSIGN_OR_RETURN(shard::DistributedExplain dist,
-                         sharded->Explain(query));
-    GPL_ASSIGN_OR_RETURN(QueryResult result, sharded->Execute(query, exec));
+    shard::DistributedExplain dist;
+    GPL_ASSIGN_OR_RETURN(QueryResult result,
+                         sharded->Execute(query, exec, &dist));
 
     ExplainAnalyzeReport report;
     report.query = query.name;

@@ -39,7 +39,6 @@ ExchangeDecision PriceExchange(const ExchangeInput& input,
   ExchangeDecision decision;
   decision.table = input.table;
   decision.strategy = strategy;
-  sim::Link cost(link);
   switch (strategy) {
     case ExchangeStrategy::kCoPartitioned:
       decision.bytes = 0;
@@ -49,7 +48,7 @@ ExchangeDecision PriceExchange(const ExchangeInput& input,
       decision.bytes = input.bytes * static_cast<int64_t>(num_shards - 1);
       // One serialized DMA per receiving device (latency paid per copy).
       decision.ms =
-          static_cast<double>(num_shards - 1) * cost.TransferMs(input.bytes);
+          static_cast<double>(num_shards - 1) * link.TransferMs(input.bytes);
       break;
     case ExchangeStrategy::kRepartition:
       // Every row of both sides of the attach join relocates with
@@ -60,7 +59,7 @@ ExchangeDecision PriceExchange(const ExchangeInput& input,
           OutboundFraction(RelocationBytes(input, fact_bytes), num_shards);
       decision.bytes =
           OutboundFraction(input.bytes, num_shards) + decision.spine_bytes;
-      decision.ms = cost.TransferMs(decision.bytes);
+      decision.ms = link.TransferMs(decision.bytes);
       break;
   }
   return decision;
@@ -80,7 +79,6 @@ ExchangePlan PlanExchange(const std::vector<ExchangeInput>& inputs,
   ExchangePlan plan;
   plan.decisions.resize(inputs.size());
 
-  sim::Link cost(link);
   struct Candidate {
     size_t index = 0;          ///< into inputs/decisions
     ExchangeDecision bcast;
@@ -102,7 +100,7 @@ ExchangePlan PlanExchange(const std::vector<ExchangeInput>& inputs,
     c.bcast = PriceExchange(input, ExchangeStrategy::kBroadcast, link,
                             num_shards, fact_bytes);
     c.own_bytes = OutboundFraction(input.bytes, num_shards);
-    c.own_ms = cost.TransferMs(c.own_bytes);
+    c.own_ms = link.TransferMs(c.own_bytes);
     c.reloc_bytes =
         OutboundFraction(RelocationBytes(input, fact_bytes), num_shards);
     plan.all_broadcast_bytes += c.bcast.bytes;
@@ -140,7 +138,7 @@ ExchangePlan PlanExchange(const std::vector<ExchangeInput>& inputs,
       } else if (j == payer) {
         // Own bytes and the spine relocation ship in one DMA, exactly the
         // standalone PriceExchange(kRepartition) price.
-        ms += cost.TransferMs(c.own_bytes + payer_reloc);
+        ms += link.TransferMs(c.own_bytes + payer_reloc);
         bytes += c.own_bytes + payer_reloc;
       } else {
         ms += c.own_ms;
@@ -174,7 +172,7 @@ ExchangePlan PlanExchange(const std::vector<ExchangeInput>& inputs,
       if (j == payer) {
         decision.spine_bytes = payer_reloc;
         decision.bytes = c.own_bytes + payer_reloc;
-        decision.ms = cost.TransferMs(decision.bytes);
+        decision.ms = link.TransferMs(decision.bytes);
         plan.has_spine = true;
         plan.spine_table = inputs[c.index].table;
         plan.spine_bytes = payer_reloc;

@@ -363,8 +363,7 @@ ShardedExecutor::ShardedExecutor(
                               : std::make_unique<model::TuningCache>()),
       tuning_cache_(options_.tuning_cache != nullptr
                         ? options_.tuning_cache
-                        : owned_tuning_cache_.get()),
-      link_(group_.link) {
+                        : owned_tuning_cache_.get()) {
   GPL_CHECK(db_ != nullptr && sharded_ != nullptr);
   GPL_CHECK(group_.size() == sharded_->num_shards())
       << "device group size " << group_.size() << " != shard count "
@@ -521,13 +520,11 @@ Result<ShardedExecutor::DistributedPlan> ShardedExecutor::PlanDistributed(
   return dist;
 }
 
-Result<DistributedExplain> ShardedExecutor::Explain(
-    const LogicalQuery& query) const {
+DistributedExplain ShardedExecutor::Render(const DistributedPlan& dist) const {
   DistributedExplain out;
   out.num_shards = group_.size();
-  GPL_ASSIGN_OR_RETURN(DistributedPlan dist, PlanDistributed(query));
   out.fallback_reason = dist.fallback_reason;
-  if (!dist.fallback_reason.empty()) {
+  if (!dist.combines()) {
     // The unmodified plan runs on device 0; nothing is exchanged.
     out.plan_text = PlanToString(*dist.plan);
     return out;
@@ -552,139 +549,126 @@ Result<DistributedExplain> ShardedExecutor::Explain(
   gather.predicted_bytes = dist.gather_bytes;
   const int senders = group_.size() - 1;
   if (senders > 0 && dist.gather_bytes > 0) {
-    sim::Link probe(group_.link);
     gather.predicted_ms = static_cast<double>(senders) *
-                          probe.TransferMs(dist.gather_bytes / senders);
+                          group_.link.TransferMs(dist.gather_bytes / senders);
   }
   out.exchanges.push_back(std::move(gather));
   return out;
+}
+
+Result<DistributedExplain> ShardedExecutor::Explain(
+    const LogicalQuery& query) const {
+  GPL_ASSIGN_OR_RETURN(const DistributedPlan dist, PlanDistributed(query));
+  return Render(dist);
 }
 
 Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query) {
   return Execute(query, options_.exec);
 }
 
-Result<QueryResult> ShardedExecutor::ExecuteOnCoordinator(
-    const LogicalQuery& query, const DistributedPlan& dist,
-    const ExecOptions& exec, double plan_wall_ms) {
-  const std::string merge = MergeLabel(dist.fallback_reason);
-  if (exec.trace != nullptr) {
-    // Nothing crosses the link: a zero-length exchange span carries the
-    // merge label where a combine's exchange span would.
-    const int link_track =
-        exec.trace->TrackId("exchange (" + link_.spec().name + ")");
-    exec.trace->AddSpan(link_track, query.name + " exchange", "shard.exchange",
-                        0.0, 0.0,
-                        {{"broadcast_bytes", "0"},
-                         {"shuffle_bytes", "0"},
-                         {"merge", "\"" + trace::JsonEscape(merge) + "\""}});
-  }
-  ExecOptions single = exec;
-  single.shards = 1;
-  single.device_list.clear();
-  GPL_ASSIGN_OR_RETURN(QueryResult result,
-                       coordinator_->ExecutePlan(dist.plan, single));
-  // Device 0 did all the work; the other devices idled, nothing was
-  // exchanged and nothing merged.
-  QueryMetrics& m = result.metrics;
-  m.plan_wall_ms += plan_wall_ms;
-  m.num_shards = group_.size();
-  m.device_elapsed_ms.assign(static_cast<size_t>(group_.size()), 0.0);
-  m.device_elapsed_ms.front() = m.elapsed_ms;
-  m.device_utilization.assign(static_cast<size_t>(group_.size()), 0.0);
-  m.device_utilization.front() = 1.0;
-  obs::Inc(fallbacks_counter_);
-  if (!slot_busy_gauges_.empty()) {
-    obs::Add(slot_busy_gauges_.front(), m.elapsed_ms);
-  }
-  GPL_SLOG(Info, "shard")
-      .Field("query", query.name)
-      .Field("group", group_.ToString())
-      .Field("merge", merge)
-      .Field("sim_ms", m.elapsed_ms)
-      << "sharded query ran on one device";
-  return result;
-}
-
 Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query,
-                                             const ExecOptions& exec) {
+                                             const ExecOptions& exec,
+                                             DistributedExplain* explain) {
   if (exec.cancel != nullptr) GPL_RETURN_NOT_OK(exec.cancel->Check());
-  const sim::DeviceSpec& device0 = group_.devices.front();
-
   // Plan once, on the unpartitioned database's statistics: every shard runs
   // the same exchange-annotated plan, exactly as a coordinator would ship it.
   const auto plan_start = std::chrono::steady_clock::now();
-  GPL_ASSIGN_OR_RETURN(DistributedPlan dist, PlanDistributed(query));
+  GPL_ASSIGN_OR_RETURN(const DistributedPlan dist, PlanDistributed(query));
   const double plan_wall_ms = std::chrono::duration<double, std::milli>(
                                   std::chrono::steady_clock::now() - plan_start)
                                   .count();
-  if (!dist.fallback_reason.empty()) {
-    return ExecuteOnCoordinator(query, dist, exec, plan_wall_ms);
-  }
+  if (explain != nullptr) *explain = Render(dist);
+  GPL_ASSIGN_OR_RETURN(std::vector<QueryResult> partials,
+                       RunShards(dist, exec));
+  const LinkTraffic traffic = Exchange(query, dist, partials, exec);
+  GPL_ASSIGN_OR_RETURN(QueryResult merge, Combine(dist, &partials, exec));
+  return Publish(query, dist, partials, traffic, std::move(merge),
+                 plan_wall_ms);
+}
 
-  // Per-shard execution. Serial on the host (results are simulated, wall
-  // clock is not the metric); the shared fault injector and cancellation
-  // token are polled in shard order, keeping fault schedules deterministic.
-  ExecOptions shard_exec = exec;
-  shard_exec.trace = nullptr;  // the executor emits the group-level timeline
-  shard_exec.shards = 1;       // shard engines never re-shard
-  shard_exec.device_list.clear();
+Result<std::vector<QueryResult>> ShardedExecutor::RunShards(
+    const DistributedPlan& dist, const ExecOptions& exec) {
+  ExecOptions leaf = exec;
+  leaf.shards = 1;  // shard engines and the coordinator never re-shard
+  leaf.device_list.clear();
   std::vector<QueryResult> partials;
-  partials.reserve(static_cast<size_t>(group_.size()));
-  for (int i = 0; i < group_.size(); ++i) {
+  if (!dist.combines()) {
+    // Device 0 runs the unmodified plan over the unpartitioned source, on
+    // the caller's timeline.
+    GPL_ASSIGN_OR_RETURN(QueryResult single,
+                         coordinator_->ExecutePlan(dist.plan, leaf));
+    partials.push_back(std::move(single));
+    return partials;
+  }
+  // Serial on the host (results are simulated, wall clock is not the
+  // metric); the shared fault injector and cancellation token are polled in
+  // shard order, keeping fault schedules deterministic.
+  leaf.trace = nullptr;  // Exchange lays out the group-level timeline
+  for (const std::unique_ptr<Engine>& engine : engines_) {
     if (exec.cancel != nullptr) GPL_RETURN_NOT_OK(exec.cancel->Check());
-    GPL_ASSIGN_OR_RETURN(
-        QueryResult partial,
-        engines_[static_cast<size_t>(i)]->ExecutePlan(dist.shard_plan,
-                                                      shard_exec));
+    GPL_ASSIGN_OR_RETURN(QueryResult partial,
+                         engine->ExecutePlan(dist.shard_plan, leaf));
     partials.push_back(std::move(partial));
   }
+  return partials;
+}
 
-  // Exchange: the per-relation broadcasts (priced by the Exchange operators'
-  // cost model) plus gathering every non-resident partial to device 0.
-  link_.Record(dist.exchange.total_bytes, dist.exchange.total_ms);
-  int64_t shuffle_bytes = 0;
+ShardedExecutor::LinkTraffic ShardedExecutor::Exchange(
+    const LogicalQuery& query, const DistributedPlan& dist,
+    const std::vector<QueryResult>& partials, const ExecOptions& exec) const {
+  // The per-relation exchanges (priced by the Exchange operators' cost
+  // model) plus gathering every non-resident partial to device 0. A fallback
+  // plans no exchange and has one partial: nothing crosses the link.
+  LinkTraffic traffic;
+  for (const QueryResult& partial : partials) {
+    traffic.start_ms = std::max(traffic.start_ms, partial.metrics.elapsed_ms);
+  }
   double shuffle_ms = 0.0;
   for (size_t i = 1; i < partials.size(); ++i) {
     const int64_t bytes = partials[i].table.byte_size();
-    shuffle_bytes += bytes;
-    shuffle_ms += link_.Transfer(bytes);
+    traffic.shuffle_bytes += bytes;
+    shuffle_ms += group_.link.TransferMs(bytes);
   }
-  const double exchange_ms = dist.exchange.total_ms + shuffle_ms;
+  traffic.ms = dist.exchange.total_ms + shuffle_ms;
+  if (exec.trace == nullptr) return traffic;
 
   // Group-level timeline: one span per device (they run concurrently from
-  // the segment origin), then the serialized exchange, then the merge
-  // kernels appended by RunKernelBatch below.
-  const double max_device_ms =
-      std::max_element(partials.begin(), partials.end(),
-                       [](const QueryResult& a, const QueryResult& b) {
-                         return a.metrics.elapsed_ms < b.metrics.elapsed_ms;
-                       })
-          ->metrics.elapsed_ms;
-  if (exec.trace != nullptr) {
-    for (int i = 0; i < group_.size(); ++i) {
-      const sim::DeviceSpec& device = group_.devices[static_cast<size_t>(i)];
-      const int track = exec.trace->TrackId(
-          "device " + std::to_string(i) + " (" + device.name + ")");
+  // the segment origin), then the serialized exchange, then Combine's merge
+  // kernels. A fallback's one run traced itself, so its exchange is a
+  // zero-length span at the run's end that carries the merge label.
+  const sim::DeviceSpec& device0 = group_.devices.front();
+  double start_ms = 0.0;  // after the origin
+  if (dist.combines()) {
+    start_ms = traffic.start_ms;
+    for (size_t i = 0; i < partials.size(); ++i) {
+      const double ms = partials[i].metrics.elapsed_ms;
       exec.trace->AddSpan(
-          track, query.name + " shard " + std::to_string(i), "shard.exec", 0.0,
-          MsToCycles(device0, partials[static_cast<size_t>(i)]
-                                  .metrics.elapsed_ms),
-          {{"elapsed_ms",
-            std::to_string(partials[static_cast<size_t>(i)]
-                               .metrics.elapsed_ms)}});
+          exec.trace->TrackId("device " + std::to_string(i) + " (" +
+                              group_.devices[i].name + ")"),
+          query.name + " shard " + std::to_string(i), "shard.exec", 0.0,
+          MsToCycles(device0, ms), {{"elapsed_ms", std::to_string(ms)}});
     }
-    const int link_track = exec.trace->TrackId("exchange (" + link_.spec().name + ")");
-    exec.trace->AddSpan(
-        link_track, query.name + " exchange", "shard.exchange",
-        MsToCycles(device0, max_device_ms),
-        MsToCycles(device0, max_device_ms + exchange_ms),
-        {{"broadcast_bytes", std::to_string(dist.exchange.total_bytes)},
-         {"shuffle_bytes", std::to_string(shuffle_bytes)},
-         {"merge", "\"combine\""}});
-    exec.trace->AdvanceOrigin(MsToCycles(device0, max_device_ms + exchange_ms));
   }
+  const std::string merge = MergeLabel(dist.fallback_reason);
+  exec.trace->AddSpan(
+      exec.trace->TrackId("exchange (" + group_.link.name + ")"),
+      query.name + " exchange", "shard.exchange", MsToCycles(device0, start_ms),
+      MsToCycles(device0, start_ms + traffic.ms),
+      {{"broadcast_bytes", std::to_string(dist.exchange.total_bytes)},
+       {"shuffle_bytes", std::to_string(traffic.shuffle_bytes)},
+       {"merge", "\"" + trace::JsonEscape(merge) + "\""}});
+  exec.trace->AdvanceOrigin(MsToCycles(device0, start_ms + traffic.ms));
+  return traffic;
+}
 
+Result<QueryResult> ShardedExecutor::Combine(
+    const DistributedPlan& dist, std::vector<QueryResult>* partials,
+    const ExecOptions& exec) const {
+  if (!dist.combines()) {
+    QueryResult pass;
+    pass.table = std::move(partials->front().table);
+    return pass;
+  }
   // Combine on device 0: fold the per-shard partial-aggregate states per
   // group. Exact and order-independent (superaccumulator digits for sums),
   // so the result is bit-identical to a single device's aggregate output.
@@ -694,12 +678,11 @@ Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query,
   // Tables above the aggregate are read from the unpartitioned source,
   // which is what device 0 would hold as the coordinator.
   const sim::Simulator& sim0 = engines_.front()->simulator();
-  sim::HwCounters merge_counters;
   std::vector<Table> partial_tables;
-  partial_tables.reserve(partials.size());
+  partial_tables.reserve(partials->size());
   int64_t rows_in = 0;
   int64_t bytes_in = 0;
-  for (QueryResult& partial : partials) {
+  for (QueryResult& partial : *partials) {
     rows_in += partial.table.num_rows();
     bytes_in += partial.table.byte_size();
     partial_tables.push_back(std::move(partial.table));
@@ -718,20 +701,31 @@ Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query,
   combine.bytes_out = combined.byte_size();
   GPL_ASSIGN_OR_RETURN(const sim::HwCounters combine_counters,
                        sim0.RunKernelBatch(combine, 0, exec.trace, exec.fault));
-  merge_counters.Accumulate(combine_counters);
   KbeEngine merge_engine(db_, &sim0);
   GPL_ASSIGN_OR_RETURN(
-      QueryResult merge_result,
+      QueryResult merge,
       merge_engine.ExecuteWithInput(dist.plan, dist.agg, std::move(combined),
                                     exec));
-  merge_counters.Accumulate(merge_result.metrics.counters);
-  const double merge_ms = device0.CyclesToMs(merge_counters.elapsed_cycles);
+  sim::HwCounters counters = combine_counters;
+  counters.Accumulate(merge.metrics.counters);
+  merge.metrics.counters = counters;
+  return merge;
+}
+
+QueryResult ShardedExecutor::Publish(const LogicalQuery& query,
+                                     const DistributedPlan& dist,
+                                     const std::vector<QueryResult>& partials,
+                                     const LinkTraffic& traffic,
+                                     QueryResult merge, double plan_wall_ms) {
+  const sim::DeviceSpec& device0 = group_.devices.front();
+  const double merge_ms =
+      device0.CyclesToMs(merge.metrics.counters.elapsed_cycles);
 
   // Metrics: counters sum every device's work plus the merge; elapsed is
-  // the parallel makespan. The breakdown is rescaled so its parts still sum
-  // to the makespan.
+  // the parallel makespan, and the breakdown is rescaled so its parts still
+  // sum to it. A fallback has no exchange or merge: the factor is exactly 1.
   QueryResult result;
-  result.table = std::move(merge_result.table);
+  result.table = std::move(merge.table);
   QueryMetrics& m = result.metrics;
   for (const QueryResult& partial : partials) {
     m.counters.Accumulate(partial.metrics.counters);
@@ -745,49 +739,54 @@ Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query,
     m.device_elapsed_ms.push_back(partial.metrics.elapsed_ms);
     m.predicted_ms = std::max(m.predicted_ms, partial.metrics.predicted_ms);
   }
-  m.counters.Accumulate(merge_counters);
+  m.device_elapsed_ms.resize(group_.devices.size(), 0.0);  // idle devices
+  m.counters.Accumulate(merge.metrics.counters);
   m.Finalize(device0);
   const double serial_ms = m.elapsed_ms;
-  m.elapsed_ms = max_device_ms + exchange_ms + merge_ms;
-  if (serial_ms > 0.0) {
-    const double scale = m.elapsed_ms / serial_ms;
-    m.compute_ms *= scale;
-    m.mem_ms *= scale;
-    m.dc_ms *= scale;
-    m.delay_ms *= scale;
-    m.other_ms *= scale;
+  m.elapsed_ms = traffic.start_ms + traffic.ms + merge_ms;
+  const double scale = serial_ms > 0.0 ? m.elapsed_ms / serial_ms : 1.0;
+  for (double* part : {&m.compute_ms, &m.mem_ms, &m.dc_ms, &m.delay_ms,
+                       &m.other_ms}) {
+    *part *= scale;
   }
-  if (m.predicted_ms > 0.0) m.predicted_ms += exchange_ms + merge_ms;
+  if (m.predicted_ms > 0.0) m.predicted_ms += traffic.ms + merge_ms;
   m.plan_wall_ms = plan_wall_ms;
   m.num_shards = group_.size();
-  m.partial_combine = true;
+  m.partial_combine = dist.combines();
   m.broadcast_bytes = dist.exchange.total_bytes;
   m.exchange_all_broadcast_bytes = dist.exchange.all_broadcast_bytes;
-  m.shuffle_bytes = shuffle_bytes;
-  m.exchange_bytes = dist.exchange.total_bytes + shuffle_bytes;
-  m.exchange_ms = exchange_ms;
+  m.shuffle_bytes = traffic.shuffle_bytes;
+  m.exchange_bytes = dist.exchange.total_bytes + traffic.shuffle_bytes;
+  m.exchange_ms = traffic.ms;
   m.merge_ms = merge_ms;
   for (double device_ms : m.device_elapsed_ms) {
     m.device_utilization.push_back(
         m.elapsed_ms > 0.0 ? device_ms / m.elapsed_ms : 0.0);
   }
-  obs::Inc(broadcast_bytes_counter_,
-           static_cast<uint64_t>(dist.exchange.total_bytes));
-  obs::Inc(shuffle_bytes_counter_, static_cast<uint64_t>(shuffle_bytes));
-  for (size_t i = 0;
-       i < slot_busy_gauges_.size() && i < m.device_elapsed_ms.size(); ++i) {
+  // A fallback's device 0 is busy the whole run, even a zero-length one.
+  if (!dist.combines()) m.device_utilization.front() = 1.0;
+  Record(query, dist, m, traffic.start_ms);
+  return result;
+}
+
+void ShardedExecutor::Record(const LogicalQuery& query,
+                             const DistributedPlan& dist,
+                             const QueryMetrics& m, double max_device_ms) {
+  if (!dist.combines()) obs::Inc(fallbacks_counter_);
+  obs::Inc(broadcast_bytes_counter_, static_cast<uint64_t>(m.broadcast_bytes));
+  obs::Inc(shuffle_bytes_counter_, static_cast<uint64_t>(m.shuffle_bytes));
+  for (size_t i = 0; i < slot_busy_gauges_.size(); ++i) {
     obs::Add(slot_busy_gauges_[i], m.device_elapsed_ms[i]);
   }
   GPL_SLOG(Info, "shard")
       .Field("query", query.name)
       .Field("group", group_.ToString())
-      .Field("merge", "combine")
+      .Field("merge", MergeLabel(dist.fallback_reason))
       .Field("sim_ms", m.elapsed_ms)
       .Field("max_device_ms", max_device_ms)
-      .Field("exchange_ms", exchange_ms)
-      .Field("merge_ms", merge_ms)
+      .Field("exchange_ms", m.exchange_ms)
+      .Field("merge_ms", m.merge_ms)
       << "sharded query executed";
-  return result;
 }
 
 }  // namespace shard

@@ -12,7 +12,6 @@
 #include "plan/physical_plan.h"
 #include "shard/device_group.h"
 #include "shard/partitioner.h"
-#include "sim/link.h"
 
 namespace gpl {
 namespace shard {
@@ -72,7 +71,7 @@ obs::Gauge* SlotBusyGauge(obs::MetricsRegistry* metrics, int slot,
 /// Exchange operators are first-class plan nodes (PhysicalOp::kExchange):
 /// planning wraps every non-fact scan of the shard subtree in an Exchange
 /// whose kind (broadcast / repartition / co-partitioned passthrough) the
-/// cost model picks per relation over the group's sim::Link. On a device the
+/// cost model picks per relation over the group's link. On a device the
 /// operator is an identity — the link cost is charged once at the group
 /// level, exactly as priced.
 ///
@@ -96,14 +95,19 @@ obs::Gauge* SlotBusyGauge(obs::MetricsRegistry* metrics, int slot,
 ///    single device is the oracle, so the result is exact by construction.
 ///    The fallback is visible: DistributedExplain::fallback_reason, a
 ///    "merge=single-device (<reason>)" label, and the
-///    gpl_shard_fallbacks_total counter. Its metrics report device 0's
-///    time, 0 for the other devices, no exchange and no merge. A 1-device
-///    group always runs this way.
+///    gpl_shard_fallbacks_total counter. A 1-device group always runs this
+///    way.
+///
+/// Steps. Execute is PlanDistributed, RunShards, Exchange, Combine and
+/// Publish, for a combine and a fallback alike. A fallback is the degenerate
+/// case: one run on the coordinator, no exchange, and a combine that passes
+/// the one table through — so its metrics report device 0's time, 0 for the
+/// other devices, no exchange and no merge.
 ///
 /// Timing. Simulated elapsed = max over per-device times + serialized
-/// exchange (broadcasts + the gather, priced by sim::Link) + the merge
-/// charged on device 0. Counters sum all devices' work; per-device times and
-/// utilizations land in QueryMetrics.
+/// exchange (broadcasts + the gather, priced by the group's sim::LinkSpec) +
+/// the merge charged on device 0. Counters sum all devices' work;
+/// per-device times and utilizations land in QueryMetrics.
 ///
 /// Thread-safety: like Engine, an instance is single-threaded; the
 /// ShardedDatabase and the source database are read-only and shared.
@@ -125,18 +129,18 @@ class ShardedExecutor {
 
   int num_shards() const { return group_.size(); }
   const DeviceGroup& group() const { return group_; }
-  const sim::Link& link() const { return link_; }
   model::TuningCache& tuning_cache() const { return *tuning_cache_; }
 
   /// How Execute() would run `query`: the exchange-annotated per-shard plan
   /// plus per-exchange predictions, or the unmodified plan and the reason it
-  /// falls back to one device. Pure planning — nothing executes and no
-  /// link traffic is recorded.
+  /// falls back to one device. Pure planning — nothing executes.
   Result<DistributedExplain> Explain(const LogicalQuery& query) const;
 
   Result<QueryResult> Execute(const LogicalQuery& query);
+  /// A non-null `explain` receives the plan that ran (EXPLAIN ANALYZE).
   Result<QueryResult> Execute(const LogicalQuery& query,
-                              const ExecOptions& exec);
+                              const ExecOptions& exec,
+                              DistributedExplain* explain = nullptr);
 
  private:
   /// A planned execution: the unmodified plan, and either the reason it
@@ -149,6 +153,16 @@ class ShardedExecutor {
     const PhysicalOp* agg = nullptr;  ///< the pushed-down aggregate of `plan`
     model::ExchangePlan exchange;     ///< per-relation decisions (non-fact)
     int64_t gather_bytes = 0;         ///< estimated gather traffic (EXPLAIN)
+
+    bool combines() const { return fallback_reason.empty(); }
+  };
+
+  /// Link traffic of one execution: the planned relation exchanges plus the
+  /// gather of every non-resident partial to device 0.
+  struct LinkTraffic {
+    int64_t shuffle_bytes = 0;
+    double start_ms = 0.0;  ///< the slowest device's run: the link waits
+    double ms = 0.0;        ///< serialized link time, broadcasts included
   };
 
   /// Plans `query` on the unpartitioned catalog (shared by Execute and
@@ -160,11 +174,34 @@ class ShardedExecutor {
   /// above the aggregate run on the merge device and are never shipped).
   Result<model::ExchangePlan> ExchangeForPlan(
       const PhysicalOp& shard_subtree) const;
-  /// Runs the unmodified plan on the coordinator (the fallback).
-  Result<QueryResult> ExecuteOnCoordinator(const LogicalQuery& query,
-                                           const DistributedPlan& dist,
-                                           const ExecOptions& exec,
-                                           double plan_wall_ms);
+  /// EXPLAIN's view of a planned execution.
+  DistributedExplain Render(const DistributedPlan& dist) const;
+
+  // The steps of Execute, in order; a fallback runs the same steps.
+  /// One partial per shard, serially in shard order; a fallback's one run is
+  /// the unmodified plan on the coordinator, traced by the caller's trace.
+  Result<std::vector<QueryResult>> RunShards(const DistributedPlan& dist,
+                                             const ExecOptions& exec);
+  /// Prices the link traffic (none on a fallback) and lays the devices'
+  /// runs and the exchange out on the trace, ahead of the merge kernels.
+  LinkTraffic Exchange(const LogicalQuery& query, const DistributedPlan& dist,
+                       const std::vector<QueryResult>& partials,
+                       const ExecOptions& exec) const;
+  /// The merged table, with the counters of device 0's merge work: folds the
+  /// partials (moving their tables out) and replays the plan above the
+  /// aggregate. A fallback's one table passes through with zero counters.
+  Result<QueryResult> Combine(const DistributedPlan& dist,
+                              std::vector<QueryResult>* partials,
+                              const ExecOptions& exec) const;
+  /// Builds the result's QueryMetrics from the devices' runs, the exchange
+  /// and the merge, and Records them.
+  QueryResult Publish(const LogicalQuery& query, const DistributedPlan& dist,
+                      const std::vector<QueryResult>& partials,
+                      const LinkTraffic& traffic, QueryResult merge,
+                      double plan_wall_ms);
+  /// Adds a published run to the obs series and writes its log line.
+  void Record(const LogicalQuery& query, const DistributedPlan& dist,
+              const QueryMetrics& m, double max_device_ms);
 
   const tpch::Database* db_;
   const ShardedDatabase* sharded_;
@@ -179,7 +216,6 @@ class ShardedExecutor {
   /// Device 0's engine over the unpartitioned source: plans every query
   /// (global statistics) and runs the fallback.
   std::unique_ptr<Engine> coordinator_;
-  sim::Link link_;  ///< accumulates exchange traffic across executions
 
   // Metrics handles (null without EngineOptions::metrics): exchange traffic
   // by kind, single-device fallbacks, and accumulated simulated busy ms per

@@ -7,9 +7,13 @@
 namespace gpl {
 namespace sim {
 
-/// Parameters of one inter-device interconnect link (PCIe lane, NVLink-style
-/// bridge, ...). Like DeviceSpec this is a pure description; Link below adds
-/// the cost model and occupancy accounting.
+/// Parameters and cost model of one inter-device interconnect link (PCIe
+/// lane, NVLink-style bridge, ...), the exchange-layer analogue of the
+/// channel cost model. Like DeviceSpec this is a pure description: it keeps
+/// no count of the traffic it prices — QueryMetrics and the
+/// gpl_shard_exchange_bytes_total series hold that. Transfers are priced as
+/// serialized on the link (one DMA engine), which is how the sharded
+/// executor charges broadcast and partial-result shuffle.
 ///
 /// The default models a PCIe 3.0 x16-class link: ~16 GB/s of payload
 /// bandwidth and a few microseconds of per-transfer setup latency.
@@ -19,55 +23,15 @@ struct LinkSpec {
   double gbytes_per_sec = 16.0;
   /// Fixed per-transfer latency (DMA setup, doorbell, completion interrupt).
   double latency_us = 5.0;
-};
-
-/// Cost model and occupancy statistics of one inter-device link, the
-/// exchange-layer analogue of ChannelState: TransferMs prices a transfer,
-/// Transfer additionally records it into the running counters that feed
-/// traces and metrics. Transfers are accounted as serialized on the link
-/// (one DMA engine), which is how the sharded executor charges broadcast
-/// and partial-result shuffle.
-class Link {
- public:
-  explicit Link(const LinkSpec& spec) : spec_(spec) {}
-
-  const LinkSpec& spec() const { return spec_; }
 
   /// Milliseconds to move `bytes` across the link: setup latency plus
   /// payload at the link bandwidth. Zero-byte transfers are free (no
   /// transfer is issued for an empty table).
   double TransferMs(int64_t bytes) const {
     if (bytes <= 0) return 0.0;
-    return spec_.latency_us / 1e3 +
-           static_cast<double>(bytes) / (spec_.gbytes_per_sec * 1e6);
+    return latency_us / 1e3 +
+           static_cast<double>(bytes) / (gbytes_per_sec * 1e6);
   }
-
-  /// Prices and records one transfer; returns its cost in ms.
-  double Transfer(int64_t bytes) {
-    const double ms = TransferMs(bytes);
-    Record(bytes, ms);
-    return ms;
-  }
-
-  /// Records an externally priced exchange (e.g. a broadcast whose N-1
-  /// copies were costed by the exchange model as one decision).
-  void Record(int64_t bytes, double ms) {
-    if (bytes <= 0) return;
-    total_bytes_ += bytes;
-    transfers_ += 1;
-    busy_ms_ += ms;
-  }
-
-  // ---- Occupancy statistics (for tracing/metrics) ----
-  int64_t total_bytes() const { return total_bytes_; }
-  int64_t transfer_count() const { return transfers_; }
-  double busy_ms() const { return busy_ms_; }
-
- private:
-  LinkSpec spec_;
-  int64_t total_bytes_ = 0;
-  int64_t transfers_ = 0;
-  double busy_ms_ = 0.0;
 };
 
 }  // namespace sim

@@ -160,16 +160,9 @@ TEST(LinkTest, TransferMsIsLatencyPlusBandwidthAndZeroBytesFree) {
   sim::LinkSpec spec;
   spec.gbytes_per_sec = 16.0;
   spec.latency_us = 5.0;
-  sim::Link link(spec);
-  EXPECT_DOUBLE_EQ(link.TransferMs(0), 0.0);
+  EXPECT_DOUBLE_EQ(spec.TransferMs(0), 0.0);
   // 16 MB at 16 GB/s = 1 ms payload + 0.005 ms setup.
-  EXPECT_DOUBLE_EQ(link.TransferMs(16'000'000), 1.005);
-
-  EXPECT_DOUBLE_EQ(link.Transfer(16'000'000), 1.005);
-  link.Record(1000, 0.5);  // externally priced
-  EXPECT_EQ(link.total_bytes(), 16'001'000);
-  EXPECT_EQ(link.transfer_count(), 2);
-  EXPECT_DOUBLE_EQ(link.busy_ms(), 1.505);
+  EXPECT_DOUBLE_EQ(spec.TransferMs(16'000'000), 1.005);
 }
 
 // ---- Exchange model ----
@@ -426,7 +419,10 @@ TEST(ShardedExecutorTest, RepeatRunsAreDeterministic) {
   Result<ShardedDatabase> sharded = PartitionDatabase(SmallDb(), poptions);
   ASSERT_TRUE(sharded.ok());
   DeviceGroup group = DeviceGroup::Homogeneous(sim::DeviceSpec::AmdA10(), 4);
-  ShardedExecutor executor(&SmallDb(), &*sharded, group, EngineOptions{},
+  obs::MetricsRegistry registry;
+  EngineOptions options;
+  options.metrics = &registry;
+  ShardedExecutor executor(&SmallDb(), &*sharded, group, options,
                            &SharedCalibrations());
   Result<QueryResult> first = executor.Execute(queries::Q5());
   Result<QueryResult> second = executor.Execute(queries::Q5());
@@ -435,8 +431,10 @@ TEST(ShardedExecutorTest, RepeatRunsAreDeterministic) {
   EXPECT_EQ(first->metrics.elapsed_ms, second->metrics.elapsed_ms);
   EXPECT_EQ(first->metrics.exchange_bytes, second->metrics.exchange_bytes);
 
-  // The link accumulated both executions' traffic.
-  EXPECT_EQ(executor.link().total_bytes(), 2 * first->metrics.exchange_bytes);
+  // The exchange series counted both executions' traffic.
+  EXPECT_EQ(shard::ExchangeBytesCounter(&registry, "broadcast")->Value() +
+                shard::ExchangeBytesCounter(&registry, "shuffle")->Value(),
+            2 * static_cast<uint64_t>(first->metrics.exchange_bytes));
 }
 
 TEST(ShardedExecutorTest, ExplainRendersExchangeOperatorsInline) {
@@ -476,6 +474,20 @@ TEST(ShardedExecutorTest, ExplainRendersExchangeOperatorsInline) {
   }
   EXPECT_TRUE(saw_orders);
   EXPECT_TRUE(saw_gather);
+
+  // Execute renders the plan it ran: the text and exchanges Explain shows,
+  // whose relation bytes are the broadcast bytes the run charged.
+  shard::DistributedExplain ran;
+  Result<QueryResult> q9_run =
+      executor.Execute(queries::Q9(), ExecOptions{}, &ran);
+  ASSERT_TRUE(q9_run.ok()) << q9_run.status().ToString();
+  EXPECT_EQ(ran.plan_text, q9->plan_text);
+  ASSERT_EQ(ran.exchanges.size(), q9->exchanges.size());
+  int64_t relation_bytes = 0;
+  for (const shard::ExchangeOpReport& ex : ran.exchanges) {
+    if (ex.kind != ExchangeKind::kGather) relation_bytes += ex.predicted_bytes;
+  }
+  EXPECT_EQ(relation_bytes, q9_run->metrics.broadcast_bytes);
 
   // At this scale Q5 plans a two-key join above the fact scan
   // ({l_orderkey, l_suppkey} = {o_orderkey, s_suppkey}). The classifier
@@ -1034,7 +1046,11 @@ TEST(FloatGroupKeyTest, FloatKeysAreNotTruncatedInAnyModeOrShardCount) {
 /// Runs `q` on 2 and 4 shards and asserts it falls back to one device: a
 /// non-empty Explain reason, partial_combine false, one fallback counted per
 /// run, no exchange or merge, and table, counters and elapsed_ms equal to
-/// the single-device engine's.
+/// the single-device engine's. Also pins what the fallback publishes:
+/// device 0 busy for the whole run and the other devices idle, in the
+/// metrics and the slot gauges; no exchange bytes in the registry; and a
+/// trace with one zero-length exchange span carrying the merge label and no
+/// per-shard span.
 void ExpectSingleDeviceFallback(const LogicalQuery& q) {
   EngineOptions options;
   options.calibration =
@@ -1077,8 +1093,40 @@ void ExpectSingleDeviceFallback(const LogicalQuery& q) {
       std::vector<double> device_ms(static_cast<size_t>(n), 0.0);
       device_ms.front() = m.elapsed_ms;
       EXPECT_EQ(m.device_elapsed_ms, device_ms);
+      std::vector<double> utilization(static_cast<size_t>(n), 0.0);
+      utilization.front() = 1.0;
+      EXPECT_EQ(m.device_utilization, utilization);
       EXPECT_EQ(fallbacks->Value(), run);
+      for (int slot = 0; slot < n; ++slot) {
+        const obs::Gauge* busy = shard::SlotBusyGauge(
+            &registry, slot, sim::DeviceSpec::AmdA10().name);
+        EXPECT_EQ(busy->Value(),
+                  slot == 0 ? static_cast<double>(run) * m.elapsed_ms : 0.0)
+            << "slot " << slot;
+      }
+      EXPECT_EQ(shard::ExchangeBytesCounter(&registry, "broadcast")->Value(),
+                0u);
+      EXPECT_EQ(shard::ExchangeBytesCounter(&registry, "shuffle")->Value(),
+                0u);
     }
+
+    trace::TraceCollector collector;
+    ExecOptions exec;
+    exec.trace = &collector;
+    ASSERT_TRUE(executor.Execute(q, exec).ok());
+    int exchange_spans = 0;
+    for (const trace::SpanEvent& span : collector.spans()) {
+      EXPECT_NE(span.category, "shard.exec") << span.name;
+      if (span.category != "shard.exchange") continue;
+      ++exchange_spans;
+      EXPECT_EQ(span.start_cycles, span.end_cycles);
+      const std::string label =
+          "\"" + shard::MergeLabel(plan->fallback_reason) + "\"";
+      EXPECT_NE(std::find(span.args.begin(), span.args.end(),
+                          trace::Arg{"merge", label}),
+                span.args.end());
+    }
+    EXPECT_EQ(exchange_spans, 1);
   }
 }
 
