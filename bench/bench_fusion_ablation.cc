@@ -1,15 +1,16 @@
-/// Fusion ablation: the three-way engine comparison behind EngineMode::kFused.
-/// Per evaluation query (Q5/Q7/Q8/Q9/Q14) this runs kernel-at-a-time (kbe),
-/// the GPL channel pipeline (gpl), and the fused mode (the tuner picking per
-/// segment among pipelined / kernel-at-a-time / fused chains) and reports
-/// simulated elapsed time, the fused/gpl ratio, and the fusion counters
-/// (fused segments, launches saved, interior bytes never materialized).
+/// Fusion ablation: the engine comparison behind EngineMode::kFused. Per
+/// evaluation query (Q5/Q7/Q8/Q9/Q14) this runs kernel-at-a-time (kbe), the
+/// GPL channel pipeline (gpl), and the fused mode (the tuner picking per
+/// segment among the channel pipeline over the unfused stages, the fused
+/// groups one launch at a time, and the fused groups joined by channels) and
+/// reports simulated elapsed time, the fused/gpl ratio, and the fusion
+/// counters (fused segments, launches saved, interior bytes never
+/// materialized).
 ///
 /// --quick turns the bench into a smoke gate for scripts/check.sh: exit 1 if
-/// any fused result is not bit-identical to the KBE oracle, if the tuner's
-/// fused pick fails to beat the pure GPL pipeline on at least 2 of the 5
-/// queries (with fusion actually firing on those wins), or if no launches
-/// were saved anywhere.
+/// any fused result is not bit-identical to the KBE oracle, if the fused mode
+/// fails to beat the pure GPL pipeline on every one of the 5 queries (with
+/// fusion actually firing on each), or if no launches were saved anywhere.
 ///
 /// JSONL rows carry a unique "case" key (the query name) so
 /// scripts/bench_diff.py can diff runs against the committed baseline
@@ -111,12 +112,12 @@ int main(int argc, char** argv) {
                    "FAIL: fused results are not bit-identical to KBE\n");
       failures++;
     }
-    // The point of the mode: the per-segment choice must pay off on a
-    // meaningful share of the suite, with fusion actually firing.
-    if (fused_wins < 2) {
+    // The point of the mode: the per-segment choice must pay off on every
+    // query of the suite, with fusion actually firing.
+    if (fused_wins < static_cast<int>(workload.size())) {
       std::fprintf(stderr,
-                   "FAIL: fused beats gpl on %d of 5 queries (want >= 2, "
-                   "with fused_segments > 0 on the wins)\n",
+                   "FAIL: fused beats gpl on %d of 5 queries (want all 5, "
+                   "with fused_segments > 0 on each)\n",
                    fused_wins);
       failures++;
     }

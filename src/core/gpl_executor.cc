@@ -357,7 +357,8 @@ void GplExecutor::ChooseParameters(SegmentRun& run, EngineMode mode,
   run.report.engine = mode == EngineMode::kGplNoCe
                           ? model::SegmentEngine::kKernelAtATime
                           : choice.engine;
-  if (run.report.engine == model::SegmentEngine::kFused) {
+  if (run.report.engine == model::SegmentEngine::kFused ||
+      run.report.engine == model::SegmentEngine::kFusedPipelined) {
     run.groups = choice.fused_group_sizes;
   } else {
     run.groups.assign(run.segment.stages.size(), 1);
@@ -468,26 +469,30 @@ Status GplExecutor::Simulate(SegmentRun& run, size_t index,
       .Field("engine", model::SegmentEngineName(report.engine))
       << "running segment";
 
-  // The one dispatch rule: a pipelined segment runs with channels; every
-  // other engine (kernel-at-a-time, fused groups) runs the sequential tiling
-  // over the spec's launches.
-  Result<sim::HwCounters> counters =
-      report.engine == model::SegmentEngine::kGplChannel
-          ? simulator_->RunPipeline(spec)
-          : simulator_->RunSequentialTiles(spec);
+  // The one dispatch rule: an engine with channels (pipelined, fused groups
+  // joined by channels) runs the concurrent pipeline; every other engine
+  // runs the sequential tiling over the spec's launches.
+  const bool channels =
+      report.engine == model::SegmentEngine::kGplChannel ||
+      report.engine == model::SegmentEngine::kFusedPipelined;
+  Result<sim::HwCounters> counters = channels
+                                         ? simulator_->RunPipeline(spec)
+                                         : simulator_->RunSequentialTiles(spec);
   if (!counters.ok() &&
       counters.status().code() == StatusCode::kChannelAllocFailed) {
-    // Graceful degradation: the pipelined segment (only RunPipeline
-    // allocates channels) could not get its channels, so re-execute it
-    // kernel-at-a-time (the w/o-CE path needs none). The functional output
-    // is already computed and unaffected; only the simulated timing of this
-    // segment degrades.
+    // Graceful degradation: the segment (only RunPipeline allocates
+    // channels) could not get its channels, so re-execute the same launches
+    // one at a time (the w/o-CE path needs none): a fused segment keeps its
+    // groups. The functional output is already computed and unaffected;
+    // only the simulated timing of this segment degrades.
     GPL_SLOG(Warning, "core").Field("segment", spec.label)
         << "degrading to kernel-at-a-time: " << counters.status().ToString();
     counters = simulator_->RunSequentialTiles(spec);
     if (counters.ok()) {
       report.degraded = true;
-      report.engine = model::SegmentEngine::kKernelAtATime;
+      report.engine = report.engine == model::SegmentEngine::kFusedPipelined
+                          ? model::SegmentEngine::kFused
+                          : model::SegmentEngine::kKernelAtATime;
     }
   }
   GPL_RETURN_NOT_OK(counters.status());

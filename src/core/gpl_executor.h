@@ -44,11 +44,12 @@ struct SegmentReport {
   /// of a fresh grid search.
   bool tuning_cache_hit = false;
   /// True when this segment's channel allocation failed and it re-executed
-  /// under kernel-at-a-time tiling (the w/o-CE path) instead.
+  /// its launches one at a time (the w/o-CE tiling) instead.
   bool degraded = false;
   /// How this segment's kernels executed, which picks its simulator path:
-  /// kGplChannel in the gpl mode, kKernelAtATime in the noce mode (and after
-  /// degradation), the tuner's pick in the fused mode.
+  /// kGplChannel in the gpl mode, kKernelAtATime in the noce mode, the
+  /// tuner's pick in the fused mode. Degradation turns kGplChannel into
+  /// kKernelAtATime and kFusedPipelined into kFused.
   model::SegmentEngine engine = model::SegmentEngine::kGplChannel;
   /// Fusion accounting, written by BuildLaunches (0 unless the segment is
   /// simulated with fused kernel groups).
@@ -91,9 +92,10 @@ struct GplRunResult {
 /// Every segment of every GPL-family mode takes the same steps, and the host
 /// runs every segment's stages the same way. A segment is simulated as a
 /// list of kernel groups: all of size 1 unless the fused mode's tuner chose
-/// to fuse it. Its engine decides the simulation: kGplChannel runs the
-/// concurrent pipeline with channels; kKernelAtATime and kFused run the
-/// sequential w/o-CE tiling, over one composed launch per group when fused.
+/// to fuse it. Its engine decides the simulation: kGplChannel and
+/// kFusedPipelined run the concurrent pipeline with channels between the
+/// launches; kKernelAtATime and kFused run the sequential w/o-CE tiling. A
+/// fused engine simulates one composed launch per group.
 class GplExecutor {
  public:
   /// `tuning_cache` (optional) memoizes TuneSegment results across runs —

@@ -228,7 +228,7 @@ QueryMetrics Engine::FinalizeGplMetrics(const GplRunResult& run) const {
     if (seg.subplan_cache == SubplanOutcome::kMiss) {
       ++metrics.subplan_cache_misses;
     }
-    if (seg.engine == model::SegmentEngine::kFused) {
+    if (seg.fused_groups > 0) {
       ++metrics.fused_segments;
       metrics.fused_launches_saved += seg.launches_saved;
       metrics.fused_bytes_avoided += seg.fused_bytes_avoided;

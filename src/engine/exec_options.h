@@ -24,7 +24,8 @@ enum class EngineMode {
   kGpl,      ///< the full pipelined engine
   kOcelot,   ///< Ocelot-style KBE baseline (Section 5.5)
   kFused,    ///< GPL + kernel fusion: the tuner picks per segment among
-             ///< pipelined / kernel-at-a-time / fused chains
+             ///< pipelined stages / fused groups one launch at a time /
+             ///< fused groups joined by channels
 };
 
 /// Per-execution options shared by every execution entry point (`Engine`,

@@ -58,15 +58,15 @@ struct QueryMetrics {
   int64_t subplan_cache_hits = 0;
   int64_t subplan_cache_misses = 0;
 
-  /// Segments that fell back from pipelined to kernel-at-a-time execution
-  /// because channel allocation failed (see ExecOptions::fault). 0 in
-  /// fault-free runs.
+  /// Segments that fell back from a channel pipeline to running their
+  /// launches one at a time because channel allocation failed (see
+  /// ExecOptions::fault). 0 in fault-free runs.
   int64_t degraded_segments = 0;
 
   /// Fusion accounting (EngineMode::kFused only; 0 elsewhere). Non-zero
   /// fused_segments proves fusion actually fired — the bench gate checks it
   /// so a silent fallback to the GPL-channel path cannot pass as a win.
-  int64_t fused_segments = 0;        ///< segments the tuner ran fused
+  int64_t fused_segments = 0;        ///< segments with a fused group
   int64_t fused_launches_saved = 0;  ///< per-stage launches eliminated
   int64_t fused_bytes_avoided = 0;   ///< hand-off bytes kept in registers
 

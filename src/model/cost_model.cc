@@ -19,6 +19,8 @@ const char* SegmentEngineName(SegmentEngine engine) {
       return "sequential";
     case SegmentEngine::kFused:
       return "fused";
+    case SegmentEngine::kFusedPipelined:
+      return "fused-pipelined";
   }
   return "unknown";
 }
@@ -308,10 +310,15 @@ SegmentEstimate CostModel::EstimateSegmentSequential(
   GPL_CHECK(num_stages > 0);
 
   // This mirrors sim::Simulator::RunSequentialTiles / RunKernelBatch formula
-  // for formula — the only residual error is cardinality estimation (λ vs
-  // observed rows), exactly like EstimateSegment vs RunPipeline. The
-  // sequential path derives its work-group count from the rows per tile
-  // (KBE-style launches), so params.workgroups is not consulted.
+  // for formula, but it reads the descriptors the planner had before
+  // execution, so it is not exact even when the cardinalities are. Besides
+  // λ vs observed rows, a hash build's working set is a guess until the
+  // table exists: GplExecutor::DescribeSegment charges 32 B per entry, while
+  // a built table of 150 000 rows (TPC-H SF 1 customer) holds 524 288 8-byte
+  // buckets plus 24 B per row, about 52 B per row. That segment's estimate is
+  // about 30% under what the simulator measures. The sequential path derives
+  // its work-group count from the rows per tile (KBE-style launches), so
+  // params.workgroups is not consulted.
   const double tiles = std::max(
       1.0, std::ceil(segment.input_bytes /
                      static_cast<double>(std::max<int64_t>(params.tile_bytes, 1))));

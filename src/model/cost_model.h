@@ -27,12 +27,15 @@ struct SegmentDesc {
   int64_t extra_resident_bytes = 0;  ///< hash tables probed by this segment
 };
 
-/// How a segment's kernels execute — the per-segment three-way choice of
-/// the fused engine mode.
+/// How a segment's kernels execute, which picks its simulator path. The gpl
+/// mode runs kGplChannel and the noce mode kKernelAtATime; the fused mode's
+/// tuner picks one of kGplChannel, kFused and kFusedPipelined per segment.
 enum class SegmentEngine {
-  kGplChannel,     ///< concurrent kernels exchanging tiles through channels
-  kKernelAtATime,  ///< one kernel at a time, materialized intermediates
-  kFused,          ///< fusible chains simulated as single composed launches
+  kGplChannel,      ///< concurrent kernels exchanging tiles through channels
+  kKernelAtATime,   ///< one kernel at a time, materialized intermediates
+  kFused,           ///< fused groups run one launch at a time, materialized
+                    ///< between groups
+  kFusedPipelined,  ///< fused groups run concurrently, joined by channels
 };
 
 const char* SegmentEngineName(SegmentEngine engine);

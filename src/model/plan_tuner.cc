@@ -156,11 +156,12 @@ TuningChoice TuneSegment(const CostModel& model, const SegmentDesc& segment,
 
 namespace {
 
-/// Grid search of Δ for a sequential (kernel-at-a-time or fused) execution
-/// of `segment`. The sequential simulator derives its launch width from the
-/// rows per tile (KBE-style), so there is no wg dimension to search; the
-/// derived width is recorded in params.workgroups for reporting.
-/// Deterministic argmin in grid order.
+/// Grid search of Δ for a sequential execution of `segment` (the fused
+/// groups of a ComposeFusedSegment description, one launch at a time). The
+/// sequential simulator derives its launch width from the rows per tile
+/// (KBE-style), so there is no wg dimension to search; the derived width is
+/// recorded in params.workgroups for reporting. Deterministic argmin in grid
+/// order.
 TuningChoice TuneSequential(const CostModel& model, const SegmentDesc& segment,
                             const TuningOverrides& overrides) {
   const size_t num_stages = segment.stages.size();
@@ -200,38 +201,39 @@ TuningChoice TuneSegmentEngines(const CostModel& model,
                                 const CalibrationTable& calibration,
                                 const std::vector<int>& fused_group_sizes,
                                 const TuningOverrides& overrides) {
-  // Candidate 1: the GPL-channel pipeline (the existing search).
+  // Candidate 1: the GPL-channel pipeline over the unfused stages.
   TuningChoice best = TuneSegment(model, segment, calibration, overrides);
   best.engine = SegmentEngine::kGplChannel;
-  const double pipelined_cycles = best.estimate.total_cycles;
 
-  // Candidate 2: kernel-at-a-time over the original stages. Strict less-than
-  // keeps the pipeline on ties (the established default).
-  TuningChoice sequential = TuneSequential(model, segment, overrides);
-  sequential.engine = SegmentEngine::kKernelAtATime;
-  const double sequential_cycles = sequential.estimate.total_cycles;
-  if (sequential_cycles < best.estimate.total_cycles) {
-    best = std::move(sequential);
-  }
-
-  // Candidate 3: fused chains — only when the fusion pass found one. The
+  // The fused candidates exist only when the fusion pass found a chain. The
   // fusion term is implicit in the composed description: fewer stages save
   // launch/dispatch overhead and interior streaming traffic, while the
   // summed register footprint raises occupancy pressure in the estimate.
   bool any_fused = false;
   for (int size : fused_group_sizes) any_fused |= size > 1;
-  if (any_fused) {
-    const SegmentDesc composed = ComposeFusedSegment(segment, fused_group_sizes);
-    TuningChoice fused = TuneSequential(model, composed, overrides);
-    fused.engine = SegmentEngine::kFused;
-    fused.fused_group_sizes = fused_group_sizes;
-    GPL_SLOG(Debug, "model")
-        .Field("pipelined", pipelined_cycles)
-        .Field("sequential", sequential_cycles)
-        .Field("fused", fused.estimate.total_cycles)
-        << "engine candidates";
-    if (fused.estimate.total_cycles < best.estimate.total_cycles) {
-      best = std::move(fused);
+  if (!any_fused) return best;
+  const SegmentDesc composed = ComposeFusedSegment(segment, fused_group_sizes);
+
+  // Candidate 2: the fused groups run one launch at a time.
+  TuningChoice fused = TuneSequential(model, composed, overrides);
+  fused.engine = SegmentEngine::kFused;
+  fused.fused_group_sizes = fused_group_sizes;
+
+  // Candidate 3: the fused groups run concurrently, joined by channels.
+  TuningChoice fused_pipelined =
+      TuneSegment(model, composed, calibration, overrides);
+  fused_pipelined.engine = SegmentEngine::kFusedPipelined;
+  fused_pipelined.fused_group_sizes = fused_group_sizes;
+
+  GPL_SLOG(Debug, "model")
+      .Field("pipelined", best.estimate.total_cycles)
+      .Field("fused", fused.estimate.total_cycles)
+      .Field("fused_pipelined", fused_pipelined.estimate.total_cycles)
+      << "engine candidates";
+  // Strict less-than in candidate order: ties keep the earlier engine.
+  for (TuningChoice* candidate : {&fused, &fused_pipelined}) {
+    if (candidate->estimate.total_cycles < best.estimate.total_cycles) {
+      best = std::move(*candidate);
     }
   }
   return best;

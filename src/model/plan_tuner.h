@@ -15,10 +15,11 @@ struct TuningChoice {
   SegmentEstimate estimate;
   /// Which execution engine the estimate (and the choice) is for. TuneSegment
   /// always produces kGplChannel; TuneSegmentEngines picks the cheapest of
-  /// the three.
+  /// kGplChannel, kFused and kFusedPipelined.
   SegmentEngine engine = SegmentEngine::kGplChannel;
-  /// When engine == kFused: the fusion grouping the choice was priced for
-  /// (consecutive run lengths over the segment's stages). Empty otherwise.
+  /// When engine is kFused or kFusedPipelined: the fusion grouping the choice
+  /// was priced for (consecutive run lengths over the segment's stages), so
+  /// params hold one entry per group. Empty otherwise.
   std::vector<int> fused_group_sizes;
 };
 
@@ -42,14 +43,15 @@ TuningChoice TuneSegment(const CostModel& model, const SegmentDesc& segment,
                          const CalibrationTable& calibration,
                          const TuningOverrides& overrides = {});
 
-/// Three-way per-segment engine selection for the fused mode: runs the
-/// GPL-channel search (TuneSegment), a kernel-at-a-time search
-/// (EstimateSegmentSequential on the original stages), and — when
-/// `fused_group_sizes` contains a run longer than 1 — a fused search
-/// (EstimateSegmentSequential on the ComposeFusedSegment description), and
-/// returns the deterministic argmin. Ties keep the earlier engine in the
-/// order pipelined < sequential < fused, so existing behavior wins when the
-/// model sees no benefit.
+/// Per-segment engine selection for the fused mode. Runs the GPL-channel
+/// search (TuneSegment) over the segment's stages and, when
+/// `fused_group_sizes` contains a run longer than 1, two searches over the
+/// ComposeFusedSegment description: the fused groups one launch at a time
+/// (EstimateSegmentSequential) and the fused groups joined by channels
+/// (TuneSegment). Returns the deterministic argmin. Ties keep the earlier
+/// engine in the order pipelined < fused < fused-pipelined, so a segment
+/// the fusion pass leaves unfused gets exactly TuneSegment's choice, and no
+/// choice is ever priced above it.
 TuningChoice TuneSegmentEngines(const CostModel& model,
                                 const SegmentDesc& segment,
                                 const CalibrationTable& calibration,

@@ -272,6 +272,43 @@ TEST_F(GplFixture, SegmentEngineFollowsTheMode) {
   }
 }
 
+// With the cost model on, the fused mode prices every real segment at or
+// below the gpl mode's choice, takes the gpl choice unchanged where the
+// fusion pass finds no chain, and reports fused groups exactly on the
+// segments it runs with a fused engine.
+TEST_F(GplFixture, FusedTunerNeverPricesAboveGpl) {
+  int fused_picks = 0;
+  for (auto& [name, q] : queries::EvaluationSuite()) {
+    SCOPED_TRACE(name);
+    const SegmentedPlan plan = Segments(q);
+    Result<GplRunResult> gpl = executor_.Run(plan, EngineMode::kGpl, {});
+    Result<GplRunResult> fused = executor_.Run(plan, EngineMode::kFused, {});
+    ASSERT_TRUE(gpl.ok() && fused.ok());
+    ASSERT_EQ(fused->segments.size(), gpl->segments.size());
+    for (size_t i = 0; i < plan.segments.size(); ++i) {
+      SCOPED_TRACE("segment " + std::to_string(i));
+      const SegmentReport& want = gpl->segments[i];
+      const SegmentReport& got = fused->segments[i];
+      EXPECT_LE(got.predicted_cycles, want.predicted_cycles);
+      bool fusible = false;
+      for (int size : PlanFusion(plan.segments[i])) fusible |= size > 1;
+      const bool fused_engine =
+          got.engine == model::SegmentEngine::kFused ||
+          got.engine == model::SegmentEngine::kFusedPipelined;
+      EXPECT_EQ(got.fused_groups > 0, fused_engine);
+      fused_picks += fused_engine ? 1 : 0;
+      if (!fusible) {
+        EXPECT_EQ(got.engine, model::SegmentEngine::kGplChannel);
+        EXPECT_EQ(got.predicted_cycles, want.predicted_cycles);
+        EXPECT_EQ(got.tuning.params.tile_bytes, want.tuning.params.tile_bytes);
+        EXPECT_EQ(got.tuning.params.workgroups, want.tuning.params.workgroups);
+        EXPECT_EQ(got.measured_cycles, want.measured_cycles);
+      }
+    }
+  }
+  EXPECT_GT(fused_picks, 0);
+}
+
 TEST_F(GplFixture, ChannelsCarryMostIntermediates) {
   const SegmentedPlan plan = Segments(queries::Q14());
   Result<GplRunResult> run = executor_.Run(plan, EngineMode::kGpl, {});

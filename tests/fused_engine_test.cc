@@ -8,6 +8,7 @@
 #include "engine/engine.h"
 #include "engine/explain_analyze.h"
 #include "queries/tpch_queries.h"
+#include "sim/fault.h"
 #include "test_util.h"
 
 namespace gpl {
@@ -43,6 +44,11 @@ struct QueryCase {
 void PrintTo(const QueryCase& qc, std::ostream* os) { *os << qc.label; }
 
 LogicalQuery MakeQ14() { return queries::Q14(); }
+
+bool IsFusedEngine(model::SegmentEngine engine) {
+  return engine == model::SegmentEngine::kFused ||
+         engine == model::SegmentEngine::kFusedPipelined;
+}
 
 const QueryCase kQueries[] = {
     {"Q5", queries::Q5},   {"Q7", queries::Q7}, {"Q8", queries::Q8},
@@ -108,6 +114,44 @@ TEST(FusedEngineTest, PinnedKnobsForceFusionWithoutCostModel) {
   ExpectTablesBitIdentical(oracle.table, fused->table);
 }
 
+// A fused segment whose channels cannot be allocated re-runs its fused
+// launches one at a time: it keeps its grouping and reports engine kFused,
+// and its result stays the KBE oracle's.
+TEST(FusedEngineTest, ChannelFailureKeepsFusedGroups) {
+  for (const QueryCase& qc : {kQueries[0], kQueries[3]}) {
+    SCOPED_TRACE(qc.label);
+    const LogicalQuery query = qc.make();
+    EngineOptions options;
+    options.mode = EngineMode::kFused;
+    Engine engine(&MediumDb(), options);
+    sim::FaultConfig faults;
+    faults.channel_alloc_fail_rate = 1.0;
+    sim::FaultInjector injector(faults);
+    ExecOptions exec = options.exec;
+    exec.fault = &injector;
+    Result<PhysicalOpPtr> plan = engine.Plan(query);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    Result<GplRunResult> run = engine.ExecuteGplDetailed(*plan, exec);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const QueryMetrics metrics = engine.FinalizeGplMetrics(*run);
+    EXPECT_GT(metrics.degraded_segments, 0);
+    int degraded_fused = 0;
+    for (const SegmentReport& seg : run->segments) {
+      if (!seg.degraded) continue;
+      if (seg.fused_groups == 0) {
+        EXPECT_EQ(seg.engine, model::SegmentEngine::kKernelAtATime);
+        continue;
+      }
+      ++degraded_fused;
+      EXPECT_EQ(seg.engine, model::SegmentEngine::kFused);
+    }
+    EXPECT_GT(degraded_fused, 0) << "no fused segment degraded";
+    const QueryResult oracle =
+        RunMode(MediumDb(), query, EngineMode::kKbe, 0, 1);
+    ExpectTablesBitIdentical(oracle.table, run->output);
+  }
+}
+
 TEST(FusedEngineTest, NonFusedModesReportZeroFusion) {
   const QueryResult gpl =
       RunMode(SmallDb(), queries::Q5(), EngineMode::kGpl, 0, 1);
@@ -142,7 +186,7 @@ TEST(FusedExplainAnalyzeTest, ReportsEngineAndFusionPerSegment) {
   int64_t bytes_avoided = 0;
   bool saw_fused_engine = false;
   for (const SegmentReport& seg : report->segments) {
-    if (seg.engine == model::SegmentEngine::kFused) {
+    if (IsFusedEngine(seg.engine)) {
       saw_fused_engine = true;
       EXPECT_GT(seg.fused_groups, 0);
       EXPECT_GT(seg.launches_saved, 0);
@@ -159,12 +203,13 @@ TEST(FusedExplainAnalyzeTest, ReportsEngineAndFusionPerSegment) {
   EXPECT_EQ(launches_saved, report->metrics.fused_launches_saved);
   EXPECT_EQ(bytes_avoided, report->metrics.fused_bytes_avoided);
 
-  // The rendered tree and JSON both carry the fusion surface.
+  // The rendered tree and JSON both carry the fusion surface ("fused" or
+  // "fused-pipelined").
   const std::string text = report->ToString();
-  EXPECT_NE(text.find("[fused]"), std::string::npos);
+  EXPECT_NE(text.find("[fused"), std::string::npos);
   EXPECT_NE(text.find("fusion:"), std::string::npos);
   const std::string json = report->ToJson();
-  EXPECT_NE(json.find("\"engine\":\"fused\""), std::string::npos);
+  EXPECT_NE(json.find("\"engine\":\"fused"), std::string::npos);
   EXPECT_NE(json.find("\"launches_saved\""), std::string::npos);
 }
 
@@ -175,7 +220,7 @@ TEST(FusedExplainAnalyzeTest, PredictedCyclesPresentForFusedSegments) {
   Result<ExplainAnalyzeReport> report = ExplainAnalyze(engine, queries::Q5());
   ASSERT_TRUE(report.ok());
   for (const SegmentReport& seg : report->segments) {
-    if (seg.engine != model::SegmentEngine::kFused) continue;
+    if (!IsFusedEngine(seg.engine)) continue;
     EXPECT_GT(seg.predicted_cycles, 0.0);
     EXPECT_GT(seg.measured_cycles, 0.0);
   }

@@ -351,9 +351,9 @@ INSTANTIATE_TEST_SUITE_P(
 /// HwCounters and elapsed_ms of Q5 and Q9 at SF 0.01. Simulated time reads
 /// only observed rows and bytes, so neither the functional layer nor the
 /// simulator's plumbing may move it by one bit. The rows cover every
-/// simulator path: RunKernelBatch (kbe, ocelot), RunPipeline (gpl),
-/// RunSequentialTiles (noce, fused, and gpl with every channel allocation
-/// failing, which degrades each pipelined segment).
+/// simulator path: RunKernelBatch (kbe, ocelot), RunPipeline (gpl, fused),
+/// RunSequentialTiles (noce, fused, and gpl and fused with every channel
+/// allocation failing, which degrades each channeled segment).
 struct PinnedRun {
   const char* query;
   EngineMode mode;
@@ -380,16 +380,16 @@ const PinnedRun kPinned[] = {
       0x1.5da3492492492p+17, 0x1.f8cf6cccccccfp+18, 0x1.abbcp+17,
       0x1.78a87586c9987p+18, 0x1.7a3098p+18, 0x1.e1b7c33333333p+21, 1611768,
       11709004}},
-    {"Q5", EngineMode::kFused, 0x1.b531b64cf4946p-2,
-     {0x1.2c328a7507508p+18, 0x1.9da013a92a305p+17, 0x1.b28c0bbbbbbbcp+18,
-      0x1.5c24924924924p+11, 0x1.bf92e72972975p+16, 0x1.e942p+17,
-      0x1.e734b2dbd1942p+12, 0x1.00be596de8ca1p+13, 0x1.9b6c31aa0ea12p+21,
-      272408, 56276}},
-    {"Q9", EngineMode::kFused, 0x1.00d6b499ca71fp-1,
-     {0x1.60b6da6473141p+18, 0x1.575cd3a06d3ap+19, 0x1.0b428af8af8afp+20,
-      0x1.1e6d075075075p+16, 0x1.335f6cccccccfp+18, 0x1.85a6p+17,
-      0x1.447688eb710ecp+17, 0x1.466eadddddddep+17, 0x1.429a263d70a3ep+22,
-      2091656, 4786916}},
+    {"Q5", EngineMode::kFused, 0x1.6f52ce364f1e9p-2,
+     {0x1.f871275075076p+17, 0x1.a8524bf04fcf6p+17, 0x1.9ace9d41d41d4p+18,
+      0x1.0a97c57c57c58p+12, 0x1.0007a66666667p+16, 0x1.8e7p+17,
+      0x1.452c00aec33e2p+13, 0x1.52a4cd7b900afp+13, 0x1.649c8f2492496p+21,
+      187368, 136060}},
+    {"Q9", EngineMode::kFused, 0x1.bf825d0e5c0d6p-2,
+     {0x1.3347bb7584251p+18, 0x1.6224b17e4b17ep+19, 0x1.c7e269a69a69cp+19,
+      0x1.08d6be2be2be2p+15, 0x1.a7f720f9a934p+17, 0x1.368cp+17,
+      0x1.407cfdddddddep+16, 0x1.42e4311111111p+16, 0x1.6225a09999997p+22,
+      1611768, 2154084}},
     {"Q5", EngineMode::kGplNoCe, 0x1.4ea4e33b394cap-1,
      {0x1.cb90504e04e05p+18, 0x1.6ad8p+17, 0x1.cae2b3a83a83bp+18, 0x0p+0,
       0x0p+0, 0x1.8e7p+18, 0x1.54b5p+12, 0x1.6b38p+12,
@@ -412,6 +412,13 @@ const PinnedRun kPinned[] = {
      {0x1.cb90504e04e05p+18, 0x1.6ad8p+17, 0x1.cae2b3a83a83bp+18, 0x0p+0,
       0x0p+0, 0x1.8e7p+18, 0x1.54b5p+12, 0x1.6b38p+12,
       0x1.5d49285f15f17p+22, 374024, 0},
+     /*channels_fail=*/true},
+    // A fused segment joined by channels degrades to its fused launches one
+    // at a time; the other channeled segments degrade as in the gpl row.
+    {"Q5", EngineMode::kFused, 0x1.08a15123ae26bp-1,
+     {0x1.6b6a08fd8fd9p+18, 0x1.6a9fcab7e4c0cp+17, 0x1.bcb645f15f16p+18,
+      0x0p+0, 0x0p+0, 0x1.30bp+18, 0x1.4a1fb2dbd1942p+12,
+      0x1.60a2b2dbd1942p+12, 0x1.e979df999999ap+21, 323428, 0},
      /*channels_fail=*/true},
 };
 

@@ -221,6 +221,98 @@ TEST(TunerTest, OverridesAreRespected) {
   EXPECT_EQ(choice.params.channels[0].packet_bytes, 64);
 }
 
+/// A chain of `stages` map-like stages, each keeping `lambda` of its input.
+SegmentDesc MapChain(int stages, double rows, double lambda) {
+  SegmentDesc desc;
+  desc.input_bytes = rows * 16.0;
+  double in = rows;
+  for (int i = 0; i < stages; ++i) {
+    StageDesc s;
+    s.timing.name = "k_map" + std::to_string(i);
+    s.timing.compute_inst_per_row = 4.0 + i;
+    s.timing.mem_inst_per_row = 2.0;
+    s.timing.private_bytes_per_item = 32;
+    s.rows_in = in;
+    s.bytes_in = in * 16.0;
+    s.rows_out = in * lambda;
+    s.bytes_out = in * lambda * 16.0;
+    desc.stages.push_back(s);
+    in = s.rows_out;
+  }
+  return desc;
+}
+
+void ExpectSameChoice(const TuningChoice& got, const TuningChoice& want) {
+  EXPECT_EQ(got.engine, want.engine);
+  EXPECT_TRUE(got.fused_group_sizes.empty());
+  EXPECT_EQ(got.params.tile_bytes, want.params.tile_bytes);
+  EXPECT_EQ(got.params.workgroups, want.params.workgroups);
+  ASSERT_EQ(got.params.channels.size(), want.params.channels.size());
+  for (size_t g = 0; g < got.params.channels.size(); ++g) {
+    EXPECT_EQ(got.params.channels[g].num_channels,
+              want.params.channels[g].num_channels);
+    EXPECT_EQ(got.params.channels[g].packet_bytes,
+              want.params.channels[g].packet_bytes);
+  }
+  EXPECT_EQ(got.estimate.total_cycles, want.estimate.total_cycles);
+}
+
+// A segment the fusion pass leaves unfused has one candidate: the fused
+// mode's tuner returns exactly the gpl mode's choice.
+TEST(TunerTest, UnfusedSegmentGetsTheGplChoice) {
+  CostModel model(sim::DeviceSpec::AmdA10(), &AmdCalibration());
+  for (const SegmentDesc& seg :
+       {TwoStageSegment(4e6, 0.2), MapChain(3, 1e6, 0.5)}) {
+    const TuningChoice gpl = TuneSegment(model, seg, AmdCalibration());
+    EXPECT_EQ(gpl.engine, SegmentEngine::kGplChannel);
+    for (const std::vector<int>& groups :
+         {std::vector<int>(seg.stages.size(), 1), std::vector<int>{}}) {
+      SCOPED_TRACE(std::to_string(seg.stages.size()) + " stages, " +
+                   std::to_string(groups.size()) + " groups");
+      ExpectSameChoice(
+          TuneSegmentEngines(model, seg, AmdCalibration(), groups), gpl);
+    }
+  }
+}
+
+// Every candidate the fused mode's tuner adds must beat the channel pipeline
+// to be chosen, so the fused mode never prices a segment above gpl. A fused
+// pick carries its grouping and one parameter entry per group.
+TEST(TunerTest, FusedChoiceNeverPricesAboveGpl) {
+  CostModel model(sim::DeviceSpec::AmdA10(), &AmdCalibration());
+  int fused_picks = 0;
+  for (double rows : {2e4, 1e6, 8e6}) {
+    for (double lambda : {0.05, 0.5, 1.0}) {
+      const SegmentDesc seg = MapChain(4, rows, lambda);
+      const double gpl =
+          TuneSegment(model, seg, AmdCalibration()).estimate.total_cycles;
+      for (const std::vector<int>& groups : std::vector<std::vector<int>>{
+               {4}, {2, 2}, {1, 3}, {2, 1, 1}}) {
+        SCOPED_TRACE("rows " + std::to_string(rows) + " lambda " +
+                     std::to_string(lambda) + " groups " +
+                     std::to_string(groups.size()));
+        const TuningChoice choice =
+            TuneSegmentEngines(model, seg, AmdCalibration(), groups);
+        EXPECT_LE(choice.estimate.total_cycles, gpl);
+        if (choice.engine == SegmentEngine::kGplChannel) {
+          EXPECT_TRUE(choice.fused_group_sizes.empty());
+          EXPECT_EQ(choice.estimate.total_cycles, gpl);
+          continue;
+        }
+        ++fused_picks;
+        EXPECT_TRUE(choice.engine == SegmentEngine::kFused ||
+                    choice.engine == SegmentEngine::kFusedPipelined);
+        EXPECT_EQ(choice.fused_group_sizes, groups);
+        EXPECT_EQ(choice.params.workgroups.size(), groups.size());
+        if (choice.engine == SegmentEngine::kFusedPipelined) {
+          EXPECT_EQ(choice.params.channels.size(), groups.size() - 1);
+        }
+      }
+    }
+  }
+  EXPECT_GT(fused_picks, 0) << "no grid point fused: the test shows nothing";
+}
+
 TEST(TunerTest, FinishesWithinFiveMilliseconds) {
   // Section 4.1: "the elapsed time for query optimization is generally
   // smaller than 5 ms".
