@@ -3,7 +3,8 @@
 # ThreadSanitizer build/run of the concurrent QueryService tests, an
 # ASan+UBSan build/run of the fault-injection and service suites, a
 # tracing smoke run of the CLI whose output is validated by the in-tree
-# JSON parser (via the trace_smoke binary's file-validation mode), an
+# JSON parser (via the trace_smoke binary's file-validation mode), a
+# byte-identity check of --trace across host threads and subplan caching, an
 # EXPLAIN ANALYZE vs --metrics-json consistency diff (every query under
 # each GPL-family mode, plus the fusion checks under --mode=fused, and
 # under --shards=2 / --device=amd,nvidia the sharded report's exchange
@@ -77,7 +78,9 @@ echo "=== asan+ubsan: fault-injection and service suites ==="
 # functions. The tpch suite covers dbgen's raw writes at precomputed offsets.
 # The late-materialization suite covers row batches: composed positions and
 # gathers through them, where an out-of-range position would read past a
-# buffer. The morsel suite covers ProbeAll's writes at prefix offsets.
+# buffer. The morsel suite covers ProbeAll's writes at prefix offsets. The
+# simulator and trace suites cover RunPipeline's per-kernel and per-CU
+# arrays, indexed by kernel, CU and tile.
 cmake -B "$BUILD-asan" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \
@@ -89,9 +92,10 @@ cmake --build "$BUILD-asan" -j "$(nproc)" \
   --target expr_test --target expr_fuzz_test --target hash_table_test \
   --target primitives_test --target partitioned_join_test \
   --target core_test --target engine_test --target tpch_test \
-  --target late_materialization_test
+  --target late_materialization_test \
+  --target sim_engine_test --target sim_determinism_test --target trace_test
 ctest --test-dir "$BUILD-asan" --output-on-failure \
-  -R "Dbgen|Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|ComposeFusedStage|PagePool|SubplanCache|Dictionary|Column|Table|Expr|Selectivity|FilterKernel|ProjectKernel|HashBuild|AggregateKernel|SortKernel|KbePrimitives|TimingDesc|PartitionedJoin|Tiling|GplFixture|PipelineTest|EngineTest|EngineComparison|EngineMetrics|ExplainAnalyze|EmptyAggregate|OcelotFlavor|OcelotHashTableCache|TunerQuality|AllModes|LateMaterialization|MorselWideTable"
+  -R "SimEngine|PipelineStep|SimMonotonicity|Determinism|TraceCollector|Dbgen|Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|ComposeFusedStage|PagePool|SubplanCache|Dictionary|Column|Table|Expr|Selectivity|FilterKernel|ProjectKernel|HashBuild|AggregateKernel|SortKernel|KbePrimitives|TimingDesc|PartitionedJoin|Tiling|GplFixture|PipelineTest|EngineTest|EngineComparison|EngineMetrics|ExplainAnalyze|EmptyAggregate|OcelotFlavor|OcelotHashTableCache|TunerQuality|AllModes|LateMaterialization|MorselWideTable"
 
 echo
 echo "=== trace smoke: gplcli --trace on Q5, JSON validated ==="
@@ -102,6 +106,26 @@ trap 'rm -f "$TRACE_OUT" "$METRICS_OUT"' EXIT
   --trace="$TRACE_OUT" --metrics-json="$METRICS_OUT"
 "$BUILD/tests/trace_smoke" "$TRACE_OUT"
 "$BUILD/tests/trace_smoke" "$METRICS_OUT"
+
+echo
+echo "=== trace determinism: --trace bytes across host threads and caching ==="
+# The trace is simulated time only: how many host threads run the functional
+# layer, and whether the subplan cache serves a result, must not change a
+# byte of it.
+TRACE_CMP_DIR="$(mktemp -d /tmp/gpl_check_trace_cmp.XXXXXX)"
+trap 'rm -rf "$TRACE_OUT" "$METRICS_OUT" "$TRACE_CMP_DIR"' EXIT
+for mode in gpl fused; do
+  i=0
+  for flag in --host-threads=1 --host-threads=4 --no-subplan-cache; do
+    i=$((i + 1))
+    "$BUILD/cli/gplcli" --query=all --mode="$mode" --sf=0.01 "$flag" \
+      --trace="$TRACE_CMP_DIR/$mode.$i.json" > /dev/null
+  done
+  cmp "$TRACE_CMP_DIR/$mode.1.json" "$TRACE_CMP_DIR/$mode.2.json"
+  cmp "$TRACE_CMP_DIR/$mode.1.json" "$TRACE_CMP_DIR/$mode.3.json"
+  echo "trace determinism ($mode): OK"
+done
+rm -rf "$TRACE_CMP_DIR"
 
 echo
 echo "=== explain smoke: EXPLAIN ANALYZE actuals vs --metrics-json ==="

@@ -99,17 +99,6 @@ void JoinHashTable::ProbeBatch(const int64_t* keys, int64_t n,
   }
 }
 
-bool JoinHashTable::Contains(int64_t key) const {
-  if (buckets_.empty()) return false;
-  const uint64_t mask = buckets_.size() - 1;
-  int64_t entry = buckets_[static_cast<size_t>(HashKey(key) & mask)];
-  while (entry >= 0) {
-    if (entry_keys_[static_cast<size_t>(entry)] == key) return true;
-    entry = entry_next_[static_cast<size_t>(entry)];
-  }
-  return false;
-}
-
 int64_t JoinHashTable::byte_size() const {
   return static_cast<int64_t>(buckets_.size() * sizeof(int64_t) +
                               entry_keys_.size() * sizeof(int64_t) * 3);

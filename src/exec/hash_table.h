@@ -49,9 +49,6 @@ class JoinHashTable {
   /// Keys per ProbeBatch prefetch group.
   static constexpr int64_t kProbeGroup = 16;
 
-  /// True if `key` has at least one match.
-  bool Contains(int64_t key) const;
-
   int64_t num_entries() const { return static_cast<int64_t>(entry_keys_.size()); }
 
   /// Bytes of the materialized table in (simulated) global memory: buckets +

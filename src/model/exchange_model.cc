@@ -20,18 +20,6 @@ int64_t RelocationBytes(const ExchangeInput& input, int64_t fact_bytes) {
 
 }  // namespace
 
-const char* ExchangeStrategyName(ExchangeStrategy strategy) {
-  switch (strategy) {
-    case ExchangeStrategy::kCoPartitioned:
-      return "co-partitioned";
-    case ExchangeStrategy::kBroadcast:
-      return "broadcast";
-    case ExchangeStrategy::kRepartition:
-      return "repartition";
-  }
-  return "?";
-}
-
 ExchangeDecision PriceExchange(const ExchangeInput& input,
                                ExchangeStrategy strategy,
                                const sim::LinkSpec& link, int num_shards,

@@ -24,8 +24,6 @@ enum class ExchangeStrategy {
   kRepartition,
 };
 
-const char* ExchangeStrategyName(ExchangeStrategy strategy);
-
 /// One relation participating in a sharded query, as seen by the exchange
 /// model. `bytes`/`rows` cover only the columns the query references (what
 /// would actually move).

@@ -30,14 +30,12 @@ void ChannelState::CommitReserved(double bytes) {
   reserved_ = std::max(0.0, reserved_ - bytes);
   available_ += bytes;
   total_committed_ += bytes;
-  ++commits_;
   peak_occupancy_ = std::max(peak_occupancy_, reserved_ + available_);
 }
 
 void ChannelState::Acquire(double bytes) {
   GPL_DCHECK(CanAcquire(bytes));
   available_ = std::max(0.0, available_ - bytes);
-  ++acquires_;
 }
 
 double ChannelState::PerPacketSyncCost() const {

@@ -48,10 +48,7 @@ class ChannelState {
   }
 
   // ---- Occupancy statistics (for tracing/profiling) ----
-  double peak_occupancy_bytes() const { return peak_occupancy_; }
   double total_committed_bytes() const { return total_committed_; }
-  int64_t commit_count() const { return commits_; }
-  int64_t acquire_count() const { return acquires_; }
   /// Peak fill level relative to capacity, in [0, 1].
   double PeakFillRatio() const {
     return capacity_bytes_ > 0
@@ -97,8 +94,6 @@ class ChannelState {
   // Occupancy statistics (reserved + available high-water mark, traffic).
   double peak_occupancy_ = 0.0;
   double total_committed_ = 0.0;
-  int64_t commits_ = 0;
-  int64_t acquires_ = 0;
 };
 
 }  // namespace sim

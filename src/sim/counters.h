@@ -46,11 +46,6 @@ struct HwCounters {
   double Occupancy(const DeviceSpec& device) const;
   double CacheHitRatio() const;
 
-  /// Total time attributable to communication: memory + channel + delay.
-  double CommunicationCycles() const {
-    return mem_cycles + channel_cycles + stall_cycles;
-  }
-
   void Accumulate(const HwCounters& other);
 
   bool operator==(const HwCounters&) const = default;

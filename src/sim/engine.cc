@@ -22,6 +22,566 @@ constexpr int kKbeWavefrontsPerWg = 4;
 constexpr int kAvgAccessWidth = 8;
 
 std::string TraceInt(int64_t v) { return std::to_string(v); }
+
+/// What one work-group processes: its rows and its bytes per endpoint.
+struct WgShape {
+  double rows = 0.0;
+  double global_in = 0.0, global_out = 0.0;
+  double chan_in = 0.0, chan_out = 0.0;
+};
+
+/// Cycles one work-group occupies each unit for, and its cache traffic.
+struct WgWork {
+  double alu = 0.0;
+  double mem = 0.0;
+  double chan = 0.0;
+  double cache_hits = 0.0;
+  double cache_accesses = 0.0;
+};
+
+/// Cost of one work-group of `desc` with shape `wg`. `hide_wavefronts` is
+/// the latency-hiding depth (resident wavefronts per CU).
+WgWork ComputeWgWork(const DeviceSpec& device, const CacheModel& cache,
+                     const KernelTimingDesc& desc, const WgShape& wg,
+                     const ChannelState* in_chan, const ChannelState* out_chan,
+                     double chan_residency, double input_resident,
+                     int hide_wavefronts, int64_t competing_bytes) {
+  WgWork w;
+  if (wg.rows <= 0.0) return w;
+  const double wf = static_cast<double>(device.wavefront_size);
+  const double iters = std::ceil(wg.rows / wf);
+
+  // Vector ALU work: one instruction issue covers a whole wavefront.
+  w.alu = iters * desc.compute_inst_per_row * device.cycles_per_instr;
+
+  // Memory work: coalesced transactions with pattern-dependent hit ratio.
+  const double accesses = iters * desc.mem_inst_per_row;
+  double stream_hit = cache.StreamingHitRatio(kAvgAccessWidth);
+  stream_hit = input_resident + (1.0 - input_resident) * stream_hit;
+  double hit = stream_hit;
+  if (desc.random_access_fraction > 0.0) {
+    const double random_hit =
+        cache.RandomHitRatio(desc.random_working_set_bytes, competing_bytes);
+    hit = (1.0 - desc.random_access_fraction) * stream_hit +
+          desc.random_access_fraction * random_hit;
+  }
+  const double latency = hit * device.cache_latency +
+                         (1.0 - hit) * device.global_mem_latency;
+  const double hide = static_cast<double>(
+      std::clamp(hide_wavefronts, 1, device.latency_hiding_wavefronts));
+  const double latency_cycles = accesses * latency / hide;
+
+  // Bandwidth floor for the global traffic this work-group generates.
+  const double global_bw_per_cu =
+      device.global_bw_bytes_per_cycle / device.num_cus;
+  const double cache_bw_per_cu = device.cache_bw_bytes_per_cycle / device.num_cus;
+  const double resident_in = wg.global_in * input_resident;
+  const double dram_bytes = wg.global_in - resident_in + wg.global_out;
+  const double bw_cycles =
+      dram_bytes / global_bw_per_cu + resident_in / cache_bw_per_cu;
+
+  w.mem = std::max(latency_cycles, bw_cycles);
+  w.cache_accesses = accesses;
+  w.cache_hits = hit * accesses;
+
+  // Channel work (DC cost).
+  if (in_chan != nullptr && wg.chan_in > 0.0) {
+    w.chan += in_chan->AcquireCost(wg.chan_in, chan_residency);
+  }
+  if (out_chan != nullptr && wg.chan_out > 0.0) {
+    w.chan += out_chan->CommitCost(wg.chan_out, chan_residency);
+  }
+  if (wg.chan_in + wg.chan_out > 0.0) {
+    const double chan_accesses = (wg.chan_in + wg.chan_out) / cache.line_bytes();
+    w.cache_accesses += chan_accesses;
+    w.cache_hits += chan_residency * chan_accesses;
+  }
+  return w;
+}
+
+/// kInvalidArgument unless `spec` has kernels and a positive tile size and,
+/// when `needs_channels`, a channel config per kernel gap.
+Status CheckSpec(const PipelineSpec& spec, bool needs_channels) {
+  if (spec.kernels.empty()) return Status::InvalidArgument("no kernels");
+  if (spec.tile_bytes <= 0) return Status::InvalidArgument("tile_bytes <= 0");
+  if (needs_channels && spec.channel_configs.size() + 1 < spec.kernels.size()) {
+    return Status::InvalidArgument("need a channel config per kernel gap");
+  }
+  return Status::OK();
+}
+
+int64_t NumTiles(const PipelineSpec& spec) {
+  const int64_t input_bytes = std::max<int64_t>(spec.kernels[0].bytes_in, 1);
+  return std::max<int64_t>(1, CeilDiv(input_bytes, spec.tile_bytes));
+}
+
+/// Records one launch of kernel `name` over [start, end): its span (with
+/// `args`, then its cache hit ratio), a hit-ratio sample at its end, and the
+/// compute, memory and launch cycles of `work`.
+void TraceLaunch(trace::TraceCollector* trace, const std::string& name,
+                 double start, double end, std::vector<trace::Arg> args,
+                 double hit_ratio, const HwCounters& work) {
+  args.emplace_back("cache_hit_ratio", trace::JsonNumber(hit_ratio));
+  trace->AddSpan(trace->TrackId(name), name, "kernel", start, end,
+                 std::move(args));
+  trace->AddCounter("cache_hit_ratio:" + name, end, hit_ratio);
+  trace->AddKernelPhase(name, work.compute_cycles, work.mem_cycles, 0.0, 0.0);
+  trace->AddOverhead(work.launch_cycles);
+}
+
+/// Records a segment's span over [0, elapsed) on the "segment" track, with
+/// its tiling and kernel count ahead of `args`, then moves the collector's
+/// origin past it.
+void TraceSegment(trace::TraceCollector* trace, const PipelineSpec& spec,
+                  const char* default_label, int64_t num_tiles, double elapsed,
+                  std::vector<trace::Arg> args) {
+  args.insert(args.begin(),
+              {{"tiles", TraceInt(num_tiles)},
+               {"tile_bytes", TraceInt(spec.tile_bytes)},
+               {"kernels", TraceInt(static_cast<int64_t>(spec.kernels.size()))}});
+  trace->AddSpan(trace->TrackId("segment"),
+                 spec.label.empty() ? default_label : spec.label, "segment",
+                 0.0, elapsed, std::move(args));
+  trace->AdvanceOrigin(elapsed);
+}
+
+// ---- RunPipeline's state and steps ----
+
+/// A work-group completion.
+struct Event {
+  double time;
+  int kernel;
+  int cu;
+  bool operator>(const Event& other) const { return time > other.time; }
+};
+
+struct Cu {
+  double alu = 0.0;  ///< cycle its vector ALU is next free
+  double mem = 0.0;  ///< cycle its memory pipeline is next free
+  int resident = 0;  ///< resident work-groups
+  int kernels = 0;   ///< distinct kernels with a resident work-group
+};
+
+/// One kernel of the pipeline: uniform work-group geometry, cost, progress.
+struct KernelSim {
+  int64_t wg_total = 0;
+  int64_t dispatched = 0;
+  int64_t completed = 0;
+  WgShape wg;
+  WgWork work;
+  ChannelState* in_channel = nullptr;   ///< the channel from kernel k-1
+  ChannelState* out_channel = nullptr;  ///< the channel to kernel k+1
+  double throttle = 0.0;  ///< injected memory-pipeline slowdown
+  int slots = 1;          ///< work-groups resident at once (occupancy)
+  int per_cu_cap = 1;
+  int resident = 0;
+  std::vector<int> on_cu;  ///< resident work-groups per CU
+  Stall stall = Stall::kNone;
+  double stall_cycles = 0.0;
+};
+
+/// One RunPipeline run, a discrete-event simulation at work-group
+/// granularity. RunPipeline takes the steps in the order they appear here,
+/// alternating CompleteNext and Dispatch until nothing is in flight.
+class PipelineRun {
+ public:
+  PipelineRun(const DeviceSpec& device, const CacheModel& cache,
+              const PipelineSpec& spec)
+      : device_(device),
+        cache_(cache),
+        spec_(spec),
+        num_tiles_(NumTiles(spec)),
+        ks_(spec.kernels.size()),
+        cus_(static_cast<size_t>(device.num_cus)) {
+    for (KernelSim& s : ks_) s.on_cu.assign(cus_.size(), 0);
+    channels_.reserve(ks_.size() - 1);  // kernels point into it
+  }
+  PipelineRun(const PipelineRun&) = delete;
+  PipelineRun& operator=(const PipelineRun&) = delete;
+
+  // ---- Fault sites: every kernel launch, then every channel reservation.
+  // All faults fire before any simulated work, so a failed run has nothing
+  // to clean up (simulation state is local to the run).
+  Status LaunchKernels(obs::Counter* throttle_events) {
+    if (spec_.fault == nullptr) return Status::OK();
+    for (int k = 0; k < num_kernels(); ++k) {
+      GPL_RETURN_NOT_OK(
+          spec_.fault->OnKernelLaunch(launch(k).desc.name, &sim(k).throttle));
+      if (sim(k).throttle > 0.0) obs::Inc(throttle_events);
+    }
+    return Status::OK();
+  }
+
+  Status ReserveChannels(obs::Counter* channel_reservations) {
+    for (int g = 0; g + 1 < num_kernels(); ++g) {
+      if (launch(g).output != Endpoint::kChannel) continue;
+      const ChannelConfig& config = spec_.channel_configs[static_cast<size_t>(g)];
+      if (spec_.fault != nullptr) {
+        GPL_RETURN_NOT_OK(spec_.fault->OnChannelAlloc(config));
+      }
+      channels_.emplace_back(config, device_);
+      sim(g).out_channel = sim(g + 1).in_channel = &channels_.back();
+      obs::Inc(channel_reservations);
+    }
+    return Status::OK();
+  }
+
+  // ---- Per-kernel uniform work-group geometry and occupancy ----
+  void SizeKernels() {
+    std::vector<ResourceRequest> requests;
+    for (int k = 0; k < num_kernels(); ++k) {
+      const KernelLaunch& l = launch(k);
+      const int wg_per_tile = l.workgroups_per_tile > 0 ? l.workgroups_per_tile
+                                                        : 2 * device_.num_cus;
+      KernelSim& s = sim(k);
+      s.wg_total = num_tiles_ * static_cast<int64_t>(wg_per_tile);
+      const double wg_total = static_cast<double>(s.wg_total);
+      s.wg.rows = static_cast<double>(l.rows_in) / wg_total;
+      const bool chan_in =
+          l.input == Endpoint::kChannel && s.in_channel != nullptr;
+      const bool chan_out = s.out_channel != nullptr;  // output is kChannel
+      (chan_in ? s.wg.chan_in : s.wg.global_in) =
+          static_cast<double>(l.bytes_in) / wg_total;
+      (chan_out ? s.wg.chan_out : s.wg.global_out) =
+          static_cast<double>(l.bytes_out) / wg_total;
+      requests.push_back({l.desc.private_bytes_per_item,
+                          l.desc.local_bytes_per_item, wg_per_tile});
+    }
+    const OccupancyResult occ = ComputeOccupancy(device_, requests);
+    for (int k = 0; k < num_kernels(); ++k) {
+      sim(k).slots = std::max(1, occ.active_slots[static_cast<size_t>(k)]);
+      sim(k).per_cu_cap =
+          std::max(1, static_cast<int>(CeilDiv(sim(k).slots, device_.num_cus)));
+    }
+    // Guarantee a few work-groups' payloads always fit in the channel so one
+    // oversized work-group cannot deadlock or fully serialize the pipeline.
+    for (int g = 0; g + 1 < num_kernels(); ++g) {
+      if (sim(g).out_channel == nullptr) continue;
+      const double need =
+          3.0 * std::max(sim(g).wg.chan_out, sim(g + 1).wg.chan_in);
+      sim(g).out_channel->EnsureCapacity(static_cast<int64_t>(need) + 1);
+    }
+  }
+
+  // ---- Cache residency, latency hiding and per-work-group cost ----
+  void PriceWorkGroups() {
+    int64_t inflight_capacity = 0;
+    for (const ChannelState& ch : channels_) {
+      inflight_capacity += ch.capacity_bytes();
+    }
+    // Half the tile's streaming window is hot on average (the scan front).
+    const int64_t competing = spec_.tile_bytes / 2 + spec_.extra_resident_bytes;
+    const double chan_residency =
+        cache_.ChannelResidency(inflight_capacity, competing);
+    const int64_t competing_for_random =
+        spec_.tile_bytes / 2 + inflight_capacity + spec_.extra_resident_bytes;
+
+    // Latency hiding draws on every co-resident wavefront of the CU,
+    // regardless of which concurrent kernel it belongs to.
+    int total_slots = 0;
+    for (const KernelSim& s : ks_) total_slots += s.slots;
+    const int hide = std::max(1, total_slots / device_.num_cus);
+
+    // Streaming global inputs are cache-resident only if the tile working
+    // set leaves room (it generally does not for the leaf input).
+    for (int k = 0; k < num_kernels(); ++k) {
+      KernelSim& s = sim(k);
+      s.work = ComputeWgWork(device_, cache_, launch(k).desc, s.wg,
+                             s.in_channel, s.out_channel, chan_residency,
+                             launch(k).input_resident_fraction, hide,
+                             competing_for_random);
+      // An injected memory-pressure throttle slows the throttled kernel's
+      // memory pipeline for the whole run (every work-group pays it).
+      if (s.throttle > 0.0) s.work.mem *= 1.0 + s.throttle;
+    }
+  }
+
+  // ---- Dispatch: kernels in turn start what they can until a pass starts
+  // nothing; then each kernel's stall state is what keeps it waiting ----
+  void Dispatch(PipelineObserver& observer) {
+    for (bool progress = true; progress;) {
+      progress = false;
+      for (int k = 0; k < num_kernels(); ++k) {
+        while (HasPending(k) && Waiting(k) == Stall::kNone) {
+          const int cu = PickCu(k);
+          if (cu < 0) break;  // no CU slot: occupancy limit, not a stall
+          Start(k, cu);
+          observer.OnDispatch(k, cu, now_);
+          progress = true;
+        }
+      }
+    }
+    for (int k = 0; k < num_kernels(); ++k) {
+      const Stall stall = HasPending(k) ? Waiting(k) : Stall::kNone;
+      if (stall == sim(k).stall) continue;
+      sim(k).stall = stall;
+      observer.OnStall(k, stall, now_);
+    }
+  }
+
+  // ---- Completion of the next work-group (false if none is in flight):
+  // integrate stall and residency up to it, commit its output, retire it ----
+  bool CompleteNext(PipelineObserver& observer) {
+    if (heap_.empty()) return false;
+    const Event ev = heap_.top();
+    heap_.pop();
+    const double dt = ev.time - last_time_;
+    if (dt > 0.0) {
+      for (KernelSim& s : ks_) {
+        if (s.stall != Stall::kNone) s.stall_cycles += dt;
+      }
+      resident_wg_time_ += total_resident_ * dt;
+      last_time_ = ev.time;
+    }
+    now_ = ev.time;
+
+    KernelSim& s = sim(ev.kernel);
+    if (s.wg.chan_out > 0.0) s.out_channel->CommitReserved(s.wg.chan_out);
+    ++s.completed;
+    --s.resident;
+    Cu& cu = cus_[static_cast<size_t>(ev.cu)];
+    --cu.resident;
+    if (--s.on_cu[static_cast<size_t>(ev.cu)] == 0) --cu.kernels;
+    --total_resident_;
+    observer.OnComplete(ev.kernel, ev.cu, now_);
+    return true;
+  }
+
+  // ---- Aggregate counters ----
+  HwCounters Aggregate() const {
+    HwCounters c;
+    c.resident_wg_time = resident_wg_time_;
+    const double overhead =
+        static_cast<double>(device_.kernel_launch_cycles) * num_kernels() +
+        static_cast<double>(device_.tile_dispatch_cycles) *
+            static_cast<double>(num_tiles_);
+    c.elapsed_cycles = last_time_ + overhead;
+    c.launch_cycles = overhead;
+    for (int k = 0; k < num_kernels(); ++k) {
+      const KernelSim& s = kernel(k);
+      GPL_CHECK(s.completed == s.wg_total)
+          << "pipeline simulation did not drain kernel " << launch(k).desc.name
+          << " (completed " << s.completed << " of " << s.wg_total << ")";
+      const double n = static_cast<double>(s.wg_total);
+      c.compute_cycles += s.work.alu * n;
+      c.mem_cycles += s.work.mem * n;
+      c.channel_cycles += s.work.chan * n;
+      c.stall_cycles += s.stall_cycles;
+      c.cache_accesses += s.work.cache_accesses * n;
+      c.cache_hits += s.work.cache_hits * n;
+      (launch(k).output == Endpoint::kGlobal ? c.bytes_materialized
+                                             : c.bytes_via_channel) +=
+          launch(k).bytes_out;
+    }
+    return c;
+  }
+
+  const DeviceSpec& device() const { return device_; }
+  const PipelineSpec& spec() const { return spec_; }
+  int num_kernels() const { return static_cast<int>(ks_.size()); }
+  int64_t num_tiles() const { return num_tiles_; }
+  const KernelSim& kernel(int k) const { return ks_[static_cast<size_t>(k)]; }
+  double now() const { return now_; }
+  int resident() const { return total_resident_; }
+
+ private:
+  const KernelLaunch& launch(int k) const {
+    return spec_.kernels[static_cast<size_t>(k)];
+  }
+  KernelSim& sim(int k) { return ks_[static_cast<size_t>(k)]; }
+
+  /// Whether kernel k has a work-group left to start and a slot for it.
+  bool HasPending(int k) const {
+    return kernel(k).dispatched < kernel(k).wg_total &&
+           kernel(k).resident < kernel(k).slots;
+  }
+  /// The channel that keeps kernel k from starting a work-group, if any.
+  /// Only a kernel that moves bytes through a channel waits on it.
+  Stall Waiting(int k) const {
+    const KernelSim& s = kernel(k);
+    if (s.wg.chan_in > 0.0 && !s.in_channel->CanAcquire(s.wg.chan_in)) {
+      return Stall::kStarved;
+    }
+    if (s.wg.chan_out > 0.0 && !s.out_channel->CanReserve(s.wg.chan_out)) {
+      return Stall::kBlocked;
+    }
+    return Stall::kNone;
+  }
+
+  /// The least-loaded CU that can host a work-group of kernel k: below
+  /// max_workgroups_per_cu, below k's per-CU cap, and either already running
+  /// k or running fewer than C distinct kernels. -1 if there is none.
+  int PickCu(int k) const {
+    const KernelSim& s = kernel(k);
+    const int concurrency = std::max(1, device_.concurrent_kernels);
+    int best = -1;
+    double best_ready = 0.0;
+    for (size_t c = 0; c < cus_.size(); ++c) {
+      const Cu& cu = cus_[c];
+      if (cu.resident >= device_.max_workgroups_per_cu) continue;
+      if (s.on_cu[c] >= s.per_cu_cap) continue;
+      if (s.on_cu[c] == 0 && cu.kernels >= concurrency) continue;
+      const double ready = std::max(cu.alu, cu.mem);
+      if (best < 0 || ready < best_ready) {
+        best = static_cast<int>(c);
+        best_ready = ready;
+      }
+    }
+    return best;
+  }
+
+  /// Starts a work-group of kernel k on CU c: takes its channel input,
+  /// reserves room for its output and queues its completion.
+  void Start(int k, int c) {
+    KernelSim& s = sim(k);
+    if (s.wg.chan_in > 0.0) s.in_channel->Acquire(s.wg.chan_in);
+    if (s.wg.chan_out > 0.0) s.out_channel->Reserve(s.wg.chan_out);
+    Cu& cu = cus_[static_cast<size_t>(c)];
+    cu.alu = std::max(now_, cu.alu) + s.work.alu;
+    cu.mem = std::max(now_, cu.mem) + s.work.mem + s.work.chan;
+    heap_.push(Event{std::max(cu.alu, cu.mem), k, c});
+    ++s.dispatched;
+    ++s.resident;
+    ++cu.resident;
+    if (s.on_cu[static_cast<size_t>(c)]++ == 0) ++cu.kernels;
+    ++total_resident_;
+  }
+
+  const DeviceSpec& device_;
+  const CacheModel& cache_;
+  const PipelineSpec& spec_;
+  const int64_t num_tiles_;
+  std::vector<KernelSim> ks_;
+  std::vector<ChannelState> channels_;
+  std::vector<Cu> cus_;
+  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap_;
+  int total_resident_ = 0;
+  double now_ = 0.0;
+  double last_time_ = 0.0;
+  double resident_wg_time_ = 0.0;
+};
+
+// ---- The trace as an observer of a PipelineRun ----
+
+/// Records a run into PipelineSpec::trace: a track per kernel with a span
+/// per tile and an instant per stall, channel levels and resident
+/// work-groups as counter samples, per-kernel phases and the segment span.
+class PipelineTrace : public PipelineObserver {
+ public:
+  PipelineTrace(const PipelineRun& run, trace::TraceCollector* trace)
+      : run_(run),
+        trace_(trace),
+        kernels_(static_cast<size_t>(run.num_kernels())) {
+    trace_->set_clock_mhz(static_cast<double>(run.device().core_mhz));
+    const std::vector<KernelLaunch>& launches = run.spec().kernels;
+    for (size_t k = 0; k < kernels_.size(); ++k) {
+      // Disambiguate repeated kernel names within the segment (two probe
+      // stages, say) so their tile spans land on separate tracks.
+      KernelTrack& kt = kernels_[k];
+      kt.label = launches[k].desc.name;
+      int dup = 0;
+      for (size_t j = 0; j < k; ++j) {
+        if (launches[j].desc.name == kt.label) ++dup;
+      }
+      if (dup > 0) kt.label += "#" + std::to_string(dup + 1);
+      kt.track = trace_->TrackId(kt.label);
+      const KernelSim& sim = run.kernel(static_cast<int>(k));
+      kt.wg_per_tile = sim.wg_total / run.num_tiles();
+      kt.tile_start.assign(static_cast<size_t>(run.num_tiles()), -1.0);
+      if (sim.in_channel == nullptr) continue;
+      KernelTrack& producer = kernels_[k - 1];
+      producer.out_chan = "chan:" + producer.label + ">" + kt.label;
+    }
+  }
+
+  void OnDispatch(int k, int /*cu*/, double now) override {
+    KernelTrack& kt = kernels_[static_cast<size_t>(k)];
+    const int64_t tile = (run_.kernel(k).dispatched - 1) / kt.wg_per_tile;
+    double& start = kt.tile_start[static_cast<size_t>(tile)];
+    if (start < 0.0) start = now;
+  }
+
+  void OnComplete(int k, int /*cu*/, double now) override {
+    const KernelSim& sim = run_.kernel(k);
+    KernelTrack& kt = kernels_[static_cast<size_t>(k)];
+    if (sim.wg.chan_out > 0.0) {
+      trace_->AddCounter(kt.out_chan, now, sim.out_channel->available_bytes());
+    }
+    kt.finish_time = now;
+    if (sim.completed % kt.wg_per_tile != 0) return;
+    const int64_t tile = sim.completed / kt.wg_per_tile - 1;
+    const double start = kt.tile_start[static_cast<size_t>(tile)];
+    trace_->AddSpan(kt.track, kt.label + " tile " + std::to_string(tile),
+                    "tile", start >= 0.0 ? start : now, now,
+                    {{"tile", TraceInt(tile)},
+                     {"workgroups", TraceInt(kt.wg_per_tile)}});
+  }
+
+  void OnStall(int k, Stall stall, double now) override {
+    KernelTrack& kt = kernels_[static_cast<size_t>(k)];
+    const bool stalled = stall != Stall::kNone;
+    if (stalled && !kt.was_stalled) {
+      trace_->AddInstant(kt.track,
+                         stall == Stall::kBlocked
+                             ? "channel-block (output full)"
+                             : "channel-starve (input empty)",
+                         "stall", now);
+      ++kt.stall_events;
+    }
+    kt.was_stalled = stalled;
+  }
+
+  void OnRoundEnd(double now, int resident) override {
+    trace_->AddCounter("resident_workgroups", now, resident);
+  }
+
+  void OnEnd(const HwCounters& counters) override {
+    std::vector<trace::Arg> args = {
+        {"elapsed_cycles", trace::JsonNumber(counters.elapsed_cycles)}};
+    for (size_t k = 0; k < kernels_.size(); ++k) {
+      const KernelSim& sim = run_.kernel(static_cast<int>(k));
+      const KernelTrack& kt = kernels_[k];
+      const double n = static_cast<double>(sim.wg_total);
+      trace_->AddCounter("cache_hit_ratio:" + kt.label, kt.finish_time,
+                         sim.work.cache_accesses > 0.0
+                             ? sim.work.cache_hits / sim.work.cache_accesses
+                             : 0.0);
+      trace_->AddKernelPhase(kt.label, sim.work.alu * n, sim.work.mem * n,
+                             sim.work.chan * n, sim.stall_cycles);
+      const ChannelState* ch = sim.out_channel;
+      if (ch == nullptr) continue;
+      args.emplace_back(kt.out_chan + " peak_fill",
+                        trace::JsonNumber(ch->PeakFillRatio()));
+      args.emplace_back(kt.out_chan + " committed_bytes",
+                        trace::JsonNumber(ch->total_committed_bytes()));
+    }
+    for (const KernelTrack& kt : kernels_) {
+      if (kt.stall_events > 0) {
+        args.emplace_back(kt.label + " stall_events", TraceInt(kt.stall_events));
+      }
+    }
+    trace_->AddOverhead(counters.launch_cycles);
+    TraceSegment(trace_, run_.spec(), "pipeline segment", run_.num_tiles(),
+                 counters.elapsed_cycles, std::move(args));
+  }
+
+ private:
+  struct KernelTrack {
+    std::string label;
+    std::string out_chan;  ///< counter name of its output channel, if any
+    int track = 0;
+    int64_t wg_per_tile = 1;
+    std::vector<double> tile_start;  ///< first dispatch per tile, -1 if none
+    bool was_stalled = false;
+    int64_t stall_events = 0;
+    double finish_time = 0.0;
+  };
+
+  const PipelineRun& run_;
+  trace::TraceCollector* trace_;
+  std::vector<KernelTrack> kernels_;
+};
+
 }  // namespace
 
 Simulator::Simulator(const DeviceSpec& device, obs::MetricsRegistry* metrics)
@@ -40,67 +600,6 @@ Simulator::Simulator(const DeviceSpec& device, obs::MetricsRegistry* metrics)
         "gpl_sim_throttle_events_total",
         "Injected memory-pressure throttles applied to a launch", labels);
   }
-}
-
-Simulator::WgWork Simulator::ComputeWgWork(
-    const KernelTimingDesc& desc, double rows, double global_in_bytes,
-    double global_out_bytes, double chan_in_bytes, double chan_out_bytes,
-    const ChannelState* in_chan, const ChannelState* out_chan,
-    double chan_residency, double input_resident, int hide_wavefronts,
-    int64_t competing_bytes) const {
-  WgWork w;
-  if (rows <= 0.0) return w;
-  const double wf = static_cast<double>(device_.wavefront_size);
-  const double iters = std::ceil(rows / wf);
-
-  // Vector ALU work: one instruction issue covers a whole wavefront.
-  w.alu = iters * desc.compute_inst_per_row * device_.cycles_per_instr;
-
-  // Memory work: coalesced transactions with pattern-dependent hit ratio.
-  const double accesses = iters * desc.mem_inst_per_row;
-  double stream_hit = cache_.StreamingHitRatio(kAvgAccessWidth);
-  stream_hit = input_resident + (1.0 - input_resident) * stream_hit;
-  double hit = stream_hit;
-  if (desc.random_access_fraction > 0.0) {
-    const double random_hit =
-        cache_.RandomHitRatio(desc.random_working_set_bytes, competing_bytes);
-    hit = (1.0 - desc.random_access_fraction) * stream_hit +
-          desc.random_access_fraction * random_hit;
-  }
-  const double latency = hit * device_.cache_latency +
-                         (1.0 - hit) * device_.global_mem_latency;
-  const double hide = static_cast<double>(
-      std::clamp(hide_wavefronts, 1, device_.latency_hiding_wavefronts));
-  const double latency_cycles = accesses * latency / hide;
-
-  // Bandwidth floor for the global traffic this work-group generates.
-  const double global_bw_per_cu =
-      device_.global_bw_bytes_per_cycle / device_.num_cus;
-  const double cache_bw_per_cu =
-      device_.cache_bw_bytes_per_cycle / device_.num_cus;
-  const double resident_in = global_in_bytes * input_resident;
-  const double dram_bytes = global_in_bytes - resident_in + global_out_bytes;
-  const double bw_cycles =
-      dram_bytes / global_bw_per_cu + resident_in / cache_bw_per_cu;
-
-  w.mem = std::max(latency_cycles, bw_cycles);
-  w.cache_accesses = accesses;
-  w.cache_hits = hit * accesses;
-
-  // Channel work (DC cost).
-  if (in_chan != nullptr && chan_in_bytes > 0.0) {
-    w.chan += in_chan->AcquireCost(chan_in_bytes, chan_residency);
-  }
-  if (out_chan != nullptr && chan_out_bytes > 0.0) {
-    w.chan += out_chan->CommitCost(chan_out_bytes, chan_residency);
-  }
-  if (chan_in_bytes + chan_out_bytes > 0.0) {
-    const double chan_accesses =
-        (chan_in_bytes + chan_out_bytes) / cache_.line_bytes();
-    w.cache_accesses += chan_accesses;
-    w.cache_hits += chan_residency * chan_accesses;
-  }
-  return w;
 }
 
 Result<HwCounters> Simulator::RunKernelBatch(const KernelLaunch& launch,
@@ -126,20 +625,16 @@ Result<HwCounters> Simulator::RunKernelBatch(const KernelLaunch& launch,
       static_cast<int>(std::min<int64_t>(device_.num_cus, wg_total));
   const int hide = std::max(1, active / std::max(1, active_cus));
 
-  const double rows_per_wg =
-      static_cast<double>(rows) / static_cast<double>(wg_total);
-  const double in_per_wg =
-      static_cast<double>(launch.bytes_in) / static_cast<double>(wg_total);
-  const double out_per_wg =
-      static_cast<double>(launch.bytes_out) / static_cast<double>(wg_total);
-
+  const double n = static_cast<double>(wg_total);
+  const WgShape wg = {static_cast<double>(rows) / n,
+                      static_cast<double>(launch.bytes_in) / n,
+                      static_cast<double>(launch.bytes_out) / n};
   const WgWork per =
-      ComputeWgWork(desc, rows_per_wg, in_per_wg, out_per_wg, 0.0, 0.0, nullptr,
-                    nullptr, 0.0, launch.input_resident_fraction, hide,
-                    resident_bytes);
+      ComputeWgWork(device_, cache_, desc, wg, nullptr, nullptr, 0.0,
+                    launch.input_resident_fraction, hide, resident_bytes);
 
-  const double total_alu = per.alu * static_cast<double>(wg_total);
-  const double total_mem = per.mem * static_cast<double>(wg_total);
+  const double total_alu = per.alu * n;
+  const double total_mem = per.mem * n;
   const double exec = std::max(total_alu, total_mem) / active_cus;
   // A memory-pressure throttle slows execution without failing it; the lost
   // cycles are accounted as stall, keeping busy-cycle components untouched.
@@ -153,8 +648,8 @@ Result<HwCounters> Simulator::RunKernelBatch(const KernelLaunch& launch,
   c.compute_cycles = total_alu;
   c.mem_cycles = total_mem;
   c.launch_cycles = static_cast<double>(device_.kernel_launch_cycles);
-  c.cache_accesses = per.cache_accesses * static_cast<double>(wg_total);
-  c.cache_hits = per.cache_hits * static_cast<double>(wg_total);
+  c.cache_accesses = per.cache_accesses * n;
+  c.cache_hits = per.cache_hits * n;
   c.resident_wg_time = static_cast<double>(active) * exec;
   if (launch.output == Endpoint::kGlobal) {
     c.bytes_materialized = launch.bytes_out;
@@ -162,17 +657,11 @@ Result<HwCounters> Simulator::RunKernelBatch(const KernelLaunch& launch,
 
   if (trace != nullptr) {
     trace->set_clock_mhz(static_cast<double>(device_.core_mhz));
-    const int track = trace->TrackId(desc.name);
-    trace->AddSpan(
-        track, desc.name, "kernel", 0.0, elapsed,
-        {{"rows_in", TraceInt(launch.rows_in)},
-         {"rows_out", TraceInt(launch.rows_out)},
-         {"workgroups", TraceInt(wg_total)},
-         {"cache_hit_ratio", trace::JsonNumber(c.CacheHitRatio())}});
-    trace->AddCounter("cache_hit_ratio:" + desc.name, elapsed,
-                      c.CacheHitRatio());
-    trace->AddKernelPhase(desc.name, total_alu, total_mem, 0.0, 0.0);
-    trace->AddOverhead(c.launch_cycles);
+    TraceLaunch(trace, desc.name, 0.0, elapsed,
+                {{"rows_in", TraceInt(launch.rows_in)},
+                 {"rows_out", TraceInt(launch.rows_out)},
+                 {"workgroups", TraceInt(wg_total)}},
+                c.CacheHitRatio(), c);
     trace->AdvanceOrigin(elapsed);
   }
   return c;
@@ -180,11 +669,9 @@ Result<HwCounters> Simulator::RunKernelBatch(const KernelLaunch& launch,
 
 Result<HwCounters> Simulator::RunSequentialTiles(
     const PipelineSpec& spec) const {
+  GPL_RETURN_NOT_OK(CheckSpec(spec, /*needs_channels=*/false));
   HwCounters counters;
-  GPL_CHECK(!spec.kernels.empty());
-  const int64_t input_bytes = std::max<int64_t>(spec.kernels[0].bytes_in, 1);
-  const int64_t num_tiles =
-      std::max<int64_t>(1, CeilDiv(input_bytes, spec.tile_bytes));
+  const int64_t num_tiles = NumTiles(spec);
 
   // Kernels are compiled/loaded once; each tile only pays a (cheaper)
   // dispatch, but there is one dispatch per kernel per tile — the "frequent
@@ -240,472 +727,47 @@ Result<HwCounters> Simulator::RunSequentialTiles(
     counters.Accumulate(scaled);
 
     if (trace != nullptr) {
-      const std::string& name = spec.kernels[i].desc.name;
-      const int track = trace->TrackId(name);
-      trace->AddSpan(track, name, "kernel", kernel_start,
-                     counters.elapsed_cycles,
-                     {{"tiles", TraceInt(num_tiles)},
-                      {"rows_in", TraceInt(spec.kernels[i].rows_in)},
-                      {"rows_out", TraceInt(spec.kernels[i].rows_out)},
-                      {"cache_hit_ratio",
-                       trace::JsonNumber(tile.CacheHitRatio())}});
-      trace->AddCounter("cache_hit_ratio:" + name, counters.elapsed_cycles,
-                        tile.CacheHitRatio());
-      trace->AddKernelPhase(name, tile.compute_cycles * n,
-                            tile.mem_cycles * n, 0.0, 0.0);
-      trace->AddOverhead(per_kernel_overhead);
+      TraceLaunch(trace, spec.kernels[i].desc.name, kernel_start,
+                  counters.elapsed_cycles,
+                  {{"tiles", TraceInt(num_tiles)},
+                   {"rows_in", TraceInt(spec.kernels[i].rows_in)},
+                   {"rows_out", TraceInt(spec.kernels[i].rows_out)}},
+                  tile.CacheHitRatio(), scaled);
     }
   }
 
   if (trace != nullptr) {
-    trace->AddSpan(trace->TrackId("segment"),
-                   spec.label.empty() ? "segment (w/o CE)" : spec.label,
-                   "segment", 0.0, counters.elapsed_cycles,
-                   {{"tiles", TraceInt(num_tiles)},
-                    {"tile_bytes", TraceInt(spec.tile_bytes)},
-                    {"kernels", TraceInt(static_cast<int64_t>(
-                                    spec.kernels.size()))}});
-    trace->AdvanceOrigin(counters.elapsed_cycles);
+    TraceSegment(trace, spec, "segment (w/o CE)", num_tiles,
+                 counters.elapsed_cycles, {});
   }
   return counters;
 }
 
-Result<HwCounters> Simulator::RunPipeline(const PipelineSpec& spec) const {
-  const int num_kernels = static_cast<int>(spec.kernels.size());
-  GPL_CHECK(num_kernels > 0);
-  GPL_CHECK(static_cast<int>(spec.channel_configs.size()) >=
-            std::max(0, num_kernels - 1))
-      << "need a channel config per kernel gap";
+Result<HwCounters> Simulator::RunPipeline(const PipelineSpec& spec,
+                                          PipelineObserver* observer) const {
+  GPL_RETURN_NOT_OK(CheckSpec(spec, /*needs_channels=*/true));
+  PipelineRun run(device_, cache_, spec);
+  GPL_RETURN_NOT_OK(run.LaunchKernels(throttle_events_));
+  obs::Inc(kernel_launches_, static_cast<uint64_t>(run.num_kernels()));
+  obs::Inc(tile_dispatches_, static_cast<uint64_t>(run.num_tiles()));
+  GPL_RETURN_NOT_OK(run.ReserveChannels(channel_reservations_));
+  run.SizeKernels();
+  run.PriceWorkGroups();
 
-  const int64_t input_bytes = std::max<int64_t>(spec.kernels[0].bytes_in, 1);
-  const int64_t num_tiles =
-      std::max<int64_t>(1, CeilDiv(input_bytes, spec.tile_bytes));
-
-  // ---- Fault sites: every kernel launch, then every channel reservation.
-  // All faults fire before any simulated work, so a failed run has nothing
-  // to clean up (simulation state is local to this call).
-  std::vector<double> throttle(static_cast<size_t>(num_kernels), 0.0);
-  if (spec.fault != nullptr) {
-    for (int k = 0; k < num_kernels; ++k) {
-      GPL_RETURN_NOT_OK(spec.fault->OnKernelLaunch(
-          spec.kernels[static_cast<size_t>(k)].desc.name,
-          &throttle[static_cast<size_t>(k)]));
-      if (throttle[static_cast<size_t>(k)] > 0.0) obs::Inc(throttle_events_);
-    }
+  PipelineObserver untraced;
+  std::optional<PipelineTrace> traced;
+  if (observer == nullptr) {
+    observer =
+        spec.trace != nullptr ? &traced.emplace(run, spec.trace) : &untraced;
   }
-  obs::Inc(kernel_launches_, static_cast<uint64_t>(num_kernels));
-  obs::Inc(tile_dispatches_, static_cast<uint64_t>(num_tiles));
-
-  // ---- Channels between consecutive kernels ----
-  std::vector<std::optional<ChannelState>> channels(
-      static_cast<size_t>(std::max(0, num_kernels - 1)));
-  for (int g = 0; g + 1 < num_kernels; ++g) {
-    if (spec.kernels[g].output == Endpoint::kChannel) {
-      if (spec.fault != nullptr) {
-        GPL_RETURN_NOT_OK(spec.fault->OnChannelAlloc(spec.channel_configs[g]));
-      }
-      channels[g].emplace(spec.channel_configs[g], device_);
-      obs::Inc(channel_reservations_);
-    }
+  run.Dispatch(*observer);
+  while (run.CompleteNext(*observer)) {
+    run.Dispatch(*observer);
+    observer->OnRoundEnd(run.now(), run.resident());
   }
-
-  // ---- Per-kernel uniform work-group geometry ----
-  struct KernelSim {
-    int64_t wg_total = 0;
-    int64_t dispatched = 0;
-    int64_t completed = 0;
-    double rows_per_wg = 0.0;
-    double g_in_per_wg = 0.0, g_out_per_wg = 0.0;
-    double c_in_per_wg = 0.0, c_out_per_wg = 0.0;
-    WgWork work;
-    int slots = 1;
-    int per_cu_cap = 1;
-    bool stalled = false;
-    double stall_cycles = 0.0;
-    double finish_time = 0.0;
-
-    // Tracing state (only populated when spec.trace is set).
-    int64_t wg_per_tile = 1;
-    int track = 0;
-    std::string label;
-    char stall_reason = 0;  ///< 'i' starved on input, 'o' blocked on output
-    bool was_stalled = false;
-    int64_t stall_events = 0;
-    std::vector<double> tile_start;
-  };
-  std::vector<KernelSim> ks(static_cast<size_t>(num_kernels));
-
-  trace::TraceCollector* trace = spec.trace;
-  if (trace != nullptr) {
-    trace->set_clock_mhz(static_cast<double>(device_.core_mhz));
-    for (int k = 0; k < num_kernels; ++k) {
-      // Disambiguate repeated kernel names within the segment (two probe
-      // stages, say) so their tile spans land on separate tracks.
-      std::string label = spec.kernels[static_cast<size_t>(k)].desc.name;
-      int dup = 0;
-      for (int j = 0; j < k; ++j) {
-        if (spec.kernels[static_cast<size_t>(j)].desc.name == label) ++dup;
-      }
-      if (dup > 0) label += "#" + std::to_string(dup + 1);
-      ks[static_cast<size_t>(k)].label = label;
-      ks[static_cast<size_t>(k)].track = trace->TrackId(label);
-      ks[static_cast<size_t>(k)].tile_start.assign(
-          static_cast<size_t>(num_tiles), -1.0);
-    }
-  }
-
-  std::vector<ResourceRequest> requests;
-  requests.reserve(static_cast<size_t>(num_kernels));
-  for (int k = 0; k < num_kernels; ++k) {
-    const KernelLaunch& launch = spec.kernels[k];
-    const int wg_per_tile = launch.workgroups_per_tile > 0
-                                ? launch.workgroups_per_tile
-                                : 2 * device_.num_cus;
-    ks[k].wg_total = num_tiles * static_cast<int64_t>(wg_per_tile);
-    ks[k].wg_per_tile = wg_per_tile;
-    const double wg_total = static_cast<double>(ks[k].wg_total);
-    ks[k].rows_per_wg = static_cast<double>(launch.rows_in) / wg_total;
-    const bool in_chan = launch.input == Endpoint::kChannel && k > 0 &&
-                         channels[static_cast<size_t>(k - 1)].has_value();
-    const bool out_chan = launch.output == Endpoint::kChannel &&
-                          k + 1 < num_kernels &&
-                          channels[static_cast<size_t>(k)].has_value();
-    (in_chan ? ks[k].c_in_per_wg : ks[k].g_in_per_wg) =
-        static_cast<double>(launch.bytes_in) / wg_total;
-    (out_chan ? ks[k].c_out_per_wg : ks[k].g_out_per_wg) =
-        static_cast<double>(launch.bytes_out) / wg_total;
-
-    ResourceRequest req;
-    req.private_bytes_per_item = launch.desc.private_bytes_per_item;
-    req.local_bytes_per_item = launch.desc.local_bytes_per_item;
-    req.requested_workgroups = wg_per_tile;
-    requests.push_back(req);
-  }
-
-  const OccupancyResult occ = ComputeOccupancy(device_, requests);
-  for (int k = 0; k < num_kernels; ++k) {
-    ks[k].slots = std::max(1, occ.active_slots[static_cast<size_t>(k)]);
-    ks[k].per_cu_cap =
-        std::max(1, static_cast<int>(CeilDiv(ks[k].slots, device_.num_cus)));
-  }
-
-  // Guarantee a few work-groups' payloads always fit in the channel so one
-  // oversized work-group cannot deadlock or fully serialize the pipeline.
-  for (int g = 0; g + 1 < num_kernels; ++g) {
-    if (!channels[static_cast<size_t>(g)].has_value()) continue;
-    const double need = 3.0 * std::max(ks[g].c_out_per_wg,
-                                       ks[g + 1].c_in_per_wg);
-    channels[static_cast<size_t>(g)]->EnsureCapacity(
-        static_cast<int64_t>(need) + 1);
-  }
-
-  // ---- Cache residency of channel traffic ----
-  int64_t inflight_capacity = 0;
-  for (const auto& ch : channels) {
-    if (ch.has_value()) inflight_capacity += ch->capacity_bytes();
-  }
-  // Half the tile's streaming window is hot on average (the scan front).
-  const int64_t competing = spec.tile_bytes / 2 + spec.extra_resident_bytes;
-  const double chan_residency =
-      cache_.ChannelResidency(inflight_capacity, competing);
-  const int64_t competing_for_random =
-      spec.tile_bytes / 2 + inflight_capacity + spec.extra_resident_bytes;
-
-  // Latency hiding draws on every co-resident wavefront of the CU,
-  // regardless of which concurrent kernel it belongs to.
-  int total_slots = 0;
-  for (int k = 0; k < num_kernels; ++k) total_slots += ks[k].slots;
-  const int hide = std::max(1, total_slots / device_.num_cus);
-
-  // Streaming inputs read from global memory are cache-resident only if the
-  // tile working set leaves room (it generally does not for the leaf input).
-  for (int k = 0; k < num_kernels; ++k) {
-    const ChannelState* in_chan =
-        (k > 0 && channels[static_cast<size_t>(k - 1)].has_value())
-            ? &*channels[static_cast<size_t>(k - 1)]
-            : nullptr;
-    const ChannelState* out_chan =
-        (k + 1 < num_kernels && channels[static_cast<size_t>(k)].has_value())
-            ? &*channels[static_cast<size_t>(k)]
-            : nullptr;
-    ks[k].work = ComputeWgWork(
-        spec.kernels[k].desc, ks[k].rows_per_wg, ks[k].g_in_per_wg,
-        ks[k].g_out_per_wg, ks[k].c_in_per_wg, ks[k].c_out_per_wg, in_chan,
-        out_chan, chan_residency,
-        spec.kernels[k].input_resident_fraction, hide, competing_for_random);
-    // An injected memory-pressure throttle slows the throttled kernel's
-    // memory pipeline for the whole run (every work-group pays it).
-    if (throttle[static_cast<size_t>(k)] > 0.0) {
-      ks[k].work.mem *= 1.0 + throttle[static_cast<size_t>(k)];
-    }
-  }
-
-  // ---- Discrete-event simulation ----
-  struct Event {
-    double time;
-    int kernel;
-    int cu;
-    bool operator>(const Event& other) const { return time > other.time; }
-  };
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap;
-
-  std::vector<double> cu_alu(static_cast<size_t>(device_.num_cus), 0.0);
-  std::vector<double> cu_mem(static_cast<size_t>(device_.num_cus), 0.0);
-  std::vector<int> cu_resident(static_cast<size_t>(device_.num_cus), 0);
-  // resident work-groups of kernel k on CU c
-  std::vector<std::vector<int>> cu_kernel_resident(
-      static_cast<size_t>(num_kernels),
-      std::vector<int>(static_cast<size_t>(device_.num_cus), 0));
-  std::vector<int> kernel_resident(static_cast<size_t>(num_kernels), 0);
-
-  const int concurrency = std::max(1, device_.concurrent_kernels);
-  int total_resident = 0;
-  double now = 0.0;
-
-  auto distinct_kernels_on_cu = [&](int cu) {
-    int count = 0;
-    for (int k = 0; k < num_kernels; ++k) {
-      if (cu_kernel_resident[static_cast<size_t>(k)][static_cast<size_t>(cu)] > 0) {
-        ++count;
-      }
-    }
-    return count;
-  };
-
-  auto dispatch = [&]() {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (int k = 0; k < num_kernels; ++k) {
-        KernelSim& sim = ks[static_cast<size_t>(k)];
-        sim.stalled = false;
-        while (sim.dispatched < sim.wg_total && kernel_resident[k] < sim.slots) {
-          ChannelState* in_chan =
-              (k > 0 && channels[static_cast<size_t>(k - 1)].has_value())
-                  ? &*channels[static_cast<size_t>(k - 1)]
-                  : nullptr;
-          ChannelState* out_chan =
-              (k + 1 < num_kernels &&
-               channels[static_cast<size_t>(k)].has_value())
-                  ? &*channels[static_cast<size_t>(k)]
-                  : nullptr;
-          if (in_chan != nullptr && sim.c_in_per_wg > 0.0 &&
-              !in_chan->CanAcquire(sim.c_in_per_wg)) {
-            sim.stalled = true;  // starved for input data
-            sim.stall_reason = 'i';
-            break;
-          }
-          if (out_chan != nullptr && sim.c_out_per_wg > 0.0 &&
-              !out_chan->CanReserve(sim.c_out_per_wg)) {
-            sim.stalled = true;  // blocked on output space
-            sim.stall_reason = 'o';
-            break;
-          }
-          // Pick the least-loaded CU that can host this work-group.
-          int best_cu = -1;
-          double best_ready = 0.0;
-          for (int c = 0; c < device_.num_cus; ++c) {
-            if (cu_resident[static_cast<size_t>(c)] >=
-                device_.max_workgroups_per_cu) {
-              continue;
-            }
-            if (cu_kernel_resident[static_cast<size_t>(k)]
-                                  [static_cast<size_t>(c)] >= sim.per_cu_cap) {
-              continue;
-            }
-            if (cu_kernel_resident[static_cast<size_t>(k)]
-                                  [static_cast<size_t>(c)] == 0 &&
-                distinct_kernels_on_cu(c) >= concurrency) {
-              continue;
-            }
-            const double ready = std::max(cu_alu[static_cast<size_t>(c)],
-                                          cu_mem[static_cast<size_t>(c)]);
-            if (best_cu < 0 || ready < best_ready) {
-              best_cu = c;
-              best_ready = ready;
-            }
-          }
-          if (best_cu < 0) break;  // no CU slot: occupancy limit, not a stall
-
-          if (in_chan != nullptr && sim.c_in_per_wg > 0.0) {
-            in_chan->Acquire(sim.c_in_per_wg);
-          }
-          if (out_chan != nullptr && sim.c_out_per_wg > 0.0) {
-            out_chan->Reserve(sim.c_out_per_wg);
-          }
-          if (trace != nullptr) {
-            const int64_t tile = sim.dispatched / sim.wg_per_tile;
-            if (sim.tile_start[static_cast<size_t>(tile)] < 0.0) {
-              sim.tile_start[static_cast<size_t>(tile)] = now;
-            }
-          }
-          const size_t cu = static_cast<size_t>(best_cu);
-          const double alu_done =
-              std::max(now, cu_alu[cu]) + sim.work.alu;
-          const double mem_done =
-              std::max(now, cu_mem[cu]) + sim.work.mem + sim.work.chan;
-          cu_alu[cu] = alu_done;
-          cu_mem[cu] = mem_done;
-          heap.push(Event{std::max(alu_done, mem_done), k, best_cu});
-          ++sim.dispatched;
-          ++kernel_resident[k];
-          ++cu_resident[cu];
-          ++cu_kernel_resident[static_cast<size_t>(k)][cu];
-          ++total_resident;
-          progress = true;
-        }
-      }
-    }
-  };
-
-  // Trace bookkeeping: channel counter names and stall-transition instants.
-  std::vector<std::string> chan_names;
-  if (trace != nullptr) {
-    chan_names.resize(static_cast<size_t>(std::max(0, num_kernels - 1)));
-    for (int g = 0; g + 1 < num_kernels; ++g) {
-      if (channels[static_cast<size_t>(g)].has_value()) {
-        chan_names[static_cast<size_t>(g)] =
-            "chan:" + ks[static_cast<size_t>(g)].label + ">" +
-            ks[static_cast<size_t>(g + 1)].label;
-      }
-    }
-  }
-  auto note_stall_transitions = [&]() {
-    if (trace == nullptr) return;
-    for (auto& sim : ks) {
-      if (sim.stalled && !sim.was_stalled) {
-        trace->AddInstant(sim.track,
-                          sim.stall_reason == 'o' ? "channel-block (output full)"
-                                                  : "channel-starve (input empty)",
-                          "stall", now);
-        ++sim.stall_events;
-      }
-      sim.was_stalled = sim.stalled;
-    }
-  };
-
-  dispatch();
-  note_stall_transitions();
-  double last_time = 0.0;
-  double resident_wg_time = 0.0;
-  while (!heap.empty()) {
-    const Event ev = heap.top();
-    heap.pop();
-    const double dt = ev.time - last_time;
-    if (dt > 0.0) {
-      for (auto& sim : ks) {
-        if (sim.stalled) sim.stall_cycles += dt;
-      }
-      resident_wg_time += total_resident * dt;
-      last_time = ev.time;
-    }
-    now = ev.time;
-
-    KernelSim& sim = ks[static_cast<size_t>(ev.kernel)];
-    if (ev.kernel + 1 < num_kernels &&
-        channels[static_cast<size_t>(ev.kernel)].has_value() &&
-        sim.c_out_per_wg > 0.0) {
-      channels[static_cast<size_t>(ev.kernel)]->CommitReserved(sim.c_out_per_wg);
-      if (trace != nullptr) {
-        trace->AddCounter(
-            chan_names[static_cast<size_t>(ev.kernel)], now,
-            channels[static_cast<size_t>(ev.kernel)]->available_bytes());
-      }
-    }
-    ++sim.completed;
-    sim.finish_time = now;
-    --kernel_resident[ev.kernel];
-    --cu_resident[static_cast<size_t>(ev.cu)];
-    --cu_kernel_resident[static_cast<size_t>(ev.kernel)][static_cast<size_t>(ev.cu)];
-    --total_resident;
-    if (trace != nullptr && sim.completed % sim.wg_per_tile == 0) {
-      const int64_t tile = sim.completed / sim.wg_per_tile - 1;
-      const double start = sim.tile_start[static_cast<size_t>(tile)];
-      trace->AddSpan(sim.track, sim.label + " tile " + std::to_string(tile),
-                     "tile", start >= 0.0 ? start : now, now,
-                     {{"tile", TraceInt(tile)},
-                      {"workgroups", TraceInt(sim.wg_per_tile)}});
-    }
-    dispatch();
-    if (trace != nullptr) {
-      note_stall_transitions();
-      trace->AddCounter("resident_workgroups", now,
-                        static_cast<double>(total_resident));
-    }
-  }
-
-  for (int k = 0; k < num_kernels; ++k) {
-    GPL_CHECK(ks[static_cast<size_t>(k)].completed ==
-              ks[static_cast<size_t>(k)].wg_total)
-        << "pipeline simulation did not drain kernel "
-        << spec.kernels[static_cast<size_t>(k)].desc.name << " (completed "
-        << ks[static_cast<size_t>(k)].completed << " of "
-        << ks[static_cast<size_t>(k)].wg_total << ")";
-  }
-
-  // ---- Aggregate counters ----
-  HwCounters c;
-  c.resident_wg_time = resident_wg_time;
-  const double overhead =
-      static_cast<double>(device_.kernel_launch_cycles) * num_kernels +
-      static_cast<double>(device_.tile_dispatch_cycles) *
-          static_cast<double>(num_tiles);
-  c.elapsed_cycles = last_time + overhead;
-  c.launch_cycles = overhead;
-  for (int k = 0; k < num_kernels; ++k) {
-    const KernelSim& sim = ks[static_cast<size_t>(k)];
-    const double n = static_cast<double>(sim.wg_total);
-    c.compute_cycles += sim.work.alu * n;
-    c.mem_cycles += sim.work.mem * n;
-    c.channel_cycles += sim.work.chan * n;
-    c.stall_cycles += sim.stall_cycles;
-    c.cache_accesses += sim.work.cache_accesses * n;
-    c.cache_hits += sim.work.cache_hits * n;
-    if (spec.kernels[static_cast<size_t>(k)].output == Endpoint::kGlobal) {
-      c.bytes_materialized += spec.kernels[static_cast<size_t>(k)].bytes_out;
-    } else {
-      c.bytes_via_channel += spec.kernels[static_cast<size_t>(k)].bytes_out;
-    }
-
-    if (trace != nullptr) {
-      const double hit_ratio =
-          sim.work.cache_accesses > 0.0
-              ? sim.work.cache_hits / sim.work.cache_accesses
-              : 0.0;
-      trace->AddCounter("cache_hit_ratio:" + sim.label, sim.finish_time,
-                        hit_ratio);
-      trace->AddKernelPhase(sim.label, sim.work.alu * n, sim.work.mem * n,
-                            sim.work.chan * n, sim.stall_cycles);
-    }
-  }
-
-  if (trace != nullptr) {
-    trace->AddOverhead(overhead);
-    std::vector<trace::Arg> args = {
-        {"tiles", TraceInt(num_tiles)},
-        {"tile_bytes", TraceInt(spec.tile_bytes)},
-        {"kernels", TraceInt(num_kernels)},
-        {"elapsed_cycles", trace::JsonNumber(c.elapsed_cycles)}};
-    for (int g = 0; g + 1 < num_kernels; ++g) {
-      if (!channels[static_cast<size_t>(g)].has_value()) continue;
-      const ChannelState& ch = *channels[static_cast<size_t>(g)];
-      args.emplace_back(chan_names[static_cast<size_t>(g)] + " peak_fill",
-                        trace::JsonNumber(ch.PeakFillRatio()));
-      args.emplace_back(chan_names[static_cast<size_t>(g)] + " committed_bytes",
-                        trace::JsonNumber(ch.total_committed_bytes()));
-    }
-    for (const auto& sim : ks) {
-      if (sim.stall_events > 0) {
-        args.emplace_back(sim.label + " stall_events",
-                          TraceInt(sim.stall_events));
-      }
-    }
-    trace->AddSpan(trace->TrackId("segment"),
-                   spec.label.empty() ? "pipeline segment" : spec.label,
-                   "segment", 0.0, c.elapsed_cycles, std::move(args));
-    trace->AdvanceOrigin(c.elapsed_cycles);
-  }
-  return c;
+  const HwCounters counters = run.Aggregate();
+  observer->OnEnd(counters);
+  return counters;
 }
 
 }  // namespace sim

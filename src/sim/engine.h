@@ -61,9 +61,9 @@ struct PipelineSpec {
   /// Bytes of other cache-hot structures (hash tables being probed, etc.).
   int64_t extra_resident_bytes = 0;
 
-  /// Optional trace sink. When non-null the simulator emits per-kernel
-  /// per-tile spans, channel occupancy/stall events, and counter samples
-  /// into it; nullptr (the default) is the zero-cost disabled path.
+  /// Optional trace sink. When non-null, RunPipeline's trace observer
+  /// records per-kernel per-tile spans, stall events and counter samples
+  /// into it; nullptr (the default) runs untraced.
   trace::TraceCollector* trace = nullptr;
   /// Optional fault injector, consulted at every kernel-launch and
   /// channel-reservation site; nullptr (the default) never fails. Like the
@@ -72,6 +72,36 @@ struct PipelineSpec {
   FaultInjector* fault = nullptr;
   /// Display label for the whole-segment span (e.g. the kernel chain).
   std::string label;
+};
+
+/// What holds back a pipelined kernel that has work-groups left to start.
+enum class Stall {
+  kNone,     ///< no channel (it runs, or waits for a CU slot)
+  kStarved,  ///< its input channel cannot supply a work-group's input
+  kBlocked,  ///< its output channel has no room for a work-group's output
+};
+
+/// Watches one RunPipeline run as it happens: `k` indexes
+/// PipelineSpec::kernels, `cu` a compute unit, and times are cycles from the
+/// start of the run. Every method does nothing by default. An untraced run
+/// reports to this base class, a traced run to an observer that records
+/// into PipelineSpec::trace; tests pass their own.
+class PipelineObserver {
+ public:
+  virtual ~PipelineObserver() = default;
+
+  /// A work-group of kernel `k` started on compute unit `cu`.
+  virtual void OnDispatch(int /*k*/, int /*cu*/, double /*now*/) {}
+  /// A work-group of kernel `k` finished on `cu` and committed its channel
+  /// output; nothing has been dispatched into its slot yet.
+  virtual void OnComplete(int /*k*/, int /*cu*/, double /*now*/) {}
+  /// Kernel `k`'s stall state changed at the end of a dispatch round.
+  virtual void OnStall(int /*k*/, Stall /*stall*/, double /*now*/) {}
+  /// The dispatch round after a completion ended with `resident`
+  /// work-groups on the device.
+  virtual void OnRoundEnd(double /*now*/, int /*resident*/) {}
+  /// The run drained; `counters` are what RunPipeline returns.
+  virtual void OnEnd(const HwCounters& /*counters*/) {}
 };
 
 /// The GPU timing simulator. Every Run* method returns the run's HwCounters:
@@ -112,36 +142,23 @@ class Simulator {
   /// work-group granularity). With `spec.fault` set, channel allocation can
   /// fail with kChannelAllocFailed (before any simulated work) and kernel
   /// launches with kTransientDeviceError; a failed run leaves no state
-  /// behind (all simulation state is local to the call).
-  Result<HwCounters> RunPipeline(const PipelineSpec& spec) const;
+  /// behind (all simulation state is local to the call). A spec without
+  /// kernels, without a channel config per kernel gap or with a
+  /// non-positive tile size is kInvalidArgument. A non-null `observer`
+  /// watches the run in place of `spec.trace`.
+  Result<HwCounters> RunPipeline(const PipelineSpec& spec,
+                                 PipelineObserver* observer = nullptr) const;
 
   /// GPL (w/o CE) ablation: same tiling, but kernels execute one at a time
   /// per tile, with per-tile kernel launches and materialized intermediates.
   /// Needs no channels, so it doubles as the degraded-execution path when
   /// RunPipeline's channel allocation fails. A fused segment runs here too:
   /// its spec holds one composed launch per fused chain, so the chains'
-  /// interior launches and hand-offs are already absent.
+  /// interior launches and hand-offs are already absent. A spec without
+  /// kernels or with a non-positive tile size is kInvalidArgument.
   Result<HwCounters> RunSequentialTiles(const PipelineSpec& spec) const;
 
  private:
-  struct WgWork {
-    double alu = 0.0;
-    double mem = 0.0;
-    double chan = 0.0;
-    double cache_hits = 0.0;
-    double cache_accesses = 0.0;
-  };
-
-  /// Cost of one work-group of `desc` processing `rows` rows with the given
-  /// I/O volumes. `hide_wavefronts` is the latency-hiding depth (resident
-  /// wavefronts per CU).
-  WgWork ComputeWgWork(const KernelTimingDesc& desc, double rows,
-                       double global_in_bytes, double global_out_bytes,
-                       double chan_in_bytes, double chan_out_bytes,
-                       const ChannelState* in_chan, const ChannelState* out_chan,
-                       double chan_residency, double input_resident,
-                       int hide_wavefronts, int64_t competing_bytes) const;
-
   DeviceSpec device_;
   CacheModel cache_;
 

@@ -5,20 +5,6 @@
 namespace gpl {
 namespace sim {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kTransientKernelAbort:
-      return "transient-kernel-abort";
-    case FaultKind::kChannelAllocFailed:
-      return "channel-alloc-failed";
-    case FaultKind::kDeviceReset:
-      return "device-reset";
-    case FaultKind::kMemoryThrottle:
-      return "memory-throttle";
-  }
-  return "?";
-}
-
 FaultInjector::FaultInjector(FaultConfig config)
     : config_(std::move(config)), rng_(config_.seed) {}
 

@@ -23,8 +23,6 @@ enum class FaultKind {
   kMemoryThrottle,        ///< launch succeeds but runs slower (no error)
 };
 
-const char* FaultKindName(FaultKind kind);
-
 /// A fault pinned to the Nth visit of its site class (0-based): kernel faults
 /// count kernel-launch sites, channel faults count channel-reservation sites.
 /// Scheduled faults fire regardless of the probabilistic rates, which makes

@@ -4,22 +4,6 @@
 
 namespace gpl {
 
-const char* DataTypeToString(DataType type) {
-  switch (type) {
-    case DataType::kInt32:
-      return "int32";
-    case DataType::kInt64:
-      return "int64";
-    case DataType::kFloat64:
-      return "float64";
-    case DataType::kDate:
-      return "date";
-    case DataType::kString:
-      return "string";
-  }
-  return "?";
-}
-
 Column::Column(DataType type, std::shared_ptr<Dictionary> dict)
     : type_(type), dict_(std::move(dict)) {
   if (type_ == DataType::kString && dict_ == nullptr) {

@@ -48,12 +48,6 @@ const Column& Table::GetColumn(const std::string& column_name) const {
   return columns_[static_cast<size_t>(idx)];
 }
 
-Column& Table::GetMutableColumn(const std::string& column_name) {
-  const int64_t idx = ColumnIndex(column_name);
-  GPL_CHECK(idx >= 0) << "no such column: " << column_name << " in table " << name_;
-  return columns_[static_cast<size_t>(idx)];
-}
-
 Status Table::Validate() const {
   if (columns_.empty()) return Status::OK();
   const int64_t rows = columns_[0].size();

@@ -38,7 +38,6 @@ class Table {
 
   /// Precondition: column exists (checked).
   const Column& GetColumn(const std::string& column_name) const;
-  Column& GetMutableColumn(const std::string& column_name);
   const Column& ColumnAt(int64_t i) const { return columns_[static_cast<size_t>(i)]; }
   Column& MutableColumnAt(int64_t i) { return columns_[static_cast<size_t>(i)]; }
   const std::string& ColumnNameAt(int64_t i) const {

@@ -33,8 +33,6 @@ constexpr int64_t TypeWidth(DataType type) {
   return 0;
 }
 
-const char* DataTypeToString(DataType type);
-
 }  // namespace gpl
 
 #endif  // GPL_STORAGE_TYPES_H_

@@ -59,10 +59,10 @@ struct KernelPhase {
 /// engines on a single simulated-time axis, and exports them as Chrome
 /// trace-event JSON (chrome://tracing, Perfetto).
 ///
-/// Tracing is opt-in: every emission site takes a `TraceCollector*` and
-/// treats nullptr as disabled, so a run without a collector only pays
-/// pointer-null checks. The collector itself is not thread-safe (the
-/// simulator is single-threaded).
+/// Tracing is opt-in: RunKernelBatch, RunSequentialTiles and the sharded
+/// executor null-check a `TraceCollector*`; RunPipeline reports to a
+/// sim::PipelineObserver that records here only when PipelineSpec::trace is
+/// set. The collector is not thread-safe (the simulator is single-threaded).
 ///
 /// Consecutive simulator runs each start at relative cycle 0; the simulator
 /// advances the collector's origin by the elapsed cycles after each run, so

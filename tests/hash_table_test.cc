@@ -9,12 +9,18 @@
 namespace gpl {
 namespace {
 
+bool HasMatch(const JoinHashTable& ht, int64_t key) {
+  std::vector<int64_t> rows;
+  ht.Probe(key, &rows);
+  return !rows.empty();
+}
+
 TEST(JoinHashTableTest, EmptyTableFindsNothing) {
   JoinHashTable ht;
   std::vector<int64_t> rows;
   ht.Probe(42, &rows);
   EXPECT_TRUE(rows.empty());
-  EXPECT_FALSE(ht.Contains(42));
+  EXPECT_FALSE(HasMatch(ht, 42));
   EXPECT_EQ(ht.num_entries(), 0);
 }
 
@@ -25,8 +31,8 @@ TEST(JoinHashTableTest, BuildAndProbeSingleMatches) {
   ht.Probe(20, &rows);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0], 1);
-  EXPECT_TRUE(ht.Contains(10));
-  EXPECT_FALSE(ht.Contains(15));
+  EXPECT_TRUE(HasMatch(ht, 10));
+  EXPECT_FALSE(HasMatch(ht, 15));
 }
 
 TEST(JoinHashTableTest, DuplicateKeysReturnAllRows) {
@@ -62,19 +68,19 @@ TEST(JoinHashTableTest, RebuildClearsOldEntries) {
   JoinHashTable ht;
   ht.Build({1, 2, 3});
   ht.Build({9});
-  EXPECT_FALSE(ht.Contains(1));
-  EXPECT_TRUE(ht.Contains(9));
+  EXPECT_FALSE(HasMatch(ht, 1));
+  EXPECT_TRUE(HasMatch(ht, 9));
   EXPECT_EQ(ht.num_entries(), 1);
 }
 
 TEST(JoinHashTableTest, NegativeAndLargeKeys) {
   JoinHashTable ht;
   ht.Build({-5, 0, (1LL << 62), -(1LL << 40)});
-  EXPECT_TRUE(ht.Contains(-5));
-  EXPECT_TRUE(ht.Contains(0));
-  EXPECT_TRUE(ht.Contains(1LL << 62));
-  EXPECT_TRUE(ht.Contains(-(1LL << 40)));
-  EXPECT_FALSE(ht.Contains(1));
+  EXPECT_TRUE(HasMatch(ht, -5));
+  EXPECT_TRUE(HasMatch(ht, 0));
+  EXPECT_TRUE(HasMatch(ht, 1LL << 62));
+  EXPECT_TRUE(HasMatch(ht, -(1LL << 40)));
+  EXPECT_FALSE(HasMatch(ht, 1));
 }
 
 TEST(JoinHashTableTest, PackKeysIsInjectiveOnPairs) {

@@ -372,6 +372,66 @@ TEST(ServiceTraceTest, HostileQueryNamesExportValidJson) {
   EXPECT_NE(json.find(trace::JsonEscape("new\nline")), std::string::npos);
 }
 
+// ---- the trace's bytes are pinned ----
+
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) hash = (hash ^ c) * 0x100000001b3ULL;
+  return hash;
+}
+
+// A kernel launch, a 3-kernel pipeline (two kernels share a name, the slow
+// middle kernel blocks its producer and starves its consumer) and a
+// sequential-tiles run, all into one collector. Any change to a span, an
+// instant, a counter sample, their order or a kernel phase changes the digest.
+TEST(TraceCollectorTest, TraceBytesArePinned) {
+  Simulator sim(DeviceSpec::AmdA10());
+  trace::TraceCollector collector;
+  double elapsed_cycles =
+      sim.RunKernelBatch(MakeLaunch("k_filter", 200000, 1600000, 800000), 0,
+                         &collector)
+          ->elapsed_cycles;
+
+  PipelineSpec spec;
+  KernelLaunch scan = MakeLaunch("k_probe", 1000000, 8000000, 8000000);
+  scan.output = Endpoint::kChannel;
+  scan.workgroups_per_tile = 64;
+  KernelLaunch slow = MakeLaunch("k_map", 1000000, 8000000, 4000000);
+  slow.desc.compute_inst_per_row = 64.0;
+  slow.input = Endpoint::kChannel;
+  slow.output = Endpoint::kChannel;
+  slow.workgroups_per_tile = 4;
+  KernelLaunch probe = MakeLaunch("k_probe", 1000000, 4000000, 800);
+  probe.input = Endpoint::kChannel;
+  probe.workgroups_per_tile = 64;
+  spec.kernels = {scan, slow, probe};
+  spec.channel_configs = {ChannelConfig{}, ChannelConfig{}};
+  spec.tile_bytes = MiB(2);
+  spec.extra_resident_bytes = MiB(1);
+  spec.trace = &collector;
+  spec.label = "pinned pipeline";
+  elapsed_cycles += sim.RunPipeline(spec)->elapsed_cycles;
+
+  PipelineSpec tiles = TwoStagePipeline(300000);
+  tiles.trace = &collector;
+  elapsed_cycles += sim.RunSequentialTiles(tiles)->elapsed_cycles;
+
+  bool blocked = false;
+  bool starved = false;
+  for (const trace::InstantEvent& instant : collector.instants()) {
+    blocked |= instant.name == "channel-block (output full)";
+    starved |= instant.name == "channel-starve (input empty)";
+  }
+  EXPECT_TRUE(blocked);
+  EXPECT_TRUE(starved);
+  EXPECT_EQ(collector.tracks().count("k_probe#2"), 1u);
+
+  const std::string bytes =
+      collector.ToChromeJson() +
+      collector.BreakdownReport(elapsed_cycles / collector.clock_mhz() / 1e3);
+  EXPECT_EQ(Fnv1a(bytes), 0xcf570885c34ba69fULL) << std::hex << Fnv1a(bytes);
+}
+
 // ---- KBE path also traces ----
 
 TEST(TraceCollectorTest, KbeExecutionEmitsKernelSpans) {
